@@ -5,8 +5,8 @@ pairs in three dyadic ranges.  The quantity every bound in this package
 dominates is the extremal value: the supremum of |B| over unit-L2
 coefficients, i.e. the spectral norm of the phase tensor.  An alternating
 search computes it (each half-step is exactly optimal for its block, so the
-objective only moves up); on bilinear slices an independent power iteration
-on the Gram operator confirms the value.
+objective only moves up); on bilinear slices an independent LAPACK
+singular-value computation confirms the value.
 
 The scaling sweep then measures how the extremal value grows along the
 diagonal family M = N = A against the trivial (AMN)^(1/2): the measured
@@ -50,7 +50,7 @@ print("\n=== bilinear slice: two independent routes to the same number ===")
 slice_spec = FormSpec(48, 40, 1, theta=2)
 als = extremal_search(slice_spec, restarts=4, iters=1500, seed=3)
 sigma = gram_power_singular_value(build_tensor(slice_spec).entries[0])
-print(f"alternating search {als.value:.9f} vs Gram power iteration {sigma:.9f}")
+print(f"alternating search {als.value:.9f} vs LAPACK spectral norm {sigma:.9f}")
 
 print("\n=== roles of M and N swap under reciprocity ===")
 base = FormSpec(12, 18, 6, theta=3)

@@ -1,46 +1,47 @@
 """Experiment runner.
 
-Subcommands map one-to-one onto the verification suites:
-
-    ksum-verify          complete-sum oracle equivalence, Weil, Ramanujan
-    incomplete-verify    completion majorant sweep, envelopes, characters
-    identities           exact reciprocity and arithmetic invariants
-    trilinear-sweep      bilinear spectral oracle + diagonal scaling ladder
-    amplifier-check      Cauchy-Schwarz step + amplifier inequality chain
-    compdiv-check        complementary-divisor exhaustive sweep
-    detcount             determinant-equation counts vs. main term
-    equidist             star discrepancy of the fraction multiset
-    calibrate-constants  envelope calibration ratios
-
-Configuration comes from an optional flat key=value file (--config) with
-command-line flags overriding it; no environment variables are consulted.
-Records append to a CSV (fixed column order, 17-significant-digit floats)
-and optionally mirror to JSON.  Exit codes: 0 all assertions passed,
-1 at least one assertion failed, 2 usage or configuration error.
+Each subcommand runs one suite of `verify.SUITES`; its flags come from the
+suite's signature (parameter `n_specs` is `--n-specs`, with its default and
+type; tuples take comma-separated ints, a bool is a switch) and its help is
+the first line of the suite's docstring.  Global flags, before or after the
+subcommand: --seed, --out (CSV path), --json (mirror) and --config, a flat
+key=value file whose keys name global or subcommand options; flags override
+it, and an unknown key or a mistyped value is a configuration error.  No
+environment variables are consulted.  Records append to a CSV (fixed column
+order, 17-significant-digit floats) and optionally mirror to JSON.  Exit
+codes: 0 all assertions passed, 1 at least one assertion failed, 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
+from typing import Any, Callable, NamedTuple
 
+from . import verify
 from .records import write_csv, write_json
-from .verify import (
-    calibrate_constants,
-    cauchy_amplifier_verify,
-    compdiv_verify,
-    detcount_verify,
-    equidist_verify,
-    identities_verify,
-    incomplete_verify,
-    ksum_verify,
-    trilinear_sweep_verify,
-)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
+
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+class _Option(NamedTuple):
+    parse: Callable[[str], Any]
+    default: Any
+    help: str = ""
+
+
+_GLOBALS = {
+    "seed": _Option(int, 7, "64-bit master seed"),
+    "out": _Option(str, "kfractions_records.csv", "CSV record file, appended"),
+    "json": _Option(str, None, "optional JSON mirror"),
+}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -57,149 +58,109 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _common_options(top_level: bool) -> argparse.ArgumentParser:
-    """Options accepted both before and after the subcommand name.
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOL_WORDS[text.lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not one of {'/'.join(_BOOL_WORDS)}") from None
 
-    The top-level copy carries the real defaults; subparser copies default to
-    SUPPRESS so a subcommand-position flag overrides without a not-given flag
-    clobbering the value parsed earlier.  A fresh parser per caller: argparse
-    parents share action objects, so they must not be reused.
-    """
-    dflt = (lambda v: v) if top_level else (lambda v: argparse.SUPPRESS)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=dflt(None),
-                        help="flat key=value config file; flags override it")
-    common.add_argument("--seed", type=int, default=dflt(7),
-                        help="64-bit master seed (default 7)")
-    common.add_argument("--out", default=dflt("kfractions_records.csv"),
-                        help="CSV record file, appended (default kfractions_records.csv)")
-    common.add_argument("--json", dest="json_path", default=dflt(None),
-                        help="optional JSON mirror")
-    common.add_argument("--workers", type=int, default=dflt(1),
-                        help="worker threads for grid suites (default 1)")
-    return common
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(","))
+
+
+def _suite_options(fn: Callable) -> dict[str, _Option]:
+    """The options of a suite: every parameter of its signature but the seed."""
+    out = {}
+    for param in inspect.signature(fn).parameters.values():
+        if param.name == "seed":
+            continue
+        default = param.default
+        parse = (_parse_bool if isinstance(default, bool)
+                 else _parse_ints if isinstance(default, tuple) else type(default))
+        out[param.name] = _Option(parse, default)
+    return out
+
+
+def _add_options(parser: argparse.ArgumentParser, options: dict[str, _Option]) -> None:
+    """Flags default to SUPPRESS, so the parsed namespace holds only the given ones."""
+    for name, opt in options.items():
+        flag = "--" + name.replace("_", "-")
+        shown = ",".join(map(str, opt.default)) if isinstance(opt.default, tuple) else opt.default
+        text = f"{opt.help} (default {shown})".lstrip()
+        if opt.parse is _parse_bool:
+            parser.add_argument(flag, action="store_const", const=not opt.default,
+                                default=argparse.SUPPRESS, help=text)
+        else:
+            parser.add_argument(flag, type=opt.parse, default=argparse.SUPPRESS, help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=argparse.SUPPRESS,
+                        help="flat key=value config file; flags override it")
+    _add_options(common, _GLOBALS)
     parser = argparse.ArgumentParser(prog="kfractions", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter,
-                                     parents=[_common_options(top_level=True)])
+                                     parents=[common])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[_common_options(top_level=False)], **kw)
-
-    p = add_parser("ksum-verify", help="oracle equivalence + Weil bound grid")
-    p.add_argument("--cmax", type=int, default=2000)
-    p.add_argument("--pairs", type=int, default=20)
-
-    p = add_parser("incomplete-verify", help="completion majorant + envelope suite")
-    p.add_argument("--n-specs", type=int, default=200)
-    p.add_argument("--gamma-max", type=int, default=300)
-    p.add_argument("--sharp-specs", type=int, default=1000)
-
-    p = add_parser("identities", help="exact reciprocity identity suite")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--max-n", type=int, default=10**6)
-
-    p = add_parser("trilinear-sweep", help="bilinear oracle + scaling ladder")
-    p.add_argument("--n-specs", type=int, default=20)
-    p.add_argument("--ladder", default="8,16,32,64,128")
-
-    p = add_parser("amplifier-check", help="Cauchy-Schwarz + amplifier chain")
-    p.add_argument("--draws", type=int, default=100)
-
-    p = add_parser("compdiv-check", help="complementary divisor sweep")
-    p.add_argument("--m-scale", type=int, default=64)
-    p.add_argument("--n-scale", type=int, default=64)
-    p.add_argument("--l-scale", type=float, default=8.0)
-
-    p = add_parser("detcount", help="determinant equation counts")
-    p.add_argument("--n-specs", type=int, default=50)
-
-    p = add_parser("equidist", help="fraction-set star discrepancy ladder")
-    p.add_argument("--n-list", default="64,128,256,512")
-    p.add_argument("--density-exponent", type=float, default=0.0)
-    p.add_argument("--sampled", action="store_true",
-                   help="draw X_N of size ceil(N^(1-exponent)) instead of the full set")
-
-    add_parser("calibrate-constants", help="envelope calibration ratios")
+    for name, fn in verify.SUITES.items():
+        doc = inspect.getdoc(fn)
+        p = sub.add_parser(name, help=doc.splitlines()[0], description=doc, parents=[common])
+        _add_options(p, _suite_options(fn))
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Config file values fill in anything not explicitly given on the line."""
-    if not args.config:
-        return
-    cfg = _parse_config_file(args.config)
-    given = {tok.split("=")[0].lstrip("-").replace("-", "_") for tok in argv if tok.startswith("--")}
-    for key, raw in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in given:
-            continue
-        current = getattr(args, attr)
-        if isinstance(current, bool):
-            setattr(args, attr, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, attr, int(raw))
-        elif isinstance(current, float):
-            setattr(args, attr, float(raw))
-        else:
-            setattr(args, attr, raw)
+def _resolve(argv: list[str]) -> tuple[str, dict[str, Any]]:
+    """The chosen subcommand and every option value: flag over config over default.
 
-
-def _dispatch(args: argparse.Namespace) -> list:
-    seed, workers = args.seed, args.workers
-    cmd = args.subcommand
-    if cmd == "ksum-verify":
-        return [ksum_verify(args.cmax, args.pairs, seed, workers)]
-    if cmd == "incomplete-verify":
-        return [incomplete_verify(args.n_specs, args.gamma_max, seed, args.sharp_specs)]
-    if cmd == "identities":
-        return [identities_verify(args.trials, seed, args.max_n)]
-    if cmd == "trilinear-sweep":
-        ladder = tuple(int(t) for t in args.ladder.split(","))
-        return trilinear_sweep_verify(args.n_specs, seed, ladder)
-    if cmd == "amplifier-check":
-        return [cauchy_amplifier_verify(seed, args.draws)]
-    if cmd == "compdiv-check":
-        return [compdiv_verify(args.m_scale, args.n_scale, args.l_scale, seed)]
-    if cmd == "detcount":
-        return [detcount_verify(args.n_specs, seed, workers)]
-    if cmd == "equidist":
-        n_list = tuple(int(t) for t in args.n_list.split(","))
-        return [equidist_verify(n_list, args.density_exponent, not args.sampled, seed)]
-    if cmd == "calibrate-constants":
-        return [calibrate_constants(seed)]
-    raise ValueError(f"unknown subcommand {cmd!r}")
+    Raises SystemExit on a usage error and ValueError or OSError on a
+    configuration error.
+    """
+    given = vars(_build_parser().parse_args(argv))
+    name = given.pop("subcommand")
+    options = {**_GLOBALS, **_suite_options(verify.SUITES[name])}
+    values = {key: opt.default for key, opt in options.items()}
+    if "config" in given:
+        for key, raw in _parse_config_file(given.pop("config")).items():
+            dest = key.replace("-", "_")
+            if dest not in options:
+                raise ValueError(f"unknown key {key!r}: not an option of {name} or a global option")
+            try:
+                values[dest] = options[dest].parse(raw)
+            except ValueError as exc:
+                raise ValueError(f"bad value for {key!r}: {exc}") from None
+    values.update(given)
+    return name, values
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        command, values = _resolve(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        _apply_config(args, argv)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out, json_path = values.pop("out"), values.pop("json")
 
+    # looked up at call time, so a wrapper installed on the verify module is the one called
+    suite = getattr(verify, verify.SUITES[command].__name__)
     start = time.perf_counter()
     try:
-        records = _dispatch(args)
+        result = suite(**values)
     except ValueError as exc:
         print(f"configuration rejected: {exc}", file=sys.stderr)
         return EXIT_USAGE
     elapsed = time.perf_counter() - start
+    records = result if isinstance(result, list) else [result]
     for rec in records:
         rec.runtime_seconds = elapsed / len(records)
 
-    write_csv(args.out, records)
-    if args.json_path:
-        write_json(args.json_path, records)
+    write_csv(out, records)
+    if json_path:
+        write_json(json_path, records)
 
     failed = []
     for rec in records:

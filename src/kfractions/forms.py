@@ -34,7 +34,6 @@ __all__ = [
     "AmplifierSpec",
     "build_tensor",
     "eval_trilinear",
-    "eval_bilinear",
     "ExtremalResult",
     "extremal_search",
     "gram_power_singular_value",
@@ -282,34 +281,6 @@ def eval_trilinear(
     return complex(total)
 
 
-def eval_bilinear(
-    alpha: CoefficientVector,
-    beta: CoefficientVector,
-    a: int,
-    m_scale: int,
-    n_scale: int,
-) -> complex:
-    """The single-a form: sum over coprime (m,n) of alpha_m beta_n e(a*mbar/n)."""
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    spec = FormSpec(m_scale, n_scale, 1, theta=1)
-    if alpha.range.scale != m_scale or beta.range.scale != n_scale:
-        raise ValueError("coefficient ranges do not match the scales")
-    ms = spec.m_range.members
-    total = 0.0 + 0.0j
-    for j, n in enumerate(spec.n_range.members):
-        n = int(n)
-        coprime = np.gcd(ms, n) == 1
-        if not coprime.any():
-            continue
-        minv = np.array([pow(int(m), -1, n) if ok else 0 for m, ok in zip(ms, coprime)], dtype=object)
-        t = np.array([(a * int(mi)) % n for mi in minv], dtype=np.float64)
-        phases = np.exp(2j * np.pi * (t / n))
-        phases[~coprime] = 0.0
-        total += beta.values[j] * (phases @ alpha.values)
-    return complex(total)
-
-
 # ---------------------------------------------------------------------------
 # extremal search (the exact quantity the bounds dominate)
 # ---------------------------------------------------------------------------
@@ -394,29 +365,13 @@ def _assert_monotone(prev: float, new: float) -> None:
         raise ArithmeticError(f"alternating objective decreased: {prev} -> {new}")
 
 
-def gram_power_singular_value(mat: np.ndarray, tol: float = 1e-13, max_iter: int = 100000) -> float:
-    """Largest singular value via power iteration on the Gram operator.
+def gram_power_singular_value(mat: np.ndarray) -> float:
+    """Largest singular value of mat, by LAPACK's SVD (the spectral norm).
 
-    Deterministic start (constant vector plus a small ramp); independent of
-    the alternating search so the two can cross-check each other.
+    Independent of the alternating search so the two can cross-check each
+    other.
     """
-    mat = np.asarray(mat, dtype=np.complex128)
-    n = mat.shape[1]
-    v = np.ones(n, dtype=np.complex128) + 1e-3 * np.arange(n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        gv = mat.conj().T @ w
-        norm = np.linalg.norm(gv)
-        if norm == 0.0:
-            return 0.0
-        v = gv / norm
-        new_sigma = math.sqrt(float(np.real(np.vdot(v, mat.conj().T @ (mat @ v)))))
-        if abs(new_sigma - sigma) <= tol * max(1.0, new_sigma):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
+    return float(np.linalg.norm(np.asarray(mat, dtype=np.complex128), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +413,28 @@ def trivial_bound(spec: FormSpec) -> float:
 # Cauchy-Schwarz step and the amplifier
 # ---------------------------------------------------------------------------
 
-def _inner_sums(spec: FormSpec, beta: CoefficientVector, nu: CoefficientVector, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """c_m = sum over a and n coprime to m of beta_n nu_a e(theta*a*mbar/(b*n)).
+def _inner_terms(
+    spec: FormSpec, beta: CoefficientVector, nu: CoefficientVector, b: int
+) -> list[tuple[int, dict[int, complex]]]:
+    """T_m(n) = beta_n * sum_a nu_a e(theta*a*mbar/(b*n)) for n coprime to m.
 
-    Returns (members m with gcd(m,b)=1, their c_m values).  The perturbation
-    phase is honored only at b=1, where it multiplies e(theta*a*mbar/n).
+    Returns one (m, {n: T_m(n)}) row per m with gcd(m, b) = 1; n with
+    beta_n = 0 are left out.  The inner sum c_m of the Cauchy-Schwarz step is
+    the row total.  The perturbation phase is honored only at b=1, where it
+    multiplies e(theta*a*mbar/n).
     """
     if spec.perturbation is not None and b != 1:
         raise ValueError("perturbed inner sums are only defined at b = 1")
-    ms = [int(m) for m in spec.m_range.members if gcd(int(m), b) == 1]
     ns = [int(n) for n in spec.n_range.members]
     az = [int(a) for a in spec.a_range.members]
-    beta_v, nu_v = beta.values, nu.values
-    out = np.zeros(len(ms), dtype=np.complex128)
-    for i, m in enumerate(ms):
-        acc = 0.0 + 0.0j
+    rows = []
+    for m in spec.m_range.members:
+        m = int(m)
+        if gcd(m, b) != 1:
+            continue
+        terms: dict[int, complex] = {}
         for j, n in enumerate(ns):
-            if gcd(m, n) != 1:
+            if gcd(m, n) != 1 or beta.values[j] == 0:
                 continue
             mod = b * n
             mbar = pow(m % mod, -1, mod)
@@ -483,10 +443,15 @@ def _inner_sums(spec: FormSpec, beta: CoefficientVector, nu: CoefficientVector, 
                 phase = (spec.theta * a * mbar) % mod / mod
                 if spec.perturbation is not None:
                     phase += spec.perturbation.phase(a, m, n)
-                asum += nu_v[t] * np.exp(2j * np.pi * phase)
-            acc += beta_v[j] * asum
-        out[i] = acc
-    return np.array(ms, dtype=np.int64), out
+                asum += nu.values[t] * np.exp(2j * np.pi * phase)
+            terms[n] = beta.values[j] * asum
+        rows.append((m, terms))
+    return rows
+
+
+def _inner_moment(rows: list[tuple[int, dict[int, complex]]]) -> float:
+    """sum over m of |c_m|^2, with c_m the total of row m."""
+    return float(np.sum(np.abs([sum(terms.values()) for _, terms in rows]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -507,8 +472,7 @@ def cauchy_step(
     definitional double-absolute-value sum (exact Cauchy-Schwarz, constant 1)."""
     _check_ranges(spec, alpha, beta, nu)
     b_val = eval_trilinear(alpha, beta, nu, spec)
-    _, inner = _inner_sums(spec, beta, nu, b=1)
-    c1 = float(np.sum(np.abs(inner) ** 2))
+    c1 = _inner_moment(_inner_terms(spec, beta, nu, b=1))
     lhs = abs(b_val) ** 2
     rhs = alpha.norm() ** 2 * c1
     return CauchyReport(lhs, c1, rhs, lhs <= rhs + 1e-6)
@@ -583,31 +547,16 @@ def amplifier_check(
     beta = CoefficientVector(beta.range, beta.values * mask)
 
     ells = [ell for ell in amp.primes if gcd(ell, tb) == 1]
-    ms, inner = _inner_sums(spec, beta, nu, amp.b)
-    c_b = float(np.sum(np.abs(inner) ** 2))
+    rows = _inner_terms(spec, beta, nu, amp.b)
+    c_b = _inner_moment(rows)
 
-    ns = [int(n) for n in spec.n_range.members]
-    az = [int(a) for a in spec.a_range.members]
     d_char = 0.0
     d_direct = 0.0
     diag = 0.0
     min_p = None
     chi0_total = 0.0
-    for i, m in enumerate(ms):
-        m = int(m)
+    for m, t_vals in rows:
         group = character_group(m)
-        # T(n) = beta_n * sum_a nu_a e(theta a mbar/(b n)) for n coprime to m
-        t_vals: dict[int, complex] = {}
-        for j, n in enumerate(ns):
-            if gcd(m, n) != 1 or beta.values[j] == 0:
-                continue
-            mod = amp.b * n
-            mbar = pow(m % mod, -1, mod)
-            asum = sum(
-                nu.values[t] * np.exp(2j * np.pi * ((spec.theta * a * mbar) % mod / mod))
-                for t, a in enumerate(az)
-            )
-            t_vals[n] = beta.values[j] * asum
         adm_ells = [ell for ell in ells if gcd(ell, m) == 1]
         p_m = len(adm_ells)
         min_p = p_m if min_p is None else min(min_p, p_m)

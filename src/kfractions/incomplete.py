@@ -165,32 +165,37 @@ def bound_filtered(spec: IncompleteSpec, C: float = 1.0, eps: float = 0.0) -> fl
     return C * (first + second)
 
 
-def _majorant_preconditions(spec: IncompleteSpec) -> None:
+def _majorant_row(spec: IncompleteSpec, signs: tuple[int, ...]) -> float:
+    """(X+k)/(gamma k) |S(alpha,0;gamma)|
+        + sum_{1<=r<=gamma/2} mean over s in signs of |S(alpha, s*r*kbar; gamma)| / r.
+
+    Only defined in the reduced case: gcd(k, gamma) = 1, delta = 1, beta = 0,
+    no character twist, no gcd side condition.
+    """
     if gcd(spec.k, spec.gamma) != 1:
         raise ValueError("majorant requires gcd(k, gamma) = 1")
     if spec.delta != 1 or spec.beta != 0 or spec.gcd_cond is not None:
         raise ValueError("majorant requires delta = 1, beta = 0, no gcd condition")
     if spec.character is not None and not spec.character.is_principal:
         raise ValueError("majorant requires a trivial character")
-
-
-def erdos_turan_majorant(spec: IncompleteSpec) -> float:
-    """The completion majorant, exactly as printed (constant 1, one-signed).
-
-    Only defined in the reduced case: gcd(k, gamma) = 1, delta = 1, beta = 0,
-    no character twist, no gcd side condition.  NOTE: the one-signed r sum is
-    not a theorem; see `erdos_turan_majorant_symmetrized` for the exact form
-    and `erdos_turan_sweep` for the violation flagging.
-    """
-    _majorant_preconditions(spec)
     g, k, alpha = spec.gamma, spec.k, spec.alpha
     out = (spec.x_len + k) / (g * k) * abs(kloosterman_brute(KloostermanParams(alpha, 0, g)).value)
     if g > 1:
         kbar = mod_inverse(k, g)
         for r in range(1, g // 2 + 1):
-            s = kloosterman_brute(KloostermanParams(alpha, r * kbar % g, g)).value
-            out += abs(s) / r
+            row = sum(abs(kloosterman_brute(KloostermanParams(alpha, s * r * kbar % g, g)).value) for s in signs)
+            out += row / (len(signs) * r)
     return out
+
+
+def erdos_turan_majorant(spec: IncompleteSpec) -> float:
+    """The completion majorant, exactly as printed (constant 1, one-signed).
+
+    Reduced case only (see `_majorant_row`).  NOTE: the one-signed r sum is
+    not a theorem; see `erdos_turan_majorant_symmetrized` for the exact form
+    and `erdos_turan_sweep` for the violation flagging.
+    """
+    return _majorant_row(spec, (1,))
 
 
 def erdos_turan_majorant_symmetrized(spec: IncompleteSpec) -> float:
@@ -205,16 +210,7 @@ def erdos_turan_majorant_symmetrized(spec: IncompleteSpec) -> float:
     one-signed printed form can undercount when S(alpha, b; gamma) vanishes
     asymmetrically in b -> -b (square factors of gamma).
     """
-    _majorant_preconditions(spec)
-    g, k, alpha = spec.gamma, spec.k, spec.alpha
-    out = (spec.x_len + k) / (g * k) * abs(kloosterman_brute(KloostermanParams(alpha, 0, g)).value)
-    if g > 1:
-        kbar = mod_inverse(k, g)
-        for r in range(1, g // 2 + 1):
-            plus = kloosterman_brute(KloostermanParams(alpha, r * kbar % g, g)).value
-            minus = kloosterman_brute(KloostermanParams(alpha, (-r * kbar) % g, g)).value
-            out += (abs(plus) + abs(minus)) / (2 * r)
-    return out
+    return _majorant_row(spec, (1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Each suite draws its randomness from the documented seed derivation, runs the
 checks for one acceptance group, and returns an ExperimentRecord carrying the
 measured values and the named assertion outcomes.  The CLI and the acceptance
 test module both call these functions, so there is a single source of truth
-for what each criterion means.
+for what each criterion means; SUITES maps each CLI subcommand to its suite,
+and the CLI reads the subcommand's flags from the suite's signature.
 
 Only exact inequalities and oracle equivalences are asserted; envelope
 comparisons (which hide implied constants) are recorded as calibration
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 import numpy as np
@@ -40,19 +40,12 @@ __all__ = [
 ]
 
 
-def _run_tasks(task, indices, workers: int):
-    """Order-stable task runner: results come back sorted by task index."""
-    if workers <= 1:
-        return [task(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, indices))
-
-
 # ---------------------------------------------------------------------------
 # ksum-verify: oracle equivalence + Weil + Ramanujan + symmetry  (criteria 1, 2)
 # ---------------------------------------------------------------------------
 
-def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7, workers: int = 1) -> ExperimentRecord:
+def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7) -> ExperimentRecord:
+    """Oracle equivalence + Weil bound grid over every modulus c <= cmax."""
     def per_modulus(c: int):
         gen = derive_rng(seed, c)
         max_fast = max_weil = max_sym = max_ram = 0.0
@@ -76,14 +69,14 @@ def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7, workers: int =
             max_ram = max(max_ram, abs(ram - brute0))
         return max_fast, max_weil, max_sym, max_ram, ok
 
-    results = _run_tasks(per_modulus, range(1, cmax + 1), workers)
+    results = [per_modulus(c) for c in range(1, cmax + 1)]
     max_fast = max(r[0] for r in results)
     max_weil = max(r[1] for r in results)
     max_sym = max(r[2] for r in results)
     max_ram = max(r[3] for r in results)
     return ExperimentRecord(
         subcommand="ksum-verify",
-        params={"cmax": cmax, "pairs": pairs, "workers": workers},
+        params={"cmax": cmax, "pairs": pairs},
         seed=seed,
         values={
             "moduli_checked": float(cmax),
@@ -114,6 +107,7 @@ def _random_coprime_pair(rng: random.Random, hi: int) -> tuple[int, int]:
 
 
 def identities_verify(trials: int = 1000, seed: int = 7, max_n: int = 10**6) -> ExperimentRecord:
+    """Exact reciprocity identity suite, plus Jacobi/CRT/squarefull invariants."""
     rng = random.Random(f"identities-{seed}")
     failures = {"two_term": 0, "three_term": 0, "split_denominator": 0}
     for _ in range(trials):
@@ -209,6 +203,7 @@ def identities_verify(trials: int = 1000, seed: int = 7, max_n: int = 10**6) -> 
 def incomplete_verify(
     n_specs: int = 200, gamma_max: int = 300, seed: int = 7, sharp_specs: int = 1000
 ) -> ExperimentRecord:
+    """Completion majorant + envelope suite (majorant violations are flagged, not hidden)."""
     violations = incomplete.erdos_turan_sweep(n_specs, gamma_max, seed)
 
     rng = random.Random(f"completion-{seed}")
@@ -303,6 +298,7 @@ def incomplete_verify(
 # ---------------------------------------------------------------------------
 
 def cauchy_amplifier_verify(seed: int = 7, draws: int = 100) -> ExperimentRecord:
+    """Cauchy-Schwarz step on random draws + amplifier chain on fixed cases."""
     rng = random.Random(f"cauchy-{seed}")
     gen = derive_rng(seed, 0)
     cauchy_ok = True
@@ -358,6 +354,7 @@ def cauchy_amplifier_verify(seed: int = 7, draws: int = 100) -> ExperimentRecord
 # ---------------------------------------------------------------------------
 
 def compdiv_verify(m_scale: int = 64, n_scale: int = 64, l_scale: float = 8.0, seed: int = 7) -> ExperimentRecord:
+    """Complementary divisor sweep."""
     rep = forms.complementary_divisor_check(m_scale, n_scale, l_scale)
     return ExperimentRecord(
         subcommand="compdiv-check",
@@ -384,7 +381,7 @@ def bilinear_oracle_verify(n_specs: int = 20, seed: int = 7) -> ExperimentRecord
         )
         res = forms.extremal_search(spec, restarts=4, iters=2000, seed=seed + i)
         mat = forms.build_tensor(spec).entries[0]
-        sigma = forms.gram_power_singular_value(mat, tol=1e-14)
+        sigma = forms.gram_power_singular_value(mat)
         max_dev = max(max_dev, abs(res.value - sigma) / max(1.0, sigma))
     return ExperimentRecord(
         subcommand="trilinear-sweep",
@@ -442,16 +439,16 @@ def _random_det_spec(rng: random.Random, gen: np.random.Generator) -> apps.DetSp
 def trilinear_sweep_verify(
     n_specs: int = 20, seed: int = 7, ladder=(8, 16, 32, 64, 128)
 ) -> list[ExperimentRecord]:
-    """Criteria 7 and 8 together: the two records of the trilinear-sweep command."""
+    """Bilinear oracle + scaling ladder: the two records of criteria 7 and 8."""
     return [bilinear_oracle_verify(n_specs, seed), scaling_verify(seed, ladder)]
 
 
-def detcount_verify(n_specs: int = 50, seed: int = 7, workers: int = 1) -> ExperimentRecord:
+def detcount_verify(n_specs: int = 50, seed: int = 7) -> ExperimentRecord:
+    """Determinant equation counts: two summation orders vs. the main term."""
     rng = random.Random(f"detcount-{seed}")
     specs = [_random_det_spec(rng, derive_rng(seed, i)) for i in range(n_specs)]
 
-    def per_spec(i: int):
-        spec = specs[i]
+    def per_spec(spec: apps.DetSpec):
         c1 = apps.det_count(spec, order=1)
         c2 = apps.det_count(spec, order=2)
         main = apps.det_main_term(spec)
@@ -459,13 +456,13 @@ def detcount_verify(n_specs: int = 50, seed: int = 7, workers: int = 1) -> Exper
         env = apps.det_error_envelope(spec, C=1.0, eps=0.05)
         return abs(c1 - c2) / max(1.0, abs(c1)), resid, resid / env
 
-    results = _run_tasks(per_spec, range(n_specs), workers)
+    results = [per_spec(spec) for spec in specs]
     max_gap = max(r[0] for r in results)
     max_ratio = max(r[2] for r in results)
     finite = all(math.isfinite(r[1]) for r in results)
     return ExperimentRecord(
         subcommand="detcount",
-        params={"n_specs": n_specs, "workers": workers},
+        params={"n_specs": n_specs},
         seed=seed,
         values={"max_order_gap": max_gap, "max_residual_ratio": max_ratio},
         assertions={"orders_agree": max_gap <= 1e-9, "residuals_finite": finite},
@@ -479,11 +476,15 @@ def detcount_verify(n_specs: int = 50, seed: int = 7, workers: int = 1) -> Exper
 def equidist_verify(
     n_list=(64, 128, 256, 512),
     density_exponent: float = 0.0,
-    full_sets: bool = True,
+    sampled: bool = False,
     seed: int = 7,
 ) -> ExperimentRecord:
-    rows = apps.equidist_experiment(n_list, density_exponent, seed, full_sets=full_sets)
-    again = apps.equidist_experiment(n_list, density_exponent, seed, full_sets=full_sets)
+    """Fraction-set star discrepancy ladder.
+
+    With sampled, X_N is a draw of size ceil(N^(1-density_exponent)) instead of the full set.
+    """
+    rows = apps.equidist_experiment(n_list, density_exponent, seed, full_sets=not sampled)
+    again = apps.equidist_experiment(n_list, density_exponent, seed, full_sets=not sampled)
     dstars = [r.dstar for r in rows]
     values = {
         f"dstar_N{r.n_scale}": r.dstar if r.dstar is not None else float("nan") for r in rows
@@ -491,7 +492,7 @@ def equidist_verify(
     values.update({f"points_N{r.n_scale}": float(r.n_points) for r in rows})
     # the decreasing-trend claim applies to full sets and to draws dense
     # enough for the equidistribution statement (exponent <= 1/20)
-    trend_applies = (full_sets or density_exponent <= 1 / 20) and all(
+    trend_applies = (not sampled or density_exponent <= 1 / 20) and all(
         d is not None for d in dstars
     )
     inversions = sum(
@@ -507,7 +508,7 @@ def equidist_verify(
         params={
             "n_list": ",".join(str(n) for n in n_list),
             "density_exponent": density_exponent,
-            "full_sets": full_sets,
+            "sampled": sampled,
         },
         seed=seed,
         values=values,
@@ -520,6 +521,7 @@ def equidist_verify(
 # ---------------------------------------------------------------------------
 
 def calibrate_constants(seed: int = 7) -> ExperimentRecord:
+    """Envelope calibration ratios."""
     sharp = incomplete.envelope_sharpness_sweep(300, 200, seed, eps=0.25)
     a1_max = max(s.ratio for s in sharp)
 

@@ -1,10 +1,17 @@
 """Runner behavior: record persistence, determinism, config, exit codes."""
 
+import ast
 import csv
+import inspect
 import json
+from pathlib import Path
 
+import pytest
+
+from kfractions import cli
 from kfractions.cli import main
 from kfractions.records import CSV_COLUMNS, ExperimentRecord, derive_rng, write_csv, write_json
+from kfractions.verify import SUITES
 
 
 class TestRecords:
@@ -108,6 +115,18 @@ class TestCli:
         cfg.write_text("this is not a key value line\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x.csv"), "identities"]) == 2
 
+    def test_config_key_of_no_option_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("camx=5\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x.csv"), "ksum-verify"]) == 2
+        assert "camx" in capsys.readouterr().err
+
+    def test_config_bool_outside_the_words_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("sampled=ture\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x.csv"), "equidist"]) == 2
+        assert "sampled" in capsys.readouterr().err
+
     def test_invalid_parameter_exit_2(self, tmp_path):
         code = main(["--out", str(tmp_path / "x.csv"), "compdiv-check", "--l-scale", "1.0"])
         assert code == 2
@@ -125,3 +144,25 @@ class TestCli:
         assert proc.returncode == 0
         assert "[PASS] identities: two_term_exact" in proc.stdout
         assert out.exists()
+
+
+def _smoke_suite_args():
+    """SMOKE_SUITE_ARGS of the benchmark's workloads, read without importing the benchmark."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SMOKE_SUITE_ARGS":
+            return ast.literal_eval(node.value)
+    raise LookupError("SMOKE_SUITE_ARGS not found")
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_registry_parity(name, capsys):
+    """Every suite's subcommand has help, its signature defaults, and parses the benchmark's flags."""
+    assert main([name, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: kfractions {name}")
+    fn = SUITES[name]
+    _, values = cli._resolve([name])
+    assert values.pop("out") == "kfractions_records.csv" and values.pop("json") is None
+    assert values == {p.name: p.default for p in inspect.signature(fn).parameters.values()}
+    _, smoke = cli._resolve([name] + _smoke_suite_args()[name])
+    assert set(smoke) == set(values) | {"out", "json"}

@@ -23,7 +23,6 @@ from kfractions.forms import (
     build_tensor,
     cauchy_step,
     complementary_divisor_check,
-    eval_bilinear,
     eval_trilinear,
     extremal_search,
     gram_power_singular_value,
@@ -206,7 +205,8 @@ class TestEvaluation:
         m_scale, n_scale, a = 10, 9, 4
         al = CoefficientVector.random_unit(DyadicRange(m_scale), gen)
         be = CoefficientVector.random_unit(DyadicRange(n_scale), gen)
-        got = eval_bilinear(al, be, a, m_scale, n_scale)
+        spec = FormSpec(m_scale, n_scale, 1, theta=a)
+        got = eval_trilinear(al, be, CoefficientVector.unit(spec.a_range, 1), spec)
         total = 0j
         for m in DyadicRange(m_scale).members:
             for n in DyadicRange(n_scale).members:
@@ -220,12 +220,12 @@ class TestEvaluation:
                     * cmath.exp(2j * cmath.pi * ph)
                 )
         assert got == pytest.approx(total, abs=1e-10)
-        # definitional consistency: bilinear = trilinear with nu = delta_a, theta=1
+        # the same form with theta = 1 and nu = delta_a on the range A = a
         spec = FormSpec(m_scale, n_scale, a_scale=a, theta=1)
         tri = eval_trilinear(al, be, CoefficientVector.unit(spec.a_range, a), spec)
         assert got == pytest.approx(tri, abs=1e-10)
         with pytest.raises(ValueError):
-            eval_bilinear(al, be, 0, m_scale, n_scale)
+            FormSpec(m_scale, n_scale, 1, theta=0)
 
 
 class TestExtremalSearch:
@@ -261,7 +261,7 @@ class TestExtremalSearch:
             spec = FormSpec(rng.randint(8, 40), rng.randint(8, 40), 1, theta=rng.choice([-2, 1, 3]))
             res = extremal_search(spec, restarts=3, iters=1500, seed=5)
             mat = build_tensor(spec).entries[0]
-            sigma = gram_power_singular_value(mat, tol=1e-14)
+            sigma = gram_power_singular_value(mat)
             svd = np.linalg.svd(mat, compute_uv=False)[0]
             assert res.value == pytest.approx(sigma, abs=1e-6 * max(1, sigma))
             assert sigma == pytest.approx(svd, abs=1e-8 * max(1, svd))

@@ -1,21 +1,10 @@
-"""Suite-level behavior: worker stability, record shapes, subcommand map."""
+"""Suite-level behavior: record shapes, subcommand map."""
 
 from kfractions.verify import (
     SUITES,
-    detcount_verify,
     equidist_verify,
     ksum_verify,
 )
-
-
-def test_worker_count_does_not_perturb_values():
-    serial = ksum_verify(cmax=60, pairs=5, seed=3, workers=1)
-    threaded = ksum_verify(cmax=60, pairs=5, seed=3, workers=4)
-    assert serial.values == threaded.values
-    assert serial.assertions == threaded.assertions
-    d1 = detcount_verify(n_specs=8, seed=3, workers=1)
-    d2 = detcount_verify(n_specs=8, seed=3, workers=3)
-    assert d1.values == d2.values
 
 
 def test_subcommand_map_is_complete():
@@ -34,14 +23,14 @@ def test_subcommand_map_is_complete():
 
 def test_equidist_trend_scoping():
     # beyond the stated density threshold the trend is not asserted
-    rec = equidist_verify(n_list=(256, 512), density_exponent=0.5, full_sets=False, seed=1)
+    rec = equidist_verify(n_list=(256, 512), density_exponent=0.5, sampled=True, seed=1)
     assert rec.assertions["ladder_trend"] is True
     assert rec.assertions["deterministic"] is True
 
 
 def test_equidist_degenerate_draws_do_not_crash():
     # extremely sparse draws can yield zero coprime pairs; rows record None
-    rec = equidist_verify(n_list=(64, 128), density_exponent=0.9, full_sets=False, seed=1)
+    rec = equidist_verify(n_list=(64, 128), density_exponent=0.9, sampled=True, seed=1)
     assert rec.assertions["deterministic"] is True
 
 
