@@ -2,10 +2,11 @@
 
 S(a,b;c) sums e((a*xbar + b*x)/c) over the units x mod c.  The brute route
 just does that; the fast route factors c, twists (a,b) into each prime-power
-block, and collapses odd blocks p^alpha (alpha >= 2, p coprime to ab) to at
-most 2p cosine terms via stationary phase.  Everything the fast route does is
-checked against the brute oracle, and every value is checked against the
-explicit Weil envelope tau(c) * gcd(a,b,c)^(1/2) * c^(1/2).
+block, and collapses odd blocks p^alpha (alpha >= 2, p coprime to ab) to a
+two-term closed form: one square root of ab mod p^alpha, one cosine or sine.
+Everything the fast route does is checked against the brute oracle, and every
+value is checked against the explicit Weil envelope
+tau(c) * gcd(a,b,c)^(1/2) * c^(1/2).
 """
 
 import time
@@ -31,7 +32,7 @@ for a, b, c in [(1, 1, 3), (1, 1, 6), (0, 0, 12), (1, 1, 97), (2, 5, 625)]:
     )
 
 print("\n=== the Salie collapse at odd prime powers ===")
-c = 5**6  # 15625; brute sums phi(c) = 12500 terms, closed form uses ~2 cosines
+c = 5**6  # 15625; brute sums phi(c) = 12500 terms, closed form uses one cosine
 t0 = time.perf_counter()
 brute = kloosterman_brute(KloostermanParams(3, 7, c)).value
 t_brute = time.perf_counter() - t0

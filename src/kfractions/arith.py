@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 FACTORIZE_LIMIT = 2**63
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 10**6  # sieve bound of _small_primes
+_TRIAL_DIVISION_MAX = 4096  # factorize trial-divides by primes up to here only
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +281,9 @@ class FactoredInteger:
 def factorize(n: int) -> FactoredInteger:
     """Exact deterministic factorization for 1 <= n <= 2^63.
 
-    Trial division by primes up to 1e6, then Brent rho with deterministic
-    parameters and Miller-Rabin certification on every remaining cofactor.
+    Trial division by primes up to 4096, then, on every remaining cofactor,
+    Miller-Rabin certification, an exact square-root split of perfect squares,
+    and Brent rho with deterministic parameters.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
@@ -290,7 +292,7 @@ def factorize(n: int) -> FactoredInteger:
     value = n
     factors: dict[int, int] = {}
     for p in _small_primes():
-        if p * p > n:
+        if p > _TRIAL_DIVISION_MAX or p * p > n:
             break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
@@ -302,6 +304,10 @@ def factorize(n: int) -> FactoredInteger:
             continue
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
+            continue
+        r = isqrt(m)
+        if r * r == m:
+            stack.extend((r, r))
             continue
         d = _brent_rho(m)
         stack.extend((d, m // d))

@@ -2,15 +2,17 @@
 
 Two evaluation routes with disjoint internals:
 
-* ``kloosterman_brute`` -- the oracle: direct summation over reduced residues,
-  with the phase (a*xbar + b*x)/c reduced into [0,1) in exact integer
-  arithmetic before the single complex exponential per term.
+* ``kloosterman_brute`` -- the oracle: direct summation over reduced residues.
+  The inverses are x^(phi(c)-1) mod c by vectorized int64 square-and-multiply,
+  the phase a*xbar + b*x is reduced mod c in exact integer arithmetic, and the
+  terms are gathered from the row e(j/c), j = 0..c-1.  Tables for c <= 4096
+  are cached.
 * ``kloosterman_fast`` -- twisted multiplicativity across prime-power blocks,
   S(a,b;mn) = S(a*nbar, b*nbar; m) * S(a*mbar, b*mbar; n) for coprime m,n,
-  with the stationary-phase closed form at odd prime powers p^alpha, alpha >= 2,
-  p coprime to ab (the sum collapses to at most 2p explicit cosine terms, or
-  vanishes when a*bbar is a quadratic non-residue).  Blocks without a closed
-  form fall back to brute summation.
+  with the two-term Salie closed form at odd prime powers p^alpha, alpha >= 2,
+  p coprime to ab (one square root y of ab mod p^alpha and one cosine or sine;
+  the block vanishes when ab is a quadratic non-residue).  Blocks without a
+  closed form fall back to brute summation.
 
 Plus the Ramanujan sum S(a,0;c) in exact integer arithmetic and the explicit
 Weil bound tau(c) * gcd(a,b,c)^(1/2) * c^(1/2).
@@ -20,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, sqrt
+from math import cos, gcd, pi, sin, sqrt
 
 import numpy as np
 
-from .arith import divisors, factorize, moebius
+from .arith import divisors, factorize, jacobi, moebius
 
 __all__ = [
     "KloostermanParams",
@@ -60,26 +62,39 @@ class KloostermanResult:
     modulus: int
 
 
-@lru_cache(maxsize=512)
-def _unit_inverse_table(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Units mod c and their inverses, as int64 arrays (cached for small c)."""
+def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Units x mod c (c >= 2), their inverses x^(phi-1) mod c, and the root row e(j/c).
+
+    The inverses come from in-place int64 square-and-multiply; every product
+    stays below c^2 <= BRUTE_LIMIT^2 < 2^63.
+    """
     xs = np.arange(1, c, dtype=np.int64)
     xs = xs[np.gcd(xs, c) == 1]
-    inv = np.fromiter((pow(int(x), -1, c) for x in xs), dtype=np.int64, count=len(xs))
-    return xs, inv
+    inv = np.ones_like(xs)
+    base = xs.copy()
+    e = len(xs) - 1
+    while e:
+        if e & 1:
+            np.multiply(inv, base, out=inv)
+            np.remainder(inv, c, out=inv)
+        e >>= 1
+        if e:
+            np.multiply(base, base, out=base)
+            np.remainder(base, c, out=base)
+    return xs, inv, np.exp(2j * np.pi * (np.arange(c) / c))
+
+
+_cached_unit_table = lru_cache(maxsize=64)(_unit_table)
 
 
 def _brute_value(a: int, b: int, c: int) -> float:
     if c == 1:
         return 1.0
-    if c <= 4096:
-        xs, inv = _unit_inverse_table(c)
-    else:
-        xs = np.arange(1, c, dtype=np.int64)
-        xs = xs[np.gcd(xs, c) == 1]
-        inv = np.fromiter((pow(int(x), -1, c) for x in xs), dtype=np.int64, count=len(xs))
-    t = (a % c * inv + b % c * xs) % c
-    total = np.exp(2j * np.pi * (t / c)).sum()
+    xs, inv, roots = _cached_unit_table(c) if c <= 4096 else _unit_table(c)
+    t = inv * (a % c)
+    t += xs * (b % c)
+    t %= c
+    total = roots[t].sum()
     phi_c = len(xs)
     if abs(total.imag) > _IMAG_TOL * max(1, phi_c):
         raise ArithmeticError(
@@ -105,7 +120,7 @@ def ramanujan(a: int, c: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fast route: CRT blocks + stationary-phase closed form
+# fast route: CRT blocks + two-term Salie closed form
 # ---------------------------------------------------------------------------
 
 def _sqrt_mod_prime(t: int, p: int) -> int | None:
@@ -151,28 +166,26 @@ def _sqrt_mod_odd_prime_power(t: int, p: int, e: int) -> int | None:
 def _salie_block(a: int, b: int, p: int, alpha: int) -> float:
     """S(a,b;p^alpha) for odd p, alpha >= 2, p coprime to a*b.
 
-    Stationary phase: with m = ceil(alpha/2) and h = alpha - m,
-      S = p^h * sum over units u mod p^m with b*u^2 = a (mod p^h)
-              of e((a*ubar + b*u) / p^alpha).
-    The solution set is empty (non-residue), giving 0, or consists of the
-    lifts of +-u0 for a square root u0 of a*inverse(b) mod p^h.
+    Two-term closed form (Iwaniec-Kowalski, Analytic Number Theory, Lemma 12.3):
+      S = p^(alpha/2) * sum over y mod q = p^alpha with y^2 = ab (mod q)
+              of (y/q) * eps_q * e(2y/q),
+    with (y/q) the Jacobi symbol and eps_q = 1 or i as q = 1 or 3 (mod 4).
+    The sum is empty (ab a non-residue, value 0) or runs over y = +-y0, giving
+      2 p^(alpha/2) cos(4 pi y0/q)           for even alpha,
+      2 p^(alpha/2) (y0/p) cos(4 pi y0/q)    for odd alpha, p = 1 (mod 4),
+     -2 p^(alpha/2) (y0/p) sin(4 pi y0/q)    for odd alpha, p = 3 (mod 4).
     """
     q = p**alpha
-    m = (alpha + 1) // 2
-    h = alpha - m
-    ph = p**h
-    t = a * pow(b, -1, ph) % ph
-    u0 = _sqrt_mod_odd_prime_power(t, p, h)
-    if u0 is None:
+    y = _sqrt_mod_odd_prime_power(a * b % q, p, alpha)
+    if y is None:
         return 0.0
-    total = 0.0 + 0.0j
-    lifts = p ** (2 * m - alpha)  # 1 for even alpha, p for odd
-    for base in {u0 % ph, (-u0) % ph}:
-        for j in range(lifts):
-            u = base + ph * j
-            phase = (a * pow(u, -1, q) + b * u) % q
-            total += np.exp(2j * np.pi * (phase / q))
-    return float(p ** (alpha - m) * total.real)
+    theta = 2 * pi * (2 * y % q / q)
+    scale = 2 * p ** (alpha / 2)
+    if alpha % 2 == 0:
+        return scale * cos(theta)
+    if p % 4 == 1:
+        return scale * jacobi(y, p) * cos(theta)
+    return -scale * jacobi(y, p) * sin(theta)
 
 
 def kloosterman_fast(params: KloostermanParams) -> KloostermanResult:

@@ -149,6 +149,22 @@ class TestFactorize:
         p, q = 1000003, 1000033
         assert factorize(p * q).factors == ((p, 1), (q, 1))
 
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            ((999983, 2),),
+            ((999983, 3),),
+            ((999983, 1), (1000003, 1)),
+            ((2, 40), (1000003, 1)),
+            ((4099, 1), (4111, 1), (4127, 1), (4129, 1)),  # every prime above the trial-division range
+        ],
+    )
+    def test_cofactors_beyond_trial_division(self, factors):
+        n = 1
+        for p, e in factors:
+            n *= p**e
+        assert factorize(n).factors == factors
+
     def test_limit(self):
         with pytest.raises(ValueError):
             factorize(2**63 + 1)

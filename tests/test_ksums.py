@@ -8,7 +8,9 @@ import pytest
 
 from kfractions.arith import euler_phi, tau
 from kfractions.ksums import (
+    BRUTE_LIMIT,
     KloostermanParams,
+    _unit_table,
     kloosterman_brute,
     kloosterman_fast,
     ramanujan,
@@ -26,6 +28,25 @@ def slow_reference(a: int, b: int, c: int) -> complex:
             continue
         total += cmath.exp(2j * cmath.pi * ((a * pow(x, -1, c) + b * x) % c) / c)
     return total
+
+
+class TestUnitInverses:
+    def test_int64_square_and_multiply_cannot_overflow(self):
+        assert BRUTE_LIMIT**2 < 2**63
+
+    def test_small_moduli_match_pow(self):
+        for c in range(2, 601):
+            xs, inv, _ = _unit_table(c)
+            assert xs.tolist() == [x for x in range(1, c) if gcd(x, c) == 1]
+            assert inv.tolist() == [pow(x, -1, c) for x in xs.tolist()]
+            assert (xs * inv % c == 1).all()
+
+    @pytest.mark.parametrize("c", [700001, 2**12 * 147, 199**2 * 13])  # prime, 2^k*odd, p^2*r
+    def test_large_modulus_shapes(self, c):
+        xs, inv, _ = _unit_table(c)
+        assert len(xs) == euler_phi(c)
+        assert (xs * inv % c == 1).all()
+        assert inv.tolist() == [pow(x, -1, c) for x in xs.tolist()]
 
 
 class TestBrute:
@@ -47,6 +68,16 @@ class TestBrute:
             ref = slow_reference(a, b, c)
             assert abs(ref.imag) < 1e-9
             got = kloosterman_brute(KloostermanParams(a, b, c)).value
+            assert got == pytest.approx(ref.real, abs=1e-9)
+
+    @pytest.mark.parametrize("c", [4096, 4099, 5000])  # cache boundary, uncached prime, uncached composite
+    def test_uncached_against_python_reference(self, c):
+        rng = random.Random(c)
+        for _ in range(3):
+            a, b = rng.randint(-2 * c, 2 * c), rng.randint(-2 * c, 2 * c)
+            ref = slow_reference(a, b, c)
+            got = kloosterman_brute(KloostermanParams(a, b, c)).value
+            assert abs(ref.imag) < 1e-9
             assert got == pytest.approx(ref.real, abs=1e-9)
 
     def test_symmetry(self):
@@ -90,11 +121,12 @@ class TestFast:
         assert kloosterman_fast(KloostermanParams(1, 1, 625)).method == "crt_salie"
 
     def test_salie_closed_form_matches_brute(self):
-        for p in (3, 5, 7, 11, 13):
-            for alpha in (2, 3, 4):
+        # p = 5, 13 are 1 (mod 4) and p = 3, 7, 11 are 3 (mod 4): at odd alpha the
+        # closed form takes the cosine branch for the first and the sine for the second
+        max_alpha = {3: 8, 5: 5, 7: 5, 11: 4, 13: 4}
+        for p, top in max_alpha.items():
+            for alpha in range(2, top + 1):
                 c = p**alpha
-                if c > 30000:
-                    continue
                 rng = random.Random(c)
                 for _ in range(10):
                     a = rng.randint(1, c - 1)
@@ -105,6 +137,18 @@ class TestFast:
                     fast = kloosterman_fast(KloostermanParams(a, b, c))
                     assert fast.value == pytest.approx(brute, abs=1e-6 * max(1, abs(brute)))
                     assert fast.method == "crt_salie"
+
+    def test_salie_large_block_matches_uncached_brute(self):
+        p, c = 101, 101**3  # c = 1,030,301, far above the cached tables
+        rng = random.Random(c)
+        for _ in range(2):
+            b, u = rng.randint(1, p - 1), rng.randint(1, p - 1)
+            a = b * u * u % c  # ab is a square, so the block does not vanish
+            brute = kloosterman_brute(KloostermanParams(a, b, c)).value
+            fast = kloosterman_fast(KloostermanParams(a, b, c))
+            assert fast.method == "crt_salie"
+            assert abs(brute) > 1
+            assert fast.value == pytest.approx(brute, abs=1e-6 * abs(brute))
 
     def test_vanishing_nonresidue_case(self):
         # a*inverse(b) a non-residue mod p forces S(a,b;p^alpha) = 0
@@ -118,6 +162,15 @@ class TestFast:
             if val == 0.0:
                 hits += 1
         assert hits > 0
+
+    @pytest.mark.parametrize("p,alpha", [(3, 3), (5, 3), (7, 5)])
+    def test_vanishing_nonresidue_odd_alpha(self, p, alpha):
+        c = p**alpha
+        nonresidue = next(t for t in range(2, p) if pow(t, (p - 1) // 2, p) == p - 1)
+        for b in (1, 2, c - 1):
+            a = nonresidue * pow(b, -1, c) % c  # ab = nonresidue (mod c)
+            assert kloosterman_fast(KloostermanParams(a, b, c)).value == 0.0
+            assert kloosterman_brute(KloostermanParams(a, b, c)).value == pytest.approx(0.0, abs=1e-9)
 
     def test_oracle_equivalence_sweep(self):
         rng = random.Random(4)
