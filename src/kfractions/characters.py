@@ -3,16 +3,21 @@
 (Z/q)* splits into cyclic components: one per odd prime power p^e (generated
 by a primitive root), and for the 2-part either nothing (2^0, 2^1), a single
 order-2 component (2^2), or the pair <-1> x <5> (2^e, e >= 3).  A character
-is a choice of exponent index per component; values are exact roots of unity
-evaluated from discrete-log tables, which are cheap to build at desk-scale
-moduli (q <= 1e4).
+is a choice of exponent index per component.  Each component keeps its
+discrete logs as an int64 array over its residues (-1 off the units), and
+one array routine evaluates a block of characters at a vector of points:
+the exponent sum is reduced exactly as an integer before the root-of-unity
+gather.  `CharacterGroup.matrix` is all characters at once; a single
+character's `value_table`, `__call__` and `values_at` gather from its row
+on 0..q-1.  Tables are cheap at desk-scale moduli (q <= 1e4).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
-from math import gcd
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +30,6 @@ CHARACTER_MODULUS_LIMIT = 10**4
 
 
 def _primitive_root_mod_prime(p: int) -> int:
-    if p == 2:
-        return 1
     prime_parts = [q for q, _ in factorize(p - 1).factors]
     g = 2
     while True:
@@ -48,38 +51,39 @@ def _primitive_root_mod_prime_power(p: int, e: int) -> int:
 class _Component:
     modulus: int       # the prime-power piece this component lives in
     order: int
-    log: dict[int, int]  # residue mod `modulus` -> exponent of the generator
+    log: np.ndarray    # int64: residue mod `modulus` -> generator exponent, -1 off the units
+
+
+def _powers(generator: int, order: int, modulus: int) -> np.ndarray:
+    out = [1]
+    for _ in range(order - 1):
+        out.append(out[-1] * generator % modulus)
+    return np.array(out, dtype=np.int64)
+
+
+def _log_table(modulus: int, residues: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    log = np.full(modulus, -1, dtype=np.int64)
+    log[residues] = exponents
+    return log
 
 
 def _cyclic_component(modulus: int, generator: int, order: int) -> _Component:
-    log = {}
-    x = 1
-    for k in range(order):
-        log[x] = k
-        x = x * generator % modulus
-    return _Component(modulus, order, log)
+    powers = _powers(generator, order, modulus)
+    return _Component(modulus, order, _log_table(modulus, powers, np.arange(order)))
 
 
 def _two_part_components(e: int) -> list[_Component]:
     if e <= 1:
         return []
-    q = 2**e
     if e == 2:
         return [_cyclic_component(4, 3, 2)]
-    # (Z/2^e)* = <-1> x <5>
-    sign = _Component(q, 2, {})
-    five = _Component(q, 2 ** (e - 2), {})
-    log_sign: dict[int, int] = {}
-    log_five: dict[int, int] = {}
-    for s in range(2):
-        x = pow(q - 1, s, q)
-        for t in range(2 ** (e - 2)):
-            r = x * pow(5, t, q) % q
-            log_sign[r] = s
-            log_five[r] = t
+    # (Z/2^e)* = <-1> x <5>: the residues 5^t, then -5^t
+    q, half = 2**e, 2 ** (e - 2)
+    fives = _powers(5, half, q)
+    residues = np.concatenate([fives, q - fives])
     return [
-        _Component(q, 2, log_sign),
-        _Component(q, 2 ** (e - 2), log_five),
+        _Component(q, 2, _log_table(q, residues, np.repeat([0, 1], half))),
+        _Component(q, half, _log_table(q, residues, np.tile(np.arange(half), 2))),
     ]
 
 
@@ -101,28 +105,35 @@ class CharacterGroup:
                 order = (p - 1) * p ** (e - 1)
                 comps.append(_cyclic_component(q, _primitive_root_mod_prime_power(p, e), order))
         self.components = tuple(comps)
-        self.order = 1
-        for comp in comps:
-            self.order *= comp.order
+        self.order = math.prod(comp.order for comp in comps)
 
-    def log_vector(self, x: int) -> tuple[int, ...] | None:
-        """Component exponents of x, or None when gcd(x, q) > 1."""
-        if gcd(x, self.modulus) != 1:
-            return None
-        return tuple(comp.log[x % comp.modulus] for comp in self.components)
+    @cached_property
+    def _index_rows(self) -> np.ndarray:
+        """Index vectors of all characters, last component fastest, principal first."""
+        return np.array(list(product(*(range(comp.order) for comp in self.components))), dtype=np.int64)
+
+    def _evaluate(self, rows: np.ndarray, xs: Sequence[int]) -> np.ndarray:
+        """chi(x) for each index row (one per character) at each point x.
+
+        The phase sum_j idx_j * log_j(x) / order_j is reduced exactly as an
+        integer modulo the group exponent before the root-of-unity gather.
+        """
+        xs = np.asarray(xs, dtype=np.int64)
+        exponent = math.lcm(*(comp.order for comp in self.components))
+        turns = np.zeros((len(rows), len(xs)), dtype=np.int64)
+        for j, comp in enumerate(self.components):
+            weight = rows[:, j] * (exponent // comp.order)
+            turns += np.outer(weight, comp.log[xs % comp.modulus])
+        out = np.exp(2j * np.pi * np.arange(exponent) / exponent)[turns % exponent]
+        out[:, np.gcd(xs, self.modulus) != 1] = 0.0
+        return out
+
+    def matrix(self, xs: Sequence[int]) -> np.ndarray:
+        """chi(x) for every character (rows in characters() order) at every x."""
+        return self._evaluate(self._index_rows, xs)
 
     def characters(self) -> list["DirichletCharacter"]:
-        out: list[DirichletCharacter] = []
-        indices = [0] * len(self.components)
-        while True:
-            out.append(DirichletCharacter(self, tuple(indices)))
-            for j in range(len(indices) - 1, -1, -1):
-                indices[j] += 1
-                if indices[j] < self.components[j].order:
-                    break
-                indices[j] = 0
-            else:
-                return out
+        return [DirichletCharacter(self, tuple(map(int, row))) for row in self._index_rows]
 
 
 @lru_cache(maxsize=256)
@@ -146,27 +157,15 @@ class DirichletCharacter:
         return all(i == 0 for i in self.indices)
 
     def __call__(self, x: int) -> complex:
-        logs = self.group.log_vector(x)
-        if logs is None:
-            return 0.0 + 0.0j
-        phase = 0.0
-        for idx, lg, comp in zip(self.indices, logs, self.group.components):
-            phase += idx * lg / comp.order
-        return complex(np.exp(2j * np.pi * (phase % 1.0)))
+        return complex(self.value_table[x % self.modulus])
 
     @cached_property
     def value_table(self) -> np.ndarray:
         """chi on 0..q-1 as a complex array (zeros at non-units)."""
-        q = self.modulus
-        out = np.zeros(max(q, 1), dtype=np.complex128)
-        for x in range(max(q, 1)):
-            out[x] = self(x)
-        return out
+        return self.group._evaluate(np.array([self.indices], dtype=np.int64), range(self.modulus))[0]
 
     def values_at(self, xs: Sequence[int]) -> np.ndarray:
-        q = max(self.modulus, 1)
-        table = self.value_table
-        return table[np.asarray(xs, dtype=np.int64) % q]
+        return self.value_table[np.asarray(xs, dtype=np.int64) % self.modulus]
 
 
 def characters_mod(modulus: int) -> list[DirichletCharacter]:

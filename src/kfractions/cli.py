@@ -10,7 +10,8 @@ it, and an unknown key or a mistyped value is a configuration error.  No
 environment variables are consulted.  Records append to a CSV (fixed column
 order, 17-significant-digit floats) and optionally mirror to JSON.  Exit
 codes: 0 all assertions passed, 1 at least one assertion failed, 2 usage or
-configuration error.
+configuration error, 3 an internal check inside the suite failed (an
+ArithmeticError: the message goes to stderr and no record is written).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .records import write_csv, write_json
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -153,6 +155,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"configuration rejected: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"internal check failed in {command}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     elapsed = time.perf_counter() - start
     records = result if isinstance(result, list) else [result]
     for rec in records:

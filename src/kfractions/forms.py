@@ -216,22 +216,24 @@ class FormTensor:
         return float(np.linalg.norm(self.entries.ravel()))
 
 
-def _entry_matrix(spec: FormSpec, n: int, twisted: bool) -> np.ndarray:
-    """entry(a, m, n) for fixed n, shape (|A|, |M|)."""
+def _entry_matrix(spec: FormSpec, n: int, twisted: bool, b: int = 1) -> np.ndarray:
+    """entry(a, m, n) = e(theta*a*mbar/(b*n)) for fixed n, shape (|A|, |M|), zero
+    where gcd(m, b*n) > 1; b > 1 serves only the amplifier's inner sums."""
     ms = spec.m_range.members
     az = spec.a_range.members
+    mod = b * n
     out = np.zeros((len(az), len(ms)), dtype=np.complex128)
     if twisted and n % 2 == 0:
         return out
-    coprime = np.gcd(ms, n) == 1
+    coprime = np.gcd(ms, mod) == 1
     if not coprime.any():
         return out
     minv = np.array(
-        [pow(int(m), -1, n) if ok else 0 for m, ok in zip(ms, coprime)], dtype=np.int64
+        [pow(int(m), -1, mod) if ok else 0 for m, ok in zip(ms, coprime)], dtype=np.int64
     )
-    # exact reduction of theta*a*mbar mod n before the transcendental call
-    t = (spec.theta * az[:, None] * minv[None, :]) % n
-    out = np.exp(2j * np.pi * (t / n))
+    # exact reduction of theta*a*mbar mod b*n before the transcendental call
+    t = (spec.theta * az[:, None] * minv[None, :]) % mod
+    out = np.exp(2j * np.pi * (t / mod))
     if spec.perturbation is not None:
         pert = np.array(
             [[spec.perturbation.phase(int(a), int(m), n) for m in ms] for a in az]
@@ -415,43 +417,21 @@ def trivial_bound(spec: FormSpec) -> float:
 
 def _inner_terms(
     spec: FormSpec, beta: CoefficientVector, nu: CoefficientVector, b: int
-) -> list[tuple[int, dict[int, complex]]]:
-    """T_m(n) = beta_n * sum_a nu_a e(theta*a*mbar/(b*n)) for n coprime to m.
+) -> np.ndarray:
+    """T[m, n] = beta_n * sum_a nu_a entry(a, m, n), with entry reduced mod b*n.
 
-    Returns one (m, {n: T_m(n)}) row per m with gcd(m, b) = 1; n with
-    beta_n = 0 are left out.  The inner sum c_m of the Cauchy-Schwarz step is
-    the row total.  The perturbation phase is honored only at b=1, where it
+    A dense (|M|, |N|) array built from `_entry_matrix`, zero where
+    gcd(m, b*n) > 1.  Row m sums to the inner sum c_m of the Cauchy-Schwarz
+    step.  The perturbation phase is honored only at b=1, where it
     multiplies e(theta*a*mbar/n).
     """
     if spec.perturbation is not None and b != 1:
         raise ValueError("perturbed inner sums are only defined at b = 1")
-    ns = [int(n) for n in spec.n_range.members]
-    az = [int(a) for a in spec.a_range.members]
-    rows = []
-    for m in spec.m_range.members:
-        m = int(m)
-        if gcd(m, b) != 1:
-            continue
-        terms: dict[int, complex] = {}
-        for j, n in enumerate(ns):
-            if gcd(m, n) != 1 or beta.values[j] == 0:
-                continue
-            mod = b * n
-            mbar = pow(m % mod, -1, mod)
-            asum = 0.0 + 0.0j
-            for t, a in enumerate(az):
-                phase = (spec.theta * a * mbar) % mod / mod
-                if spec.perturbation is not None:
-                    phase += spec.perturbation.phase(a, m, n)
-                asum += nu.values[t] * np.exp(2j * np.pi * phase)
-            terms[n] = beta.values[j] * asum
-        rows.append((m, terms))
-    return rows
-
-
-def _inner_moment(rows: list[tuple[int, dict[int, complex]]]) -> float:
-    """sum over m of |c_m|^2, with c_m the total of row m."""
-    return float(np.sum(np.abs([sum(terms.values()) for _, terms in rows]) ** 2))
+    cols = [
+        beta.values[j] * (nu.values @ _entry_matrix(spec, int(n), False, b))
+        for j, n in enumerate(spec.n_range.members)
+    ]
+    return np.stack(cols, axis=1)
 
 
 @dataclass(frozen=True)
@@ -468,11 +448,14 @@ def cauchy_step(
     beta: CoefficientVector,
     nu: CoefficientVector,
 ) -> CauchyReport:
-    """|B(alpha,beta,nu)|^2 <= ||alpha||^2 * C_1, with C_1 computed from its
-    definitional double-absolute-value sum (exact Cauchy-Schwarz, constant 1)."""
+    """|B(alpha,beta,nu)|^2 <= ||alpha||^2 * C_1 (exact Cauchy-Schwarz, constant 1).
+
+    B comes from `eval_trilinear`; C_1 = sum_m |c_m|^2 from the row sums of
+    the inner-term array, so the two sides are computed separately.
+    """
     _check_ranges(spec, alpha, beta, nu)
     b_val = eval_trilinear(alpha, beta, nu, spec)
-    c1 = _inner_moment(_inner_terms(spec, beta, nu, b=1))
+    c1 = float(np.sum(np.abs(_inner_terms(spec, beta, nu, b=1).sum(axis=1)) ** 2))
     lhs = abs(b_val) ** 2
     rhs = alpha.norm() ** 2 * c1
     return CauchyReport(lhs, c1, rhs, lhs <= rhs + 1e-6)
@@ -514,6 +497,15 @@ class AmplifierReport:
     masked_beta_entries: int
 
 
+def _energy(keys: np.ndarray, weights: np.ndarray) -> float:
+    """sum over distinct keys k of |sum of the weights at k|^2, the groups added
+    in order of first appearance (equal groupings give equal floats)."""
+    _, first, idx = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    weights = weights.ravel()
+    energies = np.bincount(idx, weights.real) ** 2 + np.bincount(idx, weights.imag) ** 2
+    return float(np.sum(energies[np.argsort(first)]))
+
+
 def amplifier_check(
     spec: FormSpec,
     amp: AmplifierSpec,
@@ -523,11 +515,13 @@ def amplifier_check(
     """Exact inequality chain C_b <= (M / min_m P_m^2) * D_b.
 
     P_m is the principal-character prime count #{ell in L: (ell, theta*b*m)=1}
-    (the explicit stand-in for the asymptotic L/log L).  D_b is computed both
-    from its character-sum definition and from the orthogonality-expanded
-    seven-fold congruence sum split into diagonal (ell1*n1 = ell2*n2) and
-    off-diagonal parts; the report records the agreement of the two routes
-    and of the partition.
+    (the explicit stand-in for the asymptotic L/log L).  C_b and D_b come from
+    the inner-term array T at modulus b*n, over the m coprime to b.  D_b is
+    computed twice: as sum_m phi(m)^-1 sum_chi |sum_ell chi(ell)|^2
+    |sum_n chi(n) T[m,n]|^2 from the character matrix of m (row 0 principal),
+    and as the congruence form, the energy of T grouped by ell*n mod m, split
+    into the diagonal (grouped by the exact product ell*n) and the rest; the
+    report records the agreement of the two routes and of the partition.
 
     beta is masked to multipliers n coprime to theta*b (the standing support
     assumption under which the two D_b forms coincide).
@@ -535,51 +529,42 @@ def amplifier_check(
     if spec.perturbation is not None:
         raise ValueError("amplifier check is defined for unperturbed specs")
     if spec.m_scale > 300:
-        raise ValueError("amplifier check capped at M <= 300 (full character tables)")
+        raise ValueError("amplifier check capped at M <= 300")
     if gcd(spec.theta, amp.b) != 1:
         raise ValueError("need gcd(theta, b) = 1")
     if amp.l_scale <= 2 * math.log(amp.b * abs(spec.theta) * spec.m_scale):
         raise ValueError("need L > 2*log(b*theta*M) for the amplifier window")
+    if abs(spec.theta) * spec.a_scale * amp.b * spec.n_scale >= _PHASE_INT_GUARD:
+        raise ValueError("theta*a*b*n exceeds the exact-phase integer guard")
 
     tb = abs(spec.theta) * amp.b
-    mask = np.array([1.0 if gcd(int(n), tb) == 1 else 0.0 for n in spec.n_range.members])
-    masked = int(np.sum((mask == 0) & (np.abs(beta.values) > 0)))
+    ns = spec.n_range.members
+    mask = np.gcd(ns, tb) == 1
+    masked = int(np.sum(~mask & (np.abs(beta.values) > 0)))
     beta = CoefficientVector(beta.range, beta.values * mask)
 
-    ells = [ell for ell in amp.primes if gcd(ell, tb) == 1]
-    rows = _inner_terms(spec, beta, nu, amp.b)
-    c_b = _inner_moment(rows)
+    ells = np.array([ell for ell in amp.primes if gcd(ell, tb) == 1], dtype=np.int64)
+    terms = _inner_terms(spec, beta, nu, amp.b)
+    c_b = float(np.sum(np.abs(terms.sum(axis=1)) ** 2))
 
-    d_char = 0.0
-    d_direct = 0.0
-    diag = 0.0
+    d_char = d_direct = diag = chi0_total = 0.0
     min_p = None
-    chi0_total = 0.0
-    for m, t_vals in rows:
+    for m, t_row in zip(spec.m_range.members, terms):
+        m = int(m)
+        if gcd(m, amp.b) != 1:
+            continue
         group = character_group(m)
-        adm_ells = [ell for ell in ells if gcd(ell, m) == 1]
-        p_m = len(adm_ells)
-        min_p = p_m if min_p is None else min(min_p, p_m)
-        phi_m = group.order
-        # character-sum form
-        d_m = 0.0
-        for chi in group.characters():
-            a_chi = sum(chi(ell) for ell in ells)
-            b_chi = sum(chi(n) * t for n, t in t_vals.items())
-            term = (abs(a_chi) ** 2) * (abs(b_chi) ** 2)
-            d_m += term
-            if chi.is_principal:
-                chi0_total += term / phi_m
-        d_char += d_m / phi_m
-        # orthogonality-expanded form, grouped by ell*n mod m / exact product
-        by_residue: dict[int, complex] = {}
-        by_product: dict[int, complex] = {}
-        for ell in adm_ells:
-            for n, t in t_vals.items():
-                by_residue[ell * n % m] = by_residue.get(ell * n % m, 0.0) + t
-                by_product[ell * n] = by_product.get(ell * n, 0.0) + t
-        d_direct += sum(abs(s) ** 2 for s in by_residue.values())
-        diag += sum(abs(s) ** 2 for s in by_product.values())
+        adm_ells = ells[np.gcd(ells, m) == 1]
+        min_p = len(adm_ells) if min_p is None else min(min_p, len(adm_ells))
+        # character-sum form, one term per character
+        chi_terms = np.abs(group.matrix(ells).sum(axis=1)) ** 2 * np.abs(group.matrix(ns) @ t_row) ** 2
+        d_char += float(chi_terms.sum()) / group.order
+        chi0_total += float(chi_terms[0]) / group.order
+        # orthogonality-expanded form: energies over ell*n mod m and the exact products
+        products = np.outer(adm_ells, ns)
+        weights = np.broadcast_to(t_row, products.shape)
+        d_direct += _energy(products % m, weights)
+        diag += _energy(products, weights)
 
     if min_p is None:
         raise ValueError("no admissible moduli m with gcd(m, b) = 1")

@@ -108,13 +108,10 @@ def incomplete_brute(spec: IncompleteSpec) -> complex:
             a, b, c, d = cond
             if gcd(a * x + b, c) != d:
                 continue
-        if g == 1:
-            term = 1.0 + 0.0j
-        else:
-            xbar = pow(x % g, -1, g)
-            term = np.exp(2j * np.pi * (((spec.alpha * xbar + spec.beta * x) % g) / g))
+        xbar = pow(x % g, -1, g)  # 0 at g = 1, where every term is 1
+        term = np.exp(2j * np.pi * (((spec.alpha * xbar + spec.beta * x) % g) / g))
         if chi is not None:
-            term *= chi(x % g if g > 1 else 0)
+            term *= chi(x)
         total += term
     return complex(total)
 

@@ -8,6 +8,9 @@ import pytest
 
 from kfractions.arith import euler_phi
 from kfractions.characters import character_group, characters_mod
+from kfractions.forms import AmplifierSpec, CoefficientVector, FormSpec, amplifier_check
+
+EDGE_MODULI = [1, 2, 4, 8, 9, 12, 35, 72, 300]
 
 
 class TestGroupStructure:
@@ -60,7 +63,7 @@ class TestValues:
 
 
 class TestOrthogonality:
-    @pytest.mark.parametrize("q", [1, 2, 5, 8, 9, 12, 24, 35, 72])
+    @pytest.mark.parametrize("q", [1, 2, 4, 5, 8, 9, 12, 24, 35, 72, 300])
     def test_gram_matrix(self, q):
         chars = characters_mod(q)
         tables = np.array([chi.value_table for chi in chars])
@@ -74,3 +77,40 @@ class TestOrthogonality:
         vals = chi.values_at(xs)
         for x, v in zip(xs, vals):
             assert v == pytest.approx(chi(x % 7), abs=1e-12)
+
+
+class TestGroupMatrix:
+    @pytest.mark.parametrize("q", EDGE_MODULI)
+    def test_rows_match_each_character(self, q):
+        xs = list(range(-2 * q - 3, 2 * q + 4))  # negative points and points >= q
+        group = character_group(q)
+        chars = group.characters()
+        mat = group.matrix(xs)
+        assert mat.shape == (len(chars), len(xs))
+        for row, chi in zip(mat, chars):
+            assert np.max(np.abs(row - np.array([chi(x) for x in xs]))) <= 1e-12
+            assert np.max(np.abs(row - chi.values_at(xs))) <= 1e-12
+
+    @pytest.mark.parametrize("q", EDGE_MODULI)
+    def test_principal_is_row_zero(self, q):
+        group = character_group(q)
+        assert group.characters()[0].is_principal
+        xs = np.arange(-q, 2 * q)
+        assert np.array_equal(group.matrix(xs)[0], (np.gcd(xs, q) == 1).astype(np.complex128))
+
+
+class TestAmplifierSmallModuli:
+    def test_m_scale_two(self):
+        # m in {1, 2}: both groups have no components and a single character.
+        # With the one amplifier prime 5, D_b = sum_m |sum_n T[m, n]|^2 = C_b.
+        spec = FormSpec(2, 9, 3, theta=1)
+        amp = AmplifierSpec(1, 3.0)
+        assert amp.primes == (5,)
+        gen = np.random.default_rng(14)
+        beta = CoefficientVector.random_unit(spec.n_range, gen)
+        nu = CoefficientVector.random_unit(spec.a_range, gen)
+        rep = amplifier_check(spec, amp, beta, nu)
+        assert rep.holds and rep.partition_ok and rep.forms_match
+        assert rep.min_principal_count == 1
+        assert rep.d_b == pytest.approx(rep.c_b, rel=1e-12)
+        assert rep.d_b_direct == pytest.approx(rep.c_b, rel=1e-12)

@@ -131,6 +131,17 @@ class TestCli:
         code = main(["--out", str(tmp_path / "x.csv"), "compdiv-check", "--l-scale", "1.0"])
         assert code == 2
 
+    def test_internal_check_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        def failing_suite(**kwargs):
+            raise ArithmeticError("injected invariant violation")
+
+        monkeypatch.setattr(cli.verify, "compdiv_verify", failing_suite)
+        out = tmp_path / "x.csv"
+        assert main(["--out", str(out), "compdiv-check"]) == cli.EXIT_INTERNAL == 3
+        err = capsys.readouterr().err
+        assert "internal check failed in compdiv-check: injected invariant violation" in err
+        assert not out.exists()
+
     def test_module_entry_point_subprocess(self, tmp_path):
         import subprocess
         import sys

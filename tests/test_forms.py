@@ -16,6 +16,7 @@ from kfractions.forms import (
     DyadicRange,
     FormSpec,
     PerturbationSpec,
+    _inner_terms,
     amplifier_check,
     bound_bilinear,
     bound_trilinear,
@@ -365,6 +366,64 @@ class TestCauchyStep:
             rep = cauchy_step(spec, al, be, nu)
             assert isinstance(rep, CauchyReport)
             assert rep.holds
+
+
+def scalar_inner_terms(spec, beta, nu, b):
+    """Independent reference for T[m, n] = beta_n * sum_a nu_a e(theta*a*mbar/(b*n)):
+    a scalar triple loop with one exact integer phase and one exp per term."""
+    ms, ns, az = spec.m_range.members, spec.n_range.members, spec.a_range.members
+    out = np.zeros((len(ms), len(ns)), dtype=np.complex128)
+    for i, m in enumerate(ms):
+        m = int(m)
+        for j, n in enumerate(ns):
+            n, mod = int(n), b * int(n)
+            if gcd(m, mod) != 1:
+                continue
+            mbar = pow(m, -1, mod)
+            asum = 0j
+            for t, a in enumerate(az):
+                phase = (spec.theta * int(a) * mbar) % mod / mod
+                if spec.perturbation is not None:
+                    phase += spec.perturbation.phase(int(a), m, n)
+                asum += nu.values[t] * cmath.exp(2j * cmath.pi * phase)
+            out[i, j] = beta.values[j] * asum
+    return out
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestInnerTerms:
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [-2, 1, 3])
+    def test_against_scalar_loop(self, b, theta):
+        spec = FormSpec(20, 11, 6, theta=theta)
+        gen = np.random.default_rng(100 * b + theta)
+        beta = CoefficientVector.random_unit(spec.n_range, gen)
+        beta.values[::3] = 0.0  # a beta with zero entries
+        nu = CoefficientVector.random_unit(spec.a_range, gen)
+        want = scalar_inner_terms(spec, beta, nu, b)
+        got = _inner_terms(spec, beta, nu, b)
+        assert got.shape == want.shape == (len(spec.m_range), len(spec.n_range))
+        assert _rel_err(got, want) <= 1e-12
+        if gcd(theta, b) == 1:
+            # the amplifier masks beta to n coprime to theta*b: T's columns scale with beta_n
+            mask = np.gcd(spec.n_range.members, abs(theta) * b) == 1
+            want_cb = np.sum(np.abs((want * mask).sum(axis=1)) ** 2)
+            rep = amplifier_check(spec, AmplifierSpec(b, 12.0), beta, nu)
+            assert rep.c_b == pytest.approx(want_cb, rel=1e-12)
+
+    def test_perturbed_at_b_one_only(self):
+        spec = FormSpec(14, 9, 5, theta=2, perturbation=reciprocity_perturbation(3, 5))
+        gen = np.random.default_rng(15)
+        alpha = CoefficientVector.random_unit(spec.m_range, gen)
+        beta = CoefficientVector.random_unit(spec.n_range, gen)
+        nu = CoefficientVector.random_unit(spec.a_range, gen)
+        want_c1 = np.sum(np.abs(scalar_inner_terms(spec, beta, nu, 1).sum(axis=1)) ** 2)
+        assert cauchy_step(spec, alpha, beta, nu).c1 == pytest.approx(want_c1, rel=1e-12)
+        with pytest.raises(ValueError):
+            _inner_terms(spec, beta, nu, 2)
 
 
 class TestAmplifier:

@@ -52,6 +52,15 @@ class TestBrute:
         )
         assert incomplete_brute(spec) == pytest.approx(direct, abs=1e-12)
 
+    def test_character_twist_modulus_one(self):
+        # the one character mod 1 is 1 everywhere, so the twist changes nothing
+        (chi,) = characters_mod(1)
+        for x_start, delta in ((-7, 1), (3, 10)):
+            plain = IncompleteSpec(gamma=1, delta=delta, x_start=x_start, x_len=20, alpha=3)
+            twisted = IncompleteSpec(gamma=1, delta=delta, x_start=x_start, x_len=20, alpha=3, character=chi)
+            expect = sum(1 for x in range(x_start, x_start + 21) if gcd(x, delta) == 1)
+            assert incomplete_brute(twisted) == incomplete_brute(plain) == expect
+
     def test_linear_twist_and_coprimality(self):
         spec = IncompleteSpec(gamma=6, delta=5, x_start=-10, x_len=25, alpha=1, beta=2)
         total = 0j
