@@ -158,10 +158,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"internal check failed in {command}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    elapsed = time.perf_counter() - start
+    if not isinstance(result, list):  # a suite with several records times each one
+        result.runtime_seconds = time.perf_counter() - start
     records = result if isinstance(result, list) else [result]
-    for rec in records:
-        rec.runtime_seconds = elapsed / len(records)
 
     write_csv(out, records)
     if json_path:

@@ -2,11 +2,16 @@
 
 The central objects: the phase tensor entry(a,m,n) = e(theta*a*mbar/n) on
 coprime pairs (optionally Jacobi-twisted with odd support, optionally
-perturbed by a smooth phase f(a,m,n)); streaming and dense evaluation of the
-forms; an alternating extremal-coefficient search for the exact operator norm
-the bounds dominate; explicit bound envelopes; the Cauchy-Schwarz step; the
-character-amplified second moment with its exact inequality chain; and the
-complementary-divisor bookkeeping check.
+perturbed by a smooth phase f(a,m,n)); an alternating extremal-coefficient
+search for the exact operator norm the bounds dominate; explicit bound
+envelopes; the Cauchy-Schwarz step; the character-amplified second moment
+with its exact inequality chain; and the complementary-divisor bookkeeping
+check.
+
+Every consumer reads the form through one contraction W(nu)[m, n] =
+sum_a nu_a entry(a,m,n): `_inner_terms` streams it one n-slab at a time
+(evaluation, Cauchy-Schwarz, amplifier); the search takes it as one matrix
+product on the dense tensor of `build_tensor`, the streamed route's oracle.
 
 Coefficients live on dyadic ranges [X/2, X] and are always handled as unit-L2
 vectors in the envelopes (the norms are folded in).
@@ -113,13 +118,6 @@ class CoefficientVector:
         return cls(rng, v)
 
     @classmethod
-    def from_dict(cls, rng: DyadicRange, coeffs: dict[int, complex]) -> "CoefficientVector":
-        v = np.zeros(len(rng), dtype=np.complex128)
-        for n, c in coeffs.items():
-            v[rng.index(n)] = c
-        return cls(rng, v)
-
-    @classmethod
     def random_unit(cls, rng: DyadicRange, gen: np.random.Generator) -> "CoefficientVector":
         v = gen.standard_normal(len(rng)) + 1j * gen.standard_normal(len(rng))
         return cls(rng, v / np.linalg.norm(v))
@@ -158,10 +156,11 @@ class PerturbationSpec:
         if self.kind == "custom" and self.func is None:
             raise ValueError("custom perturbation needs a phase function")
 
-    def phase(self, a: int, m: int, n: int) -> float:
+    def phase(self, a: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+        """f at broadcastable arrays a, m and one n; a custom func is called per entry."""
         if self.kind == "reciprocity":
             return self.theta_f * a / (m * n)
-        return self.func(a, m, n)
+        return np.vectorize(self.func, otypes=[float])(a, m, n)
 
 
 def reciprocity_perturbation(theta_f: int, a_scale: int) -> PerturbationSpec:
@@ -208,10 +207,6 @@ class FormTensor:
     twisted: bool
     entries: np.ndarray
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.entries.shape
-
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.entries.ravel()))
 
@@ -235,10 +230,7 @@ def _entry_matrix(spec: FormSpec, n: int, twisted: bool, b: int = 1) -> np.ndarr
     t = (spec.theta * az[:, None] * minv[None, :]) % mod
     out = np.exp(2j * np.pi * (t / mod))
     if spec.perturbation is not None:
-        pert = np.array(
-            [[spec.perturbation.phase(int(a), int(m), n) for m in ms] for a in az]
-        )
-        out = out * np.exp(2j * np.pi * pert)
+        out = out * np.exp(2j * np.pi * spec.perturbation.phase(az[:, None], ms[None, :], n))
     if twisted:
         jac = np.array(
             [jacobi(int(m), n) if m % 2 == 1 else 0 for m in ms], dtype=np.float64
@@ -273,14 +265,11 @@ def eval_trilinear(
 ) -> complex:
     """Streaming evaluation of sum alpha_m beta_n nu_a entry(a,m,n).
 
-    Never materializes the tensor: one (|A| x |M|) slab per n.
+    alpha against the row sums of the inner-term array `_inner_terms`, so the
+    tensor is never materialized.
     """
     _check_ranges(spec, alpha, beta, nu)
-    total = 0.0 + 0.0j
-    for j, n in enumerate(spec.n_range.members):
-        slab = _entry_matrix(spec, int(n), twisted)
-        total += beta.values[j] * (nu.values @ slab @ alpha.values)
-    return complex(total)
+    return complex(alpha.values @ _inner_terms(spec, beta, nu, 1, twisted).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -318,37 +307,36 @@ def extremal_search(
     Each half-step replaces one block with the normalized conjugate of its
     contraction, which is the exact maximizer given the other two blocks, so
     the objective is non-decreasing; this is asserted at every half-step.
+    With the tensor T viewed as an (|A|, |M|*|N|) matrix, a cycle makes two
+    passes over it: W = sum_a nu_a T[a] (an |M| x |N| matrix) serves both the
+    alpha-step W beta and the beta-step alpha^T W, and the nu-step is
+    T vec(alpha beta^T).
     Restart r draws its start from SeedSequence([seed, r]); the best value
     wins with lowest-restart-index tie-breaking.
     """
     tensor = build_tensor(spec, twisted).entries
+    flat = tensor.reshape(len(tensor), -1)
     best: tuple[float, int, int, np.ndarray, np.ndarray, np.ndarray] | None = None
     for r in range(restarts):
         gen = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        dims = tensor.shape
-        vecs = []
-        for dim in dims:
-            v = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-            vecs.append(v / np.linalg.norm(v))
-        nu_v, alpha_v, beta_v = vecs
-        obj = abs(np.einsum("amn,a,m,n->", tensor, nu_v, alpha_v, beta_v))
+        draws = [gen.standard_normal(dim) + 1j * gen.standard_normal(dim) for dim in tensor.shape]
+        nu_v, alpha_v, beta_v = (v / np.linalg.norm(v) for v in draws)
+        w = (nu_v @ flat).reshape(tensor.shape[1:])
+        obj = abs(alpha_v @ w @ beta_v)
         it = 0
         for it in range(1, iters + 1):
-            cycle_start = obj
+            cycle_start = prev = obj
+            alpha_v, obj = _unit_or_basis(w @ beta_v)
+            _assert_monotone(prev, obj, spec, twisted, r, it, "alpha")
             prev = obj
-            d = np.einsum("amn,a,n->m", tensor, nu_v, beta_v)
-            alpha_v, obj = _unit_or_basis(d)
-            _assert_monotone(prev, obj)
+            beta_v, obj = _unit_or_basis(alpha_v @ w)
+            _assert_monotone(prev, obj, spec, twisted, r, it, "beta")
             prev = obj
-            d = np.einsum("amn,a,m->n", tensor, nu_v, alpha_v)
-            beta_v, obj = _unit_or_basis(d)
-            _assert_monotone(prev, obj)
-            prev = obj
-            d = np.einsum("amn,m,n->a", tensor, alpha_v, beta_v)
-            nu_v, obj = _unit_or_basis(d)
-            _assert_monotone(prev, obj)
+            nu_v, obj = _unit_or_basis(flat @ np.outer(alpha_v, beta_v).ravel())
+            _assert_monotone(prev, obj, spec, twisted, r, it, "nu")
             if obj - cycle_start <= 1e-10 * max(obj, 1e-300) and it > 1:
                 break
+            w = (nu_v @ flat).reshape(tensor.shape[1:])
         if best is None or obj > best[0]:
             best = (obj, r, it, alpha_v, beta_v, nu_v)
     value, r, it, alpha_v, beta_v, nu_v = best
@@ -362,9 +350,13 @@ def extremal_search(
     )
 
 
-def _assert_monotone(prev: float, new: float) -> None:
+def _assert_monotone(prev: float, new: float, spec: FormSpec, twisted: bool, restart: int, cycle: int,
+                     step: str) -> None:
     if new < prev - 1e-9 * max(1.0, prev):
-        raise ArithmeticError(f"alternating objective decreased: {prev} -> {new}")
+        raise ArithmeticError(
+            f"alternating objective decreased: {prev} -> {new} at the {step}-step of cycle {cycle}, "
+            f"restart {restart} (M={spec.m_scale}, N={spec.n_scale}, A={spec.a_scale}, "
+            f"theta={spec.theta}, twisted={twisted})")
 
 
 def gram_power_singular_value(mat: np.ndarray) -> float:
@@ -416,19 +408,19 @@ def trivial_bound(spec: FormSpec) -> float:
 # ---------------------------------------------------------------------------
 
 def _inner_terms(
-    spec: FormSpec, beta: CoefficientVector, nu: CoefficientVector, b: int
+    spec: FormSpec, beta: CoefficientVector, nu: CoefficientVector, b: int, twisted: bool = False
 ) -> np.ndarray:
     """T[m, n] = beta_n * sum_a nu_a entry(a, m, n), with entry reduced mod b*n.
 
-    A dense (|M|, |N|) array built from `_entry_matrix`, zero where
-    gcd(m, b*n) > 1.  Row m sums to the inner sum c_m of the Cauchy-Schwarz
-    step.  The perturbation phase is honored only at b=1, where it
-    multiplies e(theta*a*mbar/n).
+    The one streaming nu-contraction: a dense (|M|, |N|) array, one `_entry_matrix`
+    slab per n, zero where gcd(m, b*n) > 1.  Its row sums are the inner sums c_m of
+    the Cauchy-Schwarz step, and alpha against them is the form.  A perturbation
+    is honored only at b=1, where it multiplies e(theta*a*mbar/n).
     """
     if spec.perturbation is not None and b != 1:
         raise ValueError("perturbed inner sums are only defined at b = 1")
     cols = [
-        beta.values[j] * (nu.values @ _entry_matrix(spec, int(n), False, b))
+        beta.values[j] * (nu.values @ _entry_matrix(spec, int(n), twisted, b))
         for j, n in enumerate(spec.n_range.members)
     ]
     return np.stack(cols, axis=1)
@@ -450,13 +442,14 @@ def cauchy_step(
 ) -> CauchyReport:
     """|B(alpha,beta,nu)|^2 <= ||alpha||^2 * C_1 (exact Cauchy-Schwarz, constant 1).
 
-    B comes from `eval_trilinear`; C_1 = sum_m |c_m|^2 from the row sums of
-    the inner-term array, so the two sides are computed separately.
+    Both sides read the inner sums c_m, the row sums of one inner-term array:
+    B = sum_m alpha_m c_m and C_1 = sum_m |c_m|^2.  The independent check of
+    B is the dense-tensor contraction in the tests.
     """
     _check_ranges(spec, alpha, beta, nu)
-    b_val = eval_trilinear(alpha, beta, nu, spec)
-    c1 = float(np.sum(np.abs(_inner_terms(spec, beta, nu, b=1).sum(axis=1)) ** 2))
-    lhs = abs(b_val) ** 2
+    c = _inner_terms(spec, beta, nu, 1).sum(axis=1)
+    c1 = float(np.sum(np.abs(c) ** 2))
+    lhs = abs(complex(alpha.values @ c)) ** 2
     rhs = alpha.norm() ** 2 * c1
     return CauchyReport(lhs, c1, rhs, lhs <= rhs + 1e-6)
 

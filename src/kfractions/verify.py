@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from math import gcd
 
 import numpy as np
@@ -440,7 +441,12 @@ def trilinear_sweep_verify(
     n_specs: int = 20, seed: int = 7, ladder=(8, 16, 32, 64, 128)
 ) -> list[ExperimentRecord]:
     """Bilinear oracle + scaling ladder: the two records of criteria 7 and 8."""
-    return [bilinear_oracle_verify(n_specs, seed), scaling_verify(seed, ladder)]
+    records = []
+    for run, args in ((bilinear_oracle_verify, (n_specs, seed)), (scaling_verify, (seed, ladder))):
+        start = time.perf_counter()
+        records.append(run(*args))
+        records[-1].runtime_seconds = time.perf_counter() - start
+    return records
 
 
 def detcount_verify(n_specs: int = 50, seed: int = 7) -> ExperimentRecord:

@@ -4,6 +4,8 @@ import ast
 import csv
 import inspect
 import json
+import re
+import time
 from pathlib import Path
 
 import pytest
@@ -141,6 +143,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert "internal check failed in compdiv-check: injected invariant violation" in err
         assert not out.exists()
+
+    def test_failed_monotone_check_names_its_parameters_exit_3(self, tmp_path, monkeypatch, capsys):
+        real = cli.verify.forms._unit_or_basis
+        count = [0]
+
+        def faulty(d):  # half the norm on the fifth call: the beta-step of cycle 2
+            vec, norm = real(d)
+            count[0] += 1
+            return vec, norm / 2 if count[0] == 5 else norm
+
+        monkeypatch.setattr(cli.verify.forms, "_unit_or_basis", faulty)
+        out = tmp_path / "x.csv"
+        code = main(["--out", str(out), "trilinear-sweep", "--n-specs", "1", "--ladder", "8,16"])
+        assert code == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "internal check failed in trilinear-sweep: alternating objective decreased" in err
+        assert re.search(r"at the beta-step of cycle 2, restart 0 "
+                         r"\(M=\d+, N=\d+, A=1, theta=-?\d, twisted=False\)", err)
+        assert not out.exists()
+
+    def test_each_record_carries_its_own_runtime(self, tmp_path, monkeypatch):
+        def slow_oracle(n_specs, seed):
+            time.sleep(0.2)
+            return ExperimentRecord("trilinear-sweep", {"mode": "bilinear-oracle"}, seed)
+
+        monkeypatch.setattr(cli.verify, "bilinear_oracle_verify", slow_oracle)
+        monkeypatch.setattr(cli.verify, "scaling_verify",
+                            lambda seed, ladder: ExperimentRecord("trilinear-sweep", {"mode": "scaling"}, seed))
+        js = tmp_path / "r.json"
+        assert main(["--out", str(tmp_path / "r.csv"), "--json", str(js), "trilinear-sweep"]) == 0
+        first, second = json.loads(js.read_text())
+        assert first["params"]["mode"] == "bilinear-oracle" and first["runtime_seconds"] >= 0.2
+        assert second["params"]["mode"] == "scaling" and second["runtime_seconds"] < 0.1
 
     def test_module_entry_point_subprocess(self, tmp_path):
         import subprocess

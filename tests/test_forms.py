@@ -8,6 +8,7 @@ from math import gcd, sqrt
 import numpy as np
 import pytest
 
+from kfractions import forms
 from kfractions.arith import jacobi
 from kfractions.forms import (
     AmplifierSpec,
@@ -60,6 +61,63 @@ def brute_trilinear(alpha, beta, nu, spec, twisted=False):
                     * term
                 )
     return total
+
+
+def scalar_perturbed_tensor(spec, phase):
+    """entry(a, m, n) = e(theta*a*mbar/n) * e(phase(a, m, n)), both factors
+    evaluated one entry at a time with the float operations of the vectorized
+    build; only their product is taken on arrays (numpy's array and scalar
+    complex products may round differently)."""
+    ms, ns, az = spec.m_range.members, spec.n_range.members, spec.a_range.members
+    base = np.zeros((len(az), len(ms), len(ns)), dtype=np.complex128)
+    pert = np.zeros_like(base)
+    for j, n in enumerate(ns):
+        n = int(n)
+        for i, m in enumerate(ms):
+            m = int(m)
+            if gcd(m, n) != 1:
+                continue
+            mbar = pow(m, -1, n)
+            for k, a in enumerate(az):
+                a = int(a)
+                base[k, i, j] = np.exp(2j * np.pi * ((spec.theta * a * mbar) % n / n))
+                pert[k, i, j] = np.exp(2j * np.pi * phase(a, m, n))
+    return base * pert
+
+
+def _unit(d):
+    norm = float(np.linalg.norm(d))
+    if norm == 0.0:
+        e = np.zeros_like(d)
+        e[0] = 1.0
+        return e, 0.0
+    return d.conj() / norm, norm
+
+
+def einsum_search(spec, twisted=False, restarts=8, iters=300, seed=0):
+    """Reference alternating search: three einsum contractions of the dense
+    tensor per cycle, with the seeding, stopping rule and tie-break of
+    `extremal_search`.  Returns (value, restart, iterations, alpha, beta, nu)."""
+    tensor = build_tensor(spec, twisted).entries
+    best = None
+    for r in range(restarts):
+        gen = np.random.default_rng(np.random.SeedSequence([seed, r]))
+        vecs = []
+        for dim in tensor.shape:
+            v = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+            vecs.append(v / np.linalg.norm(v))
+        nu, al, be = vecs
+        obj = abs(np.einsum("amn,a,m,n->", tensor, nu, al, be))
+        for it in range(1, iters + 1):
+            cycle_start = obj
+            al, obj = _unit(np.einsum("amn,a,n->m", tensor, nu, be))
+            be, obj = _unit(np.einsum("amn,a,m->n", tensor, nu, al))
+            nu, obj = _unit(np.einsum("amn,m,n->a", tensor, al, be))
+            if obj - cycle_start <= 1e-10 * max(obj, 1e-300) and it > 1:
+                break
+        if best is None or obj > best[0]:
+            best = (obj, r, it, al, be, nu)
+    return best
 
 
 class TestDyadicRange:
@@ -117,6 +175,19 @@ class TestTensor:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             build_tensor(FormSpec(2000, 2000, 2000))
+
+    @pytest.mark.parametrize("theta_f", [-3, 1, 3])
+    def test_reciprocity_perturbation_matches_scalar_loop_exactly(self, theta_f):
+        spec = FormSpec(13, 11, 7, theta=2, perturbation=reciprocity_perturbation(theta_f, 7))
+        want = scalar_perturbed_tensor(spec, lambda a, m, n: theta_f * a / (m * n))
+        assert np.array_equal(build_tensor(spec).entries, want)
+
+    def test_custom_perturbation_matches_scalar_loop(self):
+        # asymmetric in a, m and n, so swapped arguments or a transposed broadcast show
+        func = lambda a, m, n: a * m * m / (7 * n)
+        spec = FormSpec(12, 9, 6, theta=-1, perturbation=PerturbationSpec(kind="custom", func=func))
+        want = scalar_perturbed_tensor(spec, func)
+        assert _rel_err(build_tensor(spec).entries, want) <= 1e-12
 
 
 class TestEvaluation:
@@ -277,6 +348,36 @@ class TestExtremalSearch:
         rotated = extremal_search(rotated_spec, restarts=3, iters=300, seed=6)
         assert rotated.value == pytest.approx(base.value, abs=1e-9 * max(1, base.value))
 
+    @pytest.mark.parametrize("spec, twisted", [
+        (FormSpec(12, 10, 7, theta=2), False),
+        (FormSpec(11, 13, 6, theta=-3), True),
+        (FormSpec(10, 12, 5, theta=1, perturbation=reciprocity_perturbation(3, 5)), False),
+        (FormSpec(24, 20, 1, theta=3), False),
+    ], ids=["plain", "twisted", "reciprocity", "A1"])
+    def test_matches_einsum_reference(self, spec, twisted):
+        res = extremal_search(spec, twisted=twisted, restarts=3, iters=300, seed=11)
+        value, r, it, al, be, nu = einsum_search(spec, twisted, restarts=3, iters=300, seed=11)
+        assert (res.restart_index, res.iterations) == (r, it)
+        assert res.value == pytest.approx(value, rel=1e-12)
+        for got, want in ((res.alpha, al), (res.beta, be), (res.nu, nu)):
+            assert _rel_err(got.values, want) <= 1e-12
+
+    def test_monotone_failure_names_its_parameters(self, monkeypatch):
+        real = forms._unit_or_basis
+        count = [0]
+
+        def faulty(d):  # half the norm on the fifth call: the beta-step of cycle 2
+            vec, norm = real(d)
+            count[0] += 1
+            return vec, norm / 2 if count[0] == 5 else norm
+
+        monkeypatch.setattr(forms, "_unit_or_basis", faulty)
+        with pytest.raises(ArithmeticError, match=(
+            r"decreased: .* at the beta-step of cycle 2, restart 0 "
+            r"\(M=9, N=8, A=4, theta=-2, twisted=True\)"
+        )):
+            extremal_search(FormSpec(9, 8, 4, theta=-2), twisted=True, restarts=2, iters=50)
+
     def test_seed_reproducibility(self):
         spec = FormSpec(9, 8, 4, theta=1)
         r1 = extremal_search(spec, restarts=3, iters=100, seed=7)
@@ -366,6 +467,19 @@ class TestCauchyStep:
             rep = cauchy_step(spec, al, be, nu)
             assert isinstance(rep, CauchyReport)
             assert rep.holds
+
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_lhs_matches_dense_contraction(self, perturbed):
+        pert = reciprocity_perturbation(-2, 9) if perturbed else None
+        spec = FormSpec(17, 14, 9, theta=3, perturbation=pert)
+        gen = np.random.default_rng(16)
+        al = CoefficientVector(spec.m_range, gen.standard_normal(len(spec.m_range))
+                               + 1j * gen.standard_normal(len(spec.m_range)))
+        be = CoefficientVector.random_unit(spec.n_range, gen)
+        nu = CoefficientVector.random_unit(spec.a_range, gen)
+        dense = np.einsum("amn,a,m,n->", build_tensor(spec).entries, nu.values, al.values, be.values)
+        assert cauchy_step(spec, al, be, nu).lhs == pytest.approx(abs(dense) ** 2, rel=1e-12)
 
 
 def scalar_inner_terms(spec, beta, nu, b):
