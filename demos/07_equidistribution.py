@@ -30,7 +30,8 @@ for r in rows:
 print("\n=== the same solution data under the companion normalization a0/n ===")
 for n_scale in (64, 256):
     fs = build_fraction_set(n_scale, range(n_scale + 1))
-    companion = np.array([(a0 % n) / n if n > 1 else 0.0 for m, n, a0 in fs.pairs])
+    m, n, a0 = fs.pairs.T
+    companion = (a0 % n) / n
     print(f"N={n_scale:>4}: D*[frac(a0/m)] = {star_discrepancy(fs.points):.4f}   "
           f"D*[a0/n mod 1] = {star_discrepancy(companion):.4f}")
 print("(the companion view equidistributes fast; the recorded triples let you "

@@ -4,7 +4,7 @@ trilinear/bilinear forms built from Kloosterman fractions a*mbar/n.
 Submodules
 ----------
 arith       exact integer and mod-1 rational arithmetic, reciprocity identities
-ksums       complete Kloosterman sums: brute oracle, CRT/Salie fast path, Weil
+ksums       complete Kloosterman sums (brute, CRT/Salie, Weil); inverses_mod, the one vectorized inverse
 characters  Dirichlet characters from the unit-group decomposition
 incomplete  incomplete sums with side conditions, bound envelopes, completion majorant
 forms       the phase tensor, extremal search, bound envelopes, amplifier machinery

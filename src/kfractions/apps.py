@@ -23,6 +23,7 @@ import numpy as np
 
 from .arith import mod_inverse
 from .forms import CoefficientVector, DyadicRange
+from .ksums import inverses_mod
 
 __all__ = [
     "bump",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 DET_TUPLE_LIMIT = 10**8
+_FRACTION_SET_BYTES = 2**30  # at 32 B per ordered pair: an int64 (m, n, a0) row and a float64 point
 
 
 # ---------------------------------------------------------------------------
@@ -290,32 +292,31 @@ def rho(m: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class FractionSet:
-    """Multiset of rho values over ordered coprime pairs from a ground set."""
+    """Rho values over ordered coprime pairs; pairs is an int64 (K, 3) array of (m, n, a0), by m then n."""
 
     n_scale: int
     members: tuple[int, ...]
     points: np.ndarray
-    pairs: tuple[tuple[int, int, int], ...]  # (m, n, a0)
+    pairs: np.ndarray
 
     @property
     def dedup_count(self) -> int:
-        return len(set(np.round(self.points, 15)))
+        return len(np.unique(np.round(self.points, 15)))
 
 
 def build_fraction_set(n_scale: int, ground_set) -> FractionSet:
     members = sorted({x for x in ground_set if 0 <= x <= n_scale})
-    pts = []
-    pairs = []
-    for m in members:
-        if m < 1:
-            continue
-        for n in members:
-            if n < 1 or gcd(m, n) != 1:
-                continue
-            a0, _ = rho_solution(m, n)
-            pts.append((a0 % m) / m if m > 1 else 0.0)
-            pairs.append((m, n, a0))
-    return FractionSet(n_scale, tuple(members), np.array(pts, dtype=np.float64), tuple(pairs))
+    ns = np.array([x for x in members if x >= 1], dtype=np.int64)
+    blocks = [np.empty((0, 3), dtype=np.int64)]
+    for m in ns.tolist():  # one block of rows per m, n ascending within it
+        n = ns[np.gcd(ns, m) == 1]
+        # mbar mod n from nbar mod m: n*nbar = 1 + m*k gives m*(-k) = 1 (mod n); then lift
+        # it (0 at n = 1) by the least multiple of n that makes b0 = (a0*m - 1)/n >= 1
+        a0 = -((n * inverses_mod(n, m) - 1) // m) % n
+        a0 += n * np.maximum(0, -((a0 * m - n - 1) // (n * m)))
+        blocks.append(np.column_stack([np.full_like(n, m), n, a0]))
+    pairs = np.concatenate(blocks)
+    return FractionSet(n_scale, tuple(members), (pairs[:, 2] % pairs[:, 0]) / pairs[:, 0], pairs)
 
 
 def star_discrepancy(points) -> float:
@@ -352,14 +353,17 @@ def equidist_experiment(
     draw (deterministic in `seed`) of ceil(N^(1-density_exponent)) distinct
     integers from [0, N].
     """
+    # the whole ladder is checked before any set is built
+    if any(n < 1 for n in n_list):
+        raise ValueError(f"every N of the ladder must be >= 1, got {tuple(n_list)}")
+    sizes = [n + 1 if full_sets else min(math.ceil(n ** (1 - density_exponent)), n + 1) for n in n_list]
+    if 32 * max(sizes, default=0) ** 2 > _FRACTION_SET_BYTES:
+        raise ValueError(f"|X_N| = {max(sizes)} needs 32*|X_N|^2 bytes, cap is {_FRACTION_SET_BYTES}")
     rows = []
-    for i, n_scale in enumerate(n_list):
-        if n_scale > 2**14:
-            raise ValueError("pair enumeration is quadratic; capped at N <= 2^14")
+    for i, (n_scale, size) in enumerate(zip(n_list, sizes)):
         if full_sets:
             ground = range(n_scale + 1)
         else:
-            size = min(math.ceil(n_scale ** (1 - density_exponent)), n_scale + 1)
             rng = random.Random(f"equidist-{seed}-{i}-{n_scale}")
             ground = rng.sample(range(n_scale + 1), size)
         fs = build_fraction_set(n_scale, ground)

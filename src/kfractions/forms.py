@@ -28,6 +28,7 @@ import numpy as np
 
 from .arith import is_prime, jacobi
 from .characters import character_group
+from .ksums import inverses_mod
 
 __all__ = [
     "DyadicRange",
@@ -217,17 +218,11 @@ def _entry_matrix(spec: FormSpec, n: int, twisted: bool, b: int = 1) -> np.ndarr
     ms = spec.m_range.members
     az = spec.a_range.members
     mod = b * n
-    out = np.zeros((len(az), len(ms)), dtype=np.complex128)
     if twisted and n % 2 == 0:
-        return out
+        return np.zeros((len(az), len(ms)), dtype=np.complex128)
     coprime = np.gcd(ms, mod) == 1
-    if not coprime.any():
-        return out
-    minv = np.array(
-        [pow(int(m), -1, mod) if ok else 0 for m, ok in zip(ms, coprime)], dtype=np.int64
-    )
     # exact reduction of theta*a*mbar mod b*n before the transcendental call
-    t = (spec.theta * az[:, None] * minv[None, :]) % mod
+    t = (spec.theta * az[:, None] * inverses_mod(ms, mod)[None, :]) % mod
     out = np.exp(2j * np.pi * (t / mod))
     if spec.perturbation is not None:
         out = out * np.exp(2j * np.pi * spec.perturbation.phase(az[:, None], ms[None, :], n))

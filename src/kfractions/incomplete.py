@@ -31,7 +31,7 @@ import numpy as np
 
 from .arith import gcd_infty, mod_inverse
 from .characters import DirichletCharacter, characters_mod
-from .ksums import KloostermanParams, kloosterman_brute
+from .ksums import KloostermanParams, inverses_mod, kloosterman_brute
 
 __all__ = [
     "IncompleteSpec",
@@ -92,28 +92,23 @@ class IncompleteSpec:
 
 
 def incomplete_brute(spec: IncompleteSpec) -> complex:
-    """Direct evaluation of the incomplete sum."""
+    """Direct evaluation over one int64 array of x, masked by the side conditions, with
+    xbar from `inverses_mod`; vectorized, about 0.5 GB at peak at INTERVAL_LIMIT points."""
     size = spec.x_len // spec.k + 1
     if size > INTERVAL_LIMIT:
         raise ValueError(f"interval has ~{size} admissible points, cap is {INTERVAL_LIMIT}")
     g = spec.gamma
-    gd = g * spec.delta
-    chi = spec.character
-    cond = spec.gcd_cond
-    total = 0.0 + 0.0j
-    for x in spec.interval():
-        if gcd(x, gd) != 1:
-            continue
-        if cond is not None:
-            a, b, c, d = cond
-            if gcd(a * x + b, c) != d:
-                continue
-        xbar = pow(x % g, -1, g)  # 0 at g = 1, where every term is 1
-        term = np.exp(2j * np.pi * (((spec.alpha * xbar + spec.beta * x) % g) / g))
-        if chi is not None:
-            term *= chi(x)
-        total += term
-    return complex(total)
+    span = spec.interval()
+    xs = np.arange(span.start, span.stop, span.step, dtype=np.int64)
+    xs = xs[np.gcd(xs, g * spec.delta) == 1]
+    if spec.gcd_cond is not None:
+        a, b, c, d = spec.gcd_cond
+        xs = xs[np.gcd(a % c * (xs % c) + b % c, c) == d]
+    t = spec.alpha % g * inverses_mod(xs, g) % g + spec.beta % g * (xs % g) % g
+    terms = np.exp(2j * np.pi * (t % g / g))
+    if spec.character is not None:
+        terms *= spec.character.values_at(xs)
+    return complex(terms.sum())
 
 
 @dataclass(frozen=True)

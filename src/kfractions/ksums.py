@@ -14,8 +14,9 @@ Two evaluation routes with disjoint internals:
   the block vanishes when ab is a quadratic non-residue).  Blocks without a
   closed form fall back to brute summation.
 
-Plus the Ramanujan sum S(a,0;c) in exact integer arithmetic and the explicit
-Weil bound tau(c) * gcd(a,b,c)^(1/2) * c^(1/2).
+Plus the Ramanujan sum S(a,0;c) in exact integer arithmetic, the explicit
+Weil bound tau(c) * gcd(a,b,c)^(1/2) * c^(1/2), and ``inverses_mod``, the one
+vectorized modular inverse of the package (the brute oracle's kernel).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "KloostermanResult",
     "kloosterman_brute",
     "kloosterman_fast",
+    "inverses_mod",
     "ramanujan",
     "weil_bound",
     "BRUTE_LIMIT",
@@ -62,29 +64,47 @@ class KloostermanResult:
     modulus: int
 
 
-def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Units x mod c (c >= 2), their inverses x^(phi-1) mod c, and the root row e(j/c).
-
-    The inverses come from in-place int64 square-and-multiply; every product
-    stays below c^2 <= BRUTE_LIMIT^2 < 2^63.
-    """
-    xs = np.arange(1, c, dtype=np.int64)
-    xs = xs[np.gcd(xs, c) == 1]
-    inv = np.ones_like(xs)
+def _power_mod(xs: np.ndarray, e: int, c: int) -> np.ndarray:
+    """xs^e mod c (0 <= xs < c, e >= 0) by in-place int64 square-and-multiply; products < c^2."""
+    out = np.ones_like(xs)
     base = xs.copy()
-    e = len(xs) - 1
     while e:
         if e & 1:
-            np.multiply(inv, base, out=inv)
-            np.remainder(inv, c, out=inv)
+            np.multiply(out, base, out=out)
+            np.remainder(out, c, out=out)
         e >>= 1
         if e:
             np.multiply(base, base, out=base)
             np.remainder(base, c, out=base)
-    return xs, inv, np.exp(2j * np.pi * (np.arange(c) / c))
+    return out
+
+
+def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Units x mod c (c >= 2), their inverses x^(phi-1) mod c, and the root row e(j/c)."""
+    xs = np.arange(1, c, dtype=np.int64)
+    xs = xs[np.gcd(xs, c) == 1]
+    return xs, _power_mod(xs, len(xs) - 1, c), np.exp(2j * np.pi * (np.arange(c) / c))
 
 
 _cached_unit_table = lru_cache(maxsize=64)(_unit_table)
+
+
+def inverses_mod(xs, n: int) -> np.ndarray:
+    """xbar mod n for every integer x in xs (any sign), 0 where gcd(x, n) > 1: a gather
+    from the cached unit table for n <= 4096, else x^(phi(n)-1) mod n in O(|xs| log n)."""
+    if n < 1 or n * n >= 2**63:
+        raise ValueError(f"inverses need 1 <= n and n^2 < 2^63 (exact int64 products), got n={n}")
+    xs = np.asarray(xs, dtype=np.int64) % n
+    if n == 1:
+        return np.zeros_like(xs)
+    if n <= 4096:
+        units, inv, _ = _cached_unit_table(n)
+        row = np.zeros(n, dtype=np.int64)
+        row[units] = inv
+        return row[xs]
+    out = _power_mod(xs, factorize(n).euler_phi - 1, n)
+    out[np.gcd(xs, n) != 1] = 0
+    return out
 
 
 def _brute_value(a: int, b: int, c: int) -> float:

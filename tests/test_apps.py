@@ -6,6 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from kfractions import apps
 from kfractions.apps import (
     DetSpec,
     build_fraction_set,
@@ -203,6 +204,38 @@ class TestFractionSet:
         fs = build_fraction_set(5, [0, 1, 5, 17])
         assert fs.members == (0, 1, 5)
 
+    @staticmethod
+    def scalar_fraction_set(n_scale, ground):
+        """The pair loop over scalar rho_solution, in (m, n) order."""
+        members = sorted({x for x in ground if 0 <= x <= n_scale})
+        pairs = [(m, n, rho_solution(m, n)[0]) for m in members if m >= 1
+                 for n in members if n >= 1 and gcd(m, n) == 1]
+        points = [(a0 % m) / m if m > 1 else 0.0 for m, _, a0 in pairs]
+        return np.array(pairs, dtype=np.int64).reshape(-1, 3), np.array(points, dtype=np.float64)
+
+    def assert_matches_scalar(self, n_scale, ground):
+        fs = build_fraction_set(n_scale, ground)
+        pairs, points = self.scalar_fraction_set(n_scale, ground)
+        assert fs.pairs.dtype == np.int64 and fs.pairs.shape == pairs.shape
+        assert np.array_equal(fs.pairs, pairs)
+        assert fs.points.tobytes() == points.tobytes()
+
+    def test_full_sets_match_scalar_rho_solution(self):
+        for n_scale in range(1, 129):
+            self.assert_matches_scalar(n_scale, range(n_scale + 1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sampled_sets_match_scalar_rho_solution(self, seed):
+        rng = random.Random(seed)
+        for n_scale in (1, 7, 60, 128, 500):
+            size = rng.randint(1, min(n_scale + 1, 80))
+            ground = rng.sample(range(n_scale + 1), size) + [n_scale + 3, -2]  # clipped
+            self.assert_matches_scalar(n_scale, ground)
+
+    def test_empty_ground_set(self):
+        fs = build_fraction_set(9, [0])
+        assert fs.pairs.shape == (0, 3) and len(fs.points) == 0 and fs.dedup_count == 0
+
 
 class TestStarDiscrepancy:
     def test_examples(self):
@@ -244,3 +277,34 @@ class TestEquidistExperiment:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             equidist_experiment([2**15], full_sets=True)
+
+    def test_ladder_checked_before_any_set_is_built(self, monkeypatch):
+        calls = []
+        real = apps.build_fraction_set
+        monkeypatch.setattr(apps, "build_fraction_set", lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(ValueError):
+            equidist_experiment([64, 2**15], full_sets=True)
+        with pytest.raises(ValueError):
+            equidist_experiment([64, -3])
+        with pytest.raises(ValueError):
+            equidist_experiment([-5], density_exponent=0.5)
+        assert calls == []
+        equidist_experiment([8], full_sets=True)
+        assert len(calls) == 1
+
+    def test_byte_cap_admits_the_n_4096_ladder(self, monkeypatch):
+        # 32 bytes per ordered pair of X_N under 2^30: |X_N| = 5792 passes the check, 5793 does not
+        class Built(Exception):
+            pass
+
+        def stop(*args):
+            raise Built
+
+        monkeypatch.setattr(apps, "build_fraction_set", stop)
+        for n_scale in (4096, 5791):
+            with pytest.raises(Built):
+                equidist_experiment([n_scale], full_sets=True)
+        with pytest.raises(ValueError):
+            equidist_experiment([5792], full_sets=True)
+        with pytest.raises(Built):  # a sampled X_N is capped by its own size
+            equidist_experiment([10**6], density_exponent=0.5)

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import importlib
 import inspect
 import json
 import re
@@ -133,6 +134,17 @@ class TestCli:
         code = main(["--out", str(tmp_path / "x.csv"), "compdiv-check", "--l-scale", "1.0"])
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--sampled", "--density-exponent", "0.5", "--n-list", "-5"],  # was a TypeError traceback
+        ["--n-list", "-3"],  # was accepted, printing dstar_N-3 = nan
+        ["--n-list", "64,20000"],  # was rejected only after N = 64 was built
+    ])
+    def test_equidist_bad_ladder_exit_2_without_record(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        assert main(["--out", str(out), "--json", str(tmp_path / "x.json"), "equidist"] + args) == 2
+        assert "configuration rejected" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "x.json").exists()
+
     def test_internal_check_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         def failing_suite(**kwargs):
             raise ArithmeticError("injected invariant violation")
@@ -212,3 +224,27 @@ def test_registry_parity(name, capsys):
     assert values == {p.name: p.default for p in inspect.signature(fn).parameters.values()}
     _, smoke = cli._resolve([name] + _smoke_suite_args()[name])
     assert set(smoke) == set(values) | {"out", "json"}
+
+
+def _perfbench_assignment(name):
+    """A top-level assignment of the benchmark's perfbench/spans.py, read without importing it."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "spans.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name:
+            return node.value
+    raise LookupError(f"{name} not found")
+
+
+def test_traced_names_stay_bound():
+    """Every function the benchmark's tracer wraps is still defined where it looks for it."""
+    suites = ast.literal_eval(_perfbench_assignment("SUITE_FUNCS"))
+    traced = [ast.literal_eval(elt)[1:3] for elt in _perfbench_assignment("TRACED").elts
+              if not isinstance(elt, ast.Starred)]  # the starred entries are the suites
+    assert len(traced) > 20 and len(suites) == len(SUITES)
+    for home, path in traced + [("verify", name) for name in suites]:
+        owner = importlib.import_module(f"kfractions.{home}")
+        *cls, attr = path.split(".")
+        for name in cls:
+            owner = getattr(owner, name)
+        assert callable(vars(owner).get(attr)), f"kfractions.{home}.{path} is not bound"
+

@@ -22,7 +22,46 @@ from kfractions.incomplete import (
 from kfractions.ksums import KloostermanParams, kloosterman_brute, ramanujan
 
 
+def scalar_incomplete(spec: IncompleteSpec) -> complex:
+    """The per-point loop: one pow inverse and one exponential per admissible x."""
+    g = spec.gamma
+    total = 0.0 + 0.0j
+    for x in spec.interval():
+        if gcd(x, g * spec.delta) != 1:
+            continue
+        if spec.gcd_cond is not None:
+            a, b, c, d = spec.gcd_cond
+            if gcd(a * x + b, c) != d:
+                continue
+        xbar = pow(x % g, -1, g)  # 0 at g = 1, where every term is 1
+        term = cmath.exp(2j * cmath.pi * (((spec.alpha * xbar + spec.beta * x) % g) / g))
+        if spec.character is not None:
+            term *= spec.character(x)
+        total += term
+    return total
+
+
 class TestBrute:
+    def test_against_scalar_loop(self):
+        from kfractions.arith import divisors
+
+        rng = random.Random(5)
+        for i in range(300):
+            g = rng.choice([1, 2, rng.randint(3, 90), rng.randint(3, 90), rng.randint(4097, 9000)])
+            k = rng.choice([1, 1, rng.randint(2, 9)])
+            c = rng.randint(1, 24)
+            spec = IncompleteSpec(
+                gamma=g, delta=rng.choice([1, 2, 3, 10]), k=k, v=rng.randrange(-k, 2 * k),
+                x_start=rng.randint(-3 * g - 50, g), x_len=rng.randint(0, 2 * g + 60),
+                alpha=rng.randint(-3 * g, 3 * g), beta=rng.randint(-2 * g, 2 * g),
+                gcd_cond=(rng.randint(-9, 9), rng.randint(-9, 9), c, rng.choice(divisors(c)))
+                if i % 2 else None,
+                character=rng.choice(characters_mod(g)) if i % 3 == 0 and g <= 90 else None,
+            )
+            expect = scalar_incomplete(spec)
+            got = incomplete_brute(spec)
+            assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect)), spec
+
     def test_full_period_is_ramanujan(self):
         rng = random.Random(1)
         for _ in range(40):

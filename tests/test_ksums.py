@@ -4,6 +4,7 @@ import cmath
 import random
 from math import gcd, sqrt
 
+import numpy as np
 import pytest
 
 from kfractions.arith import euler_phi, tau
@@ -11,6 +12,7 @@ from kfractions.ksums import (
     BRUTE_LIMIT,
     KloostermanParams,
     _unit_table,
+    inverses_mod,
     kloosterman_brute,
     kloosterman_fast,
     ramanujan,
@@ -47,6 +49,30 @@ class TestUnitInverses:
         assert len(xs) == euler_phi(c)
         assert (xs * inv % c == 1).all()
         assert inv.tolist() == [pow(x, -1, c) for x in xs.tolist()]
+
+    @staticmethod
+    def expected_inverses(xs, n):
+        return [pow(x, -1, n) if gcd(x, n) == 1 else 0 for x in xs]
+
+    def test_inverses_mod_small_moduli_match_pow(self):
+        xs = list(range(-1250, 1250, 3)) + [2**40 + 1, -(2**40) - 1]  # negatives, non-units, x >= n
+        assert inverses_mod(xs, 1).tolist() == [0] * len(xs)
+        for n in range(1, 601):
+            assert inverses_mod(xs, n).tolist() == self.expected_inverses(xs, n)
+
+    @pytest.mark.parametrize("n", [4097, 5000, 2**13 * 3, 700001, 3_037_000_499])  # uncached
+    def test_inverses_mod_uncached_match_pow(self, n):
+        rng = random.Random(n)
+        xs = [rng.randint(-3 * n, 3 * n) for _ in range(400)] + [0, 1, -1, n, 2 * n + 1, 3, 4097]
+        got = inverses_mod(np.array(xs, dtype=np.int64), n)
+        assert got.dtype == np.int64 and got.tolist() == self.expected_inverses(xs, n)
+
+    def test_inverses_mod_exactness_guard(self):
+        assert (3_037_000_499**2 < 2**63) and (3_037_000_500**2 >= 2**63)
+        with pytest.raises(ValueError):
+            inverses_mod([1, 2], 3_037_000_500)
+        with pytest.raises(ValueError):
+            inverses_mod([1], 0)
 
 
 class TestBrute:
