@@ -45,7 +45,9 @@ __all__ = [
 ]
 
 DET_TUPLE_LIMIT = 10**8
-_FRACTION_SET_BYTES = 2**30  # at 32 B per ordered pair: an int64 (m, n, a0) row and a float64 point
+# bound on the peak bytes of one equidist step, charged at 48 B to each of the |X_N|^2 ordered pairs: a
+# coprime pair holds an int64 (m, n, a0) row and a float64 point, star_discrepancy a sorted copy and a work row
+_FRACTION_SET_BYTES = 2**30
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +303,25 @@ class FractionSet:
 
     @property
     def dedup_count(self) -> int:
-        return len(np.unique(np.round(self.points, 15)))
+        r = np.sort(self.points)  # equal fractions a0 % m / m are equal doubles
+        return int(np.count_nonzero(r[1:] != r[:-1])) + (len(r) > 0)
 
 
 def build_fraction_set(n_scale: int, ground_set) -> FractionSet:
     members = sorted({x for x in ground_set if 0 <= x <= n_scale})
     ns = np.array([x for x in members if x >= 1], dtype=np.int64)
-    blocks = [np.empty((0, 3), dtype=np.int64)]
-    for m in ns.tolist():  # one block of rows per m, n ascending within it
-        n = ns[np.gcd(ns, m) == 1]
+    coprime = [np.gcd(ns, m) == 1 for m in ns.tolist()]  # counted first: the rows are filled in place
+    pairs = np.empty((sum(map(np.count_nonzero, coprime)), 3), dtype=np.int64)
+    lo = 0
+    for m, mask in zip(ns.tolist(), coprime):  # one block of rows per m, n ascending within it
+        n = ns[mask]
         # mbar mod n from nbar mod m: n*nbar = 1 + m*k gives m*(-k) = 1 (mod n); then lift
         # it (0 at n = 1) by the least multiple of n that makes b0 = (a0*m - 1)/n >= 1
         a0 = -((n * inverses_mod(n, m) - 1) // m) % n
         a0 += n * np.maximum(0, -((a0 * m - n - 1) // (n * m)))
-        blocks.append(np.column_stack([np.full_like(n, m), n, a0]))
-    pairs = np.concatenate(blocks)
-    return FractionSet(n_scale, tuple(members), (pairs[:, 2] % pairs[:, 0]) / pairs[:, 0], pairs)
+        pairs[lo:lo + len(n)] = np.column_stack([np.full_like(n, m), n, a0])
+        lo += len(n)
+    return FractionSet(n_scale, tuple(members), pairs[:, 2] % pairs[:, 0] / pairs[:, 0], pairs)
 
 
 def star_discrepancy(points) -> float:
@@ -328,8 +333,11 @@ def star_discrepancy(points) -> float:
         raise ValueError("star discrepancy needs at least one point")
     if xs[0] < 0 or xs[-1] >= 1:
         raise ValueError("points must lie in [0, 1)")
-    idx = np.arange(1, k + 1)
-    return float(np.max(np.maximum(idx / k - xs, xs - (idx - 1) / k)))
+    t = np.arange(k, dtype=np.float64)
+    below = np.subtract(xs, np.divide(t, k, out=t), out=t).max()  # x_(i) - (i-1)/k, in place
+    del t  # one work row at a time
+    t = np.arange(1, k + 1, dtype=np.float64)
+    return float(max(below, np.subtract(np.divide(t, k, out=t), xs, out=t).max()))
 
 
 @dataclass(frozen=True)
@@ -357,8 +365,8 @@ def equidist_experiment(
     if any(n < 1 for n in n_list):
         raise ValueError(f"every N of the ladder must be >= 1, got {tuple(n_list)}")
     sizes = [n + 1 if full_sets else min(math.ceil(n ** (1 - density_exponent)), n + 1) for n in n_list]
-    if 32 * max(sizes, default=0) ** 2 > _FRACTION_SET_BYTES:
-        raise ValueError(f"|X_N| = {max(sizes)} needs 32*|X_N|^2 bytes, cap is {_FRACTION_SET_BYTES}")
+    if 48 * max(sizes, default=0) ** 2 > _FRACTION_SET_BYTES:
+        raise ValueError(f"|X_N| = {max(sizes)} needs 48*|X_N|^2 bytes, cap is {_FRACTION_SET_BYTES}")
     rows = []
     for i, (n_scale, size) in enumerate(zip(n_list, sizes)):
         if full_sets:

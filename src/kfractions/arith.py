@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 FACTORIZE_LIMIT = 2**63
-_TRIAL_LIMIT = 10**6  # sieve bound of _small_primes
+_TRIAL_LIMIT = 10**4  # sieve bound of _small_primes
 _TRIAL_DIVISION_MAX = 4096  # factorize trial-divides by primes up to here only
 
 

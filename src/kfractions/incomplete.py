@@ -92,23 +92,27 @@ class IncompleteSpec:
 
 
 def incomplete_brute(spec: IncompleteSpec) -> complex:
-    """Direct evaluation over one int64 array of x, masked by the side conditions, with
-    xbar from `inverses_mod`; vectorized, about 0.5 GB at peak at INTERVAL_LIMIT points."""
+    """Direct sum over I in chunks of 2^16 points (a few MB): masked x, `inverses_mod`, exact int64."""
     size = spec.x_len // spec.k + 1
     if size > INTERVAL_LIMIT:
         raise ValueError(f"interval has ~{size} admissible points, cap is {INTERVAL_LIMIT}")
-    g = spec.gamma
-    span = spec.interval()
-    xs = np.arange(span.start, span.stop, span.step, dtype=np.int64)
-    xs = xs[np.gcd(xs, g * spec.delta) == 1]
-    if spec.gcd_cond is not None:
-        a, b, c, d = spec.gcd_cond
-        xs = xs[np.gcd(a % c * (xs % c) + b % c, c) == d]
-    t = spec.alpha % g * inverses_mod(xs, g) % g + spec.beta % g * (xs % g) % g
-    terms = np.exp(2j * np.pi * (t % g / g))
-    if spec.character is not None:
-        terms *= spec.character.values_at(xs)
-    return complex(terms.sum())
+    g, span, step = spec.gamma, spec.interval(), 2**16 * spec.k
+    a, b, c, d = spec.gcd_cond if spec.gcd_cond is not None else (0, 1, 1, 1)
+    if max(abs(spec.x_start), abs(spec.x_start + spec.x_len), spec.k, g * spec.delta, g * g, c * c) >= 2**62:
+        raise ValueError(f"{spec} leaves the exact int64 range of the evaluation")
+    total = 0j
+    for lo in range(span.start, span.stop, step):
+        xs = np.arange(lo, min(lo + step, span.stop), spec.k, dtype=np.int64)
+        xs = xs[np.gcd(xs, g * spec.delta) == 1]
+        if spec.gcd_cond is not None:
+            xs = xs[np.gcd(a % c * (xs % c) + b % c, c) == d]
+        t = spec.alpha % g * inverses_mod(xs, g)
+        t += spec.beta % g * (xs % g)
+        terms = np.exp(2j * np.pi / g * (t % g))
+        if spec.character is not None:
+            terms *= spec.character.values_at(xs)
+        total += complex(terms.sum())
+    return total
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ Two evaluation routes with disjoint internals:
 
 Plus the Ramanujan sum S(a,0;c) in exact integer arithmetic, the explicit
 Weil bound tau(c) * gcd(a,b,c)^(1/2) * c^(1/2), and ``inverses_mod``, the one
-vectorized modular inverse of the package (the brute oracle's kernel).
+vectorized modular inverse of the package (the brute oracle's power loop, no table).
 """
 
 from __future__ import annotations
@@ -65,17 +65,14 @@ class KloostermanResult:
 
 
 def _power_mod(xs: np.ndarray, e: int, c: int) -> np.ndarray:
-    """xs^e mod c (0 <= xs < c, e >= 0) by in-place int64 square-and-multiply; products < c^2."""
-    out = np.ones_like(xs)
-    base = xs.copy()
-    while e:
-        if e & 1:
-            np.multiply(out, base, out=out)
-            np.remainder(out, c, out=out)
-        e >>= 1
-        if e:
-            np.multiply(base, base, out=base)
-            np.remainder(base, c, out=base)
+    """xs^e mod c (0 <= xs < c, e >= 0) by in-place left-to-right square-and-multiply; products < c^2."""
+    out = xs.copy() if e else np.full_like(xs, 1 % c)
+    for bit in bin(e)[3:]:
+        np.multiply(out, out, out)
+        np.remainder(out, c, out)
+        if bit == "1":
+            np.multiply(out, xs, out)
+            np.remainder(out, c, out)
     return out
 
 
@@ -90,19 +87,11 @@ _cached_unit_table = lru_cache(maxsize=64)(_unit_table)
 
 
 def inverses_mod(xs, n: int) -> np.ndarray:
-    """xbar mod n for every integer x in xs (any sign), 0 where gcd(x, n) > 1: a gather
-    from the cached unit table for n <= 4096, else x^(phi(n)-1) mod n in O(|xs| log n)."""
+    """xbar mod n for every integer x in xs (any sign), 0 where gcd(x, n) > 1: x^(phi(n)-1) mod n."""
     if n < 1 or n * n >= 2**63:
         raise ValueError(f"inverses need 1 <= n and n^2 < 2^63 (exact int64 products), got n={n}")
     xs = np.asarray(xs, dtype=np.int64) % n
-    if n == 1:
-        return np.zeros_like(xs)
-    if n <= 4096:
-        units, inv, _ = _cached_unit_table(n)
-        row = np.zeros(n, dtype=np.int64)
-        row[units] = inv
-        return row[xs]
-    out = _power_mod(xs, factorize(n).euler_phi - 1, n)
+    out = _power_mod(xs, factorize(n).euler_phi - 1, n)  # at n = 1, x^0 = 1 = 0 (mod 1)
     out[np.gcd(xs, n) != 1] = 0
     return out
 

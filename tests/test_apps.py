@@ -1,6 +1,7 @@
 """Determinant-equation counts and equidistribution of a0/m fractions."""
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -219,6 +220,7 @@ class TestFractionSet:
         assert fs.pairs.dtype == np.int64 and fs.pairs.shape == pairs.shape
         assert np.array_equal(fs.pairs, pairs)
         assert fs.points.tobytes() == points.tobytes()
+        assert fs.dedup_count == len({Fraction(a0 % m, m) for m, _, a0 in pairs.tolist()})  # exact classes
 
     def test_full_sets_match_scalar_rho_solution(self):
         for n_scale in range(1, 129):
@@ -242,6 +244,11 @@ class TestStarDiscrepancy:
         assert star_discrepancy([0.5]) == pytest.approx(0.5)
         k = 30
         assert star_discrepancy((np.arange(k) + 0.5) / k) == pytest.approx(1 / (2 * k))
+
+    def test_both_rows_of_the_sorted_formula(self):
+        # i/K - x_(i) is the maximum for points bunched near 0, x_(i) - (i-1)/K for points near 1
+        assert star_discrepancy([0.1, 0.0]) == pytest.approx(0.9)
+        assert star_discrepancy([0.95, 0.9]) == pytest.approx(0.9)
 
     def test_permutation_invariance_and_bounds(self):
         gen = np.random.default_rng(4)
@@ -293,7 +300,7 @@ class TestEquidistExperiment:
         assert len(calls) == 1
 
     def test_byte_cap_admits_the_n_4096_ladder(self, monkeypatch):
-        # 32 bytes per ordered pair of X_N under 2^30: |X_N| = 5792 passes the check, 5793 does not
+        # 48 bytes per ordered pair of X_N under 2^30: |X_N| = 4729 passes the check, 4730 does not
         class Built(Exception):
             pass
 
@@ -301,10 +308,10 @@ class TestEquidistExperiment:
             raise Built
 
         monkeypatch.setattr(apps, "build_fraction_set", stop)
-        for n_scale in (4096, 5791):
+        for n_scale in (4096, 4728):
             with pytest.raises(Built):
                 equidist_experiment([n_scale], full_sets=True)
         with pytest.raises(ValueError):
-            equidist_experiment([5792], full_sets=True)
+            equidist_experiment([4729], full_sets=True)
         with pytest.raises(Built):  # a sampled X_N is capped by its own size
             equidist_experiment([10**6], density_exponent=0.5)

@@ -62,6 +62,32 @@ class TestBrute:
             got = incomplete_brute(spec)
             assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect)), spec
 
+    def test_several_chunks_match_scalar_loop(self):
+        # the interval is evaluated 2^16 points at a time; these span three chunks and two
+        chi = characters_mod(97)[5]
+        for spec in (
+            IncompleteSpec(gamma=97, x_start=-70_000, x_len=150_000, alpha=5, beta=3, character=chi),
+            IncompleteSpec(gamma=4099, delta=2, k=3, v=1, x_start=11, x_len=3 * 2**16 + 5, alpha=-8,
+                           gcd_cond=(2, 1, 9, 3)),
+        ):
+            expect = scalar_incomplete(spec)
+            assert abs(incomplete_brute(spec) - expect) <= 1e-12 * max(1.0, abs(expect)), spec
+
+    def test_exact_int64_range_guard(self):
+        # gamma^2, c^2, gamma*delta, k and both ends of the interval must stay below 2^62
+        edge = IncompleteSpec(gamma=2**31 - 1, x_start=-3, x_len=9, alpha=5, beta=2, gcd_cond=(3, 1, 2**31 - 1, 1))
+        assert incomplete_brute(edge) == pytest.approx(scalar_incomplete(edge), abs=1e-12)
+        for spec in (
+            IncompleteSpec(gamma=2**31, x_start=1, x_len=3, alpha=1),
+            IncompleteSpec(gamma=7, x_len=3, gcd_cond=(1, 0, 2**31, 1)),
+            IncompleteSpec(gamma=7, delta=2**60, x_len=3),
+            IncompleteSpec(gamma=7, k=2**62, x_len=0),
+            IncompleteSpec(gamma=7, x_start=-(2**62), x_len=3),
+            IncompleteSpec(gamma=7, x_start=2**62 - 2, x_len=5),
+        ):
+            with pytest.raises(ValueError):
+                incomplete_brute(spec)
+
     def test_full_period_is_ramanujan(self):
         rng = random.Random(1)
         for _ in range(40):

@@ -11,6 +11,7 @@ from kfractions.arith import euler_phi, tau
 from kfractions.ksums import (
     BRUTE_LIMIT,
     KloostermanParams,
+    _cached_unit_table,
     _unit_table,
     inverses_mod,
     kloosterman_brute,
@@ -60,12 +61,19 @@ class TestUnitInverses:
         for n in range(1, 601):
             assert inverses_mod(xs, n).tolist() == self.expected_inverses(xs, n)
 
-    @pytest.mark.parametrize("n", [4097, 5000, 2**13 * 3, 700001, 3_037_000_499])  # uncached
-    def test_inverses_mod_uncached_match_pow(self, n):
+    @pytest.mark.parametrize("n", [4097, 5000, 2**13 * 3, 700001, 3_037_000_499])  # up to the guard
+    def test_inverses_mod_large_moduli_match_pow(self, n):
         rng = random.Random(n)
         xs = [rng.randint(-3 * n, 3 * n) for _ in range(400)] + [0, 1, -1, n, 2 * n + 1, 3, 4097]
         got = inverses_mod(np.array(xs, dtype=np.int64), n)
         assert got.dtype == np.int64 and got.tolist() == self.expected_inverses(xs, n)
+
+    def test_inverses_mod_builds_no_table(self):
+        # one path for every n: no lookup or fill of the brute oracle's unit-table cache
+        _cached_unit_table.cache_clear()
+        for n in (2, 97, 4096, 4097):
+            inverses_mod(np.arange(-50, 50), n)
+        assert _cached_unit_table.cache_info().currsize == 0
 
     def test_inverses_mod_exactness_guard(self):
         assert (3_037_000_499**2 < 2**63) and (3_037_000_500**2 >= 2**63)
