@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable
 
 __all__ = [
@@ -275,6 +275,11 @@ class FactoredInteger:
         for p, e in self.factors:
             out *= (p - 1) * p ** (e - 1)
         return out
+
+    @property
+    def carmichael(self) -> int:
+        """Carmichael's lambda: the exponent of (Z/n)*, lcm of lambda(p^e) over the blocks."""
+        return lcm(*(p ** (e - 2) if p == 2 and e >= 3 else (p - 1) * p ** (e - 1) for p, e in self.factors))
 
 
 @lru_cache(maxsize=65536)

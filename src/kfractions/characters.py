@@ -2,7 +2,10 @@
 
 (Z/q)* splits into cyclic components: one per odd prime power p^e (generated
 by a primitive root), and for the 2-part either nothing (2^0, 2^1), a single
-order-2 component (2^2), or the pair <-1> x <5> (2^e, e >= 3).  A character
+order-2 component (2^2), or the pair <-1> x <5> (2^e, e >= 3).
+`prime_power_units` lists each block's units as generator powers, built by
+baby-step/giant-step; it is the one decomposition of the package, and
+`ksums` builds its unit-inverse tables from it too.  A character
 is a choice of exponent index per component.  Each component keeps its
 discrete logs as an int64 array over its residues (-1 off the units), and
 one array routine evaluates a block of characters at a vector of points:
@@ -24,7 +27,7 @@ import numpy as np
 
 from .arith import factorize
 
-__all__ = ["DirichletCharacter", "CharacterGroup", "character_group", "characters_mod"]
+__all__ = ["DirichletCharacter", "CharacterGroup", "character_group", "characters_mod", "prime_power_units"]
 
 CHARACTER_MODULUS_LIMIT = 10**4
 
@@ -47,6 +50,48 @@ def _primitive_root_mod_prime_power(p: int, e: int) -> int:
     return g
 
 
+def _short_powers(g: int, count: int, modulus: int) -> list[int]:
+    out = [1]
+    for _ in range(count - 1):
+        out.append(out[-1] * g % modulus)
+    return out
+
+
+def _generator_powers(g: int, order: int, modulus: int) -> np.ndarray:
+    """g^0 .. g^(order-1) mod modulus (modulus^2 < 2^63) by baby-step/giant-step.
+
+    s = ceil(sqrt(order)) baby powers g^j and as many giant powers g^(s*i) are
+    built by scalar loops, then one outer multiply-reduce gives g^(s*i + j).
+    """
+    s = math.isqrt(order - 1) + 1
+    baby = np.array(_short_powers(g, s, modulus), dtype=np.int64)
+    giant = np.array(_short_powers(pow(g, s, modulus), -(-order // s), modulus), dtype=np.int64)
+    out = np.multiply.outer(giant, baby)
+    out %= modulus
+    return out.ravel()[:order]
+
+
+def prime_power_units(p: int, e: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The units of Z/p^e (e >= 1) as generator powers, and the generator orders.
+
+    Unit i is prod_j g_j^(k_j), where (k_0, k_1, ...) is the mixed-radix
+    expansion of i over the orders, last digit fastest.  Odd p^e has one
+    primitive root; 2 has no generator, 4 the generator 3, and 2^e (e >= 3)
+    the pair -1, 5, so its units are 5^t followed by -5^t.
+    """
+    q = p**e
+    if p != 2:
+        order = (p - 1) * p ** (e - 1)
+        return _generator_powers(_primitive_root_mod_prime_power(p, e), order, q), (order,)
+    if e == 1:
+        return np.ones(1, dtype=np.int64), ()
+    if e == 2:
+        return np.array([1, 3], dtype=np.int64), (2,)
+    half = 2 ** (e - 2)
+    fives = _generator_powers(5, half, q)
+    return np.concatenate([fives, q - fives]), (2, half)
+
+
 @dataclass(frozen=True)
 class _Component:
     modulus: int       # the prime-power piece this component lives in
@@ -54,37 +99,19 @@ class _Component:
     log: np.ndarray    # int64: residue mod `modulus` -> generator exponent, -1 off the units
 
 
-def _powers(generator: int, order: int, modulus: int) -> np.ndarray:
-    out = [1]
-    for _ in range(order - 1):
-        out.append(out[-1] * generator % modulus)
-    return np.array(out, dtype=np.int64)
-
-
-def _log_table(modulus: int, residues: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    log = np.full(modulus, -1, dtype=np.int64)
-    log[residues] = exponents
-    return log
-
-
-def _cyclic_component(modulus: int, generator: int, order: int) -> _Component:
-    powers = _powers(generator, order, modulus)
-    return _Component(modulus, order, _log_table(modulus, powers, np.arange(order)))
-
-
-def _two_part_components(e: int) -> list[_Component]:
-    if e <= 1:
-        return []
-    if e == 2:
-        return [_cyclic_component(4, 3, 2)]
-    # (Z/2^e)* = <-1> x <5>: the residues 5^t, then -5^t
-    q, half = 2**e, 2 ** (e - 2)
-    fives = _powers(5, half, q)
-    residues = np.concatenate([fives, q - fives])
-    return [
-        _Component(q, 2, _log_table(q, residues, np.repeat([0, 1], half))),
-        _Component(q, half, _log_table(q, residues, np.tile(np.arange(half), 2))),
-    ]
+def _components(p: int, e: int) -> list[_Component]:
+    """One cyclic component per generator of (Z/p^e)*, its discrete logs read off the power list."""
+    q = p**e
+    units, orders = prime_power_units(p, e)
+    digits = np.arange(len(units))
+    comps = []
+    stride = len(units)
+    for order in orders:
+        stride //= order
+        log = np.full(q, -1, dtype=np.int64)
+        log[units] = digits // stride % order
+        comps.append(_Component(q, order, log))
+    return comps
 
 
 class CharacterGroup:
@@ -96,16 +123,8 @@ class CharacterGroup:
         if modulus > CHARACTER_MODULUS_LIMIT:
             raise ValueError(f"character groups capped at modulus {CHARACTER_MODULUS_LIMIT}")
         self.modulus = modulus
-        comps: list[_Component] = []
-        for p, e in factorize(modulus).factors:
-            if p == 2:
-                comps.extend(_two_part_components(e))
-            else:
-                q = p**e
-                order = (p - 1) * p ** (e - 1)
-                comps.append(_cyclic_component(q, _primitive_root_mod_prime_power(p, e), order))
-        self.components = tuple(comps)
-        self.order = math.prod(comp.order for comp in comps)
+        self.components = tuple(comp for p, e in factorize(modulus).factors for comp in _components(p, e))
+        self.order = math.prod(comp.order for comp in self.components)
 
     @cached_property
     def _index_rows(self) -> np.ndarray:

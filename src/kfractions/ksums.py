@@ -1,22 +1,28 @@
 """Complete Kloosterman sums S(a,b;c) = sum over units x mod c of e((a*xbar + b*x)/c).
 
-Two evaluation routes with disjoint internals:
+Two evaluation routes with disjoint internals, each in array form for many
+(a, b) at one c, with the scalar function as its one-element case (the brute
+scalar runs the batch's kernel on Python-int phases, with no array set-up):
 
-* ``kloosterman_brute`` -- the oracle: direct summation over reduced residues.
-  The inverses are x^(phi(c)-1) mod c by vectorized int64 square-and-multiply,
-  the phase a*xbar + b*x is reduced mod c in exact integer arithmetic, and the
-  terms are gathered from the row e(j/c), j = 0..c-1.  Tables for c <= 4096
-  are cached.
-* ``kloosterman_fast`` -- twisted multiplicativity across prime-power blocks,
+* ``kloosterman_batch`` / ``kloosterman_brute`` -- the oracle: direct
+  summation over reduced residues.  The unit table of c comes from the cyclic
+  structure of (Z/c)*: each prime-power block lists its units as generator
+  powers g^0 .. g^(phi-1) (baby-step/giant-step; +-5^t at 2^e), the inverse
+  of g^k is g^(phi-k), and the blocks combine by CRT idempotents.  The phase
+  a*xbar + b*x is reduced mod c in exact integer arithmetic and the terms are
+  gathered from the row e(j/c), j = 0..c-1, one 2-D gather per chunk of rows.
+  Tables for c <= 4096 are cached.
+* ``kloosterman_fast_batch`` / ``kloosterman_fast`` -- twisted
+  multiplicativity across prime-power blocks,
   S(a,b;mn) = S(a*nbar, b*nbar; m) * S(a*mbar, b*mbar; n) for coprime m,n,
   with the two-term Salie closed form at odd prime powers p^alpha, alpha >= 2,
   p coprime to ab (one square root y of ab mod p^alpha and one cosine or sine;
   the block vanishes when ab is a quadratic non-residue).  Blocks without a
-  closed form fall back to brute summation.
+  closed form fall back to one brute batch per block.
 
 Plus the Ramanujan sum S(a,0;c) in exact integer arithmetic, the explicit
 Weil bound tau(c) * gcd(a,b,c)^(1/2) * c^(1/2), and ``inverses_mod``, the one
-vectorized modular inverse of the package (the brute oracle's power loop, no table).
+vectorized modular inverse of the package (x^(lambda-1) by square-and-multiply, no table).
 """
 
 from __future__ import annotations
@@ -28,12 +34,15 @@ from math import cos, gcd, pi, sin, sqrt
 import numpy as np
 
 from .arith import divisors, factorize, jacobi, moebius
+from .characters import prime_power_units
 
 __all__ = [
     "KloostermanParams",
     "KloostermanResult",
+    "kloosterman_batch",
     "kloosterman_brute",
     "kloosterman_fast",
+    "kloosterman_fast_batch",
     "inverses_mod",
     "ramanujan",
     "weil_bound",
@@ -44,6 +53,7 @@ __all__ = [
 BRUTE_LIMIT = 10**7
 FAST_LIMIT = 10**12
 _IMAG_TOL = 1e-9
+_GATHER_TERMS = 2**20  # terms per 2-D gather of kloosterman_batch
 
 
 @dataclass(frozen=True)
@@ -76,48 +86,130 @@ def _power_mod(xs: np.ndarray, e: int, c: int) -> np.ndarray:
     return out
 
 
+def _crt_lift(acc: np.ndarray | None, col: np.ndarray, idem: int, c: int) -> np.ndarray:
+    """(acc_i + idem * col_j) mod c over all pairs i, j, flattened; idem * col mod c for the first block."""
+    if idem != 1:
+        col = col * idem
+        col %= c
+    if acc is None:
+        return col
+    out = np.add.outer(acc, col).ravel()
+    out %= c
+    return out
+
+
+def _units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first two columns of `_unit_table`, built apart so that the scatter row is freed first."""
+    xs = inv = None
+    for p, e in factorize(c).factors:
+        q = p**e
+        units, orders = prime_power_units(p, e)
+        rows = units.reshape(-1, orders[-1] if orders else 1)  # a leading order-2 digit is its own negative
+        inverses = np.concatenate((rows[:, :1], rows[:, :0:-1]), axis=1).ravel()
+        idem = c // q * pow(c // q, -1, q)  # 1 mod q, 0 mod c/q
+        xs, inv = _crt_lift(xs, units, idem, c), _crt_lift(inv, inverses, idem, c)
+    row = np.zeros(c, dtype=np.int64)
+    row[xs] = inv
+    xs = np.flatnonzero(row)
+    return xs, row[xs]
+
+
 def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Units x mod c (c >= 2), their inverses x^(phi-1) mod c, and the root row e(j/c)."""
-    xs = np.arange(1, c, dtype=np.int64)
-    xs = xs[np.gcd(xs, c) == 1]
-    return xs, _power_mod(xs, len(xs) - 1, c), np.exp(2j * np.pi * (np.arange(c) / c))
+    """Units x mod c (c >= 2, c^2 < 2^63) in increasing order, their inverses, and the row e(j/c).
+
+    Generator tables: each prime-power block q lists its units as generator
+    powers g^0 .. g^(phi(q)-1) (`characters.prime_power_units`); the inverse
+    of g^k is g^(phi(q)-k), so the block's inverse row is the same array
+    reversed past index 0 (past index 0 of each half, +5^t and -5^t, at 2^e).
+    The blocks combine through the CRT idempotents (1 mod q, 0 mod c/q) in
+    outer sums mod c, and a scatter into a length-c row (inverse at x, 0 off
+    the units) reads the pairs back in increasing order of x: a few passes
+    over phi(c) int64s, against 2 log2(phi) for x^(phi-1).
+    """
+    xs, inv = _units_and_inverses(c)
+    return xs, inv, np.exp(2j * np.pi * (np.arange(c) / c))
 
 
 _cached_unit_table = lru_cache(maxsize=64)(_unit_table)
 
 
 def inverses_mod(xs, n: int) -> np.ndarray:
-    """xbar mod n for every integer x in xs (any sign), 0 where gcd(x, n) > 1: x^(phi(n)-1) mod n."""
+    """xbar mod n for every integer x in xs (any sign), 0 where gcd(x, n) > 1: x^(lambda(n)-1) mod n."""
     if n < 1 or n * n >= 2**63:
         raise ValueError(f"inverses need 1 <= n and n^2 < 2^63 (exact int64 products), got n={n}")
     xs = np.asarray(xs, dtype=np.int64) % n
-    out = _power_mod(xs, factorize(n).euler_phi - 1, n)  # at n = 1, x^0 = 1 = 0 (mod 1)
+    out = _power_mod(xs, factorize(n).carmichael - 1, n)  # at n = 1, x^0 = 1 = 0 (mod 1)
     out[np.gcd(xs, n) != 1] = 0
     return out
 
 
-def _brute_value(a: int, b: int, c: int) -> float:
-    if c == 1:
-        return 1.0
-    xs, inv, roots = _cached_unit_table(c) if c <= 4096 else _unit_table(c)
-    t = inv * (a % c)
-    t += xs * (b % c)
-    t %= c
-    total = roots[t].sum()
-    phi_c = len(xs)
+def _unit_sums(a, b, c: int, table: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """sum over units x mod c of e((a*xbar + b*x)/c) along the last axis, for a, b in [0, c).
+
+    a, b are two ints (one sum), or two int64 columns of shape (k, 1): k sums
+    from one 2-D gather.  The phase is reduced mod c in exact integer arithmetic.
+    """
+    xs, inv, roots = table
+    t = inv * a
+    t += xs * b
+    if t.size > 512:  # from ~600 terms, floor division by a scalar beats the remainder
+        q = t // c
+        q *= c
+        t -= q
+        del q  # freed before the gather, which sets the peak memory
+    else:
+        t %= c
+    return roots[t].sum(axis=-1)
+
+
+def _real_part(total: complex, a, b, c: int, phi_c: int) -> float:
     if abs(total.imag) > _IMAG_TOL * max(1, phi_c):
-        raise ArithmeticError(
-            f"S({a},{b};{c}) lost realness: imag={total.imag:.3e}, phi={phi_c}"
-        )
-    return float(total.real)
+        raise ArithmeticError(f"S({a},{b};{c}) lost realness: imag={total.imag:.3e}, phi={phi_c}")
+    return total.real
+
+
+def _brute_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if c > BRUTE_LIMIT:
+        raise ValueError(f"brute evaluation capped at c <= {BRUTE_LIMIT}, got {c}")
+    return _cached_unit_table(c) if c <= 4096 else _unit_table(c)
+
+
+def kloosterman_batch(a, b, c: int) -> np.ndarray:
+    """S(a_i, b_i; c) by direct summation, for int64 arrays a, b of one length (any sign).
+
+    Each chunk of rows is one 2-D gather from the unit table of c.  Raises
+    ArithmeticError naming the first (a, b, c) whose imaginary part exceeds
+    1e-9 * phi(c).
+    """
+    if c < 1:
+        raise ValueError("modulus c must be >= 1")
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if c == 1:
+        return np.ones(len(a))
+    table = _brute_table(c)
+    phi_c = len(table[0])
+    rows = max(1, _GATHER_TERMS // phi_c)
+    totals = np.empty(len(a), dtype=np.complex128)
+    for i in range(0, len(a), rows):
+        totals[i : i + rows] = _unit_sums(a[i : i + rows, None] % c, b[i : i + rows, None] % c, c, table)
+    for i in np.flatnonzero(np.abs(totals.imag) > _IMAG_TOL * max(1, phi_c))[:1]:
+        _real_part(totals[i], a[i], b[i], c, phi_c)  # raises, naming the first offending sum
+    return totals.real
 
 
 def kloosterman_brute(params: KloostermanParams) -> KloostermanResult:
-    """Direct sum over reduced residues; the oracle for everything else."""
+    """Direct sum over reduced residues; the oracle for everything else.
+
+    The one-element case of `kloosterman_batch`, on the same kernel, with the
+    phase kept in Python ints so that a single sum pays no array set-up.
+    """
     a, b, c = params.a, params.b, params.c
-    if c > BRUTE_LIMIT:
-        raise ValueError(f"brute evaluation capped at c <= {BRUTE_LIMIT}, got {c}")
-    return KloostermanResult(_brute_value(a, b, c), "brute", c)
+    if c == 1:
+        return KloostermanResult(1.0, "brute", 1)
+    table = _brute_table(c)
+    total = complex(_unit_sums(a % c, b % c, c, table))
+    return KloostermanResult(_real_part(total, a, b, c, len(table[0])), "brute", c)
 
 
 def ramanujan(a: int, c: int) -> int:
@@ -197,38 +289,49 @@ def _salie_block(a: int, b: int, p: int, alpha: int) -> float:
     return -scale * jacobi(y, p) * sin(theta)
 
 
-def kloosterman_fast(params: KloostermanParams) -> KloostermanResult:
-    """Twisted multiplicativity over prime-power blocks with Salie closed forms.
+def kloosterman_fast_batch(a, b, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """S(a_i, b_i; c) by the fast route for integer sequences a, b at one c.
 
-    Supports c <= 1e12 provided every block that has to fall back to brute
-    summation (alpha = 1, p = 2, or p | ab) is at most the brute cap.
+    Returns the values and a mask of those with method "crt_salie" (more than
+    one block, or a Salie closed form).  c is factorized once and each block's
+    cofactor inverse wbar taken once; per block, the elements without a closed
+    form are one `kloosterman_batch` gather at q, and the rest take the Salie
+    closed form one by one.  Supports c <= 1e12 provided every block that has
+    to fall back to brute summation (alpha = 1, p = 2, or p | ab) is at most
+    the brute cap.
     """
-    a, b, c = params.a, params.b, params.c
+    if c < 1:
+        raise ValueError("modulus c must be >= 1")
     if c > FAST_LIMIT:
         raise ValueError(f"fast evaluation capped at c <= {FAST_LIMIT}, got {c}")
-    if c == 1:
-        return KloostermanResult(1.0, "brute", 1)
+    a, b = [int(x) for x in a], [int(y) for y in b]  # exact: block residues reach 1e12
+    values = np.ones(len(a))
     blocks = factorize(c).factors
-    value = 1.0
-    brute_only = True
+    crt_salie = np.full(len(a), len(blocks) > 1)
     for p, alpha in blocks:
         q = p**alpha
-        w = c // q
-        wbar = pow(w % q, -1, q) if q > 1 else 0
-        a_blk = a % q * wbar % q
-        b_blk = b % q * wbar % q
-        if alpha >= 2 and p != 2 and a_blk % p != 0 and b_blk % p != 0:
-            value *= _salie_block(a_blk, b_blk, p, alpha)
-            brute_only = False
-        else:
+        wbar = pow(c // q % q, -1, q)
+        a_blk = [x % q * wbar % q for x in a]
+        b_blk = [y % q * wbar % q for y in b]
+        closed = [alpha >= 2 and p != 2 and x % p != 0 and y % p != 0 for x, y in zip(a_blk, b_blk)]
+        brute = [i for i, has_form in enumerate(closed) if not has_form]
+        if brute:
             if q > BRUTE_LIMIT:
                 raise ValueError(
                     f"block {p}^{alpha} of c={c} has no closed form and exceeds "
                     f"the brute cap {BRUTE_LIMIT}"
                 )
-            value *= _brute_value(a_blk, b_blk, q)
-    method = "brute" if brute_only and len(blocks) == 1 else "crt_salie"
-    return KloostermanResult(value, method, c)
+            values[brute] *= kloosterman_batch([a_blk[i] for i in brute], [b_blk[i] for i in brute], q)
+        for i in np.flatnonzero(closed):
+            values[i] *= _salie_block(a_blk[i], b_blk[i], p, alpha)
+            crt_salie[i] = True
+    return values, crt_salie
+
+
+def kloosterman_fast(params: KloostermanParams) -> KloostermanResult:
+    """Twisted multiplicativity over prime-power blocks with Salie closed forms (one element of the batch)."""
+    values, crt_salie = kloosterman_fast_batch([params.a], [params.b], params.c)
+    return KloostermanResult(float(values[0]), "crt_salie" if crt_salie[0] else "brute", params.c)
 
 
 def weil_bound(params: KloostermanParams) -> float:

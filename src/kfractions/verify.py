@@ -49,26 +49,24 @@ def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7) -> ExperimentR
     """Oracle equivalence + Weil bound grid over every modulus c <= cmax."""
     def per_modulus(c: int):
         gen = derive_rng(seed, c)
-        max_fast = max_weil = max_sym = max_ram = 0.0
-        ok = True
-        for _ in range(pairs):
-            a = int(gen.integers(-2 * c, 2 * c + 1))
-            b = int(gen.integers(-2 * c, 2 * c + 1))
-            params = ksums.KloostermanParams(a, b, c)
-            brute = ksums.kloosterman_brute(params).value
-            fast = ksums.kloosterman_fast(params).value
-            weil = ksums.weil_bound(params)
-            sym = ksums.kloosterman_brute(ksums.KloostermanParams(b, a, c)).value
-            max_fast = max(max_fast, abs(fast - brute) / max(1.0, abs(brute)))
-            max_weil = max(max_weil, abs(brute) / weil)
-            max_sym = max(max_sym, abs(brute - sym))
-            if abs(brute) > weil * (1 + 1e-9):
-                ok = False
-        for a in (0, 1, int(gen.integers(1, 4 * c + 1))):
-            ram = ksums.ramanujan(a, c)
-            brute0 = ksums.kloosterman_brute(ksums.KloostermanParams(a, 0, c)).value
-            max_ram = max(max_ram, abs(ram - brute0))
-        return max_fast, max_weil, max_sym, max_ram, ok
+        draws = gen.integers(-2 * c, 2 * c + 1, size=2 * pairs)  # a, b alternate, as scalar draws would
+        a, b = draws[0::2], draws[1::2]
+        ram_a = np.array([0, 1, gen.integers(1, 4 * c + 1)])
+        # one brute gather: the pairs, the swapped pairs, the Ramanujan a's at b = 0
+        brute_all = ksums.kloosterman_batch(
+            np.concatenate([a, b, ram_a]), np.concatenate([b, a, np.zeros(3, dtype=np.int64)]), c
+        )
+        brute, sym, brute0 = brute_all[:pairs], brute_all[pairs : 2 * pairs], brute_all[2 * pairs :]
+        fast, _ = ksums.kloosterman_fast_batch(a, b, c)
+        weil = np.array([ksums.weil_bound(ksums.KloostermanParams(int(x), int(y), c)) for x, y in zip(a, b)])
+        ram = np.array([ksums.ramanujan(int(x), c) for x in ram_a])
+        return (
+            float(np.max(np.abs(fast - brute) / np.maximum(1.0, np.abs(brute)), initial=0.0)),
+            float(np.max(np.abs(brute) / weil, initial=0.0)),
+            float(np.max(np.abs(brute - sym), initial=0.0)),
+            float(np.max(np.abs(ram - brute0), initial=0.0)),
+            not (np.abs(brute) > weil * (1 + 1e-9)).any(),
+        )
 
     results = [per_modulus(c) for c in range(1, cmax + 1)]
     max_fast = max(r[0] for r in results)
@@ -91,7 +89,7 @@ def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7) -> ExperimentR
             "weil_bound": all(r[4] for r in results) and max_weil <= 1 + 1e-9,
             "symmetry": max_sym <= 1e-9,
             "ramanujan_consistency": max_ram <= 1e-9,
-            "realness": True,  # _brute_value raises if the imaginary residue exceeds 1e-9*phi
+            "realness": True,  # kloosterman_batch raises, naming (a, b, c), on an imaginary part > 1e-9*phi
         },
     )
 

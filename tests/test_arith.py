@@ -184,6 +184,18 @@ class TestFactorize:
         assert euler_phi(12) == 4
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
 
+    def test_carmichael_is_the_exponent_of_the_unit_group(self):
+        examples = {1: 1, 2: 1, 4: 2, 8: 2, 16: 4, 15: 4, 24: 2, 97: 96, 7**3: 294}
+        assert {n: factorize(n).carmichael for n in examples} == examples
+        for n in range(1, 601):
+            f = factorize(n)
+            lam = f.carmichael
+            units = [x for x in range(1, n + 1) if gcd(x, n) == 1]
+            assert f.euler_phi % lam == 0
+            assert all(pow(x, lam, n) == 1 % n for x in units)
+            for r, _ in factorize(lam).factors:  # no smaller exponent serves: lambda is exact
+                assert any(pow(x, lam // r, n) != 1 for x in units)
+
 
 class TestSquarefullSplit:
     def test_examples(self):

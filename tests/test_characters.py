@@ -6,8 +6,15 @@ from math import gcd
 import numpy as np
 import pytest
 
-from kfractions.arith import euler_phi
-from kfractions.characters import character_group, characters_mod
+from kfractions import characters
+from kfractions.arith import euler_phi, factorize
+from kfractions.characters import (
+    CharacterGroup,
+    _generator_powers,
+    _primitive_root_mod_prime_power,
+    character_group,
+    characters_mod,
+)
 from kfractions.forms import AmplifierSpec, CoefficientVector, FormSpec, amplifier_check
 
 EDGE_MODULI = [1, 2, 4, 8, 9, 12, 35, 72, 300]
@@ -32,6 +39,34 @@ class TestGroupStructure:
     def test_limit(self):
         with pytest.raises(ValueError):
             characters_mod(10**4 + 1)
+
+
+def loop_powers(generator: int, order: int, modulus: int) -> np.ndarray:
+    """generator^0 .. generator^(order-1) mod modulus by one scalar loop: the reference."""
+    out = [1]
+    for _ in range(order - 1):
+        out.append(out[-1] * generator % modulus)
+    return np.array(out, dtype=np.int64)
+
+
+class TestGeneratorPowers:
+    def test_match_the_scalar_loop_for_every_prime_power_component_up_to_1e4(self):
+        blocks = {block for q in range(2, 10**4 + 1) for block in factorize(q).factors}
+        for p, e in blocks:
+            if p == 2:
+                if e < 3:
+                    continue
+                g, order = 5, 2 ** (e - 2)
+            else:
+                g, order = _primitive_root_mod_prime_power(p, e), (p - 1) * p ** (e - 1)
+            assert _generator_powers(g, order, p**e).tolist() == loop_powers(g, order, p**e).tolist()
+
+    def test_character_matrices_bit_identical_to_the_scalar_loop(self, monkeypatch):
+        for q in range(1, 501):
+            new = CharacterGroup(q).matrix(range(q))
+            with monkeypatch.context() as m:
+                m.setattr(characters, "_generator_powers", loop_powers)
+                assert np.array_equal(CharacterGroup(q).matrix(range(q)), new)
 
 
 class TestValues:

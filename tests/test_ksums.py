@@ -7,6 +7,7 @@ from math import gcd, sqrt
 import numpy as np
 import pytest
 
+from kfractions import ksums
 from kfractions.arith import euler_phi, tau
 from kfractions.ksums import (
     BRUTE_LIMIT,
@@ -14,8 +15,10 @@ from kfractions.ksums import (
     _cached_unit_table,
     _unit_table,
     inverses_mod,
+    kloosterman_batch,
     kloosterman_brute,
     kloosterman_fast,
+    kloosterman_fast_batch,
     ramanujan,
     weil_bound,
 )
@@ -43,6 +46,22 @@ class TestUnitInverses:
             assert xs.tolist() == [x for x in range(1, c) if gcd(x, c) == 1]
             assert inv.tolist() == [pow(x, -1, c) for x in xs.tolist()]
             assert (xs * inv % c == 1).all()
+
+    def test_generator_tables_match_pow_601_to_2000(self):
+        for c in range(601, 2001):
+            xs, inv, _ = _unit_table(c)
+            assert xs.tolist() == [x for x in range(1, c) if gcd(x, c) == 1]
+            assert inv.tolist() == [pow(x, -1, c) for x in xs.tolist()]
+
+    @pytest.mark.parametrize(
+        "c",
+        [2**e for e in range(1, 21)]
+        + [p**e for p, top in ((3, 12), (5, 8), (7, 7), (199, 2)) for e in range(1, top + 1)],
+    )
+    def test_generator_tables_at_prime_powers(self, c):
+        xs, inv, _ = _unit_table(c)
+        assert np.array_equal(xs, np.flatnonzero(np.gcd(np.arange(c), c) == 1))
+        assert ((0 < inv) & (inv < c)).all() and (xs * inv % c == 1 % c).all()
 
     @pytest.mark.parametrize("c", [700001, 2**12 * 147, 199**2 * 13])  # prime, 2^k*odd, p^2*r
     def test_large_modulus_shapes(self, c):
@@ -128,6 +147,55 @@ class TestBrute:
             kloosterman_brute(KloostermanParams(1, 1, 10**7 + 1))
         with pytest.raises(ValueError):
             KloostermanParams(1, 1, 0)
+
+
+class TestBatch:
+    # modulus 1, primes, 2-powers, Salie prime powers, mixed and squarefree composites, uncached
+    MODULI = [1, 2, 4, 7, 8, 97, 128, 1024, 243, 625, 8 * 27, 16 * 125, 9 * 25 * 4, 2310, 4096, 5000]
+
+    @pytest.mark.parametrize("c", MODULI)
+    def test_batches_equal_the_scalar_routes(self, c):
+        rng = random.Random(c)
+        a = [rng.randint(-3 * c, 3 * c) for _ in range(12)] + [0, 0, -1, -c]
+        b = [rng.randint(-3 * c, 3 * c) for _ in range(12)] + [0, 5, -7, 3 * c + 1]
+        brute = kloosterman_batch(np.array(a), np.array(b), c)
+        fast, crt_salie = kloosterman_fast_batch(a, b, c)
+        assert brute.shape == fast.shape == crt_salie.shape == (len(a),)
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert brute[i] == kloosterman_brute(KloostermanParams(x, y, c)).value
+            one = kloosterman_fast(KloostermanParams(x, y, c))
+            assert fast[i] == one.value
+            assert crt_salie[i] == (one.method == "crt_salie")
+            if c <= 300:
+                assert brute[i] == pytest.approx(slow_reference(x, y, c).real, abs=1e-9)
+        if c in (243, 625):  # an odd prime power: a closed form exactly where p divides neither a nor b
+            p = 3 if c == 243 else 5
+            assert crt_salie.tolist() == [x % p != 0 and y % p != 0 for x, y in zip(a, b)]
+
+    def test_empty_batches(self):
+        for c in (1, 97, 5000):
+            assert kloosterman_batch([], [], c).shape == (0,)
+            values, crt_salie = kloosterman_fast_batch([], [], c)
+            assert values.shape == crt_salie.shape == (0,)
+
+    def test_chunked_gather_is_bit_identical(self, monkeypatch):
+        a, b = np.arange(-40, 40), np.arange(80) * 7
+        whole = kloosterman_batch(a, b, 1999)
+        monkeypatch.setattr(ksums, "_GATHER_TERMS", 3 * 1998 + 5)  # chunks of 3 rows
+        assert np.array_equal(kloosterman_batch(a, b, 1999), whole)
+
+    def test_lost_realness_names_the_first_offending_sum(self, monkeypatch):
+        monkeypatch.setattr(ksums, "_IMAG_TOL", -1.0)  # every sum now fails the check
+        with pytest.raises(ArithmeticError, match=r"S\(-3,5;7\) lost realness: imag=.*, phi=6"):
+            kloosterman_batch([-3, 4], [5, 6], 7)
+
+    def test_guards(self):
+        with pytest.raises(ValueError):
+            kloosterman_batch([1], [1], BRUTE_LIMIT + 1)
+        with pytest.raises(ValueError):
+            kloosterman_batch([1], [1], 0)
+        with pytest.raises(ValueError):
+            kloosterman_fast_batch([1], [1], 10**13)
 
 
 class TestRamanujan:
