@@ -14,10 +14,10 @@ vanish for exactly one of b and -b in each pair, and the one-signed sum then
 misses up to half the completion mass.  A concrete offender is shown.
 """
 
+from kfractions.characters import characters_mod
 from kfractions.incomplete import (
     IncompleteSpec,
     bound_plain,
-    characters_mod,
     envelope_sharpness_sweep,
     erdos_turan_majorant,
     erdos_turan_majorant_symmetrized,
@@ -37,7 +37,7 @@ print(f"bookkeeping: h={lp.h}, h1={lp.h1}, gamma1={lp.gamma1}")
 print(f"first envelope at (C,eps)=(1,0.25): {bound_plain(spec, 1.0, 0.25):.3f}")
 
 print("\n=== envelope calibration (the constant the bound hides) ===")
-samples = envelope_sharpness_sweep(400, 250, seed=1, eps=0.25)
+samples = envelope_sharpness_sweep(400, 250, seed=1)
 ratios = sorted(s.ratio for s in samples)
 print(f"|sum| / A1-envelope over 400 random specs: "
       f"median {ratios[len(ratios)//2]:.3f}, p99 {ratios[int(0.99*len(ratios))-1]:.3f}, "

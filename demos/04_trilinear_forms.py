@@ -49,7 +49,7 @@ print(f"M=N=32, A=16: extremal {res.value:.3f}; best of 200 random unit draws {m
 print("\n=== bilinear slice: two independent routes to the same number ===")
 slice_spec = FormSpec(48, 40, 1, theta=2)
 als = extremal_search(slice_spec, restarts=4, iters=1500, seed=3)
-sigma = gram_power_singular_value(build_tensor(slice_spec).entries[0])
+sigma = gram_power_singular_value(build_tensor(slice_spec)[0])
 print(f"alternating search {als.value:.9f} vs LAPACK spectral norm {sigma:.9f}")
 
 print("\n=== roles of M and N swap under reciprocity ===")

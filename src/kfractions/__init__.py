@@ -16,7 +16,7 @@ cli         the `kfractions` command-line runner
 """
 
 from . import apps, arith, characters, forms, incomplete, ksums, records, verify
-from .arith import Mod1Fraction, egcd, factorize, gcd_infty, jacobi, mod_inverse, squarefull_split
+from .arith import Mod1Fraction, factorize, gcd_infty, jacobi, mod_inverse, squarefull_split
 from .forms import CoefficientVector, DyadicRange, FormSpec, extremal_search
 from .ksums import KloostermanParams, kloosterman_brute, kloosterman_fast, ramanujan, weil_bound
 
@@ -32,7 +32,6 @@ __all__ = [
     "records",
     "verify",
     "Mod1Fraction",
-    "egcd",
     "factorize",
     "gcd_infty",
     "jacobi",

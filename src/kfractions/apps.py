@@ -177,28 +177,25 @@ def det_count(spec: DetSpec, order: int = 1) -> complex:
     return complex(total)
 
 
-def _refined_integral(func, lo: float, hi: float, start_points: int, rel_tol: float = 1e-8) -> float:
-    """Composite midpoint with dyadic refinement until relative stability."""
+def _refined_integral(func, lo: float, hi: float) -> float:
+    """Composite midpoint rule from 256 points, doubled until two values agree to a relative 1e-8."""
     if hi <= lo:
         return 0.0
-    n = max(start_points, 64)
+    n = 256
     prev = None
     for _ in range(22):
         xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
         val = float(np.sum(func(xs)) * (hi - lo) / n)
-        if prev is not None:
-            if abs(val - prev) <= rel_tol * max(abs(val), 1e-12):
-                return val
+        if prev is not None and abs(val - prev) <= 1e-8 * max(abs(val), 1e-12):
+            return val
         prev = val
         n *= 2
     return prev
 
 
-def det_main_term(spec: DetSpec, quad_points: int = 256) -> complex:
+def det_main_term(spec: DetSpec) -> complex:
     """sum over (n1,n2) with gcd(n1,n2) | Delta of
     gcd/(n1 n2) * alpha_{n1} beta_{n2} * integral of f((x+Delta)/n2) g(x/n1) dx."""
-    if quad_points < 64:
-        raise ValueError("quad_points must be >= 64")
     f = spec.weight_f()
     g = spec.weight_g()
     total = 0.0 + 0.0j
@@ -221,9 +218,7 @@ def det_main_term(spec: DetSpec, quad_points: int = 256) -> complex:
             hi = min(n1 * spec.m2_scale, n2 * spec.m1_scale - spec.delta)
             if hi <= lo:
                 continue
-            integral = _refined_integral(
-                lambda x: f((x + spec.delta) / n2) * g(x / n1), lo, hi, quad_points
-            )
+            integral = _refined_integral(lambda x: f((x + spec.delta) / n2) * g(x / n1), lo, hi)
             total += gg / (n1 * n2) * a1 * b2 * integral
     return complex(total)
 

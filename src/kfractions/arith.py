@@ -1,9 +1,9 @@
 """Exact integer and rational-mod-1 arithmetic.
 
-Everything in this module is exact: Euclidean machinery, modular inverses,
-CRT, Jacobi symbols, deterministic factorization, the square-full/square-free
-splitting, and the elementary reciprocity identities for residues of the form
-a*inverse(m)/n taken modulo 1.
+Everything in this module is exact: modular inverses, CRT, Jacobi symbols,
+deterministic factorization, the square-full/square-free splitting, and the
+elementary reciprocity identities for residues of the form a*inverse(m)/n
+taken modulo 1.
 
 The reciprocity operations return BOTH sides of each identity as canonical
 ``Mod1Fraction`` values and raise if the claimed equality ever fails, so the
@@ -20,7 +20,6 @@ from typing import Iterable
 __all__ = [
     "Mod1Fraction",
     "FactoredInteger",
-    "egcd",
     "mod_inverse",
     "crt_combine",
     "jacobi",
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 FACTORIZE_LIMIT = 2**63
-_TRIAL_LIMIT = 10**4  # sieve bound of _small_primes
-_TRIAL_DIVISION_MAX = 4096  # factorize trial-divides by primes up to here only
+_TRIAL_LIMIT = 4096  # factorize trial-divides by the primes up to here, then splits the cofactor
 
 
 # ---------------------------------------------------------------------------
@@ -89,43 +87,15 @@ class Mod1Fraction:
         return f"{self.numerator}/{self.denominator}"
 
 
-def mod1(numerator: int, denominator: int) -> Mod1Fraction:
-    """Shorthand constructor for a canonical mod-1 fraction."""
-    return Mod1Fraction(numerator, denominator)
-
-
 # ---------------------------------------------------------------------------
-# Euclidean machinery
+# modular inverses, CRT, Jacobi symbols
 # ---------------------------------------------------------------------------
-
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a,b) > 0."""
-    if a == 0 and b == 0:
-        raise ValueError("egcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
 
 def mod_inverse(a: int, n: int) -> int:
-    """Multiplicative inverse of a modulo n, in [0, n-1]; 0 for n = 1."""
+    """Multiplicative inverse of a modulo n, in [0, n-1]; 0 for n = 1; ValueError if gcd(a, n) > 1."""
     if n < 1:
         raise ValueError("modulus must be >= 1")
-    if n == 1:
-        return 0
-    a %= n
-    g, x, _ = egcd(a, n)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {n} (gcd={g})")
-    return x % n
+    return pow(a, -1, n)
 
 
 def crt_combine(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -297,7 +267,7 @@ def factorize(n: int) -> FactoredInteger:
     value = n
     factors: dict[int, int] = {}
     for p in _small_primes():
-        if p > _TRIAL_DIVISION_MAX or p * p > n:
+        if p * p > n:
             break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
@@ -390,8 +360,8 @@ def reciprocity_two_term(m: int, n: int) -> tuple[Mod1Fraction, Mod1Fraction]:
         raise ValueError("m, n must be positive")
     if gcd(m, n) != 1:
         raise ValueError(f"m, n must be coprime, gcd={gcd(m, n)}")
-    lhs = mod1(mod_inverse(m, n), n) + mod1(mod_inverse(n, m), m)
-    rhs = mod1(1, m * n)
+    lhs = Mod1Fraction(mod_inverse(m, n), n) + Mod1Fraction(mod_inverse(n, m), m)
+    rhs = Mod1Fraction(1, m * n)
     return _checked_pair(lhs, rhs, "two-term reciprocity")
 
 
@@ -406,11 +376,11 @@ def reciprocity_three_term(a: int, b: int, c: int) -> tuple[Mod1Fraction, Mod1Fr
     if gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
         raise ValueError("arguments must be pairwise coprime")
     lhs = (
-        mod1(mod_inverse(b * c, a), a)
-        + mod1(mod_inverse(a * c, b), b)
-        + mod1(mod_inverse(a * b, c), c)
+        Mod1Fraction(mod_inverse(b * c, a), a)
+        + Mod1Fraction(mod_inverse(a * c, b), b)
+        + Mod1Fraction(mod_inverse(a * b, c), c)
     )
-    rhs = mod1(1, a * b * c)
+    rhs = Mod1Fraction(1, a * b * c)
     return _checked_pair(lhs, rhs, "three-term reciprocity")
 
 
@@ -426,6 +396,6 @@ def split_denominator(a: int, b: int, c: int) -> tuple[Mod1Fraction, Mod1Fractio
         raise ValueError("b, c must be coprime")
     if gcd(a, b * c) != 1:
         raise ValueError("a must be coprime to b*c")
-    lhs = mod1(mod_inverse(a, b * c), b * c)
-    rhs = mod1(mod_inverse(a * b, c), c) + mod1(mod_inverse(a * c, b), b)
+    lhs = Mod1Fraction(mod_inverse(a, b * c), b * c)
+    rhs = Mod1Fraction(mod_inverse(a * b, c), c) + Mod1Fraction(mod_inverse(a * c, b), b)
     return _checked_pair(lhs, rhs, "denominator splitting")

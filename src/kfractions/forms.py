@@ -36,7 +36,6 @@ __all__ = [
     "PerturbationSpec",
     "reciprocity_perturbation",
     "FormSpec",
-    "FormTensor",
     "AmplifierSpec",
     "build_tensor",
     "eval_trilinear",
@@ -200,18 +199,6 @@ class FormSpec:
         return DyadicRange(self.a_scale)
 
 
-@dataclass(frozen=True)
-class FormTensor:
-    """Dense entry array indexed [a, m, n] over the three dyadic ranges."""
-
-    spec: FormSpec
-    twisted: bool
-    entries: np.ndarray
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries.ravel()))
-
-
 def _entry_matrix(spec: FormSpec, n: int, twisted: bool, b: int = 1) -> np.ndarray:
     """entry(a, m, n) = e(theta*a*mbar/(b*n)) for fixed n, shape (|A|, |M|), zero
     where gcd(m, b*n) > 1; b > 1 serves only the amplifier's inner sums."""
@@ -221,9 +208,10 @@ def _entry_matrix(spec: FormSpec, n: int, twisted: bool, b: int = 1) -> np.ndarr
     if twisted and n % 2 == 0:
         return np.zeros((len(az), len(ms)), dtype=np.complex128)
     coprime = np.gcd(ms, mod) == 1
-    # exact reduction of theta*a*mbar mod b*n before the transcendental call
+    # exact reduction of theta*a*mbar mod b*n, then e(t/(b*n)) gathered from the root row (the same
+    # expression per element), or evaluated per entry when the slab is smaller than the row
     t = (spec.theta * az[:, None] * inverses_mod(ms, mod)[None, :]) % mod
-    out = np.exp(2j * np.pi * (t / mod))
+    out = np.exp(2j * np.pi * (np.arange(mod) / mod))[t] if mod <= t.size else np.exp(2j * np.pi * (t / mod))
     if spec.perturbation is not None:
         out = out * np.exp(2j * np.pi * spec.perturbation.phase(az[:, None], ms[None, :], n))
     if twisted:
@@ -235,15 +223,15 @@ def _entry_matrix(spec: FormSpec, n: int, twisted: bool, b: int = 1) -> np.ndarr
     return out
 
 
-def build_tensor(spec: FormSpec, twisted: bool = False) -> FormTensor:
-    """Materialize the full entry tensor (guarded at 1e8 entries)."""
+def build_tensor(spec: FormSpec, twisted: bool = False) -> np.ndarray:
+    """The dense complex entry array indexed [a, m, n] over the three dyadic ranges (guarded at 1e8 entries)."""
     dims = (len(spec.a_range), len(spec.m_range), len(spec.n_range))
     if dims[0] * dims[1] * dims[2] > TENSOR_ENTRY_LIMIT:
         raise ValueError(f"tensor would have {dims[0]*dims[1]*dims[2]} entries, cap is {TENSOR_ENTRY_LIMIT}")
     entries = np.zeros(dims, dtype=np.complex128)
     for j, n in enumerate(spec.n_range.members):
         entries[:, :, j] = _entry_matrix(spec, int(n), twisted)
-    return FormTensor(spec, twisted, entries)
+    return entries
 
 
 def _check_ranges(spec: FormSpec, alpha: CoefficientVector, beta: CoefficientVector, nu: CoefficientVector) -> None:
@@ -309,7 +297,7 @@ def extremal_search(
     Restart r draws its start from SeedSequence([seed, r]); the best value
     wins with lowest-restart-index tie-breaking.
     """
-    tensor = build_tensor(spec, twisted).entries
+    tensor = build_tensor(spec, twisted)
     flat = tensor.reshape(len(tensor), -1)
     best: tuple[float, int, int, np.ndarray, np.ndarray, np.ndarray] | None = None
     for r in range(restarts):
@@ -641,7 +629,6 @@ def complementary_divisor_check(m_scale: int, n_scale: int, l_scale: float) -> C
 @dataclass(frozen=True)
 class ScalingRecord:
     spec: FormSpec
-    twisted: bool
     extremal: float
     trivial: float
     envelope: float
@@ -662,17 +649,16 @@ def scaling_experiment(
     iters: int = 300,
     seed: int = 0,
     eps: float = 0.05,
-    twisted: bool = False,
 ) -> ScalingResult:
     records = []
     for spec in grid:
-        res = extremal_search(spec, twisted=twisted, restarts=restarts, iters=iters, seed=seed)
+        res = extremal_search(spec, restarts=restarts, iters=iters, seed=seed)
         triv = trivial_bound(spec)
         env = bound_trilinear(spec, C=1.0, eps=eps)
         kind = "shifted" if spec.perturbation is not None else "plain"
         records.append(
             ScalingRecord(
-                spec, twisted, res.value, triv, env, kind,
+                spec, res.value, triv, env, kind,
                 res.value / triv, res.value / env,
             )
         )

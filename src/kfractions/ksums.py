@@ -71,7 +71,6 @@ class KloostermanParams:
 class KloostermanResult:
     value: float
     method: str  # "brute" or "crt_salie"
-    modulus: int
 
 
 def _power_mod(xs: np.ndarray, e: int, c: int) -> np.ndarray:
@@ -206,10 +205,10 @@ def kloosterman_brute(params: KloostermanParams) -> KloostermanResult:
     """
     a, b, c = params.a, params.b, params.c
     if c == 1:
-        return KloostermanResult(1.0, "brute", 1)
+        return KloostermanResult(1.0, "brute")
     table = _brute_table(c)
     total = complex(_unit_sums(a % c, b % c, c, table))
-    return KloostermanResult(_real_part(total, a, b, c, len(table[0])), "brute", c)
+    return KloostermanResult(_real_part(total, a, b, c, len(table[0])), "brute")
 
 
 def ramanujan(a: int, c: int) -> int:
@@ -331,7 +330,7 @@ def kloosterman_fast_batch(a, b, c: int) -> tuple[np.ndarray, np.ndarray]:
 def kloosterman_fast(params: KloostermanParams) -> KloostermanResult:
     """Twisted multiplicativity over prime-power blocks with Salie closed forms (one element of the batch)."""
     values, crt_salie = kloosterman_fast_batch([params.a], [params.b], params.c)
-    return KloostermanResult(float(values[0]), "crt_salie" if crt_salie[0] else "brute", params.c)
+    return KloostermanResult(float(values[0]), "crt_salie" if crt_salie[0] else "brute")
 
 
 def weil_bound(params: KloostermanParams) -> float:

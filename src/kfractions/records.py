@@ -79,10 +79,9 @@ class ExperimentRecord:
         }
 
 
-def write_csv(path, records, append: bool = True) -> None:
-    records = list(records)
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
+def write_csv(path, records) -> None:
+    """Append the records' rows to the CSV at path, with the header only when the file is new or empty."""
+    with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if fh.tell() == 0:
             writer.writerow(CSV_COLUMNS)

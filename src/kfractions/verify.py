@@ -111,10 +111,9 @@ def identities_verify(trials: int = 1000, seed: int = 7, max_n: int = 10**6) -> 
     failures = {"two_term": 0, "three_term": 0, "split_denominator": 0}
     for _ in range(trials):
         m, n = _random_coprime_pair(rng, max_n)
-        try:
-            lhs, rhs = arith.reciprocity_two_term(m, n)
-            assert lhs == rhs
-        except (ArithmeticError, AssertionError):
+        try:  # each identity raises ArithmeticError when its two sides differ
+            arith.reciprocity_two_term(m, n)
+        except ArithmeticError:
             failures["two_term"] += 1
     for _ in range(trials):
         while True:
@@ -123,9 +122,8 @@ def identities_verify(trials: int = 1000, seed: int = 7, max_n: int = 10**6) -> 
             if gcd(a, c) == 1 and gcd(b, c) == 1:
                 break
         try:
-            lhs, rhs = arith.reciprocity_three_term(a, b, c)
-            assert lhs == rhs
-        except (ArithmeticError, AssertionError):
+            arith.reciprocity_three_term(a, b, c)
+        except ArithmeticError:
             failures["three_term"] += 1
     for _ in range(trials):
         while True:
@@ -134,9 +132,8 @@ def identities_verify(trials: int = 1000, seed: int = 7, max_n: int = 10**6) -> 
             if gcd(a, b * c) == 1:
                 break
         try:
-            lhs, rhs = arith.split_denominator(a, b, c)
-            assert lhs == rhs
-        except (ArithmeticError, AssertionError):
+            arith.split_denominator(a, b, c)
+        except ArithmeticError:
             failures["split_denominator"] += 1
 
     jac_ok = True
@@ -216,7 +213,7 @@ def incomplete_verify(
         if abs(total - ram) > 1e-9 * max(1.0, abs(ram)):
             completion_ok = False
 
-    sharp = incomplete.envelope_sharpness_sweep(sharp_specs, gamma_max, seed, eps=0.25)
+    sharp = incomplete.envelope_sharpness_sweep(sharp_specs, gamma_max, seed)
     ratios = sorted(s.ratio for s in sharp)
     p99 = ratios[int(0.99 * (len(ratios) - 1))]
 
@@ -253,14 +250,10 @@ def incomplete_verify(
             gcd_cond=(rng.randint(-5, 5), rng.randint(-5, 5), c, d),
         )
         filtered = incomplete.incomplete_brute(spec)
-        # independent path: enumerate without the condition, filter per element
-        loose = incomplete.IncompleteSpec(
-            gamma=spec.gamma, delta=spec.delta, k=spec.k, v=spec.v,
-            x_start=spec.x_start, x_len=spec.x_len, alpha=spec.alpha, beta=spec.beta,
-        )
+        # independent path: enumerate the interval (which ignores the condition), filter per element
         a, b, cc, dd = spec.gcd_cond
         total = 0.0 + 0.0j
-        for x in loose.interval():
+        for x in spec.interval():
             if gcd(x, spec.gamma * spec.delta) != 1 or gcd(a * x + b, cc) != dd:
                 continue
             xbar = pow(x % spec.gamma, -1, spec.gamma) if spec.gamma > 1 else 0
@@ -379,7 +372,7 @@ def bilinear_oracle_verify(n_specs: int = 20, seed: int = 7) -> ExperimentRecord
             theta=rng.choice([-3, -2, -1, 1, 2, 3]),
         )
         res = forms.extremal_search(spec, restarts=4, iters=2000, seed=seed + i)
-        mat = forms.build_tensor(spec).entries[0]
+        mat = forms.build_tensor(spec)[0]
         sigma = forms.gram_power_singular_value(mat)
         max_dev = max(max_dev, abs(res.value - sigma) / max(1.0, sigma))
     return ExperimentRecord(
@@ -526,7 +519,7 @@ def equidist_verify(
 
 def calibrate_constants(seed: int = 7) -> ExperimentRecord:
     """Envelope calibration ratios."""
-    sharp = incomplete.envelope_sharpness_sweep(300, 200, seed, eps=0.25)
+    sharp = incomplete.envelope_sharpness_sweep(300, 200, seed)
     a1_max = max(s.ratio for s in sharp)
 
     rng = random.Random(f"calibrate-{seed}")

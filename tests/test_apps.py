@@ -124,11 +124,6 @@ class TestMainTerm:
         assert got.real == pytest.approx(trapz, rel=1e-6)
         assert got.imag == 0
 
-    def test_quad_points_guard(self):
-        spec = DetSpec(delta=1, m1_scale=8, m2_scale=8, alpha=ones(4), beta=ones(4))
-        with pytest.raises(ValueError):
-            det_main_term(spec, quad_points=32)
-
 
 class TestErrorEnvelopes:
     def test_balanced_r(self):

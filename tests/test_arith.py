@@ -12,7 +12,6 @@ from kfractions.arith import (
     Mod1Fraction,
     crt_combine,
     divisors,
-    egcd,
     euler_phi,
     factorize,
     gcd_infty,
@@ -26,26 +25,6 @@ from kfractions.arith import (
     squarefull_split,
     tau,
 )
-
-
-class TestEgcd:
-    def test_examples(self):
-        assert egcd(3, 7) == (1, -2, 1)
-        assert egcd(0, 5) == (5, 0, 1)
-        g, x, y = egcd(12, 18)
-        assert g == 6 and 12 * x + 18 * y == 6
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            egcd(0, 0)
-
-    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-    def test_bezout_identity(self, a, b):
-        if a == 0 and b == 0:
-            return
-        g, x, y = egcd(a, b)
-        assert g == gcd(a, b) > 0
-        assert a * x + b * y == g
 
 
 class TestModInverse:

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -258,3 +259,16 @@ def test_traced_names_stay_bound():
             owner = getattr(owner, name)
         assert callable(vars(owner).get(attr)), f"kfractions.{home}.{path} is not bound"
 
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    """The benchmark's tracer finds every name it wraps and puts each original back."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read-only: no cache files next to the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    try:
+        tracer.install()  # a KeyError names any traced function that is gone
+        assert tracer.patched >= len(spans.TRACED)
+    finally:
+        tracer.restore()
+    assert tracer.unrestored() == []

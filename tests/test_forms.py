@@ -98,7 +98,7 @@ def einsum_search(spec, twisted=False, restarts=8, iters=300, seed=0):
     """Reference alternating search: three einsum contractions of the dense
     tensor per cycle, with the seeding, stopping rule and tie-break of
     `extremal_search`.  Returns (value, restart, iterations, alpha, beta, nu)."""
-    tensor = build_tensor(spec, twisted).entries
+    tensor = build_tensor(spec, twisted)
     best = None
     for r in range(restarts):
         gen = np.random.default_rng(np.random.SeedSequence([seed, r]))
@@ -143,13 +143,13 @@ class TestTensor:
     def test_entry_values(self):
         spec = FormSpec(2, 2, 2, theta=1)
         t = build_tensor(spec)
-        e = t.entries[spec.a_range.index(1), spec.m_range.index(1), spec.n_range.index(2)]
+        e = t[spec.a_range.index(1), spec.m_range.index(1), spec.n_range.index(2)]
         assert e == pytest.approx(-1.0)
-        assert t.entries[0, spec.m_range.index(2), spec.n_range.index(2)] == 0
+        assert t[0, spec.m_range.index(2), spec.n_range.index(2)] == 0
 
     def test_unit_modulus_on_support(self):
         spec = FormSpec(12, 10, 6, theta=3)
-        t = build_tensor(spec).entries
+        t = build_tensor(spec)
         nz = t[t != 0]
         assert np.max(np.abs(np.abs(nz) - 1)) < 1e-12
         for i, m in enumerate(spec.m_range.members):
@@ -159,7 +159,7 @@ class TestTensor:
 
     def test_twisted_support_and_values(self):
         spec = FormSpec(9, 9, 4, theta=2)
-        t = build_tensor(spec, twisted=True).entries
+        t = build_tensor(spec, twisted=True)
         for i, m in enumerate(spec.m_range.members):
             for j, n in enumerate(spec.n_range.members):
                 m, n = int(m), int(n)
@@ -180,14 +180,14 @@ class TestTensor:
     def test_reciprocity_perturbation_matches_scalar_loop_exactly(self, theta_f):
         spec = FormSpec(13, 11, 7, theta=2, perturbation=reciprocity_perturbation(theta_f, 7))
         want = scalar_perturbed_tensor(spec, lambda a, m, n: theta_f * a / (m * n))
-        assert np.array_equal(build_tensor(spec).entries, want)
+        assert np.array_equal(build_tensor(spec), want)
 
     def test_custom_perturbation_matches_scalar_loop(self):
         # asymmetric in a, m and n, so swapped arguments or a transposed broadcast show
         func = lambda a, m, n: a * m * m / (7 * n)
         spec = FormSpec(12, 9, 6, theta=-1, perturbation=PerturbationSpec(kind="custom", func=func))
         want = scalar_perturbed_tensor(spec, func)
-        assert _rel_err(build_tensor(spec).entries, want) <= 1e-12
+        assert _rel_err(build_tensor(spec), want) <= 1e-12
 
 
 class TestEvaluation:
@@ -232,7 +232,7 @@ class TestEvaluation:
         al = CoefficientVector.random_unit(spec.m_range, gen)
         be = CoefficientVector.random_unit(spec.n_range, gen)
         nu = CoefficientVector.random_unit(spec.a_range, gen)
-        t = build_tensor(spec).entries
+        t = build_tensor(spec)
         dense = complex(np.einsum("amn,a,m,n->", t, nu.values, al.values, be.values))
         stream = eval_trilinear(al, be, nu, spec)
         assert stream == pytest.approx(dense, rel=1e-9, abs=1e-12)
@@ -253,7 +253,7 @@ class TestEvaluation:
 
     def test_perturbed_entries(self):
         spec = FormSpec(6, 5, 4, theta=1, perturbation=reciprocity_perturbation(1, 4))
-        t = build_tensor(spec).entries
+        t = build_tensor(spec)
         m0, n0, a0 = 5, 4, 3
         base = ((a0 * pow(m0, -1, n0)) % n0) / n0
         expect = cmath.exp(2j * cmath.pi * (base + a0 / (m0 * n0)))
@@ -316,10 +316,9 @@ class TestExtremalSearch:
     def test_dominates_random_draws_and_frobenius(self):
         spec = FormSpec(10, 12, 6, theta=1)
         res = extremal_search(spec, restarts=4, iters=300, seed=2)
-        tensor = build_tensor(spec)
-        assert res.value <= tensor.frobenius() * (1 + 1e-12)
+        t = build_tensor(spec)
+        assert res.value <= np.linalg.norm(t) * (1 + 1e-12)
         gen = np.random.default_rng(3)
-        t = tensor.entries
         for _ in range(1000):
             al = CoefficientVector.random_unit(spec.m_range, gen)
             be = CoefficientVector.random_unit(spec.n_range, gen)
@@ -332,7 +331,7 @@ class TestExtremalSearch:
         for _ in range(5):
             spec = FormSpec(rng.randint(8, 40), rng.randint(8, 40), 1, theta=rng.choice([-2, 1, 3]))
             res = extremal_search(spec, restarts=3, iters=1500, seed=5)
-            mat = build_tensor(spec).entries[0]
+            mat = build_tensor(spec)[0]
             sigma = gram_power_singular_value(mat)
             svd = np.linalg.svd(mat, compute_uv=False)[0]
             assert res.value == pytest.approx(sigma, abs=1e-6 * max(1, sigma))
@@ -478,7 +477,7 @@ class TestCauchyStep:
                                + 1j * gen.standard_normal(len(spec.m_range)))
         be = CoefficientVector.random_unit(spec.n_range, gen)
         nu = CoefficientVector.random_unit(spec.a_range, gen)
-        dense = np.einsum("amn,a,m,n->", build_tensor(spec).entries, nu.values, al.values, be.values)
+        dense = np.einsum("amn,a,m,n->", build_tensor(spec), nu.values, al.values, be.values)
         assert cauchy_step(spec, al, be, nu).lhs == pytest.approx(abs(dense) ** 2, rel=1e-12)
 
 

@@ -243,6 +243,17 @@ class TestCompletionMajorant:
         # reports printed-display violations, which exist and are flagged
         assert isinstance(violations, list)
 
+    def test_sweep_takes_both_majorants_from_one_pass(self, monkeypatch):
+        from kfractions import incomplete
+
+        real, moduli = incomplete.kloosterman_brute, []
+        monkeypatch.setattr(incomplete, "kloosterman_brute", lambda params: moduli.append(params.c) or real(params))
+        erdos_turan_sweep(40, 80, seed=5)
+        rng = random.Random(5)
+        gammas = [incomplete._random_reduced_spec(rng, 80).gamma for _ in range(40)]
+        # per spec: S(alpha, 0), then S(alpha, +-r*kbar) for 1 <= r <= gamma/2, each sum once
+        assert sorted(moduli) == sorted(g for g in gammas for _ in range(1 + 2 * (g // 2)))
+
     def test_known_counterexample_to_printed_display(self):
         # gamma divisible by a square: one-signed r-sum misses half the mass
         spec = IncompleteSpec(gamma=72, k=13, v=3, x_start=102, x_len=163, alpha=17)

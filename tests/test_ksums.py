@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kfractions import ksums
-from kfractions.arith import euler_phi, tau
+from kfractions.arith import euler_phi, is_prime, tau
 from kfractions.ksums import (
     BRUTE_LIMIT,
     KloostermanParams,
@@ -309,11 +309,7 @@ class TestWeil:
 
     def test_prime_sweep_exhaustive(self):
         # |S(1,1;p)| <= 2 sqrt(p) for every prime p <= 1e4
-        from kfractions.arith import _small_primes
-
-        for p in _small_primes():
-            if p > 10**4:
-                break
+        for p in filter(is_prime, range(2, 10**4 + 1)):
             v = kloosterman_brute(KloostermanParams(1, 1, p)).value
             assert abs(v) <= 2 * sqrt(p) * (1 + 1e-12)
 
