@@ -25,7 +25,6 @@ from kfractions.forms import (
     eval_trilinear,
     extremal_search,
     gram_power_singular_value,
-    reciprocity_perturbation,
     scaling_experiment,
     trivial_bound,
 )
@@ -59,14 +58,12 @@ al = CoefficientVector.random_unit(base.m_range, gen)
 be = CoefficientVector.random_unit(base.n_range, gen)
 nu = CoefficientVector.random_unit(base.a_range, gen)
 direct = eval_trilinear(al, be, nu, base)
-swapped = eval_trilinear(
-    be, al, nu, FormSpec(18, 12, 6, theta=-3, perturbation=reciprocity_perturbation(3, 6))
-)
+swapped = eval_trilinear(be, al, nu, FormSpec(18, 12, 6, theta=-3, theta_f=3))
 print(f"B = {direct:.9f}; swapped-plus-perturbed form = {swapped:.9f} (identical)")
 
 print("\n=== diagonal scaling ladder ===")
 grid = [FormSpec(n, n, n, theta=1) for n in (8, 16, 32, 64, 128)]
-result = scaling_experiment(grid, restarts=4, iters=400, seed=0, eps=0.05)
+result = scaling_experiment(grid, restarts=4, iters=400, seed=0)
 print(" N    extremal   trivial   tri. envelope extremal/trivial")
 for rec in result.records:
     print(f"{rec.spec.n_scale:>4} {rec.extremal:>9.3f} {rec.trivial:>9.1f} "

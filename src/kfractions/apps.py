@@ -228,34 +228,22 @@ def _ratio_r(spec: DetSpec) -> float:
     return t + 1 / t
 
 
-def det_error_envelope(spec: DetSpec, C: float = 1.0, eps: float = 0.05) -> float:
-    """(eta R)^(3/2) ||alpha|| ||beta|| (N1 N2)^(7/20) (N1+N2)^(1/4+eps) (M1 M2)^eps."""
+def _det_envelope(spec: DetSpec, C: float, eps: float, r_exp: float, n_exp: float, sum_exp: float) -> float:
+    """(eta R)^r_exp ||alpha|| ||beta|| (N1 N2)^n_exp (N1+N2)^(sum_exp+eps) (M1 M2)^eps, scaled by C."""
     r = _ratio_r(spec)
     n1, n2 = spec.n1_scale, spec.n2_scale
-    return (
-        C
-        * (spec.eta * r) ** 1.5
-        * spec.alpha.norm()
-        * spec.beta.norm()
-        * (n1 * n2) ** 0.35
-        * (n1 + n2) ** (0.25 + eps)
-        * (spec.m1_scale * spec.m2_scale) ** eps
-    )
+    return (C * (spec.eta * r) ** r_exp * spec.alpha.norm() * spec.beta.norm() * (n1 * n2) ** n_exp
+            * (n1 + n2) ** (sum_exp + eps) * (spec.m1_scale * spec.m2_scale) ** eps)
+
+
+def det_error_envelope(spec: DetSpec, C: float = 1.0, eps: float = 0.05) -> float:
+    """(eta R)^(3/2) ||alpha|| ||beta|| (N1 N2)^(7/20) (N1+N2)^(1/4+eps) (M1 M2)^eps."""
+    return _det_envelope(spec, C, eps, 1.5, 0.35, 0.25)
 
 
 def det_error_envelope_comparison(spec: DetSpec, C: float = 1.0, eps: float = 0.05) -> float:
     """(eta R)^(19/8) ||alpha|| ||beta|| (N1 N2)^(3/8) (N1+N2)^(11/48+eps) (M1 M2)^eps."""
-    r = _ratio_r(spec)
-    n1, n2 = spec.n1_scale, spec.n2_scale
-    return (
-        C
-        * (spec.eta * r) ** (19 / 8)
-        * spec.alpha.norm()
-        * spec.beta.norm()
-        * (n1 * n2) ** 0.375
-        * (n1 + n2) ** (11 / 48 + eps)
-        * (spec.m1_scale * spec.m2_scale) ** eps
-    )
+    return _det_envelope(spec, C, eps, 19 / 8, 0.375, 11 / 48)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +284,6 @@ class FractionSet:
     points: np.ndarray
     pairs: np.ndarray
 
-    @property
-    def dedup_count(self) -> int:
-        r = np.sort(self.points)  # equal fractions a0 % m / m are equal doubles
-        return int(np.count_nonzero(r[1:] != r[:-1])) + (len(r) > 0)
-
 
 def build_fraction_set(n_scale: int, ground_set) -> FractionSet:
     members = sorted({x for x in ground_set if 0 <= x <= n_scale})
@@ -340,7 +323,6 @@ class EquidistRow:
     n_scale: int
     set_size: int
     n_points: int
-    dedup_points: int
     dstar: float | None  # None when the drawn set yields no coprime pairs
 
 
@@ -371,7 +353,5 @@ def equidist_experiment(
             ground = rng.sample(range(n_scale + 1), size)
         fs = build_fraction_set(n_scale, ground)
         dstar = star_discrepancy(fs.points) if len(fs.points) else None
-        rows.append(
-            EquidistRow(n_scale, len(fs.members), len(fs.points), fs.dedup_count, dstar)
-        )
+        rows.append(EquidistRow(n_scale, len(fs.members), len(fs.points), dstar))
     return rows

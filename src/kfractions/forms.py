@@ -1,8 +1,8 @@
 """Trilinear and bilinear forms with Kloosterman fractions.
 
 The central objects: the phase tensor entry(a,m,n) = e(theta*a*mbar/n) on
-coprime pairs (optionally Jacobi-twisted with odd support, optionally
-perturbed by a smooth phase f(a,m,n)); an alternating extremal-coefficient
+coprime pairs (optionally Jacobi-twisted with odd support, optionally shifted
+by the reciprocity phase theta_f*a/(mn)); an alternating extremal-coefficient
 search for the exact operator norm the bounds dominate; explicit bound
 envelopes; the Cauchy-Schwarz step; the character-amplified second moment
 with its exact inequality chain; and the complementary-divisor bookkeeping
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +33,6 @@ from .ksums import inverses_mod
 __all__ = [
     "DyadicRange",
     "CoefficientVector",
-    "PerturbationSpec",
-    "reciprocity_perturbation",
     "FormSpec",
     "AmplifierSpec",
     "build_tensor",
@@ -137,46 +135,16 @@ class CoefficientVector:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PerturbationSpec:
-    """Smooth phase perturbation multiplying each entry by e(f(a,m,n)).
-
-    kind "reciprocity": f = theta_f * a / (m*n), the shape used when the two
-    support roles are exchanged (X_param = |theta_f| * A).  kind "custom":
-    an arbitrary tabulated phase with its declared derivative-bound scale.
-    """
-
-    kind: str
-    theta_f: int = 0
-    x_param: float = 0.0
-    func: Callable[[int, int, int], float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("reciprocity", "custom"):
-            raise ValueError("kind must be 'reciprocity' or 'custom'")
-        if self.kind == "custom" and self.func is None:
-            raise ValueError("custom perturbation needs a phase function")
-
-    def phase(self, a: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-        """f at broadcastable arrays a, m and one n; a custom func is called per entry."""
-        if self.kind == "reciprocity":
-            return self.theta_f * a / (m * n)
-        return np.vectorize(self.func, otypes=[float])(a, m, n)
-
-
-def reciprocity_perturbation(theta_f: int, a_scale: int) -> PerturbationSpec:
-    return PerturbationSpec(kind="reciprocity", theta_f=theta_f, x_param=abs(theta_f) * a_scale)
-
-
-@dataclass(frozen=True)
 class FormSpec:
-    """Scales (M, N, A), the integer angle coefficient theta != 0, and an
-    optional perturbation."""
+    """Scales (M, N, A), the integer angle coefficient theta != 0, and the
+    reciprocity shift theta_f: each entry gains the phase theta_f*a/(mn), the
+    one that appears when the roles of m and n are exchanged (0: no shift)."""
 
     m_scale: int
     n_scale: int
     a_scale: int
     theta: int = 1
-    perturbation: PerturbationSpec | None = None
+    theta_f: int = 0
 
     def __post_init__(self) -> None:
         if self.theta == 0:
@@ -212,8 +180,8 @@ def _entry_matrix(spec: FormSpec, n: int, twisted: bool, b: int = 1) -> np.ndarr
     # expression per element), or evaluated per entry when the slab is smaller than the row
     t = (spec.theta * az[:, None] * inverses_mod(ms, mod)[None, :]) % mod
     out = np.exp(2j * np.pi * (np.arange(mod) / mod))[t] if mod <= t.size else np.exp(2j * np.pi * (t / mod))
-    if spec.perturbation is not None:
-        out = out * np.exp(2j * np.pi * spec.perturbation.phase(az[:, None], ms[None, :], n))
+    if spec.theta_f:
+        out = out * np.exp(2j * np.pi * (spec.theta_f * az[:, None] / (ms[None, :] * n)))
     if twisted:
         jac = np.array(
             [jacobi(int(m), n) if m % 2 == 1 else 0 for m in ms], dtype=np.float64
@@ -358,9 +326,9 @@ def gram_power_singular_value(mat: np.ndarray) -> float:
 def bound_trilinear(spec: FormSpec, C: float = 1.0, eps: float = 0.0) -> float:
     """(1 + (|theta|A + X)/(MN))^(1/2) *
     [ (AMN)^(7/20+eps) (M+N)^(1/4) + (AMN)^(3/8+eps) (AN+AM)^(1/8) ],
-    scaled by C; X is the perturbation scale when present, else 0."""
+    scaled by C; X = |theta_f|*A is the scale of the reciprocity shift."""
     m, n, a, th = spec.m_scale, spec.n_scale, spec.a_scale, abs(spec.theta)
-    x = spec.perturbation.x_param if spec.perturbation is not None else 0.0
+    x = abs(spec.theta_f) * spec.a_scale
     pref = (1 + (th * a + x) / (m * n)) ** 0.5
     amn = a * m * n
     env = amn ** (7 / 20 + eps) * (m + n) ** 0.25 + amn ** (3 / 8 + eps) * (a * n + a * m) ** 0.125
@@ -397,11 +365,11 @@ def _inner_terms(
 
     The one streaming nu-contraction: a dense (|M|, |N|) array, one `_entry_matrix`
     slab per n, zero where gcd(m, b*n) > 1.  Its row sums are the inner sums c_m of
-    the Cauchy-Schwarz step, and alpha against them is the form.  A perturbation
-    is honored only at b=1, where it multiplies e(theta*a*mbar/n).
+    the Cauchy-Schwarz step, and alpha against them is the form.  A reciprocity
+    shift is honored only at b=1, where it multiplies e(theta*a*mbar/n).
     """
-    if spec.perturbation is not None and b != 1:
-        raise ValueError("perturbed inner sums are only defined at b = 1")
+    if spec.theta_f and b != 1:
+        raise ValueError("shifted inner sums are only defined at b = 1")
     cols = [
         beta.values[j] * (nu.values @ _entry_matrix(spec, int(n), twisted, b))
         for j, n in enumerate(spec.n_range.members)
@@ -470,7 +438,6 @@ class AmplifierReport:
     holds: bool
     partition_ok: bool
     forms_match: bool
-    masked_beta_entries: int
 
 
 def _energy(keys: np.ndarray, weights: np.ndarray) -> float:
@@ -502,8 +469,8 @@ def amplifier_check(
     beta is masked to multipliers n coprime to theta*b (the standing support
     assumption under which the two D_b forms coincide).
     """
-    if spec.perturbation is not None:
-        raise ValueError("amplifier check is defined for unperturbed specs")
+    if spec.theta_f:
+        raise ValueError("amplifier check is defined for unshifted specs")
     if spec.m_scale > 300:
         raise ValueError("amplifier check capped at M <= 300")
     if gcd(spec.theta, amp.b) != 1:
@@ -516,7 +483,6 @@ def amplifier_check(
     tb = abs(spec.theta) * amp.b
     ns = spec.n_range.members
     mask = np.gcd(ns, tb) == 1
-    masked = int(np.sum(~mask & (np.abs(beta.values) > 0)))
     beta = CoefficientVector(beta.range, beta.values * mask)
 
     ells = np.array([ell for ell in amp.primes if gcd(ell, tb) == 1], dtype=np.int64)
@@ -564,7 +530,6 @@ def amplifier_check(
         holds=holds,
         partition_ok=abs(diag + off - d_direct) <= 1e-6 * max(1.0, d_direct),
         forms_match=abs(d_char - d_direct) <= 1e-6 * max(1.0, d_direct),
-        masked_beta_entries=masked,
     )
 
 
@@ -588,37 +553,26 @@ def complementary_divisor_check(m_scale: int, n_scale: int, l_scale: float) -> C
     """Exhaustive check that the congruence ell1*n1 = ell2*n2 (mod m) with
     ell1*n1 != ell2*n2 switches to an integer complementary divisor
     d0 = (ell1*n1 - ell2*n2)/m with 0 < |d0| <= D := 3NL/M, and that for each
-    fixed (ell1,n1,ell2,n2) the correspondence m <-> d0 is a bijection."""
-    mrange = DyadicRange(m_scale).members
-    nrange = DyadicRange(n_scale).members
-    ells = AmplifierSpec(1, l_scale).primes
+    fixed (ell1,n1,ell2,n2) the correspondence m <-> d0 is a bijection.
+
+    One (|M|, |L|*|N|) array pass per (ell1, n1) over m and the (ell2, n2); the
+    violations come in the order (ell1, n1, ell2, n2, m)."""
+    ms = DyadicRange(m_scale).members[:, None]
     cap = 3 * n_scale * l_scale / m_scale
-    checked = 0
-    violations = []
-    bijection_ok = True
-    for l1 in ells:
-        for n1 in nrange:
-            v1 = l1 * int(n1)
-            for l2 in ells:
-                for n2 in nrange:
-                    diff = v1 - l2 * int(n2)
-                    if diff == 0:
-                        continue
-                    seen_m: dict[int, int] = {}
-                    for m in mrange:
-                        m = int(m)
-                        if diff % m != 0:
-                            continue
-                        checked += 1
-                        d0 = diff // m
-                        if d0 == 0 or m * d0 != diff:
-                            violations.append((m, l1, int(n1), l2, int(n2), d0, "integrality"))
-                            continue
-                        if abs(d0) > cap:
-                            violations.append((m, l1, int(n1), l2, int(n2), d0, "cap"))
-                        if d0 in seen_m or diff // d0 != m:
-                            bijection_ok = False
-                        seen_m[d0] = m
+    pairs = [(ell, int(n)) for ell in AmplifierSpec(1, l_scale).primes for n in DyadicRange(n_scale).members]
+    v2 = np.array([ell * n for ell, n in pairs], dtype=np.int64)
+    checked, violations, bijection_ok = 0, [], True
+    for l1, n1 in pairs:
+        diff = l1 * n1 - v2
+        hit = (diff % ms == 0) & (diff != 0)
+        d0 = diff // ms
+        integral = hit & (d0 != 0) & (ms * d0 == diff)
+        bad = (hit & ~integral) | (integral & (np.abs(d0) > cap))
+        checked += int(hit.sum())
+        violations += [(int(ms[i, 0]), l1, n1, *pairs[t], int(d0[i, t]), "cap" if integral[i, t] else "integrality")
+                       for t, i in zip(*np.nonzero(bad.T))]
+        # diff // d0 gives back m, so per tuple m -> d0 is one-to-one with that inverse
+        bijection_ok &= bool(np.all(diff // np.where(integral, d0, 1) == ms, where=integral))
     return CompDivReport(checked, cap, tuple(violations), bijection_ok)
 
 
@@ -648,14 +602,13 @@ def scaling_experiment(
     restarts: int = 4,
     iters: int = 300,
     seed: int = 0,
-    eps: float = 0.05,
 ) -> ScalingResult:
     records = []
     for spec in grid:
         res = extremal_search(spec, restarts=restarts, iters=iters, seed=seed)
         triv = trivial_bound(spec)
-        env = bound_trilinear(spec, C=1.0, eps=eps)
-        kind = "shifted" if spec.perturbation is not None else "plain"
+        env = bound_trilinear(spec, C=1.0, eps=0.05)
+        kind = "shifted" if spec.theta_f else "plain"
         records.append(
             ScalingRecord(
                 spec, res.value, triv, env, kind,

@@ -386,7 +386,7 @@ def bilinear_oracle_verify(n_specs: int = 20, seed: int = 7) -> ExperimentRecord
 
 def scaling_verify(seed: int = 7, ladder=(8, 16, 32, 64, 128)) -> ExperimentRecord:
     grid = [forms.FormSpec(n, n, n, theta=1) for n in ladder]
-    result = forms.scaling_experiment(grid, restarts=4, iters=400, seed=seed, eps=0.05)
+    result = forms.scaling_experiment(grid, restarts=4, iters=400, seed=seed)
     ratios = [r.ratio_trivial for r in result.records]
     decreasing = all(ratios[i + 1] < ratios[i] for i in range(len(ratios) - 1))
     values = {
@@ -533,10 +533,8 @@ def calibrate_constants(seed: int = 7) -> ExperimentRecord:
         forms.FormSpec(32, 16, 8, theta=2),
         forms.FormSpec(16, 32, 4, theta=-1),
     ]
-    env_ratios = []
-    for spec in grid:
-        res = forms.extremal_search(spec, restarts=3, iters=300, seed=seed)
-        env_ratios.append(res.value / forms.bound_trilinear(spec, C=1.0, eps=0.05))
+    sweep = forms.scaling_experiment(grid, restarts=3, iters=300, seed=seed)
+    env_ratios = [r.ratio_envelope for r in sweep.records]
     tw = forms.FormSpec(24, 24, 8, theta=1)
     res_tw = forms.extremal_search(tw, twisted=True, restarts=3, iters=300, seed=seed)
     t2_ratio = res_tw.value / forms.bound_twisted(tw, C=1.0, eps=0.05)

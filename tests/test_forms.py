@@ -16,7 +16,6 @@ from kfractions.forms import (
     CoefficientVector,
     DyadicRange,
     FormSpec,
-    PerturbationSpec,
     _inner_terms,
     amplifier_check,
     bound_bilinear,
@@ -28,7 +27,6 @@ from kfractions.forms import (
     eval_trilinear,
     extremal_search,
     gram_power_singular_value,
-    reciprocity_perturbation,
     scaling_experiment,
     trivial_bound,
 )
@@ -49,8 +47,8 @@ def brute_trilinear(alpha, beta, nu, spec, twisted=False):
             for a in spec.a_range.members:
                 a = int(a)
                 phase = ((spec.theta * a * mbar) % n) / n if n > 1 else 0.0
-                if spec.perturbation is not None:
-                    phase += spec.perturbation.phase(a, m, n)
+                if spec.theta_f:
+                    phase += spec.theta_f * a / (m * n)
                 term = cmath.exp(2j * cmath.pi * phase)
                 if twisted:
                     term *= jacobi(m, n)
@@ -63,8 +61,8 @@ def brute_trilinear(alpha, beta, nu, spec, twisted=False):
     return total
 
 
-def scalar_perturbed_tensor(spec, phase):
-    """entry(a, m, n) = e(theta*a*mbar/n) * e(phase(a, m, n)), both factors
+def scalar_shifted_tensor(spec):
+    """entry(a, m, n) = e(theta*a*mbar/n) * e(theta_f*a/(mn)), both factors
     evaluated one entry at a time with the float operations of the vectorized
     build; only their product is taken on arrays (numpy's array and scalar
     complex products may round differently)."""
@@ -81,7 +79,7 @@ def scalar_perturbed_tensor(spec, phase):
             for k, a in enumerate(az):
                 a = int(a)
                 base[k, i, j] = np.exp(2j * np.pi * ((spec.theta * a * mbar) % n / n))
-                pert[k, i, j] = np.exp(2j * np.pi * phase(a, m, n))
+                pert[k, i, j] = np.exp(2j * np.pi * (spec.theta_f * a / (m * n)))
     return base * pert
 
 
@@ -178,16 +176,8 @@ class TestTensor:
 
     @pytest.mark.parametrize("theta_f", [-3, 1, 3])
     def test_reciprocity_perturbation_matches_scalar_loop_exactly(self, theta_f):
-        spec = FormSpec(13, 11, 7, theta=2, perturbation=reciprocity_perturbation(theta_f, 7))
-        want = scalar_perturbed_tensor(spec, lambda a, m, n: theta_f * a / (m * n))
-        assert np.array_equal(build_tensor(spec), want)
-
-    def test_custom_perturbation_matches_scalar_loop(self):
-        # asymmetric in a, m and n, so swapped arguments or a transposed broadcast show
-        func = lambda a, m, n: a * m * m / (7 * n)
-        spec = FormSpec(12, 9, 6, theta=-1, perturbation=PerturbationSpec(kind="custom", func=func))
-        want = scalar_perturbed_tensor(spec, func)
-        assert _rel_err(build_tensor(spec), want) <= 1e-12
+        spec = FormSpec(13, 11, 7, theta=2, theta_f=theta_f)
+        assert np.array_equal(build_tensor(spec), scalar_shifted_tensor(spec))
 
 
 class TestEvaluation:
@@ -252,7 +242,7 @@ class TestEvaluation:
             assert v == pytest.approx(c * base, rel=1e-9, abs=1e-12)
 
     def test_perturbed_entries(self):
-        spec = FormSpec(6, 5, 4, theta=1, perturbation=reciprocity_perturbation(1, 4))
+        spec = FormSpec(6, 5, 4, theta=1, theta_f=1)
         t = build_tensor(spec)
         m0, n0, a0 = 5, 4, 3
         base = ((a0 * pow(m0, -1, n0)) % n0) / n0
@@ -268,7 +258,7 @@ class TestEvaluation:
         be = CoefficientVector.random_unit(spec.n_range, gen)
         nu = CoefficientVector.random_unit(spec.a_range, gen)
         direct = eval_trilinear(al, be, nu, spec)
-        swapped_spec = FormSpec(9, 7, 5, theta=-2, perturbation=reciprocity_perturbation(2, 5))
+        swapped_spec = FormSpec(9, 7, 5, theta=-2, theta_f=2)
         swapped = eval_trilinear(be, al, nu, swapped_spec)
         assert swapped == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
@@ -337,20 +327,19 @@ class TestExtremalSearch:
             assert res.value == pytest.approx(sigma, abs=1e-6 * max(1, sigma))
             assert sigma == pytest.approx(svd, abs=1e-8 * max(1, svd))
 
-    def test_global_phase_invariance(self):
+    def test_global_phase_invariance(self, monkeypatch):
         spec = FormSpec(9, 8, 4, theta=1)
         base = extremal_search(spec, restarts=3, iters=300, seed=6)
-        rotated_spec = FormSpec(
-            9, 8, 4, theta=1,
-            perturbation=PerturbationSpec(kind="custom", func=lambda a, m, n: 0.2371, x_param=0.0),
-        )
-        rotated = extremal_search(rotated_spec, restarts=3, iters=300, seed=6)
+        real = forms.build_tensor
+        rotation = np.exp(2j * np.pi * 0.2371)
+        monkeypatch.setattr(forms, "build_tensor", lambda s, twisted=False: rotation * real(s, twisted))
+        rotated = extremal_search(spec, restarts=3, iters=300, seed=6)
         assert rotated.value == pytest.approx(base.value, abs=1e-9 * max(1, base.value))
 
     @pytest.mark.parametrize("spec, twisted", [
         (FormSpec(12, 10, 7, theta=2), False),
         (FormSpec(11, 13, 6, theta=-3), True),
-        (FormSpec(10, 12, 5, theta=1, perturbation=reciprocity_perturbation(3, 5)), False),
+        (FormSpec(10, 12, 5, theta=1, theta_f=3), False),
         (FormSpec(24, 20, 1, theta=3), False),
     ], ids=["plain", "twisted", "reciprocity", "A1"])
     def test_matches_einsum_reference(self, spec, twisted):
@@ -392,7 +381,7 @@ class TestBoundEnvelopes:
 
     def test_shifted_prefactor(self):
         plain = FormSpec(8, 8, 4, theta=3)
-        pert = FormSpec(8, 8, 4, theta=3, perturbation=reciprocity_perturbation(3, 4))
+        pert = FormSpec(8, 8, 4, theta=3, theta_f=3)
         base = bound_trilinear(plain)
         shifted = bound_trilinear(pert)
         ratio = sqrt(1 + (12 + 12) / 64) / sqrt(1 + 12 / 64)
@@ -470,8 +459,7 @@ class TestCauchyStep:
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_lhs_matches_dense_contraction(self, perturbed):
-        pert = reciprocity_perturbation(-2, 9) if perturbed else None
-        spec = FormSpec(17, 14, 9, theta=3, perturbation=pert)
+        spec = FormSpec(17, 14, 9, theta=3, theta_f=-2 if perturbed else 0)
         gen = np.random.default_rng(16)
         al = CoefficientVector(spec.m_range, gen.standard_normal(len(spec.m_range))
                                + 1j * gen.standard_normal(len(spec.m_range)))
@@ -496,8 +484,8 @@ def scalar_inner_terms(spec, beta, nu, b):
             asum = 0j
             for t, a in enumerate(az):
                 phase = (spec.theta * int(a) * mbar) % mod / mod
-                if spec.perturbation is not None:
-                    phase += spec.perturbation.phase(int(a), m, n)
+                if spec.theta_f:
+                    phase += spec.theta_f * int(a) / (m * n)
                 asum += nu.values[t] * cmath.exp(2j * cmath.pi * phase)
             out[i, j] = beta.values[j] * asum
     return out
@@ -528,7 +516,7 @@ class TestInnerTerms:
             assert rep.c_b == pytest.approx(want_cb, rel=1e-12)
 
     def test_perturbed_at_b_one_only(self):
-        spec = FormSpec(14, 9, 5, theta=2, perturbation=reciprocity_perturbation(3, 5))
+        spec = FormSpec(14, 9, 5, theta=2, theta_f=3)
         gen = np.random.default_rng(15)
         alpha = CoefficientVector.random_unit(spec.m_range, gen)
         beta = CoefficientVector.random_unit(spec.n_range, gen)
@@ -578,7 +566,64 @@ class TestAmplifier:
             amplifier_check(FormSpec(400, 8, 3, theta=1), AmplifierSpec(1, 14.0), beta, nu)
 
 
+def scalar_compdiv(m_scale, n_scale, l_scale):
+    """Oracle of the array pass: the five-deep scalar sweep over (ell1, n1, ell2, n2, m).
+    Returns (tuples_checked, violations, bijection_ok)."""
+    mrange = forms.DyadicRange(m_scale).members
+    nrange = forms.DyadicRange(n_scale).members
+    ells = AmplifierSpec(1, l_scale).primes
+    cap = 3 * n_scale * l_scale / m_scale
+    checked = 0
+    violations = []
+    bijection_ok = True
+    for l1 in ells:
+        for n1 in nrange:
+            v1 = l1 * int(n1)
+            for l2 in ells:
+                for n2 in nrange:
+                    diff = v1 - l2 * int(n2)
+                    if diff == 0:
+                        continue
+                    seen_m = {}
+                    for m in mrange:
+                        m = int(m)
+                        if diff % m != 0:
+                            continue
+                        checked += 1
+                        d0 = diff // m
+                        if d0 == 0 or m * d0 != diff:
+                            violations.append((m, l1, int(n1), l2, int(n2), d0, "integrality"))
+                            continue
+                        if abs(d0) > cap:
+                            violations.append((m, l1, int(n1), l2, int(n2), d0, "cap"))
+                        if d0 in seen_m or diff // d0 != m:
+                            bijection_ok = False
+                        seen_m[d0] = m
+    return checked, violations, bijection_ok
+
+
 class TestComplementaryDivisor:
+    @pytest.mark.parametrize("m_scale, n_scale, l_scale", [
+        (16, 16, 4.0), (30, 20, 6.5), (64, 64, 8.0), (40, 100, 12.0), (100, 40, 10.0),
+    ])
+    def test_array_pass_matches_scalar_sweep(self, m_scale, n_scale, l_scale):
+        rep = complementary_divisor_check(m_scale, n_scale, l_scale)
+        checked, violations, bijection_ok = scalar_compdiv(m_scale, n_scale, l_scale)
+        assert (rep.tuples_checked, rep.bijection_ok) == (checked, bijection_ok)
+        assert sorted(rep.violations) == sorted(violations)
+
+    def test_cap_violations_match_scalar_sweep(self, monkeypatch):
+        # m from 1 instead of M/2: small m give |d0| beyond the cap, reported in sweep order
+        class FromOne(DyadicRange):
+            lo = 1
+
+        monkeypatch.setattr(forms, "DyadicRange", FromOne)
+        rep = complementary_divisor_check(12, 10, 4.0)
+        checked, violations, bijection_ok = scalar_compdiv(12, 10, 4.0)
+        assert violations and {v[-1] for v in violations} == {"cap"}
+        assert (rep.tuples_checked, rep.bijection_ok) == (checked, bijection_ok)
+        assert list(rep.violations) == violations
+
     def test_hand_example(self):
         assert (23 - 3) // 10 == 2  # the arithmetic the sweep performs
 
@@ -602,7 +647,7 @@ class TestScalingExperiment:
         assert res.fitted_exponent is None
 
     def test_mixed_grid_records_envelope_kind(self):
-        pert = FormSpec(8, 8, 4, theta=1, perturbation=reciprocity_perturbation(1, 4))
+        pert = FormSpec(8, 8, 4, theta=1, theta_f=1)
         res = scaling_experiment([FormSpec(8, 8, 8), pert], restarts=2, iters=100, seed=0)
         kinds = {r.envelope_kind for r in res.records}
         assert kinds == {"plain", "shifted"}
