@@ -31,7 +31,8 @@ import numpy as np
 
 from .arith import gcd_infty, mod_inverse
 from .characters import DirichletCharacter
-from .ksums import KloostermanParams, inverses_mod, kloosterman_brute
+from .ksums import inverses_mod, kloosterman_row
+from .ksums import kloosterman_brute  # noqa: F401  -- perfbench's tracer test patches incomplete.kloosterman_brute
 
 __all__ = [
     "IncompleteSpec",
@@ -155,14 +156,15 @@ def bound_filtered(spec: IncompleteSpec, C: float = 1.0, eps: float = 0.0) -> fl
     return C * (first + second)
 
 
-def _majorants(spec: IncompleteSpec, symmetrized: bool) -> tuple[float, float]:
-    """The printed and the symmetrized completion majorants from one pass over r:
+def _majorants(spec: IncompleteSpec) -> tuple[float, float]:
+    """The printed and the symmetrized completion majorants from one row S(alpha, .; gamma):
     (X+k)/(gamma k) |S(alpha,0;gamma)| plus, for 1 <= r <= gamma/2,
     |S(alpha, r*kbar; gamma)| / r and (|S(alpha, r*kbar)| + |S(alpha, -r*kbar)|) / (2r).
 
-    The second is only evaluated when asked for (else it stays the first
-    term).  Only defined in the reduced case: gcd(k, gamma) = 1, delta = 1,
-    beta = 0, no character twist, no gcd side condition.
+    `kloosterman_row(alpha, gamma)` gives every S(alpha, b; gamma) from one
+    FFT; both sums gather |row| at b = +-r*kbar mod gamma.  Only defined in the
+    reduced case: gcd(k, gamma) = 1, delta = 1, beta = 0, no character twist,
+    no gcd side condition.
     """
     if gcd(spec.k, spec.gamma) != 1:
         raise ValueError("majorant requires gcd(k, gamma) = 1")
@@ -170,17 +172,13 @@ def _majorants(spec: IncompleteSpec, symmetrized: bool) -> tuple[float, float]:
         raise ValueError("majorant requires delta = 1, beta = 0, no gcd condition")
     if spec.character is not None and not spec.character.is_principal:
         raise ValueError("majorant requires a trivial character")
-    g, k, alpha = spec.gamma, spec.k, spec.alpha
-    printed = exact = (spec.x_len + k) / (g * k) * abs(kloosterman_brute(KloostermanParams(alpha, 0, g)).value)
-    if g > 1:
-        kbar = mod_inverse(k, g)
-        for r in range(1, g // 2 + 1):
-            plus = abs(kloosterman_brute(KloostermanParams(alpha, r * kbar % g, g)).value)
-            printed += plus / r
-            if symmetrized:
-                minus = abs(kloosterman_brute(KloostermanParams(alpha, -r * kbar % g, g)).value)
-                exact += (plus + minus) / (2 * r)
-    return printed, exact
+    g, k = spec.gamma, spec.k
+    row = np.abs(kloosterman_row(spec.alpha, g))
+    first = (spec.x_len + k) / (g * k) * row[0]
+    r = np.arange(1, g // 2 + 1)
+    b = r * mod_inverse(k, g) % g
+    plus, minus = row[b], row[g - b]
+    return float(first + (plus / r).sum()), float(first + ((plus + minus) / (2 * r)).sum())
 
 
 def erdos_turan_majorant(spec: IncompleteSpec) -> float:
@@ -190,7 +188,7 @@ def erdos_turan_majorant(spec: IncompleteSpec) -> float:
     not a theorem; see `erdos_turan_majorant_symmetrized` for the exact form
     and `erdos_turan_sweep` for the violation flagging.
     """
-    return _majorants(spec, False)[0]
+    return _majorants(spec)[0]
 
 
 def erdos_turan_majorant_symmetrized(spec: IncompleteSpec) -> float:
@@ -205,7 +203,7 @@ def erdos_turan_majorant_symmetrized(spec: IncompleteSpec) -> float:
     one-signed printed form can undercount when S(alpha, b; gamma) vanishes
     asymmetrically in b -> -b (square factors of gamma).
     """
-    return _majorants(spec, True)[1]
+    return _majorants(spec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +241,7 @@ def erdos_turan_sweep(n_specs: int = 200, gamma_max: int = 300, seed: int = 7) -
     majorant by more than a relative 1e-9 (an empty return means the display
     held on every sampled spec).
 
-    The symmetrized bound is checked alongside, from the same pass over r: it
+    The symmetrized bound is checked alongside, from the same row: it
     is a theorem, so any violation of it indicates an implementation bug and
     raises immediately.
     """
@@ -252,7 +250,7 @@ def erdos_turan_sweep(n_specs: int = 200, gamma_max: int = 300, seed: int = 7) -
     for _ in range(n_specs):
         spec = _random_reduced_spec(rng, gamma_max)
         lhs = abs(incomplete_brute(spec))
-        rhs, exact = _majorants(spec, True)
+        rhs, exact = _majorants(spec)
         if lhs > rhs * (1 + 1e-9):
             violations.append(EnvelopeSample(spec, lhs, rhs))
         if lhs > exact * (1 + 1e-9):

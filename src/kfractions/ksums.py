@@ -2,7 +2,8 @@
 
 Two evaluation routes with disjoint internals, each in array form for many
 (a, b) at one c, with the scalar function as its one-element case (the brute
-scalar runs the batch's kernel on Python-int phases, with no array set-up):
+scalar runs the batch's kernel on Python-int phases, with no array set-up),
+and a third for a whole row in b:
 
 * ``kloosterman_batch`` / ``kloosterman_brute`` -- the oracle: direct
   summation over reduced residues.  The unit table of c comes from the cyclic
@@ -43,6 +44,7 @@ __all__ = [
     "kloosterman_brute",
     "kloosterman_fast",
     "kloosterman_fast_batch",
+    "kloosterman_row",
     "inverses_mod",
     "ramanujan",
     "weil_bound",
@@ -209,6 +211,27 @@ def kloosterman_brute(params: KloostermanParams) -> KloostermanResult:
     table = _brute_table(c)
     total = complex(_unit_sums(a % c, b % c, c, table))
     return KloostermanResult(_real_part(total, a, b, c, len(table[0])), "brute")
+
+
+def kloosterman_row(a: int, c: int) -> np.ndarray:
+    """S(a, b; c) for b = 0 .. c-1 from one length-c FFT: entry b is sum_x f[x] e(bx/c).
+
+    f[x] = e(a*xbar/c) on the units x mod c (from the brute route's unit
+    table, so the same cache and cap) and 0 elsewhere.  Raises ArithmeticError
+    naming the first (a, b, c) whose imaginary part exceeds 1e-9 * phi(c).
+    """
+    if c < 1:
+        raise ValueError("modulus c must be >= 1")
+    if c == 1:
+        return np.ones(1)
+    xs, inv, roots = _brute_table(c)
+    f = np.zeros(c, dtype=np.complex128)
+    f[xs] = roots[inv * (a % c) % c]
+    totals = np.fft.ifft(f, norm="forward")  # unscaled: sum_x f[x] e(bx/c)
+    phi_c = len(xs)
+    for b in np.flatnonzero(np.abs(totals.imag) > _IMAG_TOL * phi_c)[:1]:
+        _real_part(totals[b], a, b, c, phi_c)  # raises, naming the first offending sum
+    return totals.real
 
 
 def ramanujan(a: int, c: int) -> int:

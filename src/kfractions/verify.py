@@ -58,7 +58,7 @@ def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7) -> ExperimentR
         )
         brute, sym, brute0 = brute_all[:pairs], brute_all[pairs : 2 * pairs], brute_all[2 * pairs :]
         fast, _ = ksums.kloosterman_fast_batch(a, b, c)
-        weil = np.array([ksums.weil_bound(ksums.KloostermanParams(int(x), int(y), c)) for x, y in zip(a, b)])
+        weil = arith.factorize(c).tau * np.sqrt(np.gcd(np.gcd(a, b), c)) * math.sqrt(c)  # ksums.weil_bound, same order
         ram = np.array([ksums.ramanujan(int(x), c) for x in ram_a])
         return (
             float(np.max(np.abs(fast - brute) / np.maximum(1.0, np.abs(brute)), initial=0.0)),

@@ -41,6 +41,20 @@ def scalar_incomplete(spec: IncompleteSpec) -> complex:
     return total
 
 
+def scalar_majorants(spec: IncompleteSpec) -> tuple[float, float]:
+    """The per-r loop: the printed and the symmetrized majorants from one brute sum per b."""
+    g, k, alpha = spec.gamma, spec.k, spec.alpha
+    printed = exact = (spec.x_len + k) / (g * k) * abs(kloosterman_brute(KloostermanParams(alpha, 0, g)).value)
+    if g > 1:
+        kbar = pow(k, -1, g)
+        for r in range(1, g // 2 + 1):
+            plus = abs(kloosterman_brute(KloostermanParams(alpha, r * kbar % g, g)).value)
+            minus = abs(kloosterman_brute(KloostermanParams(alpha, -r * kbar % g, g)).value)
+            printed += plus / r
+            exact += (plus + minus) / (2 * r)
+    return printed, exact
+
+
 class TestBrute:
     def test_against_scalar_loop(self):
         from kfractions.arith import divisors
@@ -243,16 +257,26 @@ class TestCompletionMajorant:
         # reports printed-display violations, which exist and are flagged
         assert isinstance(violations, list)
 
-    def test_sweep_takes_both_majorants_from_one_pass(self, monkeypatch):
+    def test_sweep_takes_both_majorants_from_one_row(self, monkeypatch):
         from kfractions import incomplete
 
-        real, moduli = incomplete.kloosterman_brute, []
-        monkeypatch.setattr(incomplete, "kloosterman_brute", lambda params: moduli.append(params.c) or real(params))
+        real, moduli = incomplete.kloosterman_row, []
+        monkeypatch.setattr(incomplete, "kloosterman_row", lambda a, c: moduli.append(c) or real(a, c))
         erdos_turan_sweep(40, 80, seed=5)
         rng = random.Random(5)
-        gammas = [incomplete._random_reduced_spec(rng, 80).gamma for _ in range(40)]
-        # per spec: S(alpha, 0), then S(alpha, +-r*kbar) for 1 <= r <= gamma/2, each sum once
-        assert sorted(moduli) == sorted(g for g in gammas for _ in range(1 + 2 * (g // 2)))
+        # per spec: one row S(alpha, .; gamma), at that spec's gamma
+        assert moduli == [incomplete._random_reduced_spec(rng, 80).gamma for _ in range(40)]
+
+    def test_majorants_match_scalar_loop(self):
+        from kfractions import incomplete
+
+        rng = random.Random(11)
+        specs = [incomplete._random_reduced_spec(rng, 300) for _ in range(300)]
+        specs.append(IncompleteSpec(gamma=72, k=13, v=3, x_start=102, x_len=163, alpha=17))
+        for spec in specs:
+            printed, exact = scalar_majorants(spec)
+            assert erdos_turan_majorant(spec) == pytest.approx(printed, rel=1e-12)
+            assert erdos_turan_majorant_symmetrized(spec) == pytest.approx(exact, rel=1e-12)
 
     def test_known_counterexample_to_printed_display(self):
         # gamma divisible by a square: one-signed r-sum misses half the mass

@@ -2,6 +2,7 @@
 
 import cmath
 import random
+import tracemalloc
 from math import gcd, sqrt
 
 import numpy as np
@@ -19,6 +20,7 @@ from kfractions.ksums import (
     kloosterman_brute,
     kloosterman_fast,
     kloosterman_fast_batch,
+    kloosterman_row,
     ramanujan,
     weil_bound,
 )
@@ -196,6 +198,46 @@ class TestBatch:
             kloosterman_batch([1], [1], 0)
         with pytest.raises(ValueError):
             kloosterman_fast_batch([1], [1], 10**13)
+
+
+class TestRow:
+    @staticmethod
+    def assert_row_matches_batch(a: int, c: int):
+        row = kloosterman_row(a, c)
+        batch = kloosterman_batch(np.full(c, a), np.arange(c), c)
+        assert row.shape == (c,)
+        assert (np.abs(row - batch) <= 1e-9 * np.maximum(1.0, np.abs(batch))).all(), (a, c)
+
+    def test_every_small_modulus_matches_the_batch(self):
+        rng = random.Random(300)
+        for c in range(1, 301):
+            unit = rng.choice([x for x in range(1, c + 1) if gcd(x, c) == 1])
+            for a in (0, 1, -7, c // 2 + 1, unit):
+                self.assert_row_matches_batch(a, c)
+
+    @pytest.mark.parametrize("c", [3481, 3889, 4096, 9973])  # 59^2, a prime, 2^12, uncached prime
+    def test_large_moduli_match_the_batch(self, c):
+        rng = random.Random(c)
+        unit = next(x for x in iter(lambda: rng.randrange(2, c), None) if gcd(x, c) == 1)
+        self.assert_row_matches_batch(unit, c)
+
+    def test_modulus_one(self):
+        assert kloosterman_row(5, 1).tolist() == [1.0]
+
+    def test_guard_comes_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                kloosterman_row(1, BRUTE_LIMIT + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a length-c row would be 16 * 10^7 bytes
+
+    def test_lost_realness_names_the_first_offending_sum(self, monkeypatch):
+        monkeypatch.setattr(ksums, "_IMAG_TOL", -1.0)  # every sum now fails the check
+        with pytest.raises(ArithmeticError, match=r"S\(-3,0;7\) lost realness: imag=.*, phi=6"):
+            kloosterman_row(-3, 7)
 
 
 class TestRamanujan:
