@@ -5,7 +5,9 @@ solutions of a*m - b*n = 1.
 Determinant side: the exact quadruple sum over m1*n2 - m2*n1 = Delta with
 smooth bump weights in the m variables, its predicted main term (a gcd-
 weighted correlation integral), and the explicit error envelopes for both
-the new and the older comparison bound.
+the new and the older comparison bound.  The sum and the main term are block
+passes over the (n1, n2) pairs, n1-major, of at most 2^16 tuples or
+quadrature points each.
 
 Equidistribution side: rho(m,n) = frac(a0/m) for the smallest positive
 solution pair, the multiset of rho values over coprime pairs drawn from a
@@ -45,6 +47,7 @@ __all__ = [
 ]
 
 DET_TUPLE_LIMIT = 10**8
+_DET_BLOCK = 2**16  # (n1, n2, m) tuples of one det_count block, quadrature points of one det_main_term pass
 # bound on the peak bytes of one equidist step, charged at 48 B to each of the |X_N|^2 ordered pairs: a
 # coprime pair holds an int64 (m, n, a0) row and a float64 point, star_discrepancy a sorted copy and a work row
 _FRACTION_SET_BYTES = 2**30
@@ -129,97 +132,95 @@ class DetSpec:
         return self.g_weight if self.g_weight is not None else bump_weight(self.m2_scale)
 
 
+def _pair_blocks(spec: DetSpec, width: int):
+    """Blocks of max(1, _DET_BLOCK // width) of the (n1, n2) pairs with alpha_{n1} beta_{n2} != 0, n1-major,
+    as rows n1, n2 and alpha_{n1} beta_{n2}; no table of all the pairs is built."""
+    n1r, n2r = spec.alpha.range.members, spec.beta.range.members
+    i1, i2 = np.flatnonzero(spec.alpha.values), np.flatnonzero(spec.beta.values)
+    pairs = len(i1) * len(i2)
+    rows = max(1, _DET_BLOCK // width)
+    for lo in range(0, pairs, rows):
+        j1, j2 = np.divmod(np.arange(lo, min(lo + rows, pairs)), len(i2))
+        j1, j2 = i1[j1], i2[j2]
+        yield n1r[j1], n2r[j2], spec.alpha.values[j1] * spec.beta.values[j2]
+
+
 def det_count(spec: DetSpec, order: int = 1) -> complex:
     """Exact sum of f(m1) g(m2) alpha_{n1} beta_{n2} over solutions of
     m1*n2 - m2*n1 = Delta inside the four dyadic ranges.
 
     order=1 enumerates (m1, n1, n2) and solves for m2; order=2 enumerates
     (m2, n1, n2) and solves for m1.  The two must agree to float accuracy.
+    Each is one block pass: a divmod over (pairs, m), masked by remainder 0
+    and the solved m in its range, then the sum of f(m1) g(m2) along m.
     """
-    m1r = DyadicRange(spec.m1_scale).members
-    m2r = DyadicRange(spec.m2_scale).members
-    n1r = spec.alpha.range.members
-    n2r = spec.beta.range.members
-    work = len(n1r) * len(n2r) * (len(m1r) if order == 1 else len(m2r))
+    m1r, m2r = DyadicRange(spec.m1_scale), DyadicRange(spec.m2_scale)
+    work = len(spec.alpha.range) * len(spec.beta.range) * len(m1r if order == 1 else m2r)
     if work > DET_TUPLE_LIMIT:
         raise ValueError(f"enumeration would visit {work} tuples, cap is {DET_TUPLE_LIMIT}")
     f = spec.weight_f()
     g = spec.weight_g()
-    m2_lo, m2_hi = int(m2r[0]), int(m2r[-1])
-    m1_lo, m1_hi = int(m1r[0]), int(m1r[-1])
+    m = (m1r if order == 1 else m2r).members
     total = 0.0 + 0.0j
-    for i1, n1 in enumerate(n1r):
-        n1 = int(n1)
-        a1 = spec.alpha.values[i1]
-        if a1 == 0:
-            continue
-        for i2, n2 in enumerate(n2r):
-            n2 = int(n2)
-            b2 = spec.beta.values[i2]
-            if b2 == 0:
-                continue
-            if order == 1:
-                num = m1r * n2 - spec.delta
-                ok = num % n1 == 0
-                m2 = num[ok] // n1
-                keep = (m2 >= m2_lo) & (m2 <= m2_hi)
-                if not keep.any():
-                    continue
-                total += a1 * b2 * np.sum(f(m1r[ok][keep]) * g(m2[keep]))
-            else:
-                num = m2r * n1 + spec.delta
-                ok = num % n2 == 0
-                m1 = num[ok] // n2
-                keep = (m1 >= m1_lo) & (m1 <= m1_hi)
-                if not keep.any():
-                    continue
-                total += a1 * b2 * np.sum(f(m1[keep]) * g(m2r[ok][keep]))
+    for n1, n2, coef in _pair_blocks(spec, len(m)):
+        if order == 1:
+            m2, rem = np.divmod(m * n2[:, None] - spec.delta, n1[:, None])
+            ok = (rem == 0) & (m2 >= m2r.lo) & (m2 <= spec.m2_scale)
+            row, col = np.nonzero(ok)
+            terms = f(m[col]) * g(m2[ok])
+        else:
+            m1, rem = np.divmod(m * n1[:, None] + spec.delta, n2[:, None])
+            ok = (rem == 0) & (m1 >= m1r.lo) & (m1 <= spec.m1_scale)
+            row, col = np.nonzero(ok)
+            terms = f(m1[ok]) * g(m[col])
+        total += np.sum(coef * np.bincount(row, terms, minlength=len(coef)))
     return complex(total)
 
 
-def _refined_integral(func, lo: float, hi: float) -> float:
-    """Composite midpoint rule from 256 points, doubled until two values agree to a relative 1e-8."""
-    if hi <= lo:
-        return 0.0
+def _refined_integral(integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Composite midpoint rule on each interval (lo_i, hi_i) from 256 points, a row doubled until two values
+    agree to a relative 1e-8 (at most 22 times); integrand(x, rows) takes the grid x of the rows `rows`,
+    at most _DET_BLOCK points (one row when n alone is larger)."""
+    out = np.empty(len(lo))
+    active = np.arange(len(lo))  # the rows still refining
+    prev = np.full(len(lo), np.inf)  # no row stops after the first round
     n = 256
-    prev = None
     for _ in range(22):
-        xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
-        val = float(np.sum(func(xs)) * (hi - lo) / n)
-        if prev is not None and abs(val - prev) <= 1e-8 * max(abs(val), 1e-12):
-            return val
-        prev = val
+        val = np.empty(len(active))
+        step = max(1, _DET_BLOCK // n)
+        for s in range(0, len(active), step):
+            rows = active[s : s + step]
+            span = hi[rows] - lo[rows]
+            x = lo[rows, None] + span[:, None] * (np.arange(n) + 0.5) / n
+            val[s : s + step] = np.sum(integrand(x, rows), axis=1) * span / n
+        done = np.abs(val - prev) <= 1e-8 * np.maximum(np.abs(val), 1e-12)
+        out[active[done]] = val[done]
+        active, prev = active[~done], val[~done]
         n *= 2
-    return prev
+    out[active] = prev
+    return out
 
 
 def det_main_term(spec: DetSpec) -> complex:
     """sum over (n1,n2) with gcd(n1,n2) | Delta of
-    gcd/(n1 n2) * alpha_{n1} beta_{n2} * integral of f((x+Delta)/n2) g(x/n1) dx."""
+    gcd/(n1 n2) * alpha_{n1} beta_{n2} * integral of f((x+Delta)/n2) g(x/n1) dx,
+    in one block pass that masks out the pairs with gcd not dividing Delta or disjoint supports."""
     f = spec.weight_f()
     g = spec.weight_g()
+    d = spec.delta
     total = 0.0 + 0.0j
-    for i1, n1 in enumerate(spec.alpha.range.members):
-        n1 = int(n1)
-        a1 = spec.alpha.values[i1]
-        if a1 == 0:
-            continue
-        for i2, n2 in enumerate(spec.beta.range.members):
-            n2 = int(n2)
-            b2 = spec.beta.values[i2]
-            if b2 == 0:
-                continue
-            gg = gcd(n1, n2)
-            if spec.delta % gg != 0:
-                continue
-            # support: g(x/n1) lives on x in (n1 M2/2, n1 M2),
-            #          f((x+Delta)/n2) on x in (n2 M1/2 - Delta, n2 M1 - Delta)
-            lo = max(n1 * spec.m2_scale / 2, n2 * spec.m1_scale / 2 - spec.delta)
-            hi = min(n1 * spec.m2_scale, n2 * spec.m1_scale - spec.delta)
-            if hi <= lo:
-                continue
-            integral = _refined_integral(lambda x: f((x + spec.delta) / n2) * g(x / n1), lo, hi)
-            total += gg / (n1 * n2) * a1 * b2 * integral
+    for n1, n2, coef in _pair_blocks(spec, 1):
+        k = np.gcd(n1, n2)
+        # support: g(x/n1) lives on x in (n1 M2/2, n1 M2),
+        #          f((x+Delta)/n2) on x in (n2 M1/2 - Delta, n2 M1 - Delta)
+        lo = np.maximum(n1 * spec.m2_scale / 2, n2 * spec.m1_scale / 2 - d)
+        hi = np.minimum(n1 * spec.m2_scale, n2 * spec.m1_scale - d)
+        keep = (d % k == 0) & (hi > lo)
+        n1, n2, k = n1[keep], n2[keep], k[keep]
+        integral = _refined_integral(
+            lambda x, rows: f((x + d) / n2[rows, None]) * g(x / n1[rows, None]), lo[keep], hi[keep]
+        )
+        total += np.sum(k / (n1 * n2) * coef[keep] * integral)
     return complex(total)
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .arith import is_prime, jacobi
 from .characters import character_group
 from .ksums import inverses_mod
+from .records import derive_rng
 
 __all__ = [
     "DyadicRange",
@@ -262,14 +263,14 @@ def extremal_search(
     passes over it: W = sum_a nu_a T[a] (an |M| x |N| matrix) serves both the
     alpha-step W beta and the beta-step alpha^T W, and the nu-step is
     T vec(alpha beta^T).
-    Restart r draws its start from SeedSequence([seed, r]); the best value
+    Restart r draws its start from `records.derive_rng(seed, r)`; the best value
     wins with lowest-restart-index tie-breaking.
     """
     tensor = build_tensor(spec, twisted)
     flat = tensor.reshape(len(tensor), -1)
     best: tuple[float, int, int, np.ndarray, np.ndarray, np.ndarray] | None = None
     for r in range(restarts):
-        gen = np.random.default_rng(np.random.SeedSequence([seed, r]))
+        gen = derive_rng(seed, r)
         draws = [gen.standard_normal(dim) + 1j * gen.standard_normal(dim) for dim in tensor.shape]
         nu_v, alpha_v, beta_v = (v / np.linalg.norm(v) for v in draws)
         w = (nu_v @ flat).reshape(tensor.shape[1:])

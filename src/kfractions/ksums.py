@@ -1,9 +1,8 @@
 """Complete Kloosterman sums S(a,b;c) = sum over units x mod c of e((a*xbar + b*x)/c).
 
 Two evaluation routes with disjoint internals, each in array form for many
-(a, b) at one c, with the scalar function as its one-element case (the brute
-scalar runs the batch's kernel on Python-int phases, with no array set-up),
-and a third for a whole row in b:
+(a, b) at one c, with the scalar function as its one-element case, and a
+third for a whole row in b:
 
 * ``kloosterman_batch`` / ``kloosterman_brute`` -- the oracle: direct
   summation over reduced residues.  The unit table of c comes from the cyclic
@@ -144,11 +143,10 @@ def inverses_mod(xs, n: int) -> np.ndarray:
     return out
 
 
-def _unit_sums(a, b, c: int, table: tuple[np.ndarray, np.ndarray, np.ndarray]):
-    """sum over units x mod c of e((a*xbar + b*x)/c) along the last axis, for a, b in [0, c).
+def _unit_sums(a, b, c: int, table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """sum over units x mod c of e((a*xbar + b*x)/c) for int64 columns a, b of shape (k, 1) in [0, c).
 
-    a, b are two ints (one sum), or two int64 columns of shape (k, 1): k sums
-    from one 2-D gather.  The phase is reduced mod c in exact integer arithmetic.
+    The k sums come from one 2-D gather; the phase is reduced mod c in exact integer arithmetic.
     """
     xs, inv, roots = table
     t = inv * a
@@ -163,10 +161,13 @@ def _unit_sums(a, b, c: int, table: tuple[np.ndarray, np.ndarray, np.ndarray]):
     return roots[t].sum(axis=-1)
 
 
-def _real_part(total: complex, a, b, c: int, phi_c: int) -> float:
-    if abs(total.imag) > _IMAG_TOL * max(1, phi_c):
-        raise ArithmeticError(f"S({a},{b};{c}) lost realness: imag={total.imag:.3e}, phi={phi_c}")
-    return total.real
+def _real_parts(totals: np.ndarray, c: int, phi_c: int, args) -> np.ndarray:
+    """totals.real; raises ArithmeticError naming the first S(a, b; c), (a, b) = args(i), whose imaginary
+    part exceeds 1e-9 * phi(c)."""
+    for i in np.flatnonzero(np.abs(totals.imag) > _IMAG_TOL * max(1, phi_c))[:1]:
+        a, b = args(i)
+        raise ArithmeticError(f"S({a},{b};{c}) lost realness: imag={totals[i].imag:.3e}, phi={phi_c}")
+    return totals.real
 
 
 def _brute_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,23 +195,15 @@ def kloosterman_batch(a, b, c: int) -> np.ndarray:
     totals = np.empty(len(a), dtype=np.complex128)
     for i in range(0, len(a), rows):
         totals[i : i + rows] = _unit_sums(a[i : i + rows, None] % c, b[i : i + rows, None] % c, c, table)
-    for i in np.flatnonzero(np.abs(totals.imag) > _IMAG_TOL * max(1, phi_c))[:1]:
-        _real_part(totals[i], a[i], b[i], c, phi_c)  # raises, naming the first offending sum
-    return totals.real
+    return _real_parts(totals, c, phi_c, lambda i: (a[i], b[i]))
 
 
 def kloosterman_brute(params: KloostermanParams) -> KloostermanResult:
-    """Direct sum over reduced residues; the oracle for everything else.
-
-    The one-element case of `kloosterman_batch`, on the same kernel, with the
-    phase kept in Python ints so that a single sum pays no array set-up.
-    """
-    a, b, c = params.a, params.b, params.c
-    if c == 1:
-        return KloostermanResult(1.0, "brute")
-    table = _brute_table(c)
-    total = complex(_unit_sums(a % c, b % c, c, table))
-    return KloostermanResult(_real_part(total, a, b, c, len(table[0])), "brute")
+    """Direct sum over reduced residues, the oracle for everything else: the one-element `kloosterman_batch`,
+    with a and b reduced mod c as Python ints first, so any int is accepted."""
+    c = params.c
+    value = kloosterman_batch([params.a % c], [params.b % c], c)[0]
+    return KloostermanResult(float(value), "brute")
 
 
 def kloosterman_row(a: int, c: int) -> np.ndarray:
@@ -228,10 +221,7 @@ def kloosterman_row(a: int, c: int) -> np.ndarray:
     f = np.zeros(c, dtype=np.complex128)
     f[xs] = roots[inv * (a % c) % c]
     totals = np.fft.ifft(f, norm="forward")  # unscaled: sum_x f[x] e(bx/c)
-    phi_c = len(xs)
-    for b in np.flatnonzero(np.abs(totals.imag) > _IMAG_TOL * phi_c)[:1]:
-        _real_part(totals[b], a, b, c, phi_c)  # raises, naming the first offending sum
-    return totals.real
+    return _real_parts(totals, c, len(xs), lambda b: (a, b))
 
 
 def ramanujan(a: int, c: int) -> int:

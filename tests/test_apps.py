@@ -1,12 +1,13 @@
 """Determinant-equation counts and equidistribution of a0/m fractions."""
 
 import random
+import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
 
-from kfractions import apps
+from kfractions import apps, verify
 from kfractions.apps import (
     DetSpec,
     build_fraction_set,
@@ -23,6 +24,7 @@ from kfractions.apps import (
     star_discrepancy,
 )
 from kfractions.forms import CoefficientVector, DyadicRange
+from kfractions.records import derive_rng
 
 
 def ones(scale: int) -> CoefficientVector:
@@ -122,6 +124,171 @@ class TestMainTerm:
         trapz = np.trapezoid(f(xs + 3) * g(xs), xs)
         assert got.real == pytest.approx(trapz, rel=1e-6)
         assert got.imag == 0
+
+
+def scalar_det_count(spec: DetSpec, order: int = 1) -> complex:
+    """The (n1, n2) double loop that det_count replaced, kept as its oracle."""
+    m1r = DyadicRange(spec.m1_scale).members
+    m2r = DyadicRange(spec.m2_scale).members
+    f = spec.weight_f()
+    g = spec.weight_g()
+    m2_lo, m2_hi = int(m2r[0]), int(m2r[-1])
+    m1_lo, m1_hi = int(m1r[0]), int(m1r[-1])
+    total = 0.0 + 0.0j
+    for i1, n1 in enumerate(spec.alpha.range.members):
+        n1 = int(n1)
+        a1 = spec.alpha.values[i1]
+        if a1 == 0:
+            continue
+        for i2, n2 in enumerate(spec.beta.range.members):
+            n2 = int(n2)
+            b2 = spec.beta.values[i2]
+            if b2 == 0:
+                continue
+            if order == 1:
+                num = m1r * n2 - spec.delta
+                ok = num % n1 == 0
+                m2 = num[ok] // n1
+                keep = (m2 >= m2_lo) & (m2 <= m2_hi)
+                if not keep.any():
+                    continue
+                total += a1 * b2 * np.sum(f(m1r[ok][keep]) * g(m2[keep]))
+            else:
+                num = m2r * n1 + spec.delta
+                ok = num % n2 == 0
+                m1 = num[ok] // n2
+                keep = (m1 >= m1_lo) & (m1 <= m1_hi)
+                if not keep.any():
+                    continue
+                total += a1 * b2 * np.sum(f(m1[keep]) * g(m2r[ok][keep]))
+    return complex(total)
+
+
+def scalar_refined_integral(func, lo: float, hi: float) -> float:
+    """Composite midpoint rule from 256 points, doubled until two values agree to a relative 1e-8."""
+    if hi <= lo:
+        return 0.0
+    n = 256
+    prev = None
+    for _ in range(22):
+        xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+        val = float(np.sum(func(xs)) * (hi - lo) / n)
+        if prev is not None and abs(val - prev) <= 1e-8 * max(abs(val), 1e-12):
+            return val
+        prev = val
+        n *= 2
+    return prev
+
+
+def scalar_main_term(spec: DetSpec) -> complex:
+    """The (n1, n2) double loop that det_main_term replaced, kept as its oracle."""
+    f = spec.weight_f()
+    g = spec.weight_g()
+    total = 0.0 + 0.0j
+    for i1, n1 in enumerate(spec.alpha.range.members):
+        n1 = int(n1)
+        a1 = spec.alpha.values[i1]
+        if a1 == 0:
+            continue
+        for i2, n2 in enumerate(spec.beta.range.members):
+            n2 = int(n2)
+            b2 = spec.beta.values[i2]
+            if b2 == 0:
+                continue
+            gg = gcd(n1, n2)
+            if spec.delta % gg != 0:
+                continue
+            lo = max(n1 * spec.m2_scale / 2, n2 * spec.m1_scale / 2 - spec.delta)
+            hi = min(n1 * spec.m2_scale, n2 * spec.m1_scale - spec.delta)
+            if hi <= lo:
+                continue
+            integral = scalar_refined_integral(lambda x: f((x + spec.delta) / n2) * g(x / n1), lo, hi)
+            total += gg / (n1 * n2) * a1 * b2 * integral
+    return complex(total)
+
+
+def suite_specs(prefix: str, seed: int, first_task: int, count: int) -> list[DetSpec]:
+    """The specs of the detcount (prefix "detcount", task 0) or calibrate-constants ("calibrate", 500) suite."""
+    rng = random.Random(f"{prefix}-{seed}")
+    return [verify._random_det_spec(rng, derive_rng(seed, first_task + i)) for i in range(count)]
+
+
+def block_spec(n_scale: int, m_scale: int, delta: int, seed: int, zeros: bool = False) -> DetSpec:
+    gen = np.random.default_rng(seed)
+    alpha, beta = random_unit(n_scale, gen), random_unit(n_scale, gen)
+    if zeros:  # about a third of each side's coefficients vanish: those pairs are skipped
+        alpha.values[gen.random(len(alpha.values)) < 1 / 3] = 0
+        beta.values[gen.random(len(beta.values)) < 1 / 3] = 0
+    return DetSpec(delta=delta, m1_scale=m_scale, m2_scale=m_scale, alpha=alpha, beta=beta)
+
+
+def peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockPasses:
+    """det_count and det_main_term against the scalar loops they replaced, to 1e-12 relative."""
+
+    @staticmethod
+    def assert_matches_scalar(spec: DetSpec):
+        for got, want in (
+            (det_count(spec, order=1), scalar_det_count(spec, order=1)),
+            (det_count(spec, order=2), scalar_det_count(spec, order=2)),
+            (det_main_term(spec), scalar_main_term(spec)),
+        ):
+            assert abs(got - want) <= 1e-12 * abs(want), (spec, got, want)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_detcount_suite_specs(self, seed):
+        for spec in suite_specs("detcount", seed, 0, 50):
+            self.assert_matches_scalar(spec)
+
+    def test_calibrate_constants_specs(self):
+        for spec in suite_specs("calibrate", 7, 500, 10):
+            self.assert_matches_scalar(spec)
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_several_blocks(self, zeros):
+        # 101^2 pairs: 3 det_count blocks of 3855 pairs (|M| = 17), cut inside an n1 row; the main term's
+        # first round makes 40 passes of 256 rows
+        self.assert_matches_scalar(block_spec(200, 32, 1, seed=1, zeros=zeros))
+
+    @pytest.mark.parametrize("block", [1, 50, 700])
+    def test_blocks_cut_anywhere(self, monkeypatch, block):
+        # one pair or row per block, then blocks that end at every offset inside an n1 row
+        monkeypatch.setattr(apps, "_DET_BLOCK", block)
+        for spec in suite_specs("detcount", 7, 0, 10):
+            self.assert_matches_scalar(spec)
+
+    def test_one_pair_per_block(self):
+        spec = block_spec(6, 140_000, -1, seed=2)  # |M| = 70001 > 2^16
+        assert len(DyadicRange(spec.m1_scale)) > apps._DET_BLOCK
+        self.assert_matches_scalar(spec)
+
+    def test_det_count_peak_memory_is_one_block(self):
+        # 10^6 pairs x |M| = 5: one table of all the tuples would be 40 MB a column
+        spec = DetSpec(delta=1, m1_scale=8, m2_scale=8, alpha=ones(2000), beta=ones(2000))
+        assert peak_bytes(det_count, spec) < 16 * 2**20
+
+    def test_det_main_term_peak_memory_is_one_block(self):
+        # 101^2 pairs: the first round's grid of all of them would be 256 points x 8 B a pair, 20 MB
+        spec = DetSpec(delta=1, m1_scale=8, m2_scale=8, alpha=ones(200), beta=ones(200))
+        assert peak_bytes(det_main_term, spec) < 16 * 2**20
+
+    def test_tuple_cap_comes_before_allocation(self):
+        spec = DetSpec(delta=1, m1_scale=8, m2_scale=8, alpha=ones(20_000), beta=ones(20_000))
+
+        def rejected(order):
+            with pytest.raises(ValueError, match="cap is 100000000"):
+                det_count(spec, order)
+
+        for order in (1, 2):
+            assert peak_bytes(rejected, order) < 2**12  # the pairs' n1 members alone are 80 kB
 
 
 class TestErrorEnvelopes:
