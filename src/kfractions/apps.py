@@ -154,6 +154,8 @@ def det_count(spec: DetSpec, order: int = 1) -> complex:
     Each is one block pass: a divmod over (pairs, m), masked by remainder 0
     and the solved m in its range, then the sum of f(m1) g(m2) along m.
     """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
     m1r, m2r = DyadicRange(spec.m1_scale), DyadicRange(spec.m2_scale)
     work = len(spec.alpha.range) * len(spec.beta.range) * len(m1r if order == 1 else m2r)
     if work > DET_TUPLE_LIMIT:

@@ -7,7 +7,9 @@ the first line of the suite's docstring.  Global flags, before or after the
 subcommand: --seed, --out (CSV path), --json (mirror) and --config, a flat
 key=value file whose keys name global or subcommand options; flags override
 it, and an unknown key or a mistyped value is a configuration error.  No
-environment variables are consulted.  Records append to a CSV (fixed column
+environment variables are consulted.  The CLI times nothing and writes no
+record field itself: each suite returns its records, with the resolved options
+as params and its own runtime.  Records append to a CSV (fixed column
 order, 17-significant-digit floats) and optionally mirror to JSON.  Exit
 codes: 0 all assertions passed, 1 at least one assertion failed, 2 usage or
 configuration error, 3 an internal check inside the suite failed (an
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-import time
 from typing import Any, Callable, NamedTuple
 
 from . import verify
@@ -149,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
 
     # looked up at call time, so a wrapper installed on the verify module is the one called
     suite = getattr(verify, verify.SUITES[command].__name__)
-    start = time.perf_counter()
     try:
         result = suite(**values)
     except ValueError as exc:
@@ -158,8 +158,6 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"internal check failed in {command}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if not isinstance(result, list):  # a suite with several records times each one
-        result.runtime_seconds = time.perf_counter() - start
     records = result if isinstance(result, list) else [result]
 
     write_csv(out, records)

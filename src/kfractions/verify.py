@@ -7,6 +7,11 @@ test module both call these functions, so there is a single source of truth
 for what each criterion means; SUITES maps each CLI subcommand to its suite,
 and the CLI reads the subcommand's flags from the suite's signature.
 
+Every record is made by one decorator, `_suite`: a suite's body returns its
+values and assertions, and the decorator adds the subcommand, the params (every
+argument but the seed, sequences comma-joined as the CLI parses them), the seed
+and the runtime of the call, whoever calls it.
+
 Only exact inequalities and oracle equivalences are asserted; envelope
 comparisons (which hide implied constants) are recorded as calibration
 ratios.
@@ -14,6 +19,8 @@ ratios.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import random
 import time
@@ -41,12 +48,44 @@ __all__ = [
 ]
 
 
+def _suite(subcommand: str):
+    """Make a suite whose body returns (values, assertions) return its ExperimentRecord, as its annotation says.
+
+    params are every argument but the seed, a tuple or list comma-joined as the CLI parses it, and
+    runtime_seconds is the time of the body.
+    """
+    def decorate(fn):
+        signature = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> ExperimentRecord:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            start = time.perf_counter()
+            values, assertions = fn(*bound.args, **bound.kwargs)
+            runtime = time.perf_counter() - start
+            params = dict(bound.arguments)
+            seed = params.pop("seed")
+            for name, value in params.items():
+                if isinstance(value, (tuple, list)):
+                    params[name] = ",".join(map(str, value))
+            return ExperimentRecord(subcommand, params, seed, values, assertions, runtime)
+
+        return run
+
+    return decorate
+
+
 # ---------------------------------------------------------------------------
 # ksum-verify: oracle equivalence + Weil + Ramanujan + symmetry  (criteria 1, 2)
 # ---------------------------------------------------------------------------
 
+@_suite("ksum-verify")
 def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7) -> ExperimentRecord:
     """Oracle equivalence + Weil bound grid over every modulus c <= cmax."""
+    if cmax < 1:
+        raise ValueError(f"cmax must be >= 1, got {cmax}")
+
     def per_modulus(c: int):
         gen = derive_rng(seed, c)
         draws = gen.integers(-2 * c, 2 * c + 1, size=2 * pairs)  # a, b alternate, as scalar draws would
@@ -73,25 +112,20 @@ def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7) -> ExperimentR
     max_weil = max(r[1] for r in results)
     max_sym = max(r[2] for r in results)
     max_ram = max(r[3] for r in results)
-    return ExperimentRecord(
-        subcommand="ksum-verify",
-        params={"cmax": cmax, "pairs": pairs},
-        seed=seed,
-        values={
-            "moduli_checked": float(cmax),
-            "max_fast_vs_brute": max_fast,
-            "max_weil_ratio": max_weil,
-            "max_symmetry_gap": max_sym,
-            "max_ramanujan_gap": max_ram,
-        },
-        assertions={
-            "oracle_equivalence": max_fast <= 1e-6,
-            "weil_bound": all(r[4] for r in results) and max_weil <= 1 + 1e-9,
-            "symmetry": max_sym <= 1e-9,
-            "ramanujan_consistency": max_ram <= 1e-9,
-            "realness": True,  # kloosterman_batch raises, naming (a, b, c), on an imaginary part > 1e-9*phi
-        },
-    )
+    values = {
+        "moduli_checked": float(cmax),
+        "max_fast_vs_brute": max_fast,
+        "max_weil_ratio": max_weil,
+        "max_symmetry_gap": max_sym,
+        "max_ramanujan_gap": max_ram,
+    }
+    return values, {
+        "oracle_equivalence": max_fast <= 1e-6,
+        "weil_bound": all(r[4] for r in results) and max_weil <= 1 + 1e-9,
+        "symmetry": max_sym <= 1e-9,
+        "ramanujan_consistency": max_ram <= 1e-9,
+        "realness": True,  # kloosterman_batch raises, naming (a, b, c), on an imaginary part > 1e-9*phi
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +139,7 @@ def _random_coprime_pair(rng: random.Random, hi: int) -> tuple[int, int]:
             return m, n
 
 
+@_suite("identities")
 def identities_verify(trials: int = 1000, seed: int = 7, max_n: int = 10**6) -> ExperimentRecord:
     """Exact reciprocity identity suite, plus Jacobi/CRT/squarefull invariants."""
     rng = random.Random(f"identities-{seed}")
@@ -172,34 +207,32 @@ def identities_verify(trials: int = 1000, seed: int = 7, max_n: int = 10**6) -> 
         if arith.moebius(nprime) == 0 or any(e < 2 for _, e in facs):
             sq_ok = False
 
-    return ExperimentRecord(
-        subcommand="identities",
-        params={"trials": trials, "max_n": max_n},
-        seed=seed,
-        values={
-            "two_term_failures": float(failures["two_term"]),
-            "three_term_failures": float(failures["three_term"]),
-            "split_denominator_failures": float(failures["split_denominator"]),
-        },
-        assertions={
-            "two_term_exact": failures["two_term"] == 0,
-            "three_term_exact": failures["three_term"] == 0,
-            "split_denominator_exact": failures["split_denominator"] == 0,
-            "jacobi_properties": jac_ok,
-            "crt_roundtrip": crt_ok,
-            "squarefull_split": sq_ok,
-        },
-    )
+    values = {
+        "two_term_failures": float(failures["two_term"]),
+        "three_term_failures": float(failures["three_term"]),
+        "split_denominator_failures": float(failures["split_denominator"]),
+    }
+    return values, {
+        "two_term_exact": failures["two_term"] == 0,
+        "three_term_exact": failures["three_term"] == 0,
+        "split_denominator_exact": failures["split_denominator"] == 0,
+        "jacobi_properties": jac_ok,
+        "crt_roundtrip": crt_ok,
+        "squarefull_split": sq_ok,
+    }
 
 
 # ---------------------------------------------------------------------------
 # incomplete-verify: completion majorant + envelopes + characters  (criterion 4)
 # ---------------------------------------------------------------------------
 
+@_suite("incomplete-verify")
 def incomplete_verify(
     n_specs: int = 200, gamma_max: int = 300, seed: int = 7, sharp_specs: int = 1000
 ) -> ExperimentRecord:
     """Completion majorant + envelope suite (majorant violations are flagged, not hidden)."""
+    if sharp_specs < 1:
+        raise ValueError(f"sharp_specs must be >= 1, got {sharp_specs}")
     violations = incomplete.erdos_turan_sweep(n_specs, gamma_max, seed)
 
     rng = random.Random(f"completion-{seed}")
@@ -270,25 +303,20 @@ def incomplete_verify(
     if violations:
         worst = max(violations, key=lambda s: s.abs_sum / s.envelope)
         values["et_worst_excess"] = worst.abs_sum / worst.envelope
-    return ExperimentRecord(
-        subcommand="incomplete-verify",
-        params={"n_specs": n_specs, "gamma_max": gamma_max, "sharp_specs": sharp_specs},
-        seed=seed,
-        values=values,
-        assertions={
-            "et_majorant": len(violations) == 0,
-            "completion_consistency": completion_ok,
-            "envelope_sharpness_finite": all(math.isfinite(r) for r in ratios),
-            "character_orthogonality": chars_ok,
-            "gcd_condition_paths_agree": gcd_cond_ok,
-        },
-    )
+    return values, {
+        "et_majorant": len(violations) == 0,
+        "completion_consistency": completion_ok,
+        "envelope_sharpness_finite": all(math.isfinite(r) for r in ratios),
+        "character_orthogonality": chars_ok,
+        "gcd_condition_paths_agree": gcd_cond_ok,
+    }
 
 
 # ---------------------------------------------------------------------------
 # amplifier-check: Cauchy-Schwarz step + amplifier chain  (criterion 5)
 # ---------------------------------------------------------------------------
 
+@_suite("amplifier-check")
 def cauchy_amplifier_verify(seed: int = 7, draws: int = 100) -> ExperimentRecord:
     """Cauchy-Schwarz step on random draws + amplifier chain on fixed cases."""
     rng = random.Random(f"cauchy-{seed}")
@@ -327,33 +355,25 @@ def cauchy_amplifier_verify(seed: int = 7, draws: int = 100) -> ExperimentRecord
         match_ok &= rep.forms_match
         max_amp_ratio = max(max_amp_ratio, rep.ratio)
 
-    return ExperimentRecord(
-        subcommand="amplifier-check",
-        params={"draws": draws, "amp_cases": len(amp_cases)},
-        seed=seed,
-        values={"cauchy_worst_margin": worst_margin, "max_amplifier_ratio": max_amp_ratio},
-        assertions={
-            "cauchy_schwarz": bool(cauchy_ok),
-            "amplifier_inequality": bool(amp_ok),
-            "diagonal_partition": bool(partition_ok),
-            "character_vs_direct": bool(match_ok),
-        },
-    )
+    return {"cauchy_worst_margin": worst_margin, "max_amplifier_ratio": max_amp_ratio}, {
+        "cauchy_schwarz": bool(cauchy_ok),
+        "amplifier_inequality": bool(amp_ok),
+        "diagonal_partition": bool(partition_ok),
+        "character_vs_direct": bool(match_ok),
+    }
 
 
 # ---------------------------------------------------------------------------
 # compdiv-check  (criterion 6)
 # ---------------------------------------------------------------------------
 
+@_suite("compdiv-check")
 def compdiv_verify(m_scale: int = 64, n_scale: int = 64, l_scale: float = 8.0, seed: int = 7) -> ExperimentRecord:
     """Complementary divisor sweep."""
     rep = forms.complementary_divisor_check(m_scale, n_scale, l_scale)
-    return ExperimentRecord(
-        subcommand="compdiv-check",
-        params={"m_scale": m_scale, "n_scale": n_scale, "l_scale": l_scale},
-        seed=seed,
-        values={"tuples_checked": float(rep.tuples_checked), "cap": rep.cap, "violations": float(len(rep.violations))},
-        assertions={"divisor_cap_and_integrality": not rep.violations, "bijection": rep.bijection_ok},
+    return (
+        {"tuples_checked": float(rep.tuples_checked), "cap": rep.cap, "violations": float(len(rep.violations))},
+        {"divisor_cap_and_integrality": not rep.violations, "bijection": rep.bijection_ok},
     )
 
 
@@ -361,6 +381,7 @@ def compdiv_verify(m_scale: int = 64, n_scale: int = 64, l_scale: float = 8.0, s
 # trilinear-sweep: bilinear spectral oracle + sharpness ladder  (criteria 7, 8)
 # ---------------------------------------------------------------------------
 
+@_suite("trilinear-sweep")
 def bilinear_oracle_verify(n_specs: int = 20, seed: int = 7) -> ExperimentRecord:
     rng = random.Random(f"bilinear-{seed}")
     max_dev = 0.0
@@ -375,15 +396,10 @@ def bilinear_oracle_verify(n_specs: int = 20, seed: int = 7) -> ExperimentRecord
         mat = forms.build_tensor(spec)[0]
         sigma = forms.gram_power_singular_value(mat)
         max_dev = max(max_dev, abs(res.value - sigma) / max(1.0, sigma))
-    return ExperimentRecord(
-        subcommand="trilinear-sweep",
-        params={"n_specs": n_specs, "mode": "bilinear-oracle"},
-        seed=seed,
-        values={"max_oracle_deviation": max_dev},
-        assertions={"bilinear_spectral_oracle": max_dev <= 1e-6},
-    )
+    return {"max_oracle_deviation": max_dev}, {"bilinear_spectral_oracle": max_dev <= 1e-6}
 
 
+@_suite("trilinear-sweep")
 def scaling_verify(seed: int = 7, ladder=(8, 16, 32, 64, 128)) -> ExperimentRecord:
     grid = [forms.FormSpec(n, n, n, theta=1) for n in ladder]
     result = forms.scaling_experiment(grid, restarts=4, iters=400, seed=seed)
@@ -395,18 +411,12 @@ def scaling_verify(seed: int = 7, ladder=(8, 16, 32, 64, 128)) -> ExperimentReco
     for rec in result.records:
         values[f"extremal_N{rec.spec.n_scale}"] = rec.extremal
         values[f"ratio_trivial_N{rec.spec.n_scale}"] = rec.ratio_trivial
-    return ExperimentRecord(
-        subcommand="trilinear-sweep",
-        params={"ladder": ",".join(str(n) for n in ladder), "mode": "scaling"},
-        seed=seed,
-        values=values,
-        assertions={
-            "exponent_below_trivial": result.fitted_exponent is not None
-            and result.fitted_exponent <= 1.5 - 0.02,
-            "ratios_below_one": all(r < 1 for r in ratios),
-            "ratios_decreasing": decreasing,
-        },
-    )
+    return values, {
+        "exponent_below_trivial": result.fitted_exponent is not None
+        and result.fitted_exponent <= 1.5 - 0.02,
+        "ratios_below_one": all(r < 1 for r in ratios),
+        "ratios_decreasing": decreasing,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +442,14 @@ def trilinear_sweep_verify(
     n_specs: int = 20, seed: int = 7, ladder=(8, 16, 32, 64, 128)
 ) -> list[ExperimentRecord]:
     """Bilinear oracle + scaling ladder: the two records of criteria 7 and 8."""
-    records = []
-    for run, args in ((bilinear_oracle_verify, (n_specs, seed)), (scaling_verify, (seed, ladder))):
-        start = time.perf_counter()
-        records.append(run(*args))
-        records[-1].runtime_seconds = time.perf_counter() - start
-    return records
+    return [bilinear_oracle_verify(n_specs, seed), scaling_verify(seed, ladder)]
 
 
+@_suite("detcount")
 def detcount_verify(n_specs: int = 50, seed: int = 7) -> ExperimentRecord:
     """Determinant equation counts: two summation orders vs. the main term."""
+    if n_specs < 1:
+        raise ValueError(f"n_specs must be >= 1, got {n_specs}")
     rng = random.Random(f"detcount-{seed}")
     specs = [_random_det_spec(rng, derive_rng(seed, i)) for i in range(n_specs)]
 
@@ -457,12 +465,9 @@ def detcount_verify(n_specs: int = 50, seed: int = 7) -> ExperimentRecord:
     max_gap = max(r[0] for r in results)
     max_ratio = max(r[2] for r in results)
     finite = all(math.isfinite(r[1]) for r in results)
-    return ExperimentRecord(
-        subcommand="detcount",
-        params={"n_specs": n_specs},
-        seed=seed,
-        values={"max_order_gap": max_gap, "max_residual_ratio": max_ratio},
-        assertions={"orders_agree": max_gap <= 1e-9, "residuals_finite": finite},
+    return (
+        {"max_order_gap": max_gap, "max_residual_ratio": max_ratio},
+        {"orders_agree": max_gap <= 1e-9, "residuals_finite": finite},
     )
 
 
@@ -470,6 +475,7 @@ def detcount_verify(n_specs: int = 50, seed: int = 7) -> ExperimentRecord:
 # equidist  (criterion 10)
 # ---------------------------------------------------------------------------
 
+@_suite("equidist")
 def equidist_verify(
     n_list=(64, 128, 256, 512),
     density_exponent: float = 0.0,
@@ -495,28 +501,18 @@ def equidist_verify(
     inversions = sum(
         1 for i in range(len(dstars) - 1) if trend_applies and dstars[i + 1] >= dstars[i]
     )
-    assertions = {
+    return values, {
         "ladder_trend": inversions <= 1 if trend_applies else True,
         "endpoint_decrease": dstars[-1] < dstars[0] if trend_applies else True,
         "deterministic": all(a.dstar == b.dstar for a, b in zip(rows, again)),
     }
-    return ExperimentRecord(
-        subcommand="equidist",
-        params={
-            "n_list": ",".join(str(n) for n in n_list),
-            "density_exponent": density_exponent,
-            "sampled": sampled,
-        },
-        seed=seed,
-        values=values,
-        assertions=assertions,
-    )
 
 
 # ---------------------------------------------------------------------------
 # calibrate-constants: envelope calibration ratios, nothing asserted hard
 # ---------------------------------------------------------------------------
 
+@_suite("calibrate-constants")
 def calibrate_constants(seed: int = 7) -> ExperimentRecord:
     """Envelope calibration ratios."""
     sharp = incomplete.envelope_sharpness_sweep(300, 200, seed)
@@ -545,14 +541,7 @@ def calibrate_constants(seed: int = 7) -> ExperimentRecord:
         "trilinear_env_max_ratio": max(env_ratios),
         "twisted_env_ratio": t2_ratio,
     }
-    finite = all(math.isfinite(v) for v in values.values())
-    return ExperimentRecord(
-        subcommand="calibrate-constants",
-        params={},
-        seed=seed,
-        values=values,
-        assertions={"calibration_finite": finite},
-    )
+    return values, {"calibration_finite": all(math.isfinite(v) for v in values.values())}
 
 
 SUITES = {

@@ -104,6 +104,12 @@ class TestDetCount:
         with pytest.raises(ValueError):
             DetSpec(delta=1, m1_scale=8, m2_scale=8, alpha=ones(8), beta=ones(8), eta=1.0)
 
+    @pytest.mark.parametrize("order", [0, 3, -1])
+    def test_unknown_order_raises(self, order):  # was counted as order 2
+        spec = DetSpec(delta=1, m1_scale=8, m2_scale=8, alpha=ones(8), beta=ones(8))
+        with pytest.raises(ValueError, match=f"order must be 1 or 2, got {order}"):
+            det_count(spec, order=order)
+
 
 class TestMainTerm:
     def test_zero_coefficients(self):

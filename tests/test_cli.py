@@ -187,18 +187,30 @@ class TestCli:
         assert not out.exists()
 
     def test_each_record_carries_its_own_runtime(self, tmp_path, monkeypatch):
-        def slow_oracle(n_specs, seed):
-            time.sleep(0.2)
-            return ExperimentRecord("trilinear-sweep", {"mode": "bilinear-oracle"}, seed)
+        real = cli.verify.forms.gram_power_singular_value
 
-        monkeypatch.setattr(cli.verify, "bilinear_oracle_verify", slow_oracle)
-        monkeypatch.setattr(cli.verify, "scaling_verify",
-                            lambda seed, ladder: ExperimentRecord("trilinear-sweep", {"mode": "scaling"}, seed))
+        def slow_singular_value(mat):  # only the bilinear oracle's record takes this route
+            time.sleep(0.3)
+            return real(mat)
+
+        monkeypatch.setattr(cli.verify.forms, "gram_power_singular_value", slow_singular_value)
         js = tmp_path / "r.json"
-        assert main(["--out", str(tmp_path / "r.csv"), "--json", str(js), "trilinear-sweep"]) == 0
+        args = ["trilinear-sweep", "--n-specs", "1", "--ladder", "8,16"]
+        assert main(["--out", str(tmp_path / "r.csv"), "--json", str(js)] + args) == 0
         first, second = json.loads(js.read_text())
-        assert first["params"]["mode"] == "bilinear-oracle" and first["runtime_seconds"] >= 0.2
-        assert second["params"]["mode"] == "scaling" and second["runtime_seconds"] < 0.1
+        assert first["params"] == {"n_specs": 1} and first["runtime_seconds"] >= 0.3
+        assert second["params"] == {"ladder": "8,16"} and 0 < second["runtime_seconds"] < 0.3
+
+    @pytest.mark.parametrize("args, option", [
+        (["incomplete-verify", "--sharp-specs", "0", "--n-specs", "2"], "sharp_specs"),  # was an IndexError
+        (["ksum-verify", "--cmax", "0"], "cmax"),
+        (["detcount", "--n-specs", "0"], "n_specs"),
+    ])
+    def test_empty_sweep_exit_2_naming_the_option(self, tmp_path, capsys, args, option):
+        out = tmp_path / "x.csv"
+        assert main(["--out", str(out)] + args) == cli.EXIT_USAGE
+        assert f"configuration rejected: {option} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_module_entry_point_subprocess(self, tmp_path):
         import subprocess
@@ -235,6 +247,26 @@ def test_registry_parity(name, capsys):
     assert values == {p.name: p.default for p in inspect.signature(fn).parameters.values()}
     _, smoke = cli._resolve([name] + _smoke_suite_args()[name])
     assert set(smoke) == set(values) | {"out", "json"}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_suite_is_deterministic_and_records_its_options(name, tmp_path):
+    """Two runs at the benchmark's smoke args write the same CSV but for wall-clock data, and the
+    records' params are the resolved options, sequences comma-joined."""
+    args = [name] + _smoke_suite_args()[name]
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    codes = [main(["--out", str(out), "--json", str(tmp_path / "r.json")] + args) for out in outs]
+    assert codes[0] == codes[1] in (0, 1)
+    assert _strip_wall_clock(outs[0]) == _strip_wall_clock(outs[1])
+    _, options = cli._resolve(args)
+    for key in ("out", "json", "seed"):
+        del options[key]
+    expected = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in options.items()}
+    merged = {}
+    for rec in json.loads((tmp_path / "r.json").read_text()):  # trilinear-sweep splits them over two records
+        assert rec["params"].items() <= expected.items()
+        merged.update(rec["params"])
+    assert merged == expected
 
 
 def _perfbench_assignment(name):

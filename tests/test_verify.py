@@ -2,6 +2,7 @@
 
 from kfractions.verify import (
     SUITES,
+    compdiv_verify,
     equidist_verify,
     ksum_verify,
 )
@@ -38,6 +39,12 @@ def test_record_passed_flag():
     rec = ksum_verify(cmax=20, pairs=3, seed=1)
     assert rec.passed
     assert rec.experiment_id == ksum_verify(cmax=20, pairs=3, seed=1).experiment_id
+
+
+def test_direct_call_record_carries_its_arguments_and_runtime():
+    rec = compdiv_verify(16, 16, 4.0)
+    assert (rec.subcommand, rec.params, rec.seed) == ("compdiv-check", {"m_scale": 16, "n_scale": 16, "l_scale": 4.0}, 7)
+    assert rec.runtime_seconds > 0
 
 
 def per_pair_ksum_values(cmax: int, pairs: int, seed: int) -> tuple[dict, dict]:
