@@ -8,10 +8,14 @@ third for a whole row in b:
   summation over reduced residues.  The unit table of c comes from the cyclic
   structure of (Z/c)*: each prime-power block lists its units as generator
   powers g^0 .. g^(phi-1) (baby-step/giant-step; +-5^t at 2^e), the inverse
-  of g^k is g^(phi-k), and the blocks combine by CRT idempotents.  The phase
-  a*xbar + b*x is reduced mod c in exact integer arithmetic and the terms are
-  gathered from the row e(j/c), j = 0..c-1, one 2-D gather per chunk of rows.
-  Tables for c <= 4096 are cached.
+  of g^k is g^(phi-k), and the blocks combine by CRT idempotents.  The row
+  e(j/c), j = 0..c-1, is also built by baby and giant steps: ceil(sqrt(c))
+  baby roots e(j/c) times about as many giant roots e(s*i/c), one outer
+  product, so 2 sqrt(c) complex exps instead of c.  The phase a*xbar + b*x is
+  reduced mod c in exact integer arithmetic and the terms are gathered from
+  the row, one 2-D gather per chunk of rows (_GATHER_TERMS terms) and of
+  columns (_GATHER_COLS units), so a large modulus needs little beyond its
+  table: 32 bytes per residue at a prime.  Tables for c <= 4096 are cached.
 * ``kloosterman_fast_batch`` / ``kloosterman_fast`` -- twisted
   multiplicativity across prime-power blocks,
   S(a,b;mn) = S(a*nbar, b*nbar; m) * S(a*mbar, b*mbar; n) for coprime m,n,
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, gcd, pi, sin, sqrt
+from math import cos, gcd, isqrt, pi, sin, sqrt
 
 import numpy as np
 
@@ -55,6 +59,7 @@ BRUTE_LIMIT = 10**7
 FAST_LIMIT = 10**12
 _IMAG_TOL = 1e-9
 _GATHER_TERMS = 2**20  # terms per 2-D gather of kloosterman_batch
+_GATHER_COLS = 2**16  # units per column chunk of one gather
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,19 @@ def _crt_lift(acc: np.ndarray | None, col: np.ndarray, idem: int, c: int) -> np.
 
 
 def _units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first two columns of `_unit_table`, built apart so that the scatter row is freed first."""
+    """The units x mod c in increasing order and their inverses: the first two columns of `_unit_table`.
+
+    Generator tables: each prime-power block q lists its units as generator
+    powers g^0 .. g^(phi(q)-1) (`characters.prime_power_units`); the inverse
+    of g^k is g^(phi(q)-k), so the block's inverse row is the same array
+    reversed past index 0 (past index 0 of each half, +5^t and -5^t, at 2^e).
+    The blocks combine through the CRT idempotents (1 mod q, 0 mod c/q) in
+    outer sums mod c, and a scatter into a length-c row (inverse at x, 0 off
+    the units) reads the pairs back in increasing order of x: a few passes
+    over phi(c) int64s, against 2 log2(phi) for x^(phi-1).  The CRT columns
+    are freed before the compaction, so at most the row and two phi(c)
+    columns are alive at once.
+    """
     xs = inv = None
     for p, e in factorize(c).factors:
         q = p**e
@@ -110,6 +127,7 @@ def _units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
         xs, inv = _crt_lift(xs, units, idem, c), _crt_lift(inv, inverses, idem, c)
     row = np.zeros(c, dtype=np.int64)
     row[xs] = inv
+    del xs, inv, units, inverses, rows  # at one block (idem = 1) the loop's names alias the CRT columns
     xs = np.flatnonzero(row)
     return xs, row[xs]
 
@@ -117,17 +135,17 @@ def _units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
 def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Units x mod c (c >= 2, c^2 < 2^63) in increasing order, their inverses, and the row e(j/c).
 
-    Generator tables: each prime-power block q lists its units as generator
-    powers g^0 .. g^(phi(q)-1) (`characters.prime_power_units`); the inverse
-    of g^k is g^(phi(q)-k), so the block's inverse row is the same array
-    reversed past index 0 (past index 0 of each half, +5^t and -5^t, at 2^e).
-    The blocks combine through the CRT idempotents (1 mod q, 0 mod c/q) in
-    outer sums mod c, and a scatter into a length-c row (inverse at x, 0 off
-    the units) reads the pairs back in increasing order of x: a few passes
-    over phi(c) int64s, against 2 log2(phi) for x^(phi-1).
+    The units and inverses come from `_units_and_inverses`, which has freed its
+    scatter row by then.  The row is built by baby-step/giant-step: s =
+    ceil(sqrt(c)) baby roots e(j/c), j < s, and ceil(c/s) giant roots
+    e(s*i/c), then one outer product gives e((s*i + j)/c) in order of s*i + j.
+    That is 2 sqrt(c) complex exps and one complex multiply over c, not c exps.
     """
     xs, inv = _units_and_inverses(c)
-    return xs, inv, np.exp(2j * np.pi * (np.arange(c) / c))
+    s = isqrt(c - 1) + 1
+    baby = np.exp(2j * np.pi * (np.arange(s) / c))
+    giant = np.exp(2j * np.pi * (np.arange(0, c, s) / c))
+    return xs, inv, np.multiply.outer(giant, baby).ravel()[:c]
 
 
 _cached_unit_table = lru_cache(maxsize=64)(_unit_table)
@@ -146,19 +164,24 @@ def inverses_mod(xs, n: int) -> np.ndarray:
 def _unit_sums(a, b, c: int, table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """sum over units x mod c of e((a*xbar + b*x)/c) for int64 columns a, b of shape (k, 1) in [0, c).
 
-    The k sums come from one 2-D gather; the phase is reduced mod c in exact integer arithmetic.
+    The k sums come from one 2-D gather per chunk of _GATHER_COLS units, added chunk by chunk; the
+    phase is reduced mod c in exact integer arithmetic.
     """
     xs, inv, roots = table
-    t = inv * a
-    t += xs * b
-    if t.size > 512:  # from ~600 terms, floor division by a scalar beats the remainder
-        q = t // c
-        q *= c
-        t -= q
-        del q  # freed before the gather, which sets the peak memory
-    else:
-        t %= c
-    return roots[t].sum(axis=-1)
+    totals = None
+    for j in range(0, len(xs), _GATHER_COLS):
+        t = inv[j : j + _GATHER_COLS] * a
+        t += xs[j : j + _GATHER_COLS] * b
+        if t.size > 512:  # from ~600 terms, floor division by a scalar beats the remainder
+            q = t // c
+            q *= c
+            t -= q
+            del q  # freed before the gather
+        else:
+            t %= c
+        part = roots[t].sum(axis=-1)
+        totals = part if totals is None else totals + part
+    return totals
 
 
 def _real_parts(totals: np.ndarray, c: int, phi_c: int, args) -> np.ndarray:
@@ -179,7 +202,7 @@ def _brute_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def kloosterman_batch(a, b, c: int) -> np.ndarray:
     """S(a_i, b_i; c) by direct summation, for int64 arrays a, b of one length (any sign).
 
-    Each chunk of rows is one 2-D gather from the unit table of c.  Raises
+    Each chunk of rows and columns is one 2-D gather from the unit table of c.  Raises
     ArithmeticError naming the first (a, b, c) whose imaginary part exceeds
     1e-9 * phi(c).
     """

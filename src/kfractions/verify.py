@@ -85,6 +85,8 @@ def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7) -> ExperimentR
     """Oracle equivalence + Weil bound grid over every modulus c <= cmax."""
     if cmax < 1:
         raise ValueError(f"cmax must be >= 1, got {cmax}")
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
 
     def per_modulus(c: int):
         gen = derive_rng(seed, c)
@@ -231,6 +233,8 @@ def incomplete_verify(
     n_specs: int = 200, gamma_max: int = 300, seed: int = 7, sharp_specs: int = 1000
 ) -> ExperimentRecord:
     """Completion majorant + envelope suite (majorant violations are flagged, not hidden)."""
+    if n_specs < 1:
+        raise ValueError(f"n_specs must be >= 1, got {n_specs}")
     if sharp_specs < 1:
         raise ValueError(f"sharp_specs must be >= 1, got {sharp_specs}")
     violations = incomplete.erdos_turan_sweep(n_specs, gamma_max, seed)
@@ -319,6 +323,8 @@ def incomplete_verify(
 @_suite("amplifier-check")
 def cauchy_amplifier_verify(seed: int = 7, draws: int = 100) -> ExperimentRecord:
     """Cauchy-Schwarz step on random draws + amplifier chain on fixed cases."""
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     rng = random.Random(f"cauchy-{seed}")
     gen = derive_rng(seed, 0)
     cauchy_ok = True
@@ -383,6 +389,8 @@ def compdiv_verify(m_scale: int = 64, n_scale: int = 64, l_scale: float = 8.0, s
 
 @_suite("trilinear-sweep")
 def bilinear_oracle_verify(n_specs: int = 20, seed: int = 7) -> ExperimentRecord:
+    if n_specs < 1:
+        raise ValueError(f"n_specs must be >= 1, got {n_specs}")
     rng = random.Random(f"bilinear-{seed}")
     max_dev = 0.0
     for i in range(n_specs):

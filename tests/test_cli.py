@@ -205,11 +205,18 @@ class TestCli:
         (["incomplete-verify", "--sharp-specs", "0", "--n-specs", "2"], "sharp_specs"),  # was an IndexError
         (["ksum-verify", "--cmax", "0"], "cmax"),
         (["detcount", "--n-specs", "0"], "n_specs"),
+        # unchecked, a count of 0 passes its assertions on no work and --pairs -1 fails inside numpy
+        (["ksum-verify", "--pairs", "0"], "pairs"),
+        (["ksum-verify", "--pairs", "-1"], "pairs"),
+        (["trilinear-sweep", "--n-specs", "0"], "n_specs"),
+        (["amplifier-check", "--draws", "0"], "draws"),
+        (["incomplete-verify", "--n-specs", "0"], "n_specs"),
     ])
     def test_empty_sweep_exit_2_naming_the_option(self, tmp_path, capsys, args, option):
         out = tmp_path / "x.csv"
+        got = args[args.index("--" + option.replace("_", "-")) + 1]
         assert main(["--out", str(out)] + args) == cli.EXIT_USAGE
-        assert f"configuration rejected: {option} must be >= 1, got 0" in capsys.readouterr().err
+        assert f"configuration rejected: {option} must be >= 1, got {got}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_module_entry_point_subprocess(self, tmp_path):

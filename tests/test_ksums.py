@@ -151,6 +151,47 @@ class TestBrute:
             KloostermanParams(1, 1, 0)
 
 
+class TestUnitTableKernels:
+    """The root row from baby and giant steps, and the gather in column chunks of _GATHER_COLS units."""
+
+    @pytest.mark.parametrize("c", [2, 3, 5, 4096, 4097, 65537, 700001])  # 4096 = 64^2, 4097 = 64^2 + 1
+    def test_root_row_matches_exp(self, c):
+        roots = _unit_table(c)[2]
+        assert roots.shape == (c,)
+        assert np.abs(roots - np.exp(2j * np.pi * np.arange(c) / c)).max() <= 1e-14
+
+    @pytest.mark.parametrize("c", [70001, 2**12 * 147])  # a prime with phi > 2^16, 2^k * odd
+    def test_column_chunks_agree_with_the_default(self, c, monkeypatch):
+        rng = random.Random(c)
+        a = np.array([rng.randint(-2 * c, 2 * c) for _ in range(3)])
+        b = np.array([rng.randint(-2 * c, 2 * c) for _ in range(3)])
+        default = kloosterman_batch(a, b, c)
+        monkeypatch.setattr(ksums, "_GATHER_COLS", 7)
+        chunked = kloosterman_batch(a, b, c)
+        assert np.abs(chunked - default).max() <= 1e-12 * euler_phi(c)
+        if c == 70001:
+            assert chunked[0] == pytest.approx(slow_reference(int(a[0]), int(b[0]), c).real, abs=1e-9)
+
+    @pytest.mark.parametrize("c", [1999, 65537])  # phi(65537) = 2^16
+    def test_one_column_chunk_is_bit_identical(self, c, monkeypatch):
+        a, b = np.arange(-20, 20), np.arange(40) * 7
+        default = kloosterman_batch(a, b, c)
+        for cols in (c - 1, c, 2**20):
+            monkeypatch.setattr(ksums, "_GATHER_COLS", cols)
+            assert np.array_equal(kloosterman_batch(a, b, c), default)
+
+    def test_uncached_brute_sum_peak_memory(self):
+        c = 700001  # a prime past the cache: phi(c) = c - 1 units
+        tracemalloc.start()
+        try:
+            kloosterman_brute(KloostermanParams(3, 5, c))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # units and inverses (8 bytes each) and the complex row (16): 32 bytes per residue, 4 MiB for the rest
+        assert peak <= 32 * c + 4 * 2**20
+
+
 class TestBatch:
     # modulus 1, primes, 2-powers, Salie prime powers, mixed and squarefree composites, uncached
     MODULI = [1, 2, 4, 7, 8, 97, 128, 1024, 243, 625, 8 * 27, 16 * 125, 9 * 25 * 4, 2310, 4096, 5000]
