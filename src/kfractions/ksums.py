@@ -15,14 +15,14 @@ third for a whole row in b:
   reduced mod c in exact integer arithmetic and the terms are gathered from
   the row, one 2-D gather per chunk of rows (_GATHER_TERMS terms) and of
   columns (_GATHER_COLS units), so a large modulus needs little beyond its
-  table: 32 bytes per residue at a prime.  Tables for c <= 4096 are cached.
+  table: 32 bytes per residue at a prime.
 * ``kloosterman_fast_batch`` / ``kloosterman_fast`` -- twisted
   multiplicativity across prime-power blocks,
   S(a,b;mn) = S(a*nbar, b*nbar; m) * S(a*mbar, b*mbar; n) for coprime m,n,
   with the two-term Salie closed form at odd prime powers p^alpha, alpha >= 2,
-  p coprime to ab (one square root y of ab mod p^alpha and one cosine or sine;
-  the block vanishes when ab is a quadratic non-residue).  Blocks without a
-  closed form fall back to one brute batch per block.
+  p coprime to ab (the printed sum over the square roots +-y of ab, y by one
+  Tonelli-Shanks in the cyclic group (Z/p^alpha)*; the block vanishes when ab
+  is a non-residue).  Other blocks fall back to one brute batch per block.
 
 Plus the Ramanujan sum S(a,0;c) in exact integer arithmetic, the explicit
 Weil bound tau(c) * gcd(a,b,c)^(1/2) * c^(1/2), and ``inverses_mod``, the one
@@ -31,9 +31,9 @@ vectorized modular inverse of the package (x^(lambda-1) by square-and-multiply, 
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from functools import lru_cache
-from math import cos, gcd, isqrt, pi, sin, sqrt
+from math import gcd, isqrt, pi, sqrt
 
 import numpy as np
 
@@ -104,18 +104,16 @@ def _crt_lift(acc: np.ndarray | None, col: np.ndarray, idem: int, c: int) -> np.
 
 
 def _units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units x mod c in increasing order and their inverses: the first two columns of `_unit_table`.
+    """The units x mod c in generator order and their inverses: the first two columns of `_unit_table`.
 
     Generator tables: each prime-power block q lists its units as generator
     powers g^0 .. g^(phi(q)-1) (`characters.prime_power_units`); the inverse
     of g^k is g^(phi(q)-k), so the block's inverse row is the same array
     reversed past index 0 (past index 0 of each half, +5^t and -5^t, at 2^e).
     The blocks combine through the CRT idempotents (1 mod q, 0 mod c/q) in
-    outer sums mod c, and a scatter into a length-c row (inverse at x, 0 off
-    the units) reads the pairs back in increasing order of x: a few passes
-    over phi(c) int64s, against 2 log2(phi) for x^(phi-1).  The CRT columns
-    are freed before the compaction, so at most the row and two phi(c)
-    columns are alive at once.
+    outer sums mod c, last block fastest, and the lifted columns are returned
+    as they come, each inverse at its unit's index: a few passes over phi(c)
+    int64s, against 2 log2(phi) for x^(phi-1).
     """
     xs = inv = None
     for p, e in factorize(c).factors:
@@ -125,30 +123,24 @@ def _units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
         inverses = np.concatenate((rows[:, :1], rows[:, :0:-1]), axis=1).ravel()
         idem = c // q * pow(c // q, -1, q)  # 1 mod q, 0 mod c/q
         xs, inv = _crt_lift(xs, units, idem, c), _crt_lift(inv, inverses, idem, c)
-    row = np.zeros(c, dtype=np.int64)
-    row[xs] = inv
-    del xs, inv, units, inverses, rows  # at one block (idem = 1) the loop's names alias the CRT columns
-    xs = np.flatnonzero(row)
-    return xs, row[xs]
+    return xs, inv
 
 
 def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Units x mod c (c >= 2, c^2 < 2^63) in increasing order, their inverses, and the row e(j/c).
+    """Units x mod c (2 <= c <= BRUTE_LIMIT) in generator order, their inverses, and the row e(j/c).
 
-    The units and inverses come from `_units_and_inverses`, which has freed its
-    scatter row by then.  The row is built by baby-step/giant-step: s =
-    ceil(sqrt(c)) baby roots e(j/c), j < s, and ceil(c/s) giant roots
-    e(s*i/c), then one outer product gives e((s*i + j)/c) in order of s*i + j.
-    That is 2 sqrt(c) complex exps and one complex multiply over c, not c exps.
+    The cap is checked before any allocation.  The row is built by baby and
+    giant steps: s = ceil(sqrt(c)) baby roots e(j/c), j < s, and ceil(c/s)
+    giant roots e(s*i/c); one outer product gives e((s*i + j)/c) in order of
+    s*i + j, so 2 sqrt(c) complex exps and one multiply over c, not c exps.
     """
+    if c > BRUTE_LIMIT:
+        raise ValueError(f"brute evaluation capped at c <= {BRUTE_LIMIT}, got {c}")
     xs, inv = _units_and_inverses(c)
     s = isqrt(c - 1) + 1
     baby = np.exp(2j * np.pi * (np.arange(s) / c))
     giant = np.exp(2j * np.pi * (np.arange(0, c, s) / c))
     return xs, inv, np.multiply.outer(giant, baby).ravel()[:c]
-
-
-_cached_unit_table = lru_cache(maxsize=64)(_unit_table)
 
 
 def inverses_mod(xs, n: int) -> np.ndarray:
@@ -193,12 +185,6 @@ def _real_parts(totals: np.ndarray, c: int, phi_c: int, args) -> np.ndarray:
     return totals.real
 
 
-def _brute_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if c > BRUTE_LIMIT:
-        raise ValueError(f"brute evaluation capped at c <= {BRUTE_LIMIT}, got {c}")
-    return _cached_unit_table(c) if c <= 4096 else _unit_table(c)
-
-
 def kloosterman_batch(a, b, c: int) -> np.ndarray:
     """S(a_i, b_i; c) by direct summation, for int64 arrays a, b of one length (any sign).
 
@@ -212,7 +198,7 @@ def kloosterman_batch(a, b, c: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.int64)
     if c == 1:
         return np.ones(len(a))
-    table = _brute_table(c)
+    table = _unit_table(c)
     phi_c = len(table[0])
     rows = max(1, _GATHER_TERMS // phi_c)
     totals = np.empty(len(a), dtype=np.complex128)
@@ -233,14 +219,14 @@ def kloosterman_row(a: int, c: int) -> np.ndarray:
     """S(a, b; c) for b = 0 .. c-1 from one length-c FFT: entry b is sum_x f[x] e(bx/c).
 
     f[x] = e(a*xbar/c) on the units x mod c (from the brute route's unit
-    table, so the same cache and cap) and 0 elsewhere.  Raises ArithmeticError
+    table, so the same cap) and 0 elsewhere.  Raises ArithmeticError
     naming the first (a, b, c) whose imaginary part exceeds 1e-9 * phi(c).
     """
     if c < 1:
         raise ValueError("modulus c must be >= 1")
     if c == 1:
         return np.ones(1)
-    xs, inv, roots = _brute_table(c)
+    xs, inv, roots = _unit_table(c)
     f = np.zeros(c, dtype=np.complex128)
     f[xs] = roots[inv * (a % c) % c]
     totals = np.fft.ifft(f, norm="forward")  # unscaled: sum_x f[x] e(bx/c)
@@ -259,69 +245,42 @@ def ramanujan(a: int, c: int) -> int:
 # fast route: CRT blocks + two-term Salie closed form
 # ---------------------------------------------------------------------------
 
-def _sqrt_mod_prime(t: int, p: int) -> int | None:
-    """Square root of t mod odd prime p (Tonelli-Shanks); None for non-residues."""
-    t %= p
-    if t == 0:
-        return 0
-    if pow(t, (p - 1) // 2, p) != 1:
+def _sqrt_mod_prime_power(t: int, p: int, alpha: int) -> int | None:
+    """A square root of the unit t mod q = p^alpha (p odd), None for a non-residue (Euler's criterion).
+
+    Tonelli-Shanks in the cyclic group (Z/q)* of order phi = 2^s * m, m odd, with c = z^m generating its
+    2-part for the first non-residue z = 2, 3, ...  At s = 1 (p = 3 mod 4) the loop makes no pass.
+    """
+    q, phi = p**alpha, (p - 1) * p ** (alpha - 1)
+    if pow(t, phi // 2, q) != 1:
         return None
-    if p % 4 == 3:
-        return pow(t, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, tt, r = s, pow(z, q, p), pow(t, q, p), pow(t, (q + 1) // 2, p)
-    while tt != 1:
-        i, t2 = 0, tt
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, tt, r = i, b * b % p, tt * b * b % p, r * b % p
+    s = (phi & -phi).bit_length() - 1
+    m = phi >> s
+    z = next(z for z in range(2, p) if pow(z, phi // 2, q) != 1)  # a non-residue mod p is one mod q
+    c, x, r = pow(z, m, q), pow(t, m, q), pow(t, (m + 1) // 2, q)  # invariant r^2 = t * x
+    while x != 1:
+        i = next(k for k in range(1, s) if pow(x, 1 << k, q) == 1)  # x has order 2^i < 2^s
+        b = pow(c, 1 << (s - i - 1), q)
+        s, c, x, r = i, b * b % q, x * b * b % q, r * b % q
     return r
-
-
-def _sqrt_mod_odd_prime_power(t: int, p: int, e: int) -> int | None:
-    """Square root of a unit t mod p^e (p odd, e >= 1) via Hensel lifting."""
-    r = _sqrt_mod_prime(t, p)
-    if r is None:
-        return None
-    pe = p
-    for _ in range(e - 1):
-        pe_next = pe * p
-        r = (r - (r * r - t) * pow(2 * r, -1, pe_next)) % pe_next
-        pe = pe_next
-    return r % pe
 
 
 def _salie_block(a: int, b: int, p: int, alpha: int) -> float:
     """S(a,b;p^alpha) for odd p, alpha >= 2, p coprime to a*b.
 
     Two-term closed form (Iwaniec-Kowalski, Analytic Number Theory, Lemma 12.3):
-      S = p^(alpha/2) * sum over y mod q = p^alpha with y^2 = ab (mod q)
-              of (y/q) * eps_q * e(2y/q),
+      S = p^(alpha/2) * eps_q * sum over y mod q = p^alpha with y^2 = ab (mod q)
+              of (y/q) * e(2y/q),
     with (y/q) the Jacobi symbol and eps_q = 1 or i as q = 1 or 3 (mod 4).
-    The sum is empty (ab a non-residue, value 0) or runs over y = +-y0, giving
-      2 p^(alpha/2) cos(4 pi y0/q)           for even alpha,
-      2 p^(alpha/2) (y0/p) cos(4 pi y0/q)    for odd alpha, p = 1 (mod 4),
-     -2 p^(alpha/2) (y0/p) sin(4 pi y0/q)    for odd alpha, p = 3 (mod 4).
+    The sum is empty (ab a non-residue, value 0) or runs over y = y0, q - y0.
     """
     q = p**alpha
-    y = _sqrt_mod_odd_prime_power(a * b % q, p, alpha)
-    if y is None:
+    y0 = _sqrt_mod_prime_power(a * b % q, p, alpha)
+    if y0 is None:
         return 0.0
-    theta = 2 * pi * (2 * y % q / q)
-    scale = 2 * p ** (alpha / 2)
-    if alpha % 2 == 0:
-        return scale * cos(theta)
-    if p % 4 == 1:
-        return scale * jacobi(y, p) * cos(theta)
-    return -scale * jacobi(y, p) * sin(theta)
+    eps = 1 if q % 4 == 1 else 1j
+    terms = sum(jacobi(y, q) * cmath.exp(2j * pi * (2 * y % q / q)) for y in (y0, q - y0))
+    return (p ** (alpha / 2) * eps * terms).real
 
 
 def kloosterman_fast_batch(a, b, c: int) -> tuple[np.ndarray, np.ndarray]:

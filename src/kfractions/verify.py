@@ -144,6 +144,10 @@ def _random_coprime_pair(rng: random.Random, hi: int) -> tuple[int, int]:
 @_suite("identities")
 def identities_verify(trials: int = 1000, seed: int = 7, max_n: int = 10**6) -> ExperimentRecord:
     """Exact reciprocity identity suite, plus Jacobi/CRT/squarefull invariants."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     rng = random.Random(f"identities-{seed}")
     failures = {"two_term": 0, "three_term": 0, "split_denominator": 0}
     for _ in range(trials):
@@ -235,6 +239,8 @@ def incomplete_verify(
     """Completion majorant + envelope suite (majorant violations are flagged, not hidden)."""
     if n_specs < 1:
         raise ValueError(f"n_specs must be >= 1, got {n_specs}")
+    if gamma_max < 1:
+        raise ValueError(f"gamma_max must be >= 1, got {gamma_max}")
     if sharp_specs < 1:
         raise ValueError(f"sharp_specs must be >= 1, got {sharp_specs}")
     violations = incomplete.erdos_turan_sweep(n_specs, gamma_max, seed)

@@ -211,6 +211,10 @@ class TestCli:
         (["trilinear-sweep", "--n-specs", "0"], "n_specs"),
         (["amplifier-check", "--draws", "0"], "draws"),
         (["incomplete-verify", "--n-specs", "0"], "n_specs"),
+        # unchecked, --trials 0 passes four identities on no inputs; the other two failed inside random
+        (["identities", "--trials", "0"], "trials"),
+        (["identities", "--max-n", "0"], "max_n"),
+        (["incomplete-verify", "--gamma-max", "0"], "gamma_max"),
     ])
     def test_empty_sweep_exit_2_naming_the_option(self, tmp_path, capsys, args, option):
         out = tmp_path / "x.csv"

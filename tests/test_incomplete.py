@@ -19,7 +19,7 @@ from kfractions.incomplete import (
     incomplete_brute,
     lemma_params,
 )
-from kfractions.ksums import KloostermanParams, kloosterman_brute, ramanujan
+from kfractions.ksums import KloostermanParams, kloosterman_batch, kloosterman_brute, ramanujan
 
 
 def scalar_incomplete(spec: IncompleteSpec) -> complex:
@@ -42,14 +42,15 @@ def scalar_incomplete(spec: IncompleteSpec) -> complex:
 
 
 def scalar_majorants(spec: IncompleteSpec) -> tuple[float, float]:
-    """The per-r loop: the printed and the symmetrized majorants from one brute sum per b."""
+    """The per-r loop: the printed and the symmetrized majorants, |S(alpha, b; gamma)| for every b from one
+    direct-sum batch (not the FFT row the majorants read)."""
     g, k, alpha = spec.gamma, spec.k, spec.alpha
-    printed = exact = (spec.x_len + k) / (g * k) * abs(kloosterman_brute(KloostermanParams(alpha, 0, g)).value)
+    sums = np.abs(kloosterman_batch(np.full(g, alpha), np.arange(g), g))
+    printed = exact = (spec.x_len + k) / (g * k) * sums[0]
     if g > 1:
         kbar = pow(k, -1, g)
         for r in range(1, g // 2 + 1):
-            plus = abs(kloosterman_brute(KloostermanParams(alpha, r * kbar % g, g)).value)
-            minus = abs(kloosterman_brute(KloostermanParams(alpha, -r * kbar % g, g)).value)
+            plus, minus = sums[r * kbar % g], sums[-r * kbar % g]
             printed += plus / r
             exact += (plus + minus) / (2 * r)
     return printed, exact

@@ -3,17 +3,18 @@
 import cmath
 import random
 import tracemalloc
-from math import gcd, sqrt
+from math import cos, gcd, pi, sin, sqrt
 
 import numpy as np
 import pytest
 
 from kfractions import ksums
-from kfractions.arith import euler_phi, is_prime, tau
+from kfractions.arith import euler_phi, is_prime, jacobi, tau
 from kfractions.ksums import (
     BRUTE_LIMIT,
     KloostermanParams,
-    _cached_unit_table,
+    _salie_block,
+    _sqrt_mod_prime_power,
     _unit_table,
     inverses_mod,
     kloosterman_batch,
@@ -39,20 +40,23 @@ def slow_reference(a: int, b: int, c: int) -> complex:
 
 
 class TestUnitInverses:
+    """The units come in generator order, not increasing: sorted, they are the gcd sieve, and each
+    inverse sits at its unit's index."""
+
     def test_int64_square_and_multiply_cannot_overflow(self):
         assert BRUTE_LIMIT**2 < 2**63
 
     def test_small_moduli_match_pow(self):
         for c in range(2, 601):
             xs, inv, _ = _unit_table(c)
-            assert xs.tolist() == [x for x in range(1, c) if gcd(x, c) == 1]
+            assert sorted(xs.tolist()) == [x for x in range(1, c) if gcd(x, c) == 1]
             assert inv.tolist() == [pow(x, -1, c) for x in xs.tolist()]
             assert (xs * inv % c == 1).all()
 
     def test_generator_tables_match_pow_601_to_2000(self):
         for c in range(601, 2001):
             xs, inv, _ = _unit_table(c)
-            assert xs.tolist() == [x for x in range(1, c) if gcd(x, c) == 1]
+            assert sorted(xs.tolist()) == [x for x in range(1, c) if gcd(x, c) == 1]
             assert inv.tolist() == [pow(x, -1, c) for x in xs.tolist()]
 
     @pytest.mark.parametrize(
@@ -62,7 +66,7 @@ class TestUnitInverses:
     )
     def test_generator_tables_at_prime_powers(self, c):
         xs, inv, _ = _unit_table(c)
-        assert np.array_equal(xs, np.flatnonzero(np.gcd(np.arange(c), c) == 1))
+        assert np.array_equal(np.sort(xs), np.flatnonzero(np.gcd(np.arange(c), c) == 1))
         assert ((0 < inv) & (inv < c)).all() and (xs * inv % c == 1 % c).all()
 
     @pytest.mark.parametrize("c", [700001, 2**12 * 147, 199**2 * 13])  # prime, 2^k*odd, p^2*r
@@ -89,12 +93,14 @@ class TestUnitInverses:
         got = inverses_mod(np.array(xs, dtype=np.int64), n)
         assert got.dtype == np.int64 and got.tolist() == self.expected_inverses(xs, n)
 
-    def test_inverses_mod_builds_no_table(self):
-        # one path for every n: no lookup or fill of the brute oracle's unit-table cache
-        _cached_unit_table.cache_clear()
+    def test_inverses_mod_builds_no_table(self, monkeypatch):
+        # one path for every n: x^(lambda-1), never the brute oracle's unit table
+        def no_table(c):
+            raise AssertionError(f"inverses_mod built the unit table of {c}")
+
+        monkeypatch.setattr(ksums, "_units_and_inverses", no_table)
         for n in (2, 97, 4096, 4097):
-            inverses_mod(np.arange(-50, 50), n)
-        assert _cached_unit_table.cache_info().currsize == 0
+            assert inverses_mod(np.arange(-50, 50), n).tolist() == self.expected_inverses(range(-50, 50), n)
 
     def test_inverses_mod_exactness_guard(self):
         assert (3_037_000_499**2 < 2**63) and (3_037_000_500**2 >= 2**63)
@@ -125,7 +131,7 @@ class TestBrute:
             got = kloosterman_brute(KloostermanParams(a, b, c)).value
             assert got == pytest.approx(ref.real, abs=1e-9)
 
-    @pytest.mark.parametrize("c", [4096, 4099, 5000])  # cache boundary, uncached prime, uncached composite
+    @pytest.mark.parametrize("c", [4096, 4099, 5000])  # 2^12, a prime, a composite
     def test_uncached_against_python_reference(self, c):
         rng = random.Random(c)
         for _ in range(3):
@@ -181,7 +187,7 @@ class TestUnitTableKernels:
             assert np.array_equal(kloosterman_batch(a, b, c), default)
 
     def test_uncached_brute_sum_peak_memory(self):
-        c = 700001  # a prime past the cache: phi(c) = c - 1 units
+        c = 700001  # a prime: phi(c) = c - 1 units
         tracemalloc.start()
         try:
             kloosterman_brute(KloostermanParams(3, 5, c))
@@ -193,7 +199,7 @@ class TestUnitTableKernels:
 
 
 class TestBatch:
-    # modulus 1, primes, 2-powers, Salie prime powers, mixed and squarefree composites, uncached
+    # modulus 1, primes, 2-powers, Salie prime powers, mixed and squarefree composites
     MODULI = [1, 2, 4, 7, 8, 97, 128, 1024, 243, 625, 8 * 27, 16 * 125, 9 * 25 * 4, 2310, 4096, 5000]
 
     @pytest.mark.parametrize("c", MODULI)
@@ -256,7 +262,7 @@ class TestRow:
             for a in (0, 1, -7, c // 2 + 1, unit):
                 self.assert_row_matches_batch(a, c)
 
-    @pytest.mark.parametrize("c", [3481, 3889, 4096, 9973])  # 59^2, a prime, 2^12, uncached prime
+    @pytest.mark.parametrize("c", [3481, 3889, 4096, 9973])  # 59^2, a prime, 2^12, a prime
     def test_large_moduli_match_the_batch(self, c):
         rng = random.Random(c)
         unit = next(x for x in iter(lambda: rng.randrange(2, c), None) if gcd(x, c) == 1)
@@ -306,8 +312,8 @@ class TestFast:
         assert kloosterman_fast(KloostermanParams(1, 1, 625)).method == "crt_salie"
 
     def test_salie_closed_form_matches_brute(self):
-        # p = 5, 13 are 1 (mod 4) and p = 3, 7, 11 are 3 (mod 4): at odd alpha the
-        # closed form takes the cosine branch for the first and the sine for the second
+        # p = 5, 13 are 1 (mod 4) and p = 3, 7, 11 are 3 (mod 4): at odd alpha,
+        # eps_q is 1 for the first and i for the second
         max_alpha = {3: 8, 5: 5, 7: 5, 11: 4, 13: 4}
         for p, top in max_alpha.items():
             for alpha in range(2, top + 1):
@@ -324,7 +330,7 @@ class TestFast:
                     assert fast.method == "crt_salie"
 
     def test_salie_large_block_matches_uncached_brute(self):
-        p, c = 101, 101**3  # c = 1,030,301, far above the cached tables
+        p, c = 101, 101**3  # c = 1,030,301
         rng = random.Random(c)
         for _ in range(2):
             b, u = rng.randint(1, p - 1), rng.randint(1, p - 1)
@@ -334,6 +340,61 @@ class TestFast:
             assert fast.method == "crt_salie"
             assert abs(brute) > 1
             assert fast.value == pytest.approx(brute, abs=1e-6 * abs(brute))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 101])
+    def test_sqrt_mod_prime_power_on_every_unit(self, p):
+        rng = random.Random(p)
+        for alpha in (e for e in range(1, 5) if p**e <= 10**7):
+            q = p**alpha
+            units = np.arange(1, q)
+            units = units[units % p != 0]
+            square = np.zeros(q, dtype=bool)
+            square[units * units % q] = True
+            if q > 10**5:  # 101^3: every unit would take about 6 s, so 20,000 of them
+                units = rng.sample(units.tolist(), 20_000)
+            for t in map(int, units):
+                y = _sqrt_mod_prime_power(t, p, alpha)
+                assert (y is None) == (not square[t]), (t, q)
+                assert y is None or y * y % q == t
+
+    def test_sqrt_mod_prime_power_at_a_large_prime(self):
+        p = 999_983
+        q = p * p
+        rng = random.Random(p)
+        nonresidue = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        for _ in range(50):
+            y = rng.randrange(1, q)
+            if y % p == 0:
+                continue
+            assert _sqrt_mod_prime_power(y * y % q, p, 2) in (y, q - y)
+            assert _sqrt_mod_prime_power(nonresidue * y * y % q, p, 2) is None
+
+    @staticmethod
+    def three_branch_salie(y: int, p: int, alpha: int) -> float:
+        """S(a,b;p^alpha) from a square root y of ab, as the two-term sum worked out into a cosine or a sine."""
+        q = p**alpha
+        theta = 2 * pi * (2 * y % q / q)
+        scale = 2 * p ** (alpha / 2)
+        if alpha % 2 == 0:
+            return scale * cos(theta)
+        if p % 4 == 1:
+            return scale * jacobi(y, p) * cos(theta)
+        return -scale * jacobi(y, p) * sin(theta)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 997, 9973, 999_983])
+    def test_printed_salie_sum_matches_the_three_branches(self, p):
+        rng = random.Random(p)
+        nonresidue = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        for alpha in (e for e in range(2, 40) if p**e <= 10**12):
+            q = p**alpha
+            for _ in range(20):
+                b, u = rng.randrange(1, q), rng.randrange(1, q)
+                if b % p == 0 or u % p == 0:
+                    continue
+                a = b * u * u % q  # ab = (bu)^2
+                ref = self.three_branch_salie(b * u % q, p, alpha)
+                assert abs(_salie_block(a, b, p, alpha) - ref) <= 1e-10 * max(1.0, abs(ref)), (a, b, q)
+                assert _salie_block(nonresidue * a % q, b, p, alpha) == 0.0
 
     def test_vanishing_nonresidue_case(self):
         # a*inverse(b) a non-residue mod p forces S(a,b;p^alpha) = 0
