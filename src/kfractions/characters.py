@@ -5,22 +5,21 @@ by a primitive root), and for the 2-part either nothing (2^0, 2^1), a single
 order-2 component (2^2), or the pair <-1> x <5> (2^e, e >= 3).
 `prime_power_units` lists each block's units as generator powers, built by
 baby-step/giant-step; it is the one decomposition of the package, and
-`ksums` builds its unit-inverse tables from it too.  A character
-is a choice of exponent index per component.  Each component keeps its
-discrete logs as an int64 array over its residues (-1 off the units), and
-one array routine evaluates a block of characters at a vector of points:
-the exponent sum is reduced exactly as an integer before the root-of-unity
-gather.  `CharacterGroup.matrix` is all characters at once; a single
-character's `value_table`, `__call__` and `values_at` gather from its row
-on 0..q-1.  Tables are cheap at desk-scale moduli (q <= 1e4).
+`ksums` builds its unit-inverse tables from it too.  Each component keeps its
+discrete logs as an int64 array over its residues (-1 off the units), so a
+unit x is the point (log_0 x, log_1 x, ...) of a grid shaped by the component
+orders, and a character, a choice of exponent index per component, is a
+frequency of that grid.  `CharacterGroup.character_sums` takes
+sum_x chi(x) w(x) for every chi as one unscaled inverse DFT of the weights
+added at their grid points; a character's `value_table` on 0..q-1 is the
+inverse DFT of its indicator, gathered at the units (q <= 1e4).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, cached_property
-from itertools import product
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -124,38 +123,29 @@ class CharacterGroup:
             raise ValueError(f"character groups capped at modulus {CHARACTER_MODULUS_LIMIT}")
         self.modulus = modulus
         self.components = tuple(comp for p, e in factorize(modulus).factors for comp in _components(p, e))
-        self.order = math.prod(comp.order for comp in self.components)
+        self.shape = tuple(comp.order for comp in self.components) or (1,)
+        self.order = math.prod(self.shape)
 
-    @cached_property
-    def _index_rows(self) -> np.ndarray:
-        """Index vectors of all characters, last component fastest, principal first."""
-        return np.array(list(product(*(range(comp.order) for comp in self.components))), dtype=np.int64)
+    def _points(self, units: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The grid point of each unit: one log array per component (one zero array if none)."""
+        return tuple(comp.log[units % comp.modulus] for comp in self.components) or (np.zeros_like(units),)
 
-    def _evaluate(self, rows: np.ndarray, xs: Sequence[int]) -> np.ndarray:
-        """chi(x) for each index row (one per character) at each point x.
-
-        The phase sum_j idx_j * log_j(x) / order_j is reduced exactly as an
-        integer modulo the group exponent before the root-of-unity gather.
-        """
+    def character_sums(self, xs: Sequence[int], weights: np.ndarray | complex) -> np.ndarray:
+        """sum_x chi(x) * w(x) for every character, in characters() order (principal first):
+        the weights (shaped like xs, or a scalar) of the units among xs, added at their grid
+        points, under one unscaled inverse DFT."""
         xs = np.asarray(xs, dtype=np.int64)
-        exponent = math.lcm(*(comp.order for comp in self.components))
-        turns = np.zeros((len(rows), len(xs)), dtype=np.int64)
-        for j, comp in enumerate(self.components):
-            weight = rows[:, j] * (exponent // comp.order)
-            turns += np.outer(weight, comp.log[xs % comp.modulus])
-        out = np.exp(2j * np.pi * np.arange(exponent) / exponent)[turns % exponent]
-        out[:, np.gcd(xs, self.modulus) != 1] = 0.0
-        return out
-
-    def matrix(self, xs: Sequence[int]) -> np.ndarray:
-        """chi(x) for every character (rows in characters() order) at every x."""
-        return self._evaluate(self._index_rows, xs)
+        unit = np.gcd(xs, self.modulus) == 1
+        grid = np.zeros(self.shape, dtype=np.complex128)
+        np.add.at(grid, self._points(xs[unit]), np.broadcast_to(weights, xs.shape)[unit])
+        return np.fft.ifftn(grid, norm="forward").ravel()
 
     def characters(self) -> list["DirichletCharacter"]:
-        return [DirichletCharacter(self, tuple(map(int, row))) for row in self._index_rows]
+        """Every character, last component fastest (the C order of the grid)."""
+        count = len(self.components)
+        return [DirichletCharacter(self, indices[:count]) for indices in np.ndindex(self.shape)]
 
 
-@lru_cache(maxsize=256)
 def character_group(modulus: int) -> CharacterGroup:
     return CharacterGroup(modulus)
 
@@ -180,8 +170,14 @@ class DirichletCharacter:
 
     @cached_property
     def value_table(self) -> np.ndarray:
-        """chi on 0..q-1 as a complex array (zeros at non-units)."""
-        return self.group._evaluate(np.array([self.indices], dtype=np.int64), range(self.modulus))[0]
+        """chi on 0..q-1 (zeros at non-units): the inverse DFT of its indicator at the units' grid points."""
+        xs = np.arange(self.modulus)
+        unit = np.gcd(xs, self.modulus) == 1
+        indicator = np.zeros(self.group.shape, dtype=np.complex128)
+        indicator[self.indices] = 1.0  # indices () fill the one-entry grid of q in {1, 2}
+        table = np.zeros(self.modulus, dtype=np.complex128)
+        table[unit] = np.fft.ifftn(indicator, norm="forward")[self.group._points(xs[unit])]
+        return table
 
     def values_at(self, xs: Sequence[int]) -> np.ndarray:
         return self.value_table[np.asarray(xs, dtype=np.int64) % self.modulus]

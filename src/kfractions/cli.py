@@ -2,18 +2,20 @@
 
 Each subcommand runs one suite of `verify.SUITES`; its flags come from the
 suite's signature (parameter `n_specs` is `--n-specs`, with its default and
-type; tuples take comma-separated ints, a bool is a switch) and its help is
-the first line of the suite's docstring.  Global flags, before or after the
-subcommand: --seed, --out (CSV path), --json (mirror) and --config, a flat
-key=value file whose keys name global or subcommand options; flags override
-it, and an unknown key or a mistyped value is a configuration error.  No
-environment variables are consulted.  The CLI times nothing and writes no
-record field itself: each suite returns its records, with the resolved options
-as params and its own runtime.  Records append to a CSV (fixed column
-order, 17-significant-digit floats) and optionally mirror to JSON.  Exit
-codes: 0 all assertions passed, 1 at least one assertion failed, 2 usage or
-configuration error, 3 an internal check inside the suite failed (an
-ArithmeticError: the message goes to stderr and no record is written).
+type; tuples take comma-separated ints) and its help is the first line of the
+suite's docstring.  Global flags, before or after the subcommand: --seed,
+--out (CSV path), --json (mirror) and --config, a flat key=value file whose
+keys name global or subcommand options; flags override it, and an unknown key
+or a mistyped value is a configuration error.  `equidist` takes the full sets
+X_N = [0, N]; with --density-exponent e > 0 it draws X_N of size
+ceil(N^(1-e)) instead.  No environment variables are consulted.  The CLI
+times nothing and writes no record field itself: each suite returns its
+records, with the resolved options as params and its own runtime.  Records
+append to a CSV (fixed column order, 17-significant-digit floats) and
+optionally mirror to JSON.  Exit codes: 0 all assertions passed, 1 at least
+one assertion failed, 2 usage or configuration error, 3 an internal check
+inside the suite failed (an ArithmeticError: the message goes to stderr and
+no record is written).
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class _Option(NamedTuple):
@@ -61,13 +61,6 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOL_WORDS[text.lower()]
-    except KeyError:
-        raise ValueError(f"{text!r} is not one of {'/'.join(_BOOL_WORDS)}") from None
-
-
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
@@ -79,8 +72,7 @@ def _suite_options(fn: Callable) -> dict[str, _Option]:
         if param.name == "seed":
             continue
         default = param.default
-        parse = (_parse_bool if isinstance(default, bool)
-                 else _parse_ints if isinstance(default, tuple) else type(default))
+        parse = _parse_ints if isinstance(default, tuple) else type(default)
         out[param.name] = _Option(parse, default)
     return out
 
@@ -91,11 +83,7 @@ def _add_options(parser: argparse.ArgumentParser, options: dict[str, _Option]) -
         flag = "--" + name.replace("_", "-")
         shown = ",".join(map(str, opt.default)) if isinstance(opt.default, tuple) else opt.default
         text = f"{opt.help} (default {shown})".lstrip()
-        if opt.parse is _parse_bool:
-            parser.add_argument(flag, action="store_const", const=not opt.default,
-                                default=argparse.SUPPRESS, help=text)
-        else:
-            parser.add_argument(flag, type=opt.parse, default=argparse.SUPPRESS, help=text)
+        parser.add_argument(flag, type=opt.parse, default=argparse.SUPPRESS, help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

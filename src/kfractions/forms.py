@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import is_prime, jacobi
-from .characters import character_group
+from .characters import CHARACTER_MODULUS_LIMIT, character_group
 from .ksums import inverses_mod
 from .records import derive_rng
 
@@ -462,7 +462,7 @@ def amplifier_check(
     (the explicit stand-in for the asymptotic L/log L).  C_b and D_b come from
     the inner-term array T at modulus b*n, over the m coprime to b.  D_b is
     computed twice: as sum_m phi(m)^-1 sum_chi |sum_ell chi(ell)|^2
-    |sum_n chi(n) T[m,n]|^2 from the character matrix of m (row 0 principal),
+    |sum_n chi(n) T[m,n]|^2, each inner sum one inverse DFT over (Z/m)* (entry 0 principal),
     and as the congruence form, the energy of T grouped by ell*n mod m, split
     into the diagonal (grouped by the exact product ell*n) and the rest; the
     report records the agreement of the two routes and of the partition.
@@ -472,8 +472,8 @@ def amplifier_check(
     """
     if spec.theta_f:
         raise ValueError("amplifier check is defined for unshifted specs")
-    if spec.m_scale > 300:
-        raise ValueError("amplifier check capped at M <= 300")
+    if spec.m_scale > CHARACTER_MODULUS_LIMIT:
+        raise ValueError(f"amplifier check builds a character group per m, capped at M <= {CHARACTER_MODULUS_LIMIT}")
     if gcd(spec.theta, amp.b) != 1:
         raise ValueError("need gcd(theta, b) = 1")
     if amp.l_scale <= 2 * math.log(amp.b * abs(spec.theta) * spec.m_scale):
@@ -500,7 +500,7 @@ def amplifier_check(
         adm_ells = ells[np.gcd(ells, m) == 1]
         min_p = len(adm_ells) if min_p is None else min(min_p, len(adm_ells))
         # character-sum form, one term per character
-        chi_terms = np.abs(group.matrix(ells).sum(axis=1)) ** 2 * np.abs(group.matrix(ns) @ t_row) ** 2
+        chi_terms = np.abs(group.character_sums(ells, 1.0)) ** 2 * np.abs(group.character_sums(ns, t_row)) ** 2
         d_char += float(chi_terms.sum()) / group.order
         chi0_total += float(chi_terms[0]) / group.order
         # orthogonality-expanded form: energies over ell*n mod m and the exact products

@@ -52,7 +52,8 @@ def _suite(subcommand: str):
     """Make a suite whose body returns (values, assertions) return its ExperimentRecord, as its annotation says.
 
     params are every argument but the seed, a tuple or list comma-joined as the CLI parses it, and
-    runtime_seconds is the time of the body.
+    runtime_seconds is the time of the body.  An int argument other than the seed (a size or a
+    count) below 1 raises ValueError, naming it, before the body runs.
     """
     def decorate(fn):
         signature = inspect.signature(fn)
@@ -61,6 +62,9 @@ def _suite(subcommand: str):
         def run(*args, **kwargs) -> ExperimentRecord:
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
+            for name, value in bound.arguments.items():
+                if type(value) is int and name != "seed" and value < 1:
+                    raise ValueError(f"{name} must be >= 1, got {value}")
             start = time.perf_counter()
             values, assertions = fn(*bound.args, **bound.kwargs)
             runtime = time.perf_counter() - start
@@ -83,10 +87,6 @@ def _suite(subcommand: str):
 @_suite("ksum-verify")
 def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7) -> ExperimentRecord:
     """Oracle equivalence + Weil bound grid over every modulus c <= cmax."""
-    if cmax < 1:
-        raise ValueError(f"cmax must be >= 1, got {cmax}")
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
 
     def per_modulus(c: int):
         gen = derive_rng(seed, c)
@@ -144,10 +144,6 @@ def _random_coprime_pair(rng: random.Random, hi: int) -> tuple[int, int]:
 @_suite("identities")
 def identities_verify(trials: int = 1000, seed: int = 7, max_n: int = 10**6) -> ExperimentRecord:
     """Exact reciprocity identity suite, plus Jacobi/CRT/squarefull invariants."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
     rng = random.Random(f"identities-{seed}")
     failures = {"two_term": 0, "three_term": 0, "split_denominator": 0}
     for _ in range(trials):
@@ -237,12 +233,6 @@ def incomplete_verify(
     n_specs: int = 200, gamma_max: int = 300, seed: int = 7, sharp_specs: int = 1000
 ) -> ExperimentRecord:
     """Completion majorant + envelope suite (majorant violations are flagged, not hidden)."""
-    if n_specs < 1:
-        raise ValueError(f"n_specs must be >= 1, got {n_specs}")
-    if gamma_max < 1:
-        raise ValueError(f"gamma_max must be >= 1, got {gamma_max}")
-    if sharp_specs < 1:
-        raise ValueError(f"sharp_specs must be >= 1, got {sharp_specs}")
     violations = incomplete.erdos_turan_sweep(n_specs, gamma_max, seed)
 
     rng = random.Random(f"completion-{seed}")
@@ -329,8 +319,6 @@ def incomplete_verify(
 @_suite("amplifier-check")
 def cauchy_amplifier_verify(seed: int = 7, draws: int = 100) -> ExperimentRecord:
     """Cauchy-Schwarz step on random draws + amplifier chain on fixed cases."""
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
     rng = random.Random(f"cauchy-{seed}")
     gen = derive_rng(seed, 0)
     cauchy_ok = True
@@ -395,8 +383,6 @@ def compdiv_verify(m_scale: int = 64, n_scale: int = 64, l_scale: float = 8.0, s
 
 @_suite("trilinear-sweep")
 def bilinear_oracle_verify(n_specs: int = 20, seed: int = 7) -> ExperimentRecord:
-    if n_specs < 1:
-        raise ValueError(f"n_specs must be >= 1, got {n_specs}")
     rng = random.Random(f"bilinear-{seed}")
     max_dev = 0.0
     for i in range(n_specs):
@@ -462,8 +448,6 @@ def trilinear_sweep_verify(
 @_suite("detcount")
 def detcount_verify(n_specs: int = 50, seed: int = 7) -> ExperimentRecord:
     """Determinant equation counts: two summation orders vs. the main term."""
-    if n_specs < 1:
-        raise ValueError(f"n_specs must be >= 1, got {n_specs}")
     rng = random.Random(f"detcount-{seed}")
     specs = [_random_det_spec(rng, derive_rng(seed, i)) for i in range(n_specs)]
 
@@ -493,15 +477,15 @@ def detcount_verify(n_specs: int = 50, seed: int = 7) -> ExperimentRecord:
 def equidist_verify(
     n_list=(64, 128, 256, 512),
     density_exponent: float = 0.0,
-    sampled: bool = False,
     seed: int = 7,
 ) -> ExperimentRecord:
     """Fraction-set star discrepancy ladder.
 
-    With sampled, X_N is a draw of size ceil(N^(1-density_exponent)) instead of the full set.
+    X_N is the full set [0, N] at density_exponent 0, else a draw of size ceil(N^(1-density_exponent)).
     """
-    rows = apps.equidist_experiment(n_list, density_exponent, seed, full_sets=not sampled)
-    again = apps.equidist_experiment(n_list, density_exponent, seed, full_sets=not sampled)
+    full_sets = density_exponent == 0
+    rows = apps.equidist_experiment(n_list, density_exponent, seed, full_sets=full_sets)
+    again = apps.equidist_experiment(n_list, density_exponent, seed, full_sets=full_sets)
     dstars = [r.dstar for r in rows]
     values = {
         f"dstar_N{r.n_scale}": r.dstar if r.dstar is not None else float("nan") for r in rows
@@ -509,9 +493,7 @@ def equidist_verify(
     values.update({f"points_N{r.n_scale}": float(r.n_points) for r in rows})
     # the decreasing-trend claim applies to full sets and to draws dense
     # enough for the equidistribution statement (exponent <= 1/20)
-    trend_applies = (not sampled or density_exponent <= 1 / 20) and all(
-        d is not None for d in dstars
-    )
+    trend_applies = density_exponent <= 1 / 20 and all(d is not None for d in dstars)
     inversions = sum(
         1 for i in range(len(dstars) - 1) if trend_applies and dstars[i + 1] >= dstars[i]
     )

@@ -143,7 +143,7 @@ def test_criterion_9_determinant_counts():
 
 
 def test_criterion_10_equidistribution():
-    rec = verify.equidist_verify(n_list=(64, 128, 256, 512), sampled=False, seed=MASTER_SEED)
+    rec = verify.equidist_verify(n_list=(64, 128, 256, 512), seed=MASTER_SEED)
     ok = rec.passed
     ladder = ", ".join(f"{rec.values[f'dstar_N{n}']:.4f}" for n in (64, 128, 256, 512))
     _report(10, ok, f"full-set D* ladder [{ladder}]: at most one inversion, D*(512) < D*(64), deterministic")

@@ -1,5 +1,6 @@
 """Dirichlet character construction, orthogonality, multiplicativity."""
 
+import math
 import random
 from math import gcd
 
@@ -62,11 +63,49 @@ class TestGeneratorPowers:
             assert _generator_powers(g, order, p**e).tolist() == loop_powers(g, order, p**e).tolist()
 
     def test_character_matrices_bit_identical_to_the_scalar_loop(self, monkeypatch):
+        # The powers reach a character only through the log tables, so one transform of generic
+        # weights (the whole character matrix against them) and a spread of value tables pin them.
+        weights = np.random.default_rng(500).standard_normal(500) + 1j
+
+        def matrix_images(group):
+            chars = group.characters()
+            tables = [chi.value_table for chi in chars[:: max(1, len(chars) // 8)]]
+            return group.character_sums(range(group.modulus), weights[: group.modulus]), np.array(tables)
+
         for q in range(1, 501):
-            new = CharacterGroup(q).matrix(range(q))
+            new = matrix_images(CharacterGroup(q))
             with monkeypatch.context() as m:
                 m.setattr(characters, "_generator_powers", loop_powers)
-                assert np.array_equal(CharacterGroup(q).matrix(range(q)), new)
+                old = matrix_images(CharacterGroup(q))
+            assert all(np.array_equal(a, b) for a, b in zip(old, new)), q
+
+
+def exact_exponent_values(group: CharacterGroup, rows: np.ndarray, xs) -> np.ndarray:
+    """chi(x) for each index row (one per character) at each point x: the oracle of the DFT.
+
+    The phase sum_j idx_j * log_j(x) / order_j is reduced exactly as an integer
+    modulo the group exponent before the root-of-unity gather.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    exponent = math.lcm(*(comp.order for comp in group.components))
+    turns = np.zeros((len(rows), len(xs)), dtype=np.int64)
+    for j, comp in enumerate(group.components):
+        weight = rows[:, j] * (exponent // comp.order)
+        turns += np.outer(weight, comp.log[xs % comp.modulus])
+    out = np.exp(2j * np.pi * np.arange(exponent) / exponent)[turns % exponent]
+    out[:, np.gcd(xs, group.modulus) != 1] = 0.0
+    return out
+
+
+class TestExactExponentOracle:
+    @pytest.mark.parametrize("moduli", [range(1, 301), (720, 1024, 2310)], ids=["q<=300", "composite"])
+    def test_value_tables_match_the_exact_exponent_evaluator(self, moduli):
+        for q in moduli:
+            group = CharacterGroup(q)
+            chars = group.characters()
+            rows = np.array([chi.indices for chi in chars], dtype=np.int64).reshape(len(chars), len(group.components))
+            tables = np.array([chi.value_table for chi in chars])
+            assert np.max(np.abs(tables - exact_exponent_values(group, rows, range(q)))) <= 1e-14, q
 
 
 class TestValues:
@@ -115,23 +154,32 @@ class TestOrthogonality:
 
 
 class TestGroupMatrix:
+    """character_sums is the group's character matrix (rows in characters() order) times the weights."""
+
     @pytest.mark.parametrize("q", EDGE_MODULI)
     def test_rows_match_each_character(self, q):
-        xs = list(range(-2 * q - 3, 2 * q + 4))  # negative points and points >= q
+        # negative points, points >= q and every point twice
+        xs = np.tile(np.arange(-2 * q - 3, 2 * q + 4), 2)
         group = character_group(q)
         chars = group.characters()
-        mat = group.matrix(xs)
-        assert mat.shape == (len(chars), len(xs))
-        for row, chi in zip(mat, chars):
-            assert np.max(np.abs(row - np.array([chi(x) for x in xs]))) <= 1e-12
-            assert np.max(np.abs(row - chi.values_at(xs))) <= 1e-12
+        gen = np.random.default_rng(q)
+        for w in (gen.standard_normal(len(xs)) + 1j * gen.standard_normal(len(xs)), 1.0, 0.5 - 2j):
+            sums = group.character_sums(xs, w)
+            assert sums.shape == (len(chars),)
+            weights = np.broadcast_to(w, xs.shape)
+            tol = 1e-12 * max(1.0, float(np.sum(np.abs(weights))))
+            for total, chi in zip(sums, chars):
+                assert abs(total - np.sum(chi.values_at(xs) * weights)) <= tol
 
     @pytest.mark.parametrize("q", EDGE_MODULI)
     def test_principal_is_row_zero(self, q):
         group = character_group(q)
         assert group.characters()[0].is_principal
         xs = np.arange(-q, 2 * q)
-        assert np.array_equal(group.matrix(xs)[0], (np.gcd(xs, q) == 1).astype(np.complex128))
+        w = np.random.default_rng(q).standard_normal(len(xs))
+        units = np.gcd(xs, q) == 1
+        assert group.character_sums(xs, w)[0] == pytest.approx(np.sum(w[units]), rel=1e-12, abs=1e-12)
+        assert group.character_sums(xs, 1.0)[0] == np.count_nonzero(units)
 
 
 class TestAmplifierSmallModuli:

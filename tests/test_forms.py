@@ -10,6 +10,7 @@ import pytest
 
 from kfractions import forms
 from kfractions.arith import jacobi
+from kfractions.characters import CHARACTER_MODULUS_LIMIT
 from kfractions.forms import (
     AmplifierSpec,
     CauchyReport,
@@ -553,7 +554,7 @@ class TestAmplifier:
         rep = amplifier_check(spec, amp, beta, nu)
         assert rep.holds
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         spec = FormSpec(24, 8, 3, theta=2)
         gen = np.random.default_rng(13)
         beta = CoefficientVector.random_unit(spec.n_range, gen)
@@ -562,8 +563,25 @@ class TestAmplifier:
             amplifier_check(spec, AmplifierSpec(2, 9.0), beta, nu)
         with pytest.raises(ValueError):  # L too small for the window condition
             amplifier_check(FormSpec(24, 8, 3, theta=1), AmplifierSpec(1, 2.0), beta, nu)
-        with pytest.raises(ValueError):  # M cap
-            amplifier_check(FormSpec(400, 8, 3, theta=1), AmplifierSpec(1, 14.0), beta, nu)
+
+        def no_inner_terms(*args, **kwargs):
+            raise AssertionError("_inner_terms called above the character-group cap")
+
+        monkeypatch.setattr(forms, "_inner_terms", no_inner_terms)
+        # M cap: one character group per m; 2*log(M) ~ 18.4 < 20, so only the cap rejects this spec
+        with pytest.raises(ValueError, match="capped"):
+            amplifier_check(FormSpec(CHARACTER_MODULUS_LIMIT + 2, 8, 3, theta=1), AmplifierSpec(1, 20.0), beta, nu)
+
+    def test_m_600_chain_and_forms_match(self):
+        # the first rung of the M = 600-3000 amplifier ladder, past the scale the acceptance cases reach
+        spec = FormSpec(600, 32, 6, theta=1)
+        amp = AmplifierSpec(1, 18.0)
+        gen = np.random.default_rng(600)
+        beta = CoefficientVector.random_unit(spec.n_range, gen)
+        nu = CoefficientVector.random_unit(spec.a_range, gen)
+        rep = amplifier_check(spec, amp, beta, nu)
+        assert rep.holds and rep.partition_ok and rep.forms_match
+        assert rep.d_b == pytest.approx(rep.d_b_direct, rel=1e-12)
 
 
 def scalar_compdiv(m_scale, n_scale, l_scale):
