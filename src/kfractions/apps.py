@@ -341,9 +341,11 @@ def equidist_experiment(
     draw (deterministic in `seed`) of ceil(N^(1-density_exponent)) distinct
     integers from [0, N].
     """
-    # the whole ladder is checked before any set is built
+    # the whole ladder and the exponent are checked before any set is built
     if any(n < 1 for n in n_list):
         raise ValueError(f"every N of the ladder must be >= 1, got {tuple(n_list)}")
+    if density_exponent < 0:
+        raise ValueError(f"density_exponent must be >= 0, got {density_exponent}")
     sizes = [n + 1 if full_sets else min(math.ceil(n ** (1 - density_exponent)), n + 1) for n in n_list]
     if 48 * max(sizes, default=0) ** 2 > _FRACTION_SET_BYTES:
         raise ValueError(f"|X_N| = {max(sizes)} needs 48*|X_N|^2 bytes, cap is {_FRACTION_SET_BYTES}")

@@ -126,6 +126,12 @@ class CharacterGroup:
         self.shape = tuple(comp.order for comp in self.components) or (1,)
         self.order = math.prod(self.shape)
 
+    def __eq__(self, other: object) -> bool:  # the group is a function of its modulus
+        return isinstance(other, CharacterGroup) and other.modulus == self.modulus
+
+    def __hash__(self) -> int:
+        return hash(self.modulus)
+
     def _points(self, units: np.ndarray) -> tuple[np.ndarray, ...]:
         """The grid point of each unit: one log array per component (one zero array if none)."""
         return tuple(comp.log[units % comp.modulus] for comp in self.components) or (np.zeros_like(units),)

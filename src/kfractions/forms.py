@@ -10,8 +10,9 @@ check.
 
 Every consumer reads the form through one contraction W(nu)[m, n] =
 sum_a nu_a entry(a,m,n): `_inner_terms` streams it one n-slab at a time
-(evaluation, Cauchy-Schwarz, amplifier); the search takes it as one matrix
-product on the dense tensor of `build_tensor`, the streamed route's oracle.
+(evaluation, Cauchy-Schwarz, amplifier); the search takes it for all its live
+restarts at once, one matrix product on the dense tensor of `build_tensor`, the
+streamed route's oracle.
 
 Coefficients live on dyadic ranges [X/2, X] and are always handled as unit-L2
 vectors in the envelopes (the norms are folded in).
@@ -238,13 +239,15 @@ class ExtremalResult:
     iterations: int
 
 
-def _unit_or_basis(d: np.ndarray) -> tuple[np.ndarray, float]:
-    norm = float(np.linalg.norm(d))
-    if norm == 0.0:
-        e = np.zeros_like(d)
-        e[0] = 1.0  # lowest-index tie-break for a vanishing contraction
-        return e, 0.0
-    return d.conj() / norm, norm
+def _unit_or_basis(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized conjugate of each row of d and the row norms; a zero row
+    becomes e_0 with norm 0 (lowest-index tie-break for a vanishing contraction)."""
+    units = d.conj()
+    norms = np.sqrt((units * d).real.sum(axis=1))
+    zero = norms == 0.0
+    units[zero, 0] = 1.0
+    units /= np.where(zero, 1.0, norms)[:, None]
+    return units, norms
 
 
 def extremal_search(
@@ -259,55 +262,76 @@ def extremal_search(
     Each half-step replaces one block with the normalized conjugate of its
     contraction, which is the exact maximizer given the other two blocks, so
     the objective is non-decreasing; this is asserted at every half-step.
-    With the tensor T viewed as an (|A|, |M|*|N|) matrix, a cycle makes two
-    passes over it: W = sum_a nu_a T[a] (an |M| x |N| matrix) serves both the
-    alpha-step W beta and the beta-step alpha^T W, and the nu-step is
-    T vec(alpha beta^T).
-    Restart r draws its start from `records.derive_rng(seed, r)`; the best value
-    wins with lowest-restart-index tie-breaking.
+    The restarts run as one block: with the tensor T viewed as an
+    (|A|, |M|*|N|) matrix, a cycle makes two passes over it for all live
+    restarts together.  W = nu T (one (R, |A|) x (|A|, |M|*|N|) product, an
+    |M| x |N| matrix per restart) serves both the alpha-step W beta and the
+    beta-step alpha^T W, and the nu-step is T against the stacked rank-one
+    products vec(alpha beta^T).  Restart r draws its start from
+    `records.derive_rng(seed, r)` and leaves the live set after the cycle where
+    its own stopping rule fires (or when `iters` runs out), its vectors,
+    objective and cycle count then frozen.  The best value wins with
+    lowest-restart-index tie-breaking.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     tensor = build_tensor(spec, twisted)
     flat = tensor.reshape(len(tensor), -1)
-    best: tuple[float, int, int, np.ndarray, np.ndarray, np.ndarray] | None = None
+    starts = []
     for r in range(restarts):
         gen = derive_rng(seed, r)
         draws = [gen.standard_normal(dim) + 1j * gen.standard_normal(dim) for dim in tensor.shape]
-        nu_v, alpha_v, beta_v = (v / np.linalg.norm(v) for v in draws)
-        w = (nu_v @ flat).reshape(tensor.shape[1:])
-        obj = abs(alpha_v @ w @ beta_v)
-        it = 0
-        for it in range(1, iters + 1):
-            cycle_start = prev = obj
-            alpha_v, obj = _unit_or_basis(w @ beta_v)
-            _assert_monotone(prev, obj, spec, twisted, r, it, "alpha")
-            prev = obj
-            beta_v, obj = _unit_or_basis(alpha_v @ w)
-            _assert_monotone(prev, obj, spec, twisted, r, it, "beta")
-            prev = obj
-            nu_v, obj = _unit_or_basis(flat @ np.outer(alpha_v, beta_v).ravel())
-            _assert_monotone(prev, obj, spec, twisted, r, it, "nu")
-            if obj - cycle_start <= 1e-10 * max(obj, 1e-300) and it > 1:
+        starts.append([v / np.linalg.norm(v) for v in draws])
+    # indexed by restart: the starts, each row overwritten when its restart leaves the live set
+    nu_v, alpha_v, beta_v = (np.array(block) for block in zip(*starts))
+    w_buf = np.matmul(nu_v, flat)  # the one W stack; each cycle rewrites its first len(live) rows
+    obj = np.abs(np.einsum("rm,rmn,rn->r", alpha_v, w_buf.reshape(restarts, *tensor.shape[1:]), beta_v))
+    cycles = np.zeros(restarts, dtype=np.int64)
+    live = np.arange(restarts)
+    be, cur = beta_v, obj  # the live rows, in restart order
+    for it in range(1, iters + 1):
+        w = w_buf[: len(live)].reshape(len(live), *tensor.shape[1:])
+        cycle_start = prev = cur
+        al, cur = _unit_or_basis(np.matmul(w, be[:, :, None])[:, :, 0])
+        _assert_monotone(prev, cur, spec, twisted, live, it, "alpha")
+        prev = cur
+        be, cur = _unit_or_basis(np.matmul(al[:, None, :], w)[:, 0, :])
+        _assert_monotone(prev, cur, spec, twisted, live, it, "beta")
+        prev = cur
+        np.multiply(al[:, :, None], be[:, None, :], out=w)  # W is spent: its rows now hold vec(alpha beta^T)
+        nu, cur = _unit_or_basis(w.reshape(len(live), -1) @ flat.T)
+        _assert_monotone(prev, cur, spec, twisted, live, it, "nu")
+        done = (cur - cycle_start <= 1e-10 * np.maximum(cur, 1e-300)) & (it > 1) | (it == iters)
+        if done.any():
+            stop = live[done]
+            alpha_v[stop], beta_v[stop], nu_v[stop] = al[done], be[done], nu[done]
+            obj[stop], cycles[stop] = cur[done], it
+            live, be, nu, cur = live[~done], be[~done], nu[~done], cur[~done]
+            if not len(live):
                 break
-            w = (nu_v @ flat).reshape(tensor.shape[1:])
-        if best is None or obj > best[0]:
-            best = (obj, r, it, alpha_v, beta_v, nu_v)
-    value, r, it, alpha_v, beta_v, nu_v = best
+        np.matmul(nu, flat, out=w_buf[: len(live)])
+    best = int(np.argmax(obj))
     return ExtremalResult(
-        value,
-        CoefficientVector(spec.m_range, alpha_v),
-        CoefficientVector(spec.n_range, beta_v),
-        CoefficientVector(spec.a_range, nu_v),
-        r,
-        it,
+        float(obj[best]),
+        CoefficientVector(spec.m_range, alpha_v[best]),
+        CoefficientVector(spec.n_range, beta_v[best]),
+        CoefficientVector(spec.a_range, nu_v[best]),
+        best,
+        int(cycles[best]),
     )
 
 
-def _assert_monotone(prev: float, new: float, spec: FormSpec, twisted: bool, restart: int, cycle: int,
-                     step: str) -> None:
-    if new < prev - 1e-9 * max(1.0, prev):
+def _assert_monotone(prev: np.ndarray, new: np.ndarray, spec: FormSpec, twisted: bool, restarts: np.ndarray,
+                     cycle: int, step: str) -> None:
+    """Raise for the first of the given restarts whose objective decreased at this half-step."""
+    fails = new < prev - 1e-9 * np.maximum(1.0, prev)
+    if fails.any():
+        i = int(fails.argmax())
         raise ArithmeticError(
-            f"alternating objective decreased: {prev} -> {new} at the {step}-step of cycle {cycle}, "
-            f"restart {restart} (M={spec.m_scale}, N={spec.n_scale}, A={spec.a_scale}, "
+            f"alternating objective decreased: {float(prev[i])} -> {float(new[i])} at the {step}-step of "
+            f"cycle {cycle}, restart {restarts[i]} (M={spec.m_scale}, N={spec.n_scale}, A={spec.a_scale}, "
             f"theta={spec.theta}, twisted={twisted})")
 
 

@@ -461,6 +461,8 @@ class TestEquidistExperiment:
             equidist_experiment([64, -3])
         with pytest.raises(ValueError):
             equidist_experiment([-5], density_exponent=0.5)
+        with pytest.raises(ValueError, match="density_exponent must be >= 0, got -0.5"):
+            equidist_experiment([64, 128], density_exponent=-0.5)
         assert calls == []
         equidist_experiment([8], full_sets=True)
         assert len(calls) == 1

@@ -41,6 +41,12 @@ class TestGroupStructure:
         with pytest.raises(ValueError):
             characters_mod(10**4 + 1)
 
+    def test_characters_compare_by_modulus_and_indices(self):
+        first, second = characters_mod(5), characters_mod(5)
+        assert first[1] == second[1] and hash(first[1]) == hash(second[1])
+        assert first[1] != second[2]
+        assert CharacterGroup(5) != CharacterGroup(7)
+
 
 def loop_powers(generator: int, order: int, modulus: int) -> np.ndarray:
     """generator^0 .. generator^(order-1) mod modulus by one scalar loop: the reference."""

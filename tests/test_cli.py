@@ -133,6 +133,7 @@ class TestCli:
         ["--density-exponent", "0.5", "--n-list", "-5"],  # was a TypeError traceback
         ["--n-list", "-3"],  # was accepted, printing dstar_N-3 = nan
         ["--n-list", "64,20000"],  # was rejected only after N = 64 was built
+        ["--density-exponent", "-0.5"],  # was accepted, drawing the full sets under a new experiment id
     ])
     def test_equidist_bad_ladder_exit_2_without_record(self, tmp_path, capsys, args):
         out = tmp_path / "x.csv"

@@ -94,11 +94,12 @@ def _unit(d):
 
 
 def einsum_search(spec, twisted=False, restarts=8, iters=300, seed=0):
-    """Reference alternating search: three einsum contractions of the dense
-    tensor per cycle, with the seeding, stopping rule and tie-break of
-    `extremal_search`.  Returns (value, restart, iterations, alpha, beta, nu)."""
+    """Reference alternating search, one restart after another: three einsum
+    contractions of the dense tensor per cycle, with the seeding, stopping rule
+    and tie-break of `extremal_search`.  Returns the winner's (value, restart,
+    iterations, alpha, beta, nu) and each restart's (objective, cycles)."""
     tensor = build_tensor(spec, twisted)
-    best = None
+    best, per_restart = None, []
     for r in range(restarts):
         gen = np.random.default_rng(np.random.SeedSequence([seed, r]))
         vecs = []
@@ -107,6 +108,7 @@ def einsum_search(spec, twisted=False, restarts=8, iters=300, seed=0):
             vecs.append(v / np.linalg.norm(v))
         nu, al, be = vecs
         obj = abs(np.einsum("amn,a,m,n->", tensor, nu, al, be))
+        it = 0
         for it in range(1, iters + 1):
             cycle_start = obj
             al, obj = _unit(np.einsum("amn,a,n->m", tensor, nu, be))
@@ -114,9 +116,19 @@ def einsum_search(spec, twisted=False, restarts=8, iters=300, seed=0):
             nu, obj = _unit(np.einsum("amn,m,n->a", tensor, al, be))
             if obj - cycle_start <= 1e-10 * max(obj, 1e-300) and it > 1:
                 break
+        per_restart.append((obj, it))
         if best is None or obj > best[0]:
             best = (obj, r, it, al, be, nu)
-    return best
+    return best, per_restart
+
+
+def _assert_matches(res, reference):
+    """An `extremal_search` result against the winner of `einsum_search`."""
+    value, r, it, al, be, nu = reference
+    assert (res.restart_index, res.iterations) == (r, it)
+    assert res.value == pytest.approx(value, rel=1e-12)
+    for got, want in ((res.alpha, al), (res.beta, be), (res.nu, nu)):
+        assert _rel_err(got.values, want) <= 1e-12
 
 
 class TestDyadicRange:
@@ -345,11 +357,61 @@ class TestExtremalSearch:
     ], ids=["plain", "twisted", "reciprocity", "A1"])
     def test_matches_einsum_reference(self, spec, twisted):
         res = extremal_search(spec, twisted=twisted, restarts=3, iters=300, seed=11)
-        value, r, it, al, be, nu = einsum_search(spec, twisted, restarts=3, iters=300, seed=11)
-        assert (res.restart_index, res.iterations) == (r, it)
-        assert res.value == pytest.approx(value, rel=1e-12)
-        for got, want in ((res.alpha, al), (res.beta, be), (res.nu, nu)):
-            assert _rel_err(got.values, want) <= 1e-12
+        _assert_matches(res, einsum_search(spec, twisted, restarts=3, iters=300, seed=11)[0])
+
+    @pytest.mark.parametrize("spec, twisted, seed", [
+        (FormSpec(12, 10, 7, theta=2), False, 0),
+        (FormSpec(11, 13, 6, theta=-3), True, 0),
+        (FormSpec(10, 12, 5, theta=1, theta_f=3), False, 0),
+        (FormSpec(24, 20, 1, theta=3), False, 2),
+    ], ids=["plain", "twisted", "reciprocity", "A1"])
+    def test_winner_frozen_while_the_live_set_shrinks(self, spec, twisted, seed):
+        res = extremal_search(spec, twisted=twisted, restarts=4, iters=300, seed=seed)
+        winner, per_restart = einsum_search(spec, twisted, restarts=4, iters=300, seed=seed)
+        cycles = [c for _, c in per_restart]
+        # the restarts stop at different cycles, and the winner before the last of them
+        assert len(set(cycles)) > 1 and cycles[winner[1]] < max(cycles) < 300
+        _assert_matches(res, winner)
+
+    @pytest.mark.parametrize("spec, seed, winner_cut", [
+        (FormSpec(16, 16, 16, theta=1), 0, True),
+        (FormSpec(12, 10, 7, theta=2), 0, False),
+    ], ids=["winner-cut", "loser-cut"])
+    def test_iters_cuts_off_some_restarts_only(self, spec, seed, winner_cut):
+        res = extremal_search(spec, restarts=4, iters=100, seed=seed)
+        winner, per_restart = einsum_search(spec, restarts=4, iters=100, seed=seed)
+        cycles = [c for _, c in per_restart]
+        assert min(cycles) < 100 and 100 in cycles and (cycles[winner[1]] == 100) == winner_cut
+        _assert_matches(res, winner)
+
+    def test_zero_iters_returns_the_best_start(self):
+        spec = FormSpec(9, 8, 4, theta=1)
+        res = extremal_search(spec, restarts=4, iters=0, seed=1)
+        assert res.iterations == 0
+        _assert_matches(res, einsum_search(spec, restarts=4, iters=0, seed=1)[0])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"restarts": 0}, "restarts must be >= 1, got 0"),  # was a TypeError
+        ({"restarts": -1}, "restarts must be >= 1, got -1"),
+        ({"iters": -1}, "iters must be >= 0, got -1"),
+    ])
+    def test_bad_option_rejected_before_the_tensor_is_built(self, monkeypatch, kwargs, message):
+        monkeypatch.setattr(forms, "build_tensor", lambda *args: pytest.fail("the tensor was built"))
+        with pytest.raises(ValueError, match=message):
+            extremal_search(FormSpec(9, 8, 4), **kwargs)
+
+    def test_zero_tensor_ties_go_to_the_lowest_restart(self, monkeypatch):
+        real = forms.build_tensor
+        monkeypatch.setattr(forms, "build_tensor", lambda s, twisted=False: np.zeros_like(real(s, twisted)))
+        res = extremal_search(FormSpec(6, 8, 10), restarts=3, iters=50)
+        assert (res.value, res.restart_index, res.iterations) == (0.0, 0, 2)
+        for vec in (res.alpha, res.beta, res.nu):  # every contraction vanishes: e_0
+            assert np.array_equal(vec.values, np.eye(len(vec.values))[0])
+
+    def test_unit_or_basis_rows(self):
+        units, norms = forms._unit_or_basis(np.array([[3, 4j], [0, 0], [0, 2j]]))
+        assert np.array_equal(norms, [5.0, 0.0, 2.0])
+        assert np.allclose(units, [[0.6, -0.8j], [1, 0], [0, -1j]], rtol=1e-15, atol=0)  # the zero row becomes e_0
 
     def test_monotone_failure_names_its_parameters(self, monkeypatch):
         real = forms._unit_or_basis
@@ -366,6 +428,24 @@ class TestExtremalSearch:
             r"\(M=9, N=8, A=4, theta=-2, twisted=True\)"
         )):
             extremal_search(FormSpec(9, 8, 4, theta=-2), twisted=True, restarts=2, iters=50)
+
+    def test_monotone_failure_on_one_restart_names_it(self, monkeypatch):
+        real = forms._unit_or_basis
+        count = [0]
+
+        def faulty(d):  # half restart 1's norm alone on the fifth call: the beta-step of cycle 2
+            vecs, norms = real(d)
+            count[0] += 1
+            if count[0] == 5:
+                norms[1] /= 2
+            return vecs, norms
+
+        monkeypatch.setattr(forms, "_unit_or_basis", faulty)
+        with pytest.raises(ArithmeticError, match=(
+            r"decreased: .* at the beta-step of cycle 2, restart 1 "
+            r"\(M=9, N=8, A=4, theta=-2, twisted=True\)"
+        )):
+            extremal_search(FormSpec(9, 8, 4, theta=-2), twisted=True, restarts=3, iters=50)
 
     def test_seed_reproducibility(self):
         spec = FormSpec(9, 8, 4, theta=1)
