@@ -4,8 +4,9 @@ trilinear/bilinear forms built from Kloosterman fractions a*mbar/n.
 Submodules
 ----------
 arith       exact integer and mod-1 rational arithmetic, reciprocity identities
-ksums       complete Kloosterman sums in batches at one c (kloosterman_batch, kloosterman_fast_batch;
-            kloosterman_brute and kloosterman_fast are their one-element cases), Weil; inverses_mod
+ksums       complete Kloosterman sums in batches: kloosterman_batch at one c, kloosterman_fast_batch
+            (block-major) at one c or one c per element; kloosterman_brute and kloosterman_fast are
+            their one-element cases; Weil; inverses_mod
 characters  Dirichlet characters from the unit-group decomposition (prime_power_units)
 incomplete  incomplete sums with side conditions, bound envelopes, completion majorant
 forms       the phase tensor, extremal search, bound envelopes, amplifier machinery

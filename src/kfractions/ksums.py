@@ -1,8 +1,9 @@
 """Complete Kloosterman sums S(a,b;c) = sum over units x mod c of e((a*xbar + b*x)/c).
 
 Two evaluation routes with disjoint internals, each in array form for many
-(a, b) at one c, with the scalar function as its one-element case, and a
-third for a whole row in b:
+(a, b) (at one c for the oracle; at one c or one c per element for the fast
+route), with the scalar function as its one-element case, and a third for a
+whole row in b:
 
 * ``kloosterman_batch`` / ``kloosterman_brute`` -- the oracle: direct
   summation over reduced residues.  The unit table of c comes from the cyclic
@@ -22,7 +23,10 @@ third for a whole row in b:
   with the two-term Salie closed form at odd prime powers p^alpha, alpha >= 2,
   p coprime to ab (the printed sum over the square roots +-y of ab, y by one
   Tonelli-Shanks in the cyclic group (Z/p^alpha)*; the block vanishes when ab
-  is a non-residue).  Other blocks fall back to one brute batch per block.
+  is a non-residue).  The route is block-major: each distinct modulus is
+  factorized once, the blocks are taken in increasing p, and the elements of
+  every modulus with a block that has no closed form are one brute batch at
+  that block, so a block is gathered once however many moduli share it.
 
 Plus the Ramanujan sum S(a,0;c) in exact integer arithmetic, the explicit
 Weil bound tau(c) * gcd(a,b,c)^(1/2) * c^(1/2), and ``inverses_mod``, the one
@@ -185,6 +189,16 @@ def _real_parts(totals: np.ndarray, c: int, phi_c: int, args) -> np.ndarray:
     return totals.real
 
 
+def _check_lengths(a, b, c) -> bool:
+    """Whether c is given per element; raises ValueError, naming the lengths, unless a, b and such a c
+    have one length."""
+    per_element = not isinstance(c, (int, np.integer))
+    if len(a) != len(b) or per_element and len(c) != len(a):
+        sizes = f"len(a)={len(a)}, len(b)={len(b)}" + (f", len(c)={len(c)}" if per_element else "")
+        raise ValueError(f"a, b{' and c' if per_element else ''} need one length, got {sizes}")
+    return per_element
+
+
 def kloosterman_batch(a, b, c: int) -> np.ndarray:
     """S(a_i, b_i; c) by direct summation, for int64 arrays a, b of one length (any sign).
 
@@ -192,6 +206,7 @@ def kloosterman_batch(a, b, c: int) -> np.ndarray:
     ArithmeticError naming the first (a, b, c) whose imaginary part exceeds
     1e-9 * phi(c).
     """
+    _check_lengths(a, b, c)
     if c < 1:
         raise ValueError("modulus c must be >= 1")
     a = np.asarray(a, dtype=np.int64)
@@ -283,48 +298,77 @@ def _salie_block(a: int, b: int, p: int, alpha: int) -> float:
     return (p ** (alpha / 2) * eps * terms).real
 
 
-def kloosterman_fast_batch(a, b, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """S(a_i, b_i; c) by the fast route for integer sequences a, b at one c.
+def kloosterman_fast_batch(a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """S(a_i, b_i; c_i) by the fast route for int64 sequences a, b; c is one modulus or one per element.
 
     Returns the values and a mask of those with method "crt_salie" (more than
-    one block, or a Salie closed form).  c is factorized once and each block's
-    cofactor inverse wbar taken once; per block, the elements without a closed
-    form are one `kloosterman_batch` gather at q, and the rest take the Salie
-    closed form one by one.  Supports c <= 1e12 provided every block that has
-    to fall back to brute summation (alpha = 1, p = 2, or p | ab) is at most
-    the brute cap.
+    one block, or a Salie closed form).  Block-major: each distinct modulus is
+    factorized once, then the blocks (p, alpha) are taken in increasing p, and
+    every element whose modulus has that block is reduced by its cofactor
+    inverse wbar.  Per block, the elements without a closed form (alpha = 1,
+    p = 2, or p | ab) are one `kloosterman_batch` gather at q over all moduli;
+    the rest take the Salie closed form one by one.  So each value is the
+    product of its blocks in factor order, as one modulus at a time would
+    give.  Supports c <= 1e12 provided every block that has to fall back to
+    brute summation is at most the brute cap.
     """
-    if c < 1:
-        raise ValueError("modulus c must be >= 1")
-    if c > FAST_LIMIT:
-        raise ValueError(f"fast evaluation capped at c <= {FAST_LIMIT}, got {c}")
-    a, b = [int(x) for x in a], [int(y) for y in b]  # exact: block residues reach 1e12
+    per_element = _check_lengths(a, b, c)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if per_element:  # the elements of each distinct modulus, in increasing order, as a run of `order`
+        c = np.asarray(c, dtype=np.int64)
+        order = np.argsort(c, kind="stable")
+        ascending = c[order]
+        cuts = (np.flatnonzero(ascending[1:] != ascending[:-1]) + 1).tolist()
+        starts, ends = [0, *cuts], [*cuts, len(c)]
+        moduli = ascending[starts].tolist() if len(c) else []
+    else:
+        order, starts, ends, moduli = np.arange(len(a)), [0], [len(a)], [int(c)]
+    if moduli and moduli[0] < 1:
+        raise ValueError(f"modulus c must be >= 1, got {moduli[0]}")
+    if moduli and moduli[-1] > FAST_LIMIT:
+        raise ValueError(f"fast evaluation capped at c <= {FAST_LIMIT}, got {moduli[-1]}")
     values = np.ones(len(a))
-    blocks = factorize(c).factors
-    crt_salie = np.full(len(a), len(blocks) > 1)
-    for p, alpha in blocks:
+    crt_salie = np.zeros(len(a), dtype=bool)
+    owners: dict[tuple[int, int], list[tuple[int, int]]] = {}  # block -> (index of modulus, wbar)
+    for k, m in enumerate(moduli):
+        blocks = factorize(m).factors
+        for p, alpha in blocks:
+            q = p**alpha
+            owners.setdefault((p, alpha), []).append((k, pow(m // q % q, -1, q)))
+        if len(blocks) > 1:
+            crt_salie[order[starts[k] : ends[k]]] = True
+    for (p, alpha), held in sorted(owners.items()):
         q = p**alpha
-        wbar = pow(c // q % q, -1, q)
-        a_blk = [x % q * wbar % q for x in a]
-        b_blk = [y % q * wbar % q for y in b]
-        closed = [alpha >= 2 and p != 2 and x % p != 0 and y % p != 0 for x, y in zip(a_blk, b_blk)]
-        brute = [i for i, has_form in enumerate(closed) if not has_form]
-        if brute:
+        runs = [order[starts[k] : ends[k]] for k, _ in held]
+        one = len(runs) == 1
+        idx = runs[0] if one else np.concatenate(runs)
+        wbar = held[0][1] if one else np.repeat([w for _, w in held], [len(r) for r in runs])
+        if alpha >= 2 and p != 2:  # p divides a*wbar exactly when it divides a
+            closed = np.logical_and(a[idx] % p, b[idx] % p)
+        else:
+            closed = np.zeros(len(idx), dtype=bool)
+        fall, salie = idx[~closed], idx[closed]
+        if len(fall):
             if q > BRUTE_LIMIT:
                 raise ValueError(
-                    f"block {p}^{alpha} of c={c} has no closed form and exceeds "
-                    f"the brute cap {BRUTE_LIMIT}"
+                    f"block {p}^{alpha} of c={c[fall[0]] if per_element else c} has no closed form and "
+                    f"exceeds the brute cap {BRUTE_LIMIT}"
                 )
-            values[brute] *= kloosterman_batch([a_blk[i] for i in brute], [b_blk[i] for i in brute], q)
-        for i in np.flatnonzero(closed):
-            values[i] *= _salie_block(a_blk[i], b_blk[i], p, alpha)
-            crt_salie[i] = True
+            w = wbar if one else wbar[~closed]
+            values[fall] *= kloosterman_batch(a[fall] % q * w % q, b[fall] % q * w % q, q)  # q^2 < 2^63
+        if len(salie):  # residues up to 1e12: the products as Python ints
+            ws = [wbar] * len(salie) if one else wbar[closed].tolist()
+            for j, x, y, w in zip(salie.tolist(), a[salie].tolist(), b[salie].tolist(), ws):
+                values[j] *= _salie_block(x % q * w % q, y % q * w % q, p, alpha)
+            crt_salie[salie] = True
     return values, crt_salie
 
 
 def kloosterman_fast(params: KloostermanParams) -> KloostermanResult:
     """Twisted multiplicativity over prime-power blocks with Salie closed forms (one element of the batch)."""
-    values, crt_salie = kloosterman_fast_batch([params.a], [params.b], params.c)
+    c = params.c  # a and b reduced mod c as Python ints first, so any int is accepted
+    values, crt_salie = kloosterman_fast_batch([params.a % c], [params.b % c], c)
     return KloostermanResult(float(values[0]), "crt_salie" if crt_salie[0] else "brute")
 
 

@@ -84,36 +84,53 @@ def _suite(subcommand: str):
 # ksum-verify: oracle equivalence + Weil + Ramanujan + symmetry  (criteria 1, 2)
 # ---------------------------------------------------------------------------
 
+# What ksum-verify holds at once.  Per pair: a, b, the brute values, their swapped twins, the fast values
+# and the Weil bounds, and up to four temporaries (the fast route's moduli and sort order, or the operands
+# of the maxima), 8 bytes each, plus masks; traced allocations grow by 75 bytes a pair at cmax = 2000.
+# Per modulus: tau, c and three Ramanujan gaps.  One modulus's brute gather is bounded by _GATHER_TERMS.
+KSUM_PAIR_BYTES = 96
+KSUM_MODULUS_BYTES = 40
+KSUM_VERIFY_BYTES = 2**30
+
+
 @_suite("ksum-verify")
 def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7) -> ExperimentRecord:
-    """Oracle equivalence + Weil bound grid over every modulus c <= cmax."""
+    """Oracle equivalence + Weil bound grid over every modulus c <= cmax.
 
-    def per_modulus(c: int):
+    Per modulus, the draws and one brute gather (the pairs, the swapped pairs, the Ramanujan a's at
+    b = 0) fill one row of (cmax, pairs) arrays; one fast-route call then takes all cmax * pairs
+    pairs, and the Weil bounds and the maxima are array expressions.  A config needing more than
+    KSUM_VERIFY_BYTES raises ValueError before the first draw.
+    """
+    need = cmax * (pairs * KSUM_PAIR_BYTES + KSUM_MODULUS_BYTES)
+    if need > KSUM_VERIFY_BYTES:
+        raise ValueError(
+            f"cmax={cmax}, pairs={pairs} would hold {need} bytes, over the cap of {KSUM_VERIFY_BYTES}"
+        )
+    cs = np.arange(1, cmax + 1)
+    a, b = np.empty((cmax, pairs), dtype=np.int64), np.empty((cmax, pairs), dtype=np.int64)
+    brute, sym = np.empty((cmax, pairs)), np.empty((cmax, pairs))
+    tau, ram_gap = np.empty(cmax), np.empty((cmax, 3))
+    for c in range(1, cmax + 1):
         gen = derive_rng(seed, c)
         draws = gen.integers(-2 * c, 2 * c + 1, size=2 * pairs)  # a, b alternate, as scalar draws would
-        a, b = draws[0::2], draws[1::2]
+        row_a, row_b = a[c - 1], b[c - 1]
+        row_a[:], row_b[:] = draws[0::2], draws[1::2]
         ram_a = np.array([0, 1, gen.integers(1, 4 * c + 1)])
         # one brute gather: the pairs, the swapped pairs, the Ramanujan a's at b = 0
         brute_all = ksums.kloosterman_batch(
-            np.concatenate([a, b, ram_a]), np.concatenate([b, a, np.zeros(3, dtype=np.int64)]), c
+            np.concatenate([row_a, row_b, ram_a]), np.concatenate([row_b, row_a, np.zeros(3, dtype=np.int64)]), c
         )
-        brute, sym, brute0 = brute_all[:pairs], brute_all[pairs : 2 * pairs], brute_all[2 * pairs :]
-        fast, _ = ksums.kloosterman_fast_batch(a, b, c)
-        weil = arith.factorize(c).tau * np.sqrt(np.gcd(np.gcd(a, b), c)) * math.sqrt(c)  # ksums.weil_bound, same order
-        ram = np.array([ksums.ramanujan(int(x), c) for x in ram_a])
-        return (
-            float(np.max(np.abs(fast - brute) / np.maximum(1.0, np.abs(brute)), initial=0.0)),
-            float(np.max(np.abs(brute) / weil, initial=0.0)),
-            float(np.max(np.abs(brute - sym), initial=0.0)),
-            float(np.max(np.abs(ram - brute0), initial=0.0)),
-            not (np.abs(brute) > weil * (1 + 1e-9)).any(),
-        )
-
-    results = [per_modulus(c) for c in range(1, cmax + 1)]
-    max_fast = max(r[0] for r in results)
-    max_weil = max(r[1] for r in results)
-    max_sym = max(r[2] for r in results)
-    max_ram = max(r[3] for r in results)
+        brute[c - 1], sym[c - 1] = brute_all[:pairs], brute_all[pairs : 2 * pairs]
+        ram_gap[c - 1] = np.abs([ksums.ramanujan(int(x), c) for x in ram_a] - brute_all[2 * pairs :])
+        tau[c - 1] = arith.factorize(c).tau
+    fast, _ = ksums.kloosterman_fast_batch(a.ravel(), b.ravel(), np.repeat(cs, pairs))
+    fast = fast.reshape(cmax, pairs)
+    weil = tau[:, None] * np.sqrt(np.gcd(np.gcd(a, b), cs[:, None])) * np.sqrt(cs)[:, None]  # ksums.weil_bound
+    max_fast = float(np.max(np.abs(fast - brute) / np.maximum(1.0, np.abs(brute))))
+    max_weil = float(np.max(np.abs(brute) / weil))
+    max_sym = float(np.max(np.abs(brute - sym)))
+    max_ram = float(np.max(ram_gap))
     values = {
         "moduli_checked": float(cmax),
         "max_fast_vs_brute": max_fast,
@@ -123,7 +140,7 @@ def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7) -> ExperimentR
     }
     return values, {
         "oracle_equivalence": max_fast <= 1e-6,
-        "weil_bound": all(r[4] for r in results) and max_weil <= 1 + 1e-9,
+        "weil_bound": not (np.abs(brute) > weil * (1 + 1e-9)).any() and max_weil <= 1 + 1e-9,
         "symmetry": max_sym <= 1e-9,
         "ramanujan_consistency": max_ram <= 1e-9,
         "realness": True,  # kloosterman_batch raises, naming (a, b, c), on an imaginary part > 1e-9*phi

@@ -221,6 +221,14 @@ class TestCli:
         assert f"configuration rejected: {option} must be >= 1, got {got}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ksum_verify_over_the_byte_cap_exit_2_naming_cmax_and_pairs(self, tmp_path, capsys):
+        verify = cli.verify
+        pairs = verify.KSUM_VERIFY_BYTES // (2000 * verify.KSUM_PAIR_BYTES) + 1  # at the default cmax
+        out = tmp_path / "x.csv"
+        assert main(["--out", str(out), "ksum-verify", "--pairs", str(pairs)]) == cli.EXIT_USAGE
+        assert f"configuration rejected: cmax=2000, pairs={pairs} would hold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_module_entry_point_subprocess(self, tmp_path):
         import subprocess
         import sys

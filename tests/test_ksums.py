@@ -12,6 +12,7 @@ from kfractions import ksums
 from kfractions.arith import euler_phi, is_prime, jacobi, tau
 from kfractions.ksums import (
     BRUTE_LIMIT,
+    FAST_LIMIT,
     KloostermanParams,
     _salie_block,
     _sqrt_mod_prime_power,
@@ -226,6 +227,61 @@ class TestBatch:
             assert kloosterman_batch([], [], c).shape == (0,)
             values, crt_salie = kloosterman_fast_batch([], [], c)
             assert values.shape == crt_salie.shape == (0,)
+        values, crt_salie = kloosterman_fast_batch([], [], np.array([], dtype=np.int64))
+        assert values.shape == crt_salie.shape == (0,)
+
+    # one modulus per element: 1, 2, a prime, 2^12, the Salie powers 3^5 and 5^4, 8 * 239^2, 2310,
+    # and 9 * 333331^2 < 1e12, whose blocks 3^2 and 333331^2 both have a closed form
+    PER_ELEMENT_MODULI = [1, 2, 97, 4096, 243, 625, 8 * 239**2, 2310, 9 * 333_331**2]
+
+    def test_per_element_moduli_equal_the_per_modulus_calls(self):
+        rng = random.Random(19)
+        a, b, c = [], [], []
+        for m in self.PER_ELEMENT_MODULI:
+            for _ in range(6):  # every modulus six times
+                x, y = rng.randint(-3 * m, 3 * m), rng.randint(-3 * m, 3 * m)
+                while m > BRUTE_LIMIT and gcd(x * y, m) != 1:  # no block of m may fall back
+                    x, y = rng.randint(-3 * m, 3 * m), rng.randint(-3 * m, 3 * m)
+                a.append(x)
+                b.append(y)
+                c.append(m)
+        a[c.index(243)], b[c.index(625)] = 0, -625  # blocks that fall back
+        order = rng.sample(range(len(c)), len(c))
+        a, b, c = (np.array([v[i] for i in order], dtype=np.int64) for v in (a, b, c))
+        values, crt_salie = kloosterman_fast_batch(a, b, c)
+        assert np.array_equal(kloosterman_fast_batch(a.tolist(), b.tolist(), c.tolist())[0], values)
+        assert crt_salie[c == 9 * 333_331**2].all() and crt_salie[c == 625].any()
+        for m in self.PER_ELEMENT_MODULI:
+            mine = c == m
+            one_modulus, one_modulus_salie = kloosterman_fast_batch(a[mine], b[mine], m)
+            assert (values[mine] == one_modulus).all(), m
+            assert (crt_salie[mine] == one_modulus_salie).all(), m
+
+    @pytest.mark.parametrize("bad, message", [
+        (0, r"modulus c must be >= 1, got 0"),
+        (FAST_LIMIT + 1, rf"fast evaluation capped at c <= {FAST_LIMIT}, got {FAST_LIMIT + 1}"),
+        (2 * 10_000_019,  # a fallback block above the brute cap
+         rf"block 10000019\^1 of c=20000038 has no closed form and exceeds the brute cap {BRUTE_LIMIT}"),
+    ])
+    def test_per_element_errors_name_the_modulus(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            kloosterman_fast_batch([1, 2, 3], [1, 2, 3], np.array([97, bad, 5]))
+
+    def test_batch_rejects_unequal_lengths_before_any_allocation(self):
+        tracemalloc.start()
+        try:  # at c = 10^6 the unit table alone would take 32 MB
+            with pytest.raises(ValueError, match=r"^a, b need one length, got len\(a\)=2, len\(b\)=1$"):
+                kloosterman_batch([1, 2], [3], 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_fast_batch_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match=r"^a, b need one length, got len\(a\)=2, len\(b\)=1$"):
+            kloosterman_fast_batch([1, 2], [3], 7)  # returned (-1.6039, 1.0): the second value a bare 1
+        with pytest.raises(ValueError, match=r"^a, b and c need one length, got len\(a\)=2, len\(b\)=2, len\(c\)=3$"):
+            kloosterman_fast_batch([1, 2], [3, 4], np.array([7, 7, 7]))
 
     def test_chunked_gather_is_bit_identical(self, monkeypatch):
         a, b = np.arange(-40, 40), np.arange(80) * 7

@@ -1,5 +1,10 @@
 """Suite-level behavior: record shapes, subcommand map."""
 
+import tracemalloc
+
+import pytest
+
+from kfractions import ksums, verify
 from kfractions.verify import (
     SUITES,
     compdiv_verify,
@@ -87,6 +92,41 @@ def per_pair_ksum_values(cmax: int, pairs: int, seed: int) -> tuple[dict, dict]:
     return values, assertions
 
 
-def test_ksum_verify_batches_match_the_per_pair_loop():
-    rec = ksum_verify(cmax=80, pairs=6)
-    assert (rec.values, rec.assertions) == per_pair_ksum_values(80, 6, 7)
+@pytest.mark.parametrize("seed", [7, 11])
+def test_ksum_verify_batches_match_the_per_pair_loop(seed):
+    rec = ksum_verify(cmax=80, pairs=6, seed=seed)
+    assert (rec.values, rec.assertions) == per_pair_ksum_values(80, 6, seed)
+
+
+def test_ksum_verify_makes_one_fast_route_call(monkeypatch):
+    real, sizes = ksums.kloosterman_fast_batch, []
+
+    def counting(a, b, c):
+        sizes.append(len(a))
+        return real(a, b, c)
+
+    monkeypatch.setattr(ksums, "kloosterman_fast_batch", counting)
+    assert ksum_verify(cmax=30, pairs=4).passed
+    assert sizes == [30 * 4]
+
+
+def test_ksum_verify_over_the_byte_cap_is_rejected_before_any_draw(monkeypatch):
+    per_pair, per_modulus, cap = verify.KSUM_PAIR_BYTES, verify.KSUM_MODULUS_BYTES, verify.KSUM_VERIFY_BYTES
+    pairs = (cap // 2000 - per_modulus) // per_pair + 1  # the fewest pairs over the cap at cmax = 2000
+    assert 2000 * ((pairs - 1) * per_pair + per_modulus) <= cap < 2000 * (pairs * per_pair + per_modulus)
+    monkeypatch.setattr(verify, "derive_rng", None)  # a draw would raise TypeError
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^cmax=2000, pairs={pairs} would hold \d+ bytes, over the cap"):
+            ksum_verify(cmax=2000, pairs=pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_ksum_verify_byte_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(verify, "KSUM_VERIFY_BYTES", 20 * (3 * verify.KSUM_PAIR_BYTES + verify.KSUM_MODULUS_BYTES))
+    assert ksum_verify(cmax=20, pairs=3).passed
+    with pytest.raises(ValueError, match="cmax=20, pairs=4"):
+        ksum_verify(cmax=20, pairs=4)
