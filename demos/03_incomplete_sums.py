@@ -34,7 +34,7 @@ spec = IncompleteSpec(
 print(f"value = {incomplete_brute(spec):.6f}")
 lp = lemma_params(spec)
 print(f"bookkeeping: h={lp.h}, h1={lp.h1}, gamma1={lp.gamma1}")
-print(f"first envelope at (C,eps)=(1,0.25): {bound_plain(spec, 1.0, 0.25):.3f}")
+print(f"first envelope at eps=0.25: {bound_plain(spec, eps=0.25):.3f}")
 
 print("\n=== envelope calibration (the constant the bound hides) ===")
 samples = envelope_sharpness_sweep(400, 250, seed=1)

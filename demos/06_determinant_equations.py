@@ -43,13 +43,13 @@ for delta in (1, 3, -5):
     t = det_count(spec)
     main = det_main_term(spec)
     resid = abs(t - main)
-    env = det_error_envelope(spec, C=1.0, eps=0.05)
+    env = det_error_envelope(spec, eps=0.05)
     print(f"Delta={delta:+d}: T = {t:.5f}, main term = {main:.5f}, "
           f"|residual| = {resid:.5f}, envelope = {env:.1f}")
 
 print("\n=== new envelope vs the older comparison envelope ===")
 spec = DetSpec(delta=1, m1_scale=64, m2_scale=64, alpha=ones(256), beta=ones(256), eta=2.0)
-new = det_error_envelope(spec, C=1.0, eps=0.05)
-old = det_error_envelope_comparison(spec, C=1.0, eps=0.05)
+new = det_error_envelope(spec, eps=0.05)
+old = det_error_envelope_comparison(spec, eps=0.05)
 print(f"balanced ranges at N1=N2=256: new shape {new:.3e} vs older {old:.3e} "
       f"(ratio {new/old:.3f}; the gap widens as N grows)")

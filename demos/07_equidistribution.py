@@ -17,7 +17,7 @@ import numpy as np
 from kfractions.apps import build_fraction_set, equidist_experiment, star_discrepancy
 
 print("=== frac(a0/m) ladder on full sets X_N = [0, N] ===")
-rows = equidist_experiment([64, 128, 256, 512], full_sets=True)
+rows = equidist_experiment([64, 128, 256, 512])
 print("   N   points      D*")
 for r in rows:
     print(f"{r.n_scale:>4} {r.n_points:>8} {r.dstar:8.4f}")

@@ -5,9 +5,9 @@ solutions of a*m - b*n = 1.
 Determinant side: the exact quadruple sum over m1*n2 - m2*n1 = Delta with
 smooth bump weights in the m variables, its predicted main term (a gcd-
 weighted correlation integral), and the explicit error envelopes for both
-the new and the older comparison bound.  The sum and the main term are block
-passes over the (n1, n2) pairs, n1-major, of at most 2^16 tuples or
-quadrature points each.
+the new and the older comparison bound, with implied constant 1.  The sum
+and the main term are block passes over the (n1, n2) pairs, n1-major, of at
+most 2^16 tuples or quadrature points each.
 
 Equidistribution side: rho(m,n) = frac(a0/m) for the smallest positive
 solution pair, the multiset of rho values over coprime pairs drawn from a
@@ -179,15 +179,15 @@ def det_count(spec: DetSpec, order: int = 1) -> complex:
     return complex(total)
 
 
-def _refined_integral(integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Composite midpoint rule on each interval (lo_i, hi_i) from 256 points, a row doubled until two values
-    agree to a relative 1e-8 (at most 22 times); integrand(x, rows) takes the grid x of the rows `rows`,
-    at most _DET_BLOCK points (one row when n alone is larger)."""
+def _refined_integral(integrand, lo: np.ndarray, hi: np.ndarray, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """Composite midpoint rule on the interval (lo_i, hi_i) of each pair (n1_i, n2_i), a row of 256 points
+    doubled until two values agree to a relative 1e-8; integrand(x, rows) takes the grid x of the rows `rows`,
+    at most _DET_BLOCK points (one row when n alone is larger).  A row still apart at 2^16 points (a weight
+    that jumps inside its interval) raises ArithmeticError naming the first such pair."""
     out = np.empty(len(lo))
     active = np.arange(len(lo))  # the rows still refining
     prev = np.full(len(lo), np.inf)  # no row stops after the first round
-    n = 256
-    for _ in range(22):
+    for n in (256 << k for k in range(9)):
         val = np.empty(len(active))
         step = max(1, _DET_BLOCK // n)
         for s in range(0, len(active), step):
@@ -197,9 +197,10 @@ def _refined_integral(integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             val[s : s + step] = np.sum(integrand(x, rows), axis=1) * span / n
         done = np.abs(val - prev) <= 1e-8 * np.maximum(np.abs(val), 1e-12)
         out[active[done]] = val[done]
-        active, prev = active[~done], val[~done]
-        n *= 2
-    out[active] = prev
+        active, prev, last = active[~done], val[~done], prev[~done]
+    if len(active):
+        raise ArithmeticError(f"main-term integral of (n1, n2) = ({n1[active[0]]}, {n2[active[0]]}) not converged "
+                              f"at {n} points: {last[0]} then {prev[0]}")
     return out
 
 
@@ -220,7 +221,7 @@ def det_main_term(spec: DetSpec) -> complex:
         keep = (d % k == 0) & (hi > lo)
         n1, n2, k = n1[keep], n2[keep], k[keep]
         integral = _refined_integral(
-            lambda x, rows: f((x + d) / n2[rows, None]) * g(x / n1[rows, None]), lo[keep], hi[keep]
+            lambda x, rows: f((x + d) / n2[rows, None]) * g(x / n1[rows, None]), lo[keep], hi[keep], n1, n2
         )
         total += np.sum(k / (n1 * n2) * coef[keep] * integral)
     return complex(total)
@@ -231,22 +232,22 @@ def _ratio_r(spec: DetSpec) -> float:
     return t + 1 / t
 
 
-def _det_envelope(spec: DetSpec, C: float, eps: float, r_exp: float, n_exp: float, sum_exp: float) -> float:
-    """(eta R)^r_exp ||alpha|| ||beta|| (N1 N2)^n_exp (N1+N2)^(sum_exp+eps) (M1 M2)^eps, scaled by C."""
+def _det_envelope(spec: DetSpec, eps: float, r_exp: float, n_exp: float, sum_exp: float) -> float:
+    """(eta R)^r_exp ||alpha|| ||beta|| (N1 N2)^n_exp (N1+N2)^(sum_exp+eps) (M1 M2)^eps."""
     r = _ratio_r(spec)
     n1, n2 = spec.n1_scale, spec.n2_scale
-    return (C * (spec.eta * r) ** r_exp * spec.alpha.norm() * spec.beta.norm() * (n1 * n2) ** n_exp
+    return ((spec.eta * r) ** r_exp * spec.alpha.norm() * spec.beta.norm() * (n1 * n2) ** n_exp
             * (n1 + n2) ** (sum_exp + eps) * (spec.m1_scale * spec.m2_scale) ** eps)
 
 
-def det_error_envelope(spec: DetSpec, C: float = 1.0, eps: float = 0.05) -> float:
+def det_error_envelope(spec: DetSpec, *, eps: float = 0.05) -> float:
     """(eta R)^(3/2) ||alpha|| ||beta|| (N1 N2)^(7/20) (N1+N2)^(1/4+eps) (M1 M2)^eps."""
-    return _det_envelope(spec, C, eps, 1.5, 0.35, 0.25)
+    return _det_envelope(spec, eps, 1.5, 0.35, 0.25)
 
 
-def det_error_envelope_comparison(spec: DetSpec, C: float = 1.0, eps: float = 0.05) -> float:
+def det_error_envelope_comparison(spec: DetSpec, *, eps: float = 0.05) -> float:
     """(eta R)^(19/8) ||alpha|| ||beta|| (N1 N2)^(3/8) (N1+N2)^(11/48+eps) (M1 M2)^eps."""
-    return _det_envelope(spec, C, eps, 19 / 8, 0.375, 11 / 48)
+    return _det_envelope(spec, eps, 19 / 8, 0.375, 11 / 48)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +261,6 @@ def rho_solution(m: int, n: int) -> tuple[int, int]:
     if gcd(m, n) != 1:
         raise ValueError("m, n must be coprime")
     a0 = mod_inverse(m, n)
-    if a0 == 0:
-        a0 = n  # modulus 1: the inverse class is all integers; start positive
     while a0 * m - 1 < n:  # force b0 = (a0*m - 1)/n >= 1
         a0 += n
     return a0, (a0 * m - 1) // n
@@ -333,25 +332,25 @@ def equidist_experiment(
     n_list,
     density_exponent: float = 0.0,
     seed: int = 0,
-    full_sets: bool = False,
 ) -> list[EquidistRow]:
     """Star discrepancy of the fraction multiset along a ladder of N values.
 
-    full_sets=True uses X_N = [0, N] exactly; otherwise X_N is a uniform
-    draw (deterministic in `seed`) of ceil(N^(1-density_exponent)) distinct
-    integers from [0, N].
+    X_N is the full set [0, N] at density_exponent 0; otherwise it is a
+    uniform draw (deterministic in `seed`) of ceil(N^(1-density_exponent))
+    distinct integers from [0, N].
     """
     # the whole ladder and the exponent are checked before any set is built
     if any(n < 1 for n in n_list):
         raise ValueError(f"every N of the ladder must be >= 1, got {tuple(n_list)}")
     if density_exponent < 0:
         raise ValueError(f"density_exponent must be >= 0, got {density_exponent}")
-    sizes = [n + 1 if full_sets else min(math.ceil(n ** (1 - density_exponent)), n + 1) for n in n_list]
+    full = density_exponent == 0
+    sizes = [n + 1 if full else min(math.ceil(n ** (1 - density_exponent)), n + 1) for n in n_list]
     if 48 * max(sizes, default=0) ** 2 > _FRACTION_SET_BYTES:
         raise ValueError(f"|X_N| = {max(sizes)} needs 48*|X_N|^2 bytes, cap is {_FRACTION_SET_BYTES}")
     rows = []
     for i, (n_scale, size) in enumerate(zip(n_list, sizes)):
-        if full_sets:
+        if full:
             ground = range(n_scale + 1)
         else:
             rng = random.Random(f"equidist-{seed}-{i}-{n_scale}")

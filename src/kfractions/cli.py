@@ -5,23 +5,25 @@ suite's signature (parameter `n_specs` is `--n-specs`, with its default and
 type; tuples take comma-separated ints) and its help is the first line of the
 suite's docstring.  Global flags, before or after the subcommand: --seed,
 --out (CSV path), --json (mirror) and --config, a flat key=value file whose
-keys name global or subcommand options; flags override it, and an unknown key
-or a mistyped value is a configuration error.  `equidist` takes the full sets
-X_N = [0, N]; with --density-exponent e > 0 it draws X_N of size
-ceil(N^(1-e)) instead.  No environment variables are consulted.  The CLI
-times nothing and writes no record field itself: each suite returns its
-records, with the resolved options as params and its own runtime.  Records
-append to a CSV (fixed column order, 17-significant-digit floats) and
-optionally mirror to JSON.  Exit codes: 0 all assertions passed, 1 at least
-one assertion failed, 2 usage or configuration error, 3 an internal check
-inside the suite failed (an ArithmeticError: the message goes to stderr and
-no record is written).
+keys name global or subcommand options; flags override it.  An unknown key, a
+mistyped value, a seed outside [0, 2^64) or an --out or --json path that
+cannot be written is a configuration error, found before the suite runs.
+`equidist` takes the full sets X_N = [0, N]; with --density-exponent e > 0 it
+draws X_N of size ceil(N^(1-e)) instead.  No environment variables are
+consulted.  The CLI times nothing and writes no record field itself: each
+suite returns its records, with the resolved options as params and its own
+runtime.  Records append to a CSV (fixed column order, 17-significant-digit
+floats) and optionally mirror to JSON.  Exit codes: 0 all assertions passed, 1
+at least one assertion failed, 2 usage or configuration error, 3 an internal
+check inside the suite failed (an ArithmeticError: the message goes to stderr
+and no record is written).
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 from typing import Any, Callable, NamedTuple
 
@@ -125,6 +127,14 @@ def _resolve(argv: list[str]) -> tuple[str, dict[str, Any]]:
     return name, values
 
 
+def _unwritable(path: str) -> bool:
+    """Whether opening `path` to write must fail, judged without creating or truncating it."""
+    if os.path.exists(path):
+        return os.path.isdir(path) or not os.access(path, os.W_OK)
+    parent = os.path.dirname(path) or "."
+    return not (os.path.basename(path) and os.path.isdir(parent) and os.access(parent, os.W_OK))
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -135,6 +145,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out, json_path = values.pop("out"), values.pop("json")
+    for flag, path in (("--out", out), ("--json", json_path or None)):
+        if path is not None and _unwritable(path):
+            print(f"config error: {flag} path {path!r} cannot be written", file=sys.stderr)
+            return EXIT_USAGE
 
     # looked up at call time, so a wrapper installed on the verify module is the one called
     suite = getattr(verify, verify.SUITES[command].__name__)

@@ -4,9 +4,9 @@ The central objects: the phase tensor entry(a,m,n) = e(theta*a*mbar/n) on
 coprime pairs (optionally Jacobi-twisted with odd support, optionally shifted
 by the reciprocity phase theta_f*a/(mn)); an alternating extremal-coefficient
 search for the exact operator norm the bounds dominate; explicit bound
-envelopes; the Cauchy-Schwarz step; the character-amplified second moment
-with its exact inequality chain; and the complementary-divisor bookkeeping
-check.
+envelopes with implied constant 1; the Cauchy-Schwarz step; the
+character-amplified second moment with its exact inequality chain; and the
+complementary-divisor bookkeeping check.
 
 Every consumer reads the form through one contraction W(nu)[m, n] =
 sum_a nu_a entry(a,m,n): `_inner_terms` streams it one n-slab at a time
@@ -279,11 +279,11 @@ def extremal_search(
         raise ValueError(f"iters must be >= 0, got {iters}")
     tensor = build_tensor(spec, twisted)
     flat = tensor.reshape(len(tensor), -1)
+    ranges = (spec.a_range, spec.m_range, spec.n_range)  # the tensor's axes
     starts = []
     for r in range(restarts):
         gen = derive_rng(seed, r)
-        draws = [gen.standard_normal(dim) + 1j * gen.standard_normal(dim) for dim in tensor.shape]
-        starts.append([v / np.linalg.norm(v) for v in draws])
+        starts.append([CoefficientVector.random_unit(rng, gen).values for rng in ranges])
     # indexed by restart: the starts, each row overwritten when its restart leaves the live set
     nu_v, alpha_v, beta_v = (np.array(block) for block in zip(*starts))
     w_buf = np.matmul(nu_v, flat)  # the one W stack; each cycle rewrites its first len(live) rows
@@ -345,33 +345,33 @@ def gram_power_singular_value(mat: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bound envelopes (C and eps explicit; nothing asserted against measurements)
+# bound envelopes (implied constant 1, eps explicit; nothing asserted against measurements)
 # ---------------------------------------------------------------------------
 
-def bound_trilinear(spec: FormSpec, C: float = 1.0, eps: float = 0.0) -> float:
+def bound_trilinear(spec: FormSpec, *, eps: float = 0.0) -> float:
     """(1 + (|theta|A + X)/(MN))^(1/2) *
-    [ (AMN)^(7/20+eps) (M+N)^(1/4) + (AMN)^(3/8+eps) (AN+AM)^(1/8) ],
-    scaled by C; X = |theta_f|*A is the scale of the reciprocity shift."""
+    [ (AMN)^(7/20+eps) (M+N)^(1/4) + (AMN)^(3/8+eps) (AN+AM)^(1/8) ];
+    X = |theta_f|*A is the scale of the reciprocity shift."""
     m, n, a, th = spec.m_scale, spec.n_scale, spec.a_scale, abs(spec.theta)
     x = abs(spec.theta_f) * spec.a_scale
     pref = (1 + (th * a + x) / (m * n)) ** 0.5
     amn = a * m * n
     env = amn ** (7 / 20 + eps) * (m + n) ** 0.25 + amn ** (3 / 8 + eps) * (a * n + a * m) ** 0.125
-    return C * pref * env
+    return pref * env
 
 
-def bound_bilinear(m_scale: int, n_scale: int, a: int, C: float = 1.0, eps: float = 0.0) -> float:
-    """(a + MN)^(3/8) (M+N)^(11/48+eps), scaled by C."""
-    return C * (abs(a) + m_scale * n_scale) ** (3 / 8) * (m_scale + n_scale) ** (11 / 48 + eps)
+def bound_bilinear(m_scale: int, n_scale: int, a: int, *, eps: float = 0.0) -> float:
+    """(a + MN)^(3/8) (M+N)^(11/48+eps)."""
+    return (abs(a) + m_scale * n_scale) ** (3 / 8) * (m_scale + n_scale) ** (11 / 48 + eps)
 
 
-def bound_twisted(spec: FormSpec, C: float = 1.0, eps: float = 0.0) -> float:
+def bound_twisted(spec: FormSpec, *, eps: float = 0.0) -> float:
     """(1 + |theta|A/(NM))^(1/2) *
-    [ (MN)^(3/10) (AM+AN)^(7/20+eps) + A^(1/2) (N+M)^(7/8+eps) ], scaled by C."""
+    [ (MN)^(3/10) (AM+AN)^(7/20+eps) + A^(1/2) (N+M)^(7/8+eps) ]."""
     m, n, a, th = spec.m_scale, spec.n_scale, spec.a_scale, abs(spec.theta)
     pref = (1 + th * a / (n * m)) ** 0.5
     env = (m * n) ** (3 / 10) * (a * m + a * n) ** (7 / 20 + eps) + a**0.5 * (n + m) ** (7 / 8 + eps)
-    return C * pref * env
+    return pref * env
 
 
 def trivial_bound(spec: FormSpec) -> float:
@@ -611,7 +611,6 @@ class ScalingRecord:
     extremal: float
     trivial: float
     envelope: float
-    envelope_kind: str
     ratio_trivial: float
     ratio_envelope: float
 
@@ -632,14 +631,8 @@ def scaling_experiment(
     for spec in grid:
         res = extremal_search(spec, restarts=restarts, iters=iters, seed=seed)
         triv = trivial_bound(spec)
-        env = bound_trilinear(spec, C=1.0, eps=0.05)
-        kind = "shifted" if spec.theta_f else "plain"
-        records.append(
-            ScalingRecord(
-                spec, res.value, triv, env, kind,
-                res.value / triv, res.value / env,
-            )
-        )
+        env = bound_trilinear(spec, eps=0.05)
+        records.append(ScalingRecord(spec, res.value, triv, env, res.value / triv, res.value / env))
     diag = [r for r in records if r.spec.m_scale == r.spec.n_scale == r.spec.a_scale]
     exponent = None
     if len(diag) >= 2:

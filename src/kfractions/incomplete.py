@@ -128,32 +128,32 @@ def lemma_params(spec: IncompleteSpec) -> LemmaParams:
     return LemmaParams(h, h1, spec.gamma // h1)
 
 
-def bound_plain(spec: IncompleteSpec, C: float = 1.0, eps: float = 0.0) -> float:
-    """C * [ (gamma*delta)^eps * (h1/h) * (gamma1/(alpha,gamma1))^(1/2)
-             + (alpha,gamma1) * X * delta^eps / (gamma1 * k) ]."""
-    if C <= 0 or eps < 0:
-        raise ValueError("need C > 0 and eps >= 0")
+def bound_plain(spec: IncompleteSpec, *, eps: float = 0.0) -> float:
+    """(gamma*delta)^eps * (h1/h) * (gamma1/(alpha,gamma1))^(1/2)
+    + (alpha,gamma1) * X * delta^eps / (gamma1 * k)."""
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     lp = lemma_params(spec)
     g1 = lp.gamma1
     ag = gcd(spec.alpha, g1)  # alpha = 0 gives gamma1
     first = (spec.gamma * spec.delta) ** eps * (lp.h1 / lp.h) * (g1 / ag) ** 0.5
     second = ag * spec.x_len * spec.delta**eps / (g1 * spec.k)
-    return C * (first + second)
+    return first + second
 
 
-def bound_filtered(spec: IncompleteSpec, C: float = 1.0, eps: float = 0.0) -> float:
+def bound_filtered(spec: IncompleteSpec, *, eps: float = 0.0) -> float:
     """Envelope for the twisted/filtered variant: the first term gains the
     (c*gamma*delta)^eps factor and the second becomes
     (alpha,gamma1)^(1/2) * gamma1^(1/2+eps) * X * (c*delta)^eps / (gamma1*k)."""
-    if C <= 0 or eps < 0:
-        raise ValueError("need C > 0 and eps >= 0")
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     lp = lemma_params(spec)
     g1 = lp.gamma1
     ag = gcd(spec.alpha, g1)
     c = spec.gcd_cond[2] if spec.gcd_cond is not None else 1
     first = (c * spec.gamma * spec.delta) ** eps * (lp.h1 / lp.h) * (g1 / ag) ** 0.5
     second = ag**0.5 * g1 ** (0.5 + eps) * spec.x_len * (c * spec.delta) ** eps / (g1 * spec.k)
-    return C * (first + second)
+    return first + second
 
 
 def _majorants(spec: IncompleteSpec) -> tuple[float, float]:
@@ -261,7 +261,7 @@ def erdos_turan_sweep(n_specs: int = 200, gamma_max: int = 300, seed: int = 7) -
 
 
 def envelope_sharpness_sweep(n_specs: int = 1000, gamma_max: int = 300, seed: int = 7) -> list[EnvelopeSample]:
-    """Calibration of the first envelope: ratio |sum| / bound_plain(spec, 1, 0.25).
+    """Calibration of the first envelope: ratio |sum| / bound_plain(spec, eps=0.25).
 
     The envelope hides an implied constant, so nothing is asserted here
     beyond finiteness; callers report the ratio distribution.
@@ -281,5 +281,5 @@ def envelope_sharpness_sweep(n_specs: int = 1000, gamma_max: int = 300, seed: in
             alpha=rng.randint(-2 * gamma, 2 * gamma),
         )
         lhs = abs(incomplete_brute(spec))
-        samples.append(EnvelopeSample(spec, lhs, bound_plain(spec, 1.0, 0.25)))
+        samples.append(EnvelopeSample(spec, lhs, bound_plain(spec, eps=0.25)))
     return samples

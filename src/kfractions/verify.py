@@ -53,7 +53,7 @@ def _suite(subcommand: str):
 
     params are every argument but the seed, a tuple or list comma-joined as the CLI parses it, and
     runtime_seconds is the time of the body.  An int argument other than the seed (a size or a
-    count) below 1 raises ValueError, naming it, before the body runs.
+    count) below 1, or a seed outside [0, 2^64), raises ValueError, naming it, before the body runs.
     """
     def decorate(fn):
         signature = inspect.signature(fn)
@@ -65,6 +65,8 @@ def _suite(subcommand: str):
             for name, value in bound.arguments.items():
                 if type(value) is int and name != "seed" and value < 1:
                     raise ValueError(f"{name} must be >= 1, got {value}")
+            if not 0 <= bound.arguments["seed"] < 2**64:
+                raise ValueError(f"seed must be in [0, 2^64), got {bound.arguments['seed']}")
             start = time.perf_counter()
             values, assertions = fn(*bound.args, **bound.kwargs)
             runtime = time.perf_counter() - start
@@ -473,7 +475,7 @@ def detcount_verify(n_specs: int = 50, seed: int = 7) -> ExperimentRecord:
         c2 = apps.det_count(spec, order=2)
         main = apps.det_main_term(spec)
         resid = abs(c1 - main)
-        env = apps.det_error_envelope(spec, C=1.0, eps=0.05)
+        env = apps.det_error_envelope(spec, eps=0.05)
         return abs(c1 - c2) / max(1.0, abs(c1)), resid, resid / env
 
     results = [per_spec(spec) for spec in specs]
@@ -500,9 +502,8 @@ def equidist_verify(
 
     X_N is the full set [0, N] at density_exponent 0, else a draw of size ceil(N^(1-density_exponent)).
     """
-    full_sets = density_exponent == 0
-    rows = apps.equidist_experiment(n_list, density_exponent, seed, full_sets=full_sets)
-    again = apps.equidist_experiment(n_list, density_exponent, seed, full_sets=full_sets)
+    rows = apps.equidist_experiment(n_list, density_exponent, seed)
+    again = apps.equidist_experiment(n_list, density_exponent, seed)
     dstars = [r.dstar for r in rows]
     values = {
         f"dstar_N{r.n_scale}": r.dstar if r.dstar is not None else float("nan") for r in rows
@@ -536,7 +537,7 @@ def calibrate_constants(seed: int = 7) -> ExperimentRecord:
     for i in range(10):
         spec = _random_det_spec(rng, derive_rng(seed, 500 + i))
         resid = abs(apps.det_count(spec) - apps.det_main_term(spec))
-        det_ratios.append(resid / apps.det_error_envelope(spec, C=1.0, eps=0.05))
+        det_ratios.append(resid / apps.det_error_envelope(spec, eps=0.05))
 
     grid = [forms.FormSpec(n, n, n, theta=1) for n in (8, 16, 32)] + [
         forms.FormSpec(32, 16, 8, theta=2),
@@ -546,7 +547,7 @@ def calibrate_constants(seed: int = 7) -> ExperimentRecord:
     env_ratios = [r.ratio_envelope for r in sweep.records]
     tw = forms.FormSpec(24, 24, 8, theta=1)
     res_tw = forms.extremal_search(tw, twisted=True, restarts=3, iters=300, seed=seed)
-    t2_ratio = res_tw.value / forms.bound_twisted(tw, C=1.0, eps=0.05)
+    t2_ratio = res_tw.value / forms.bound_twisted(tw, eps=0.05)
 
     values = {
         "plain_env_max_ratio": a1_max,

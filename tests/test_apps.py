@@ -286,6 +286,18 @@ class TestBlockPasses:
         spec = DetSpec(delta=1, m1_scale=8, m2_scale=8, alpha=ones(200), beta=ones(200))
         assert peak_bytes(det_main_term, spec) < 16 * 2**20
 
+    def test_unconverged_main_term_raises_naming_the_pair(self):
+        # the indicator of an odd M jumps inside (M/2, M), so midpoint doubling never settles; the rows
+        # stop at 2^16 points, where 22 doublings would have asked for a 1 GiB row
+        spec = DetSpec(delta=3, m1_scale=13, m2_scale=11, alpha=ones(9), beta=ones(7),
+                       f_weight=indicator_weight(13), g_weight=indicator_weight(11))
+
+        def rejected():
+            with pytest.raises(ArithmeticError, match=r"\(n1, n2\) = \(\d+, \d+\) not converged at 65536 points: "):
+                det_main_term(spec)
+
+        assert peak_bytes(rejected) < 16 * 2**20
+
     def test_tuple_cap_comes_before_allocation(self):
         spec = DetSpec(delta=1, m1_scale=8, m2_scale=8, alpha=ones(20_000), beta=ones(20_000))
 
@@ -434,7 +446,7 @@ class TestStarDiscrepancy:
 
 class TestEquidistExperiment:
     def test_full_sets_decrease(self):
-        rows = equidist_experiment([16, 32, 64], full_sets=True)
+        rows = equidist_experiment([16, 32, 64])
         assert rows[-1].dstar < rows[0].dstar
 
     def test_determinism(self):
@@ -443,20 +455,21 @@ class TestEquidistExperiment:
         assert [r.dstar for r in r1] == [r.dstar for r in r2]
         assert r1[0].set_size == int(np.ceil(32 ** (1 - 1 / 20)))
 
-    def test_exponent_zero_draws_n_of_n_plus_1(self):
+    def test_exponent_zero_takes_the_full_set(self):
         rows = equidist_experiment([32], density_exponent=0.0, seed=1)
-        assert rows[0].set_size == 32
+        assert rows[0].set_size == 33
+        assert rows[0].n_points == len(build_fraction_set(32, range(33)).points)
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            equidist_experiment([2**15], full_sets=True)
+            equidist_experiment([2**15])
 
     def test_ladder_checked_before_any_set_is_built(self, monkeypatch):
         calls = []
         real = apps.build_fraction_set
         monkeypatch.setattr(apps, "build_fraction_set", lambda *args: calls.append(args) or real(*args))
         with pytest.raises(ValueError):
-            equidist_experiment([64, 2**15], full_sets=True)
+            equidist_experiment([64, 2**15])
         with pytest.raises(ValueError):
             equidist_experiment([64, -3])
         with pytest.raises(ValueError):
@@ -464,7 +477,7 @@ class TestEquidistExperiment:
         with pytest.raises(ValueError, match="density_exponent must be >= 0, got -0.5"):
             equidist_experiment([64, 128], density_exponent=-0.5)
         assert calls == []
-        equidist_experiment([8], full_sets=True)
+        equidist_experiment([8])
         assert len(calls) == 1
 
     def test_byte_cap_admits_the_n_4096_ladder(self, monkeypatch):
@@ -478,8 +491,8 @@ class TestEquidistExperiment:
         monkeypatch.setattr(apps, "build_fraction_set", stop)
         for n_scale in (4096, 4728):
             with pytest.raises(Built):
-                equidist_experiment([n_scale], full_sets=True)
+                equidist_experiment([n_scale])
         with pytest.raises(ValueError):
-            equidist_experiment([4729], full_sets=True)
+            equidist_experiment([4729])
         with pytest.raises(Built):  # a sampled X_N is capped by its own size
             equidist_experiment([10**6], density_exponent=0.5)

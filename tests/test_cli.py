@@ -221,6 +221,31 @@ class TestCli:
         assert f"configuration rejected: {option} must be >= 1, got {got}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_seed_outside_64_bits_exit_2_naming_seed(self, tmp_path, capsys, name):
+        # -1 ran four suites and failed the other five inside numpy; 2^64 ran ksum-verify
+        out = tmp_path / "x.csv"
+        args = [name] + _smoke_suite_args()[name]
+        for seed in (-1, 2**64):
+            assert main(["--out", str(out), "--seed", str(seed)] + args) == cli.EXIT_USAGE
+            assert f"configuration rejected: seed must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+        for seed in (0, 2**64 - 1):
+            assert main(["--out", str(out), "--seed", str(seed)] + args) in (cli.EXIT_OK, cli.EXIT_ASSERTION)
+
+    @pytest.mark.parametrize("flag, path", [
+        ("--out", "missing/x.csv"), ("--out", "."), ("--json", "missing/x.json"), ("--json", "."),
+    ])
+    def test_unwritable_path_exit_2_before_the_suite(self, tmp_path, monkeypatch, capsys, flag, path):
+        # was a FileNotFoundError traceback, exit 1, after the whole suite had run
+        calls = []
+        monkeypatch.setattr(cli.verify, "compdiv_verify", lambda **kwargs: calls.append(kwargs))
+        monkeypatch.chdir(tmp_path)
+        paths = {"--out": "x.csv", "--json": "x.json", flag: path}
+        assert main([arg for item in paths.items() for arg in item] + ["compdiv-check"]) == cli.EXIT_USAGE
+        assert f"config error: {flag} path {path!r} cannot be written" in capsys.readouterr().err
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
     def test_ksum_verify_over_the_byte_cap_exit_2_naming_cmax_and_pairs(self, tmp_path, capsys):
         verify = cli.verify
         pairs = verify.KSUM_VERIFY_BYTES // (2000 * verify.KSUM_PAIR_BYTES) + 1  # at the default cmax

@@ -458,7 +458,8 @@ class TestBoundEnvelopes:
     def test_trilinear_envelope_example(self):
         spec = FormSpec(1, 1, 1, theta=1)
         assert bound_trilinear(spec) == pytest.approx(sqrt(2) * (2**0.25 + 2**0.125))
-        assert bound_trilinear(spec, C=2.0) == pytest.approx(2 * bound_trilinear(spec))
+        with pytest.raises(TypeError):  # no implied-constant argument: a stale positional C is not eps
+            bound_trilinear(spec, 2.0)
 
     def test_shifted_prefactor(self):
         plain = FormSpec(8, 8, 4, theta=3)
@@ -472,10 +473,11 @@ class TestBoundEnvelopes:
         m = n = 16
         a = m * n
         assert bound_bilinear(m, n, a) == pytest.approx((2 * m * n) ** 0.375 * (2 * n) ** (11 / 48))
-        assert bound_bilinear(m, n, a, C=0.0) == 0.0
+        with pytest.raises(TypeError):
+            bound_bilinear(m, n, a, C=0.0)
 
     def test_trilinear_envelope_asymptotically_below_bilinear(self):
-        # exponent comparison 7/10 + 1/4 < 3/4 + 11/48; at C=1 the ratio is
+        # exponent comparison 7/10 + 1/4 < 3/4 + 11/48; at constant 1 the ratio is
         # strictly decreasing across the dyadic grid and dips below 1 at the top
         ratios = []
         for k in range(10, 21):
@@ -491,7 +493,8 @@ class TestBoundEnvelopes:
         m, n, a = 4, 2, 3
         expect = sqrt(1 + 2 * 3 / 8) * ((m * n) ** 0.3 * (a * m + a * n) ** 0.35 + sqrt(a) * (n + m) ** 0.875)
         assert bound_twisted(spec) == pytest.approx(expect)
-        assert bound_twisted(spec, C=3.0) == pytest.approx(3 * expect)
+        with pytest.raises(TypeError):
+            bound_twisted(spec, 3.0)
         assert bound_twisted(spec, eps=0.1) > bound_twisted(spec)
 
     def test_trivial(self):
@@ -743,9 +746,3 @@ class TestScalingExperiment:
         rec = res.records[0]
         assert rec.extremal <= rec.trivial
         assert res.fitted_exponent is None
-
-    def test_mixed_grid_records_envelope_kind(self):
-        pert = FormSpec(8, 8, 4, theta=1, theta_f=1)
-        res = scaling_experiment([FormSpec(8, 8, 8), pert], restarts=2, iters=100, seed=0)
-        kinds = {r.envelope_kind for r in res.records}
-        assert kinds == {"plain", "shifted"}

@@ -205,7 +205,7 @@ class TestLemmaParams:
 
 class TestEnvelopes:
     def test_plain_envelope_collapse(self):
-        # k=1, delta=1, gcd(alpha,gamma)=1, C=1, eps=0 -> sqrt(gamma) + X/gamma
+        # k=1, delta=1, gcd(alpha,gamma)=1, eps=0 -> sqrt(gamma) + X/gamma
         spec = IncompleteSpec(gamma=97, x_len=500, alpha=3)
         assert bound_plain(spec) == pytest.approx(sqrt(97) + 500 / 97)
 
@@ -220,10 +220,11 @@ class TestEnvelopes:
     def test_eps_and_c_dependence(self):
         spec = IncompleteSpec(gamma=24, k=2, x_len=100, alpha=1, delta=2,
                               gcd_cond=(1, 0, 6, 1))
-        assert bound_filtered(spec, C=2.0, eps=0.1) == pytest.approx(2 * bound_filtered(spec, C=1.0, eps=0.1))
+        with pytest.raises(TypeError):  # no implied-constant argument: a stale positional C is not eps
+            bound_filtered(spec, 2.0)
         assert bound_filtered(spec, eps=0.2) > bound_filtered(spec, eps=0.0)
         with pytest.raises(ValueError):
-            bound_plain(spec, C=0.0)
+            bound_plain(spec, eps=-0.1)
 
     def test_sharpness_sweep_finite(self):
         samples = envelope_sharpness_sweep(100, 120, seed=5)
