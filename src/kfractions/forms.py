@@ -12,7 +12,10 @@ Every consumer reads the form through one contraction W(nu)[m, n] =
 sum_a nu_a entry(a,m,n): `_inner_terms` streams it one n-slab at a time
 (evaluation, Cauchy-Schwarz, amplifier); the search takes it for all its live
 restarts at once, one matrix product on the dense tensor of `build_tensor`, the
-streamed route's oracle.
+streamed route's oracle, and takes its nu-step from the companion contraction
+X(beta)[a, m] = sum_n beta_n entry(a,m,n).  The amplifier's congruence form and
+diagonal are one energy each over every admissible (m, ell, n); its character
+form is one character group per m.
 
 Coefficients live on dyadic ranges [X/2, X] and are always handled as unit-L2
 vectors in the envelopes (the norms are folded in).
@@ -243,10 +246,11 @@ def _unit_or_basis(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The normalized conjugate of each row of d and the row norms; a zero row
     becomes e_0 with norm 0 (lowest-index tie-break for a vanishing contraction)."""
     units = d.conj()
-    norms = np.sqrt((units * d).real.sum(axis=1))
+    norms = np.sqrt(np.einsum("ij,ij->i", units, d).real)
     zero = norms == 0.0
-    units[zero, 0] = 1.0
-    units /= np.where(zero, 1.0, norms)[:, None]
+    if np.count_nonzero(zero):
+        units[zero, 0] = 1.0
+    units /= (norms + zero)[:, None]  # a zero row keeps e_0: it is divided by 0 + 1
     return units, norms
 
 
@@ -261,24 +265,28 @@ def extremal_search(
 
     Each half-step replaces one block with the normalized conjugate of its
     contraction, which is the exact maximizer given the other two blocks, so
-    the objective is non-decreasing; this is asserted at every half-step.
-    The restarts run as one block: with the tensor T viewed as an
-    (|A|, |M|*|N|) matrix, a cycle makes two passes over it for all live
-    restarts together.  W = nu T (one (R, |A|) x (|A|, |M|*|N|) product, an
-    |M| x |N| matrix per restart) serves both the alpha-step W beta and the
-    beta-step alpha^T W, and the nu-step is T against the stacked rank-one
-    products vec(alpha beta^T).  Restart r draws its start from
-    `records.derive_rng(seed, r)` and leaves the live set after the cycle where
-    its own stopping rule fires (or when `iters` runs out), its vectors,
-    objective and cycle count then frozen.  The best value wins with
-    lowest-restart-index tie-breaking.
+    the objective is non-decreasing.  Every half-step is checked: a (4, R)
+    history holds each live restart's objective at the cycle start and after
+    each half-step, and one comparison per cycle raises for the first half-step
+    that decreased.  The restarts run as one block, and a cycle makes two
+    passes over the tensor T for all live restarts together.  With T viewed as
+    an (|A|, |M|*|N|) matrix, W = nu T (an |M| x |N| matrix per restart) serves
+    both the alpha-step W beta and the beta-step alpha^T W.  With T viewed as an
+    (|A|*|M|, |N|) matrix, X = T beta^T (an |A| x |M| matrix per restart, the
+    restarts last) gives the nu-step X alpha, one batched product.  Restart r
+    draws its start from `records.derive_rng(seed, r)` and leaves the live set
+    after the cycle where its own stopping rule fires (or when `iters` runs
+    out), its vectors, objective and cycle count then frozen.  The best value
+    wins with lowest-restart-index tie-breaking.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
     tensor = build_tensor(spec, twisted)
-    flat = tensor.reshape(len(tensor), -1)
+    a_len, m_len, n_len = tensor.shape
+    flat = tensor.reshape(a_len, -1)  # (|A|, |M|*|N|), the operand of W = nu T
+    by_n = tensor.reshape(-1, n_len)  # (|A|*|M|, |N|), the operand of X = T beta^T
     ranges = (spec.a_range, spec.m_range, spec.n_range)  # the tensor's axes
     starts = []
     for r in range(restarts):
@@ -286,32 +294,35 @@ def extremal_search(
         starts.append([CoefficientVector.random_unit(rng, gen).values for rng in ranges])
     # indexed by restart: the starts, each row overwritten when its restart leaves the live set
     nu_v, alpha_v, beta_v = (np.array(block) for block in zip(*starts))
-    w_buf = np.matmul(nu_v, flat)  # the one W stack; each cycle rewrites its first len(live) rows
-    obj = np.abs(np.einsum("rm,rmn,rn->r", alpha_v, w_buf.reshape(restarts, *tensor.shape[1:]), beta_v))
+    # the one stack buffer: each cycle writes W for the live restarts to its front, then X over the spent W
+    w_size, x_size = m_len * n_len, a_len * m_len
+    stack = np.empty(restarts * max(w_size, x_size), dtype=np.complex128)
+    w = np.matmul(nu_v, flat, out=stack[: restarts * w_size].reshape(restarts, w_size))
+    obj = np.abs(np.einsum("rm,rmn,rn->r", alpha_v, w.reshape(restarts, m_len, n_len), beta_v))
+    history = np.empty((4, restarts))  # per live restart: the objective at the cycle start and after each half-step
     cycles = np.zeros(restarts, dtype=np.int64)
     live = np.arange(restarts)
     be, cur = beta_v, obj  # the live rows, in restart order
     for it in range(1, iters + 1):
-        w = w_buf[: len(live)].reshape(len(live), *tensor.shape[1:])
-        cycle_start = prev = cur
-        al, cur = _unit_or_basis(np.matmul(w, be[:, :, None])[:, :, 0])
-        _assert_monotone(prev, cur, spec, twisted, live, it, "alpha")
-        prev = cur
-        be, cur = _unit_or_basis(np.matmul(al[:, None, :], w)[:, 0, :])
-        _assert_monotone(prev, cur, spec, twisted, live, it, "beta")
-        prev = cur
-        np.multiply(al[:, :, None], be[:, None, :], out=w)  # W is spent: its rows now hold vec(alpha beta^T)
-        nu, cur = _unit_or_basis(w.reshape(len(live), -1) @ flat.T)
-        _assert_monotone(prev, cur, spec, twisted, live, it, "nu")
-        done = (cur - cycle_start <= 1e-10 * np.maximum(cur, 1e-300)) & (it > 1) | (it == iters)
-        if done.any():
+        k = len(live)
+        w = stack[: k * w_size].reshape(k, m_len, n_len)
+        hist = history[:, :k]
+        hist[0] = cur
+        al, hist[1] = _unit_or_basis(np.matmul(w, be[:, :, None])[:, :, 0])
+        be, hist[2] = _unit_or_basis(np.matmul(al[:, None, :], w)[:, 0, :])
+        x = np.matmul(by_n, be.T, out=stack[: k * x_size].reshape(x_size, k)).reshape(a_len, m_len, k)
+        nu, cur = _unit_or_basis(np.matmul(x.transpose(2, 0, 1), al[:, :, None])[:, :, 0])
+        hist[3] = cur
+        _assert_monotone(hist, spec, twisted, live, it)
+        done = (cur - hist[0] <= 1e-10 * np.maximum(cur, 1e-300)) & (it > 1) | (it == iters)
+        if np.count_nonzero(done):
             stop = live[done]
             alpha_v[stop], beta_v[stop], nu_v[stop] = al[done], be[done], nu[done]
             obj[stop], cycles[stop] = cur[done], it
             live, be, nu, cur = live[~done], be[~done], nu[~done], cur[~done]
             if not len(live):
                 break
-        np.matmul(nu, flat, out=w_buf[: len(live)])
+        np.matmul(nu, flat, out=stack[: len(live) * w_size].reshape(len(live), w_size))
     best = int(np.argmax(obj))
     return ExtremalResult(
         float(obj[best]),
@@ -323,16 +334,21 @@ def extremal_search(
     )
 
 
-def _assert_monotone(prev: np.ndarray, new: np.ndarray, spec: FormSpec, twisted: bool, restarts: np.ndarray,
-                     cycle: int, step: str) -> None:
-    """Raise for the first of the given restarts whose objective decreased at this half-step."""
-    fails = new < prev - 1e-9 * np.maximum(1.0, prev)
-    if fails.any():
-        i = int(fails.argmax())
+def _assert_monotone(history: np.ndarray, spec: FormSpec, twisted: bool, restarts: np.ndarray, cycle: int) -> None:
+    """Raise if an objective decreased at some half-step of this cycle.
+
+    history is (4, len(restarts)): each restart's objective at the cycle start and after the
+    alpha-, beta- and nu-steps.  The message names the first failing half-step and, within it,
+    the first failing restart.
+    """
+    prev = history[:-1]
+    fails = history[1:] < prev - 1e-9 * np.maximum(1.0, prev)
+    if np.count_nonzero(fails):
+        step, i = divmod(int(fails.argmax()), fails.shape[1])
         raise ArithmeticError(
-            f"alternating objective decreased: {float(prev[i])} -> {float(new[i])} at the {step}-step of "
-            f"cycle {cycle}, restart {restarts[i]} (M={spec.m_scale}, N={spec.n_scale}, A={spec.a_scale}, "
-            f"theta={spec.theta}, twisted={twisted})")
+            f"alternating objective decreased: {float(prev[step, i])} -> {float(history[step + 1, i])} at the "
+            f"{('alpha', 'beta', 'nu')[step]}-step of cycle {cycle}, restart {restarts[i]} "
+            f"(M={spec.m_scale}, N={spec.n_scale}, A={spec.a_scale}, theta={spec.theta}, twisted={twisted})")
 
 
 def gram_power_singular_value(mat: np.ndarray) -> float:
@@ -452,11 +468,20 @@ class AmplifierSpec:
 
 @dataclass(frozen=True)
 class AmplifierReport:
+    """The amplifier's chain at one (spec, window, beta, nu).
+
+    `holds` and `forms_match` compare independent quantities.  `partition_ok` cannot
+    fail: off_diagonal is defined as d_b_direct - diagonal, so diagonal + off_diagonal
+    gives d_b_direct back up to one rounding.  It stays as a recorded assertion; a
+    second route to the off-diagonal part would be its count of collisions
+    ell1*n1 = ell2*n2 (mod m) with distinct products.
+    """
+
     c_b: float
     d_b: float                  # character-sum form
     d_b_direct: float           # orthogonality-expanded congruence form
     diagonal: float             # products equal
-    off_diagonal: float         # products distinct
+    off_diagonal: float         # products distinct: d_b_direct - diagonal
     min_principal_count: int    # min over m of #{ell: (ell, theta*b*m)=1}
     bound: float                # (M / minP^2) * d_b
     ratio: float
@@ -465,13 +490,19 @@ class AmplifierReport:
     forms_match: bool
 
 
+# What the all-m energy pass holds per (m, ell, n) entry: the complex weights (16 bytes), one int64
+# key array at a time and its temporaries, np.unique's sort order, sorted copy and inverse, and a
+# bincount's float64 copy of the weights; traced peaks are 74-77 bytes an entry at M = 2000-3000.
+AMPLIFIER_ENTRY_BYTES = 96
+AMPLIFIER_BYTES = 2**30
+
+
 def _energy(keys: np.ndarray, weights: np.ndarray) -> float:
-    """sum over distinct keys k of |sum of the weights at k|^2, the groups added
-    in order of first appearance (equal groupings give equal floats)."""
-    _, first, idx = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    """sum over distinct keys k of |sum of the weights at k|^2: one sort of the keys,
+    then the real and imaginary group sums, each group in the order of the flattened keys."""
+    idx = np.unique(keys.ravel(), return_inverse=True)[1]
     weights = weights.ravel()
-    energies = np.bincount(idx, weights.real) ** 2 + np.bincount(idx, weights.imag) ** 2
-    return float(np.sum(energies[np.argsort(first)]))
+    return float(np.sum(np.bincount(idx, weights.real) ** 2 + np.bincount(idx, weights.imag) ** 2))
 
 
 def amplifier_check(
@@ -485,14 +516,19 @@ def amplifier_check(
     P_m is the principal-character prime count #{ell in L: (ell, theta*b*m)=1}
     (the explicit stand-in for the asymptotic L/log L).  C_b and D_b come from
     the inner-term array T at modulus b*n, over the m coprime to b.  D_b is
-    computed twice: as sum_m phi(m)^-1 sum_chi |sum_ell chi(ell)|^2
-    |sum_n chi(n) T[m,n]|^2, each inner sum one inverse DFT over (Z/m)* (entry 0 principal),
-    and as the congruence form, the energy of T grouped by ell*n mod m, split
-    into the diagonal (grouped by the exact product ell*n) and the rest; the
-    report records the agreement of the two routes and of the partition.
+    computed twice.  The character form is sum_m phi(m)^-1 sum_chi
+    |sum_ell chi(ell)|^2 |sum_n chi(n) T[m,n]|^2, each inner sum one inverse DFT
+    over (Z/m)* (entry 0 principal), one character group per m.  The congruence
+    form takes every admissible m at once: the weights T[m, n], broadcast over
+    (m, ell, n) and zeroed where gcd(ell, m) > 1, have their energy grouped by
+    (m, ell*n mod m); the diagonal is the energy grouped by (m, ell*n), and the
+    off-diagonal part is the difference.  The same admissibility mask gives P_m.
+    The report records the agreement of the two routes.
 
     beta is masked to multipliers n coprime to theta*b (the standing support
-    assumption under which the two D_b forms coincide).
+    assumption under which the two D_b forms coincide).  A spec whose all-m pass
+    would hold more than AMPLIFIER_BYTES, at AMPLIFIER_ENTRY_BYTES per (m, ell, n),
+    raises ValueError before the inner terms are built.
     """
     if spec.theta_f:
         raise ValueError("amplifier check is defined for unshifted specs")
@@ -504,40 +540,45 @@ def amplifier_check(
         raise ValueError("need L > 2*log(b*theta*M) for the amplifier window")
     if abs(spec.theta) * spec.a_scale * amp.b * spec.n_scale >= _PHASE_INT_GUARD:
         raise ValueError("theta*a*b*n exceeds the exact-phase integer guard")
-
     tb = abs(spec.theta) * amp.b
-    ns = spec.n_range.members
-    mask = np.gcd(ns, tb) == 1
-    beta = CoefficientVector(beta.range, beta.values * mask)
-
     ells = np.array([ell for ell in amp.primes if gcd(ell, tb) == 1], dtype=np.int64)
+    need = AMPLIFIER_ENTRY_BYTES * len(spec.m_range) * len(ells) * len(spec.n_range)
+    if need > AMPLIFIER_BYTES:
+        raise ValueError(f"amplifier check at M={spec.m_scale}, N={spec.n_scale} with {len(ells)} primes would hold "
+                         f"{need} bytes, over the cap of {AMPLIFIER_BYTES}")
+
+    ns = spec.n_range.members
+    beta = CoefficientVector(beta.range, beta.values * (np.gcd(ns, tb) == 1))
     terms = _inner_terms(spec, beta, nu, amp.b)
     c_b = float(np.sum(np.abs(terms.sum(axis=1)) ** 2))
 
-    d_char = d_direct = diag = chi0_total = 0.0
-    min_p = None
-    for m, t_row in zip(spec.m_range.members, terms):
-        m = int(m)
-        if gcd(m, amp.b) != 1:
-            continue
-        group = character_group(m)
-        adm_ells = ells[np.gcd(ells, m) == 1]
-        min_p = len(adm_ells) if min_p is None else min(min_p, len(adm_ells))
-        # character-sum form, one term per character
+    ms = spec.m_range.members
+    coprime_b = np.gcd(ms, amp.b) == 1
+    ms, terms = ms[coprime_b], terms[coprime_b]
+    if not len(ms):
+        raise ValueError("no admissible moduli m with gcd(m, b) = 1")
+    admissible = np.gcd(ms[:, None], ells[None, :]) == 1  # (m, ell)
+    min_p = int(admissible.sum(axis=1).min())
+    if min_p == 0:
+        raise ValueError("some modulus m excludes every amplifier prime; widen the window")
+
+    # congruence form and diagonal: one energy each over every (m, ell, n)
+    weights = terms[:, None, :] * admissible[:, :, None]
+    products = np.multiply.outer(ells, ns)
+    rows = np.arange(len(ms))[:, None, None]
+    d_direct = _energy(rows * spec.m_scale + products % ms[:, None, None], weights)
+    ranks = np.unique(products, return_inverse=True)[1].reshape(products.shape)
+    diag = _energy(rows * products.size + ranks, weights)
+    off = d_direct - diag
+
+    # character-sum form, one term per character of each (Z/m)*
+    d_char = chi0_total = 0.0
+    for m, t_row in zip(ms, terms):
+        group = character_group(int(m))
         chi_terms = np.abs(group.character_sums(ells, 1.0)) ** 2 * np.abs(group.character_sums(ns, t_row)) ** 2
         d_char += float(chi_terms.sum()) / group.order
         chi0_total += float(chi_terms[0]) / group.order
-        # orthogonality-expanded form: energies over ell*n mod m and the exact products
-        products = np.outer(adm_ells, ns)
-        weights = np.broadcast_to(t_row, products.shape)
-        d_direct += _energy(products % m, weights)
-        diag += _energy(products, weights)
 
-    if min_p is None:
-        raise ValueError("no admissible moduli m with gcd(m, b) = 1")
-    if min_p == 0:
-        raise ValueError("some modulus m excludes every amplifier prime; widen the window")
-    off = d_direct - diag
     bound = spec.m_scale / min_p**2 * d_char
     holds = (
         c_b <= spec.m_scale / min_p**2 * chi0_total * (1 + 1e-9)

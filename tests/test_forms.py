@@ -10,7 +10,7 @@ import pytest
 
 from kfractions import forms
 from kfractions.arith import jacobi
-from kfractions.characters import CHARACTER_MODULUS_LIMIT
+from kfractions.characters import CHARACTER_MODULUS_LIMIT, character_group
 from kfractions.forms import (
     AmplifierSpec,
     CauchyReport,
@@ -129,6 +129,50 @@ def _assert_matches(res, reference):
     assert res.value == pytest.approx(value, rel=1e-12)
     for got, want in ((res.alpha, al), (res.beta, be), (res.nu, nu)):
         assert _rel_err(got.values, want) <= 1e-12
+
+
+def w_stack_search(spec, twisted=False, restarts=8, iters=300, seed=0):
+    """The block search with the nu-step taken from the stacked rank-one products
+    vec(alpha beta^T) written over W and multiplied by T^T, and the stopping rule,
+    freezing and tie-break of `extremal_search`.  Returns (value, restart, iterations)."""
+    def unit_rows(d):
+        units = d.conj()
+        norms = np.sqrt((units * d).real.sum(axis=1))
+        zero = norms == 0.0
+        units[zero, 0] = 1.0
+        units /= np.where(zero, 1.0, norms)[:, None]
+        return units, norms
+
+    tensor = build_tensor(spec, twisted)
+    flat = tensor.reshape(len(tensor), -1)
+    ranges = (spec.a_range, spec.m_range, spec.n_range)
+    starts = []
+    for r in range(restarts):
+        gen = np.random.default_rng(np.random.SeedSequence([seed, r]))
+        starts.append([CoefficientVector.random_unit(rng, gen).values for rng in ranges])
+    nu_v, alpha_v, beta_v = (np.array(block) for block in zip(*starts))
+    w_buf = np.matmul(nu_v, flat)
+    obj = np.abs(np.einsum("rm,rmn,rn->r", alpha_v, w_buf.reshape(restarts, *tensor.shape[1:]), beta_v))
+    cycles = np.zeros(restarts, dtype=np.int64)
+    live = np.arange(restarts)
+    be, cur = beta_v, obj
+    for it in range(1, iters + 1):
+        w = w_buf[: len(live)].reshape(len(live), *tensor.shape[1:])
+        cycle_start = cur
+        al, cur = unit_rows(np.matmul(w, be[:, :, None])[:, :, 0])
+        be, cur = unit_rows(np.matmul(al[:, None, :], w)[:, 0, :])
+        np.multiply(al[:, :, None], be[:, None, :], out=w)
+        nu, cur = unit_rows(w.reshape(len(live), -1) @ flat.T)
+        done = (cur - cycle_start <= 1e-10 * np.maximum(cur, 1e-300)) & (it > 1) | (it == iters)
+        if done.any():
+            stop = live[done]
+            obj[stop], cycles[stop] = cur[done], it
+            live, be, nu, cur = live[~done], be[~done], nu[~done], cur[~done]
+            if not len(live):
+                break
+        np.matmul(nu, flat, out=w_buf[: len(live)])
+    best = int(np.argmax(obj))
+    return float(obj[best]), best, int(cycles[best])
 
 
 class TestDyadicRange:
@@ -454,6 +498,29 @@ class TestExtremalSearch:
         assert r1.value == r2.value and r1.restart_index == r2.restart_index
 
 
+    @pytest.mark.parametrize("spec, twisted, seed", [
+        (FormSpec(30, 28, 20, theta=2), False, 3),
+        (FormSpec(27, 31, 12, theta=-3), True, 4),
+        (FormSpec(26, 24, 18, theta=1, theta_f=3), False, 5),
+        (FormSpec(32, 29, 1, theta=3), False, 6),
+    ], ids=["plain", "twisted", "reciprocity", "A1"])
+    def test_x_stack_cycle_matches_the_w_stack_cycle(self, spec, twisted, seed):
+        res = extremal_search(spec, twisted=twisted, restarts=4, iters=300, seed=seed)
+        value, restart, iterations = w_stack_search(spec, twisted, restarts=4, iters=300, seed=seed)
+        assert (res.restart_index, res.iterations) == (restart, iterations)
+        assert res.value == pytest.approx(value, rel=1e-12)
+
+    def test_monotone_history_names_the_first_half_step_then_the_restart(self):
+        history = np.array([[2.0, 2.0, 2.0],
+                            [2.0, 2.0, 2.0],
+                            [2.0, 1.0, 1.0],   # the beta-step fails on the second and third live restarts
+                            [1.0, 1.0, 1.0]])  # the nu-step fails on the first
+        with pytest.raises(ArithmeticError, match=r"2\.0 -> 1\.0 at the beta-step of cycle 5, restart 7 "):
+            forms._assert_monotone(history, FormSpec(9, 8, 4), False, np.array([3, 7, 9]), 5)
+        within_tolerance = np.array([[2.0], [2.0 - 1e-9], [2.0], [2.0]])  # a drop inside 1e-9 * max(1, 2.0)
+        forms._assert_monotone(within_tolerance, FormSpec(9, 8, 4), False, np.array([3]), 5)
+
+
 class TestBoundEnvelopes:
     def test_trilinear_envelope_example(self):
         spec = FormSpec(1, 1, 1, theta=1)
@@ -611,6 +678,41 @@ class TestInnerTerms:
             _inner_terms(spec, beta, nu, 2)
 
 
+def per_m_amplifier(spec, amp, beta, nu):
+    """The amplifier's D_b forms one modulus at a time: per m coprime to b, the character
+    form from one character group, and the congruence form and diagonal as energies over
+    the admissible ell only, each grouped by ell*n mod m and by ell*n with its groups added
+    in order of first appearance.  Returns (c_b, d_b, d_b_direct, diagonal, min_p)."""
+    def energy(keys, weights):
+        _, first, idx = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        weights = weights.ravel()
+        energies = np.bincount(idx, weights.real) ** 2 + np.bincount(idx, weights.imag) ** 2
+        return float(np.sum(energies[np.argsort(first)]))
+
+    tb = abs(spec.theta) * amp.b
+    ns = spec.n_range.members
+    beta = CoefficientVector(beta.range, beta.values * (np.gcd(ns, tb) == 1))
+    ells = np.array([ell for ell in amp.primes if gcd(ell, tb) == 1], dtype=np.int64)
+    terms = _inner_terms(spec, beta, nu, amp.b)
+    c_b = float(np.sum(np.abs(terms.sum(axis=1)) ** 2))
+    d_char = d_direct = diag = 0.0
+    min_p = None
+    for m, t_row in zip(spec.m_range.members, terms):
+        m = int(m)
+        if gcd(m, amp.b) != 1:
+            continue
+        group = character_group(m)
+        adm_ells = ells[np.gcd(ells, m) == 1]
+        min_p = len(adm_ells) if min_p is None else min(min_p, len(adm_ells))
+        chi_terms = np.abs(group.character_sums(ells, 1.0)) ** 2 * np.abs(group.character_sums(ns, t_row)) ** 2
+        d_char += float(chi_terms.sum()) / group.order
+        products = np.outer(adm_ells, ns)
+        weights = np.broadcast_to(t_row, products.shape)
+        d_direct += energy(products % m, weights)
+        diag += energy(products, weights)
+    return c_b, d_char, d_direct, diag, min_p
+
+
 class TestAmplifier:
     def test_prime_window(self):
         amp = AmplifierSpec(1, 8.0)
@@ -654,6 +756,56 @@ class TestAmplifier:
         # M cap: one character group per m; 2*log(M) ~ 18.4 < 20, so only the cap rejects this spec
         with pytest.raises(ValueError, match="capped"):
             amplifier_check(FormSpec(CHARACTER_MODULUS_LIMIT + 2, 8, 3, theta=1), AmplifierSpec(1, 20.0), beta, nu)
+
+    @pytest.mark.parametrize("b, theta", [(b, t) for b in (1, 2, 3) for t in (-1, 1, 2) if gcd(b, t) == 1])
+    @pytest.mark.parametrize("m_scale, n_scale, l_scale", [
+        (40, 12, 11.0),  # primes 13, 17, 19
+        (600, 5, 17.0),  # primes 19 ... 31: products ell*n <= 31*5 < 300 <= m, so no product wraps
+    ], ids=["wrapping", "no-wrap"])
+    def test_all_m_energies_match_the_per_m_loop(self, m_scale, n_scale, l_scale, b, theta):
+        spec = FormSpec(m_scale, n_scale, 4, theta=theta)
+        amp = AmplifierSpec(b, l_scale)
+        gen = np.random.default_rng(m_scale + 10 * b + theta)
+        beta = CoefficientVector.random_unit(spec.n_range, gen)
+        nu = CoefficientVector.random_unit(spec.a_range, gen)
+        ms = spec.m_range.members
+        ells = np.array(amp.primes)
+        shared = np.gcd(ms[np.gcd(ms, b) == 1][:, None], ells[None, :]) > 1
+        assert shared.any()  # some admissible m is a multiple of some prime: the admissibility mask matters
+        c_b, d_b, d_direct, diag, min_p = per_m_amplifier(spec, amp, beta, nu)
+        rep = amplifier_check(spec, amp, beta, nu)
+        assert (rep.c_b, rep.d_b, rep.min_principal_count) == (c_b, d_b, min_p)
+        assert rep.d_b_direct == pytest.approx(d_direct, rel=1e-12)
+        assert rep.diagonal == pytest.approx(diag, rel=1e-12)
+        assert rep.diagonal > 0.0  # some n is coprime to theta*b, so beta does not vanish
+        if m_scale == 600:
+            assert rep.off_diagonal == pytest.approx(0.0, abs=1e-12 * rep.d_b_direct)
+        assert rep.holds and rep.partition_ok and rep.forms_match
+
+    def test_byte_cap_rejects_before_the_inner_terms(self, monkeypatch):
+        spec = FormSpec(24, 8, 3, theta=1)
+        amp = AmplifierSpec(1, 9.0)  # primes 11, 13, 17
+        gen = np.random.default_rng(14)
+        beta = CoefficientVector.random_unit(spec.n_range, gen)
+        nu = CoefficientVector.random_unit(spec.a_range, gen)
+        need = forms.AMPLIFIER_ENTRY_BYTES * len(spec.m_range) * 3 * len(spec.n_range)
+        monkeypatch.setattr(forms, "AMPLIFIER_BYTES", need)
+        assert amplifier_check(spec, amp, beta, nu).holds  # exactly at the cap
+        monkeypatch.setattr(forms, "AMPLIFIER_BYTES", need - 1)
+        with pytest.raises(ValueError, match=f"M=24, N=8 with 3 primes would hold {need} bytes"):
+            amplifier_check(spec, amp, beta, nu)
+        monkeypatch.undo()
+
+        def no_inner_terms(*args, **kwargs):
+            raise AssertionError("_inner_terms called above the byte cap")
+
+        monkeypatch.setattr(forms, "_inner_terms", no_inner_terms)
+        # M = 1e4, N = 4096, L = 40: 5001 * 10 * 2049 entries; 2*log(M) ~ 18.4 < 40, so only the byte cap rejects
+        big = FormSpec(10**4, 4096, 3, theta=1)
+        big_beta = CoefficientVector.random_unit(big.n_range, gen)
+        need = forms.AMPLIFIER_ENTRY_BYTES * 5001 * 10 * 2049
+        with pytest.raises(ValueError, match=f"M=10000, N=4096 with 10 primes would hold {need} bytes"):
+            amplifier_check(big, AmplifierSpec(1, 40.0), big_beta, nu)
 
     def test_m_600_chain_and_forms_match(self):
         # the first rung of the M = 600-3000 amplifier ladder, past the scale the acceptance cases reach
