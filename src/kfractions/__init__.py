@@ -7,7 +7,8 @@ arith       exact integer and mod-1 rational arithmetic, reciprocity identities
 ksums       complete Kloosterman sums in batches: kloosterman_batch at one c, kloosterman_fast_batch
             (block-major) at one c or one c per element; kloosterman_brute and kloosterman_fast are
             their one-element cases; Weil; inverses_mod
-characters  Dirichlet characters from the unit-group decomposition (prime_power_units)
+characters  the unit group's grid (unit_grid: units in grid order, their inverses) and Dirichlet
+            characters as its frequencies
 incomplete  incomplete sums with side conditions, bound envelopes, completion majorant
 forms       the phase tensor, extremal search, bound envelopes, amplifier machinery
 apps        determinant-equation counts and equidistribution of a0/m fractions

@@ -1,18 +1,18 @@
-"""Dirichlet characters modulo q from the unit-group decomposition.
+"""Dirichlet characters modulo q on the grid of the unit group (Z/q)*.
 
 (Z/q)* splits into cyclic components: one per odd prime power p^e (generated
 by a primitive root), and for the 2-part either nothing (2^0, 2^1), a single
 order-2 component (2^2), or the pair <-1> x <5> (2^e, e >= 3).
 `prime_power_units` lists each block's units as generator powers, built by
-baby-step/giant-step; it is the one decomposition of the package, and
-`ksums` builds its unit-inverse tables from it too.  Each component keeps its
-discrete logs as an int64 array over its residues (-1 off the units), so a
-unit x is the point (log_0 x, log_1 x, ...) of a grid shaped by the component
-orders, and a character, a choice of exponent index per component, is a
-frequency of that grid.  `CharacterGroup.character_sums` takes
+baby-step/giant-step.  `unit_grid`, the one map from a unit to its point on
+the grid shaped by the generator orders, joins the blocks by CRT into the
+units in the grid's C order, with their inverses; `ksums` takes its unit
+tables from it, and a `CharacterGroup` keeps each residue's flat grid index
+(-1 off the units).  A character, a choice of exponent index per component,
+is a frequency of that grid.  `CharacterGroup.character_sums` takes
 sum_x chi(x) w(x) for every chi as one unscaled inverse DFT of the weights
 added at their grid points; a character's `value_table` on 0..q-1 is the
-inverse DFT of its indicator, gathered at the units (q <= 1e4).
+inverse DFT of its indicator, gathered at the residues' indices (q <= 1e4).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .arith import factorize
 
-__all__ = ["DirichletCharacter", "CharacterGroup", "character_group", "characters_mod", "prime_power_units"]
+__all__ = ["DirichletCharacter", "CharacterGroup", "character_group", "characters_mod", "prime_power_units", "unit_grid"]
 
 CHARACTER_MODULUS_LIMIT = 10**4
 
@@ -91,30 +91,45 @@ def prime_power_units(p: int, e: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.concatenate([fives, q - fives]), (2, half)
 
 
-@dataclass(frozen=True)
-class _Component:
-    modulus: int       # the prime-power piece this component lives in
-    order: int
-    log: np.ndarray    # int64: residue mod `modulus` -> generator exponent, -1 off the units
+def _crt_lift(acc: np.ndarray | None, col: np.ndarray, idem: int, c: int) -> np.ndarray:
+    """(acc_i + idem * col_j) mod c over all pairs i, j, flattened; idem * col mod c for the first block."""
+    if idem != 1:
+        col = col * idem
+        col %= c
+    if acc is None:
+        return col
+    out = np.add.outer(acc, col).ravel()
+    out %= c
+    return out
 
 
-def _components(p: int, e: int) -> list[_Component]:
-    """One cyclic component per generator of (Z/p^e)*, its discrete logs read off the power list."""
-    q = p**e
-    units, orders = prime_power_units(p, e)
-    digits = np.arange(len(units))
-    comps = []
-    stride = len(units)
-    for order in orders:
-        stride //= order
-        log = np.full(q, -1, dtype=np.int64)
-        log[units] = digits // stride % order
-        comps.append(_Component(q, order, log))
-    return comps
+def unit_grid(c: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The units x mod c in grid order, their inverses, and the grid shape (the generator orders).
+
+    Unit i has as generator exponents the digits of i over the shape, last digit fastest,
+    the prime-power blocks in factor order.  A block's units are generator powers
+    (`prime_power_units`) and the inverse of g^k is g^(phi-k), so its inverse row is the
+    same array reversed past index 0 (of each half, +5^t and -5^t, at 2^e).  The blocks
+    combine through the CRT idempotents (1 mod q, 0 mod c/q) in outer sums mod c.  c = 1
+    has the one unit 0, and c in {1, 2} the one-point grid (1,).
+    """
+    xs = inv = None
+    shape: tuple[int, ...] = ()
+    for p, e in factorize(c).factors:
+        q = p**e
+        units, orders = prime_power_units(p, e)
+        rows = units.reshape(-1, orders[-1] if orders else 1)  # a leading order-2 digit is its own negative
+        inverses = np.concatenate((rows[:, :1], rows[:, :0:-1]), axis=1).ravel()
+        idem = c // q * pow(c // q, -1, q)  # 1 mod q, 0 mod c/q
+        xs, inv = _crt_lift(xs, units, idem, c), _crt_lift(inv, inverses, idem, c)
+        shape += orders
+    if xs is None:
+        xs = inv = np.zeros(1, dtype=np.int64)
+    return xs, inv, shape or (1,)
 
 
 class CharacterGroup:
-    """All Dirichlet characters modulo q, sharing one set of log tables."""
+    """All Dirichlet characters modulo q, sharing one table of grid indices."""
 
     def __init__(self, modulus: int):
         if modulus < 1:
@@ -122,9 +137,10 @@ class CharacterGroup:
         if modulus > CHARACTER_MODULUS_LIMIT:
             raise ValueError(f"character groups capped at modulus {CHARACTER_MODULUS_LIMIT}")
         self.modulus = modulus
-        self.components = tuple(comp for p, e in factorize(modulus).factors for comp in _components(p, e))
-        self.shape = tuple(comp.order for comp in self.components) or (1,)
-        self.order = math.prod(self.shape)
+        units, _, self.shape = unit_grid(modulus)
+        self.order = len(units)
+        self._index = np.full(modulus, -1, dtype=np.int64)  # residue -> flat grid index, -1 off the units
+        self._index[units] = np.arange(self.order)
 
     def __eq__(self, other: object) -> bool:  # the group is a function of its modulus
         return isinstance(other, CharacterGroup) and other.modulus == self.modulus
@@ -132,24 +148,18 @@ class CharacterGroup:
     def __hash__(self) -> int:
         return hash(self.modulus)
 
-    def _points(self, units: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The grid point of each unit: one log array per component (one zero array if none)."""
-        return tuple(comp.log[units % comp.modulus] for comp in self.components) or (np.zeros_like(units),)
-
     def character_sums(self, xs: Sequence[int], weights: np.ndarray | complex) -> np.ndarray:
         """sum_x chi(x) * w(x) for every character, in characters() order (principal first):
-        the weights (shaped like xs, or a scalar) of the units among xs, added at their grid
-        points, under one unscaled inverse DFT."""
+        the weights (shaped like xs, or a scalar) added at the grid points of xs, under one
+        unscaled inverse DFT.  A non-unit adds into one extra slot past the grid, dropped."""
         xs = np.asarray(xs, dtype=np.int64)
-        unit = np.gcd(xs, self.modulus) == 1
-        grid = np.zeros(self.shape, dtype=np.complex128)
-        np.add.at(grid, self._points(xs[unit]), np.broadcast_to(weights, xs.shape)[unit])
-        return np.fft.ifftn(grid, norm="forward").ravel()
+        grid = np.zeros(self.order + 1, dtype=np.complex128)
+        np.add.at(grid, self._index[xs % self.modulus], np.broadcast_to(weights, xs.shape))
+        return np.fft.ifftn(grid[:-1].reshape(self.shape), norm="forward").ravel()
 
     def characters(self) -> list["DirichletCharacter"]:
         """Every character, last component fastest (the C order of the grid)."""
-        count = len(self.components)
-        return [DirichletCharacter(self, indices[:count]) for indices in np.ndindex(self.shape)]
+        return [DirichletCharacter(self, indices) for indices in np.ndindex(self.shape)]
 
 
 def character_group(modulus: int) -> CharacterGroup:
@@ -177,13 +187,10 @@ class DirichletCharacter:
     @cached_property
     def value_table(self) -> np.ndarray:
         """chi on 0..q-1 (zeros at non-units): the inverse DFT of its indicator at the units' grid points."""
-        xs = np.arange(self.modulus)
-        unit = np.gcd(xs, self.modulus) == 1
         indicator = np.zeros(self.group.shape, dtype=np.complex128)
-        indicator[self.indices] = 1.0  # indices () fill the one-entry grid of q in {1, 2}
-        table = np.zeros(self.modulus, dtype=np.complex128)
-        table[unit] = np.fft.ifftn(indicator, norm="forward")[self.group._points(xs[unit])]
-        return table
+        indicator[self.indices] = 1.0
+        values = np.append(np.fft.ifftn(indicator, norm="forward").ravel(), 0.0)  # index -1 reads the 0
+        return values[self.group._index]
 
     def values_at(self, xs: Sequence[int]) -> np.ndarray:
         return self.value_table[np.asarray(xs, dtype=np.int64) % self.modulus]

@@ -58,9 +58,13 @@ __all__ = [
     "ScalingRecord",
     "scaling_experiment",
     "TENSOR_ENTRY_LIMIT",
+    "PRIME_WINDOW_LIMIT",
+    "COMPDIV_TUPLE_LIMIT",
 ]
 
 TENSOR_ENTRY_LIMIT = 10**8
+PRIME_WINDOW_LIMIT = 10**5  # (L, 2L) is scanned by about L is_prime calls: 0.2 s at the cap on a 2-core host
+COMPDIV_TUPLE_LIMIT = 10**8  # (m, ell1, n1, ell2, n2) tuples of one complementary-divisor pass
 _PHASE_INT_GUARD = 2**60
 
 
@@ -457,6 +461,9 @@ class AmplifierSpec:
     def __post_init__(self) -> None:
         if self.b < 1:
             raise ValueError("b must be >= 1")
+        if not self.l_scale <= PRIME_WINDOW_LIMIT:  # nan too
+            raise ValueError(f"l_scale={self.l_scale} would take {self.l_scale:.3g} primality tests over (L, 2L), "
+                             f"cap is L <= {PRIME_WINDOW_LIMIT}")
         if not self.primes:
             raise ValueError(f"no primes strictly between {self.l_scale} and {2*self.l_scale}")
 
@@ -622,10 +629,16 @@ def complementary_divisor_check(m_scale: int, n_scale: int, l_scale: float) -> C
     fixed (ell1,n1,ell2,n2) the correspondence m <-> d0 is a bijection.
 
     One (|M|, |L|*|N|) array pass per (ell1, n1) over m and the (ell2, n2); the
-    violations come in the order (ell1, n1, ell2, n2, m)."""
+    violations come in the order (ell1, n1, ell2, n2, m).  A sweep of more than
+    COMPDIV_TUPLE_LIMIT tuples |M| * (|L|*|N|)^2 raises ValueError before any array is built."""
+    ells = AmplifierSpec(1, l_scale).primes
+    work = len(DyadicRange(m_scale)) * (len(ells) * len(DyadicRange(n_scale))) ** 2
+    if work > COMPDIV_TUPLE_LIMIT:
+        raise ValueError(f"the sweep would visit {work} (m, ell1, n1, ell2, n2) tuples, "
+                         f"cap is {COMPDIV_TUPLE_LIMIT}")
     ms = DyadicRange(m_scale).members[:, None]
     cap = 3 * n_scale * l_scale / m_scale
-    pairs = [(ell, int(n)) for ell in AmplifierSpec(1, l_scale).primes for n in DyadicRange(n_scale).members]
+    pairs = [(ell, int(n)) for ell in ells for n in DyadicRange(n_scale).members]
     v2 = np.array([ell * n for ell, n in pairs], dtype=np.int64)
     checked, violations, bijection_ok = 0, [], True
     for l1, n1 in pairs:

@@ -6,13 +6,14 @@ route), with the scalar function as its one-element case, and a third for a
 whole row in b:
 
 * ``kloosterman_batch`` / ``kloosterman_brute`` -- the oracle: direct
-  summation over reduced residues.  The unit table of c comes from the cyclic
-  structure of (Z/c)*: each prime-power block lists its units as generator
-  powers g^0 .. g^(phi-1) (baby-step/giant-step; +-5^t at 2^e), the inverse
-  of g^k is g^(phi-k), and the blocks combine by CRT idempotents.  The row
-  e(j/c), j = 0..c-1, is also built by baby and giant steps: ceil(sqrt(c))
-  baby roots e(j/c) times about as many giant roots e(s*i/c), one outer
-  product, so 2 sqrt(c) complex exps instead of c.  The phase a*xbar + b*x is
+  summation over reduced residues.  The units of c and their inverses come
+  from `characters.unit_grid`, the cyclic structure of (Z/c)*: each
+  prime-power block lists its units as generator powers g^0 .. g^(phi-1)
+  (baby-step/giant-step; +-5^t at 2^e), the inverse of g^k is g^(phi-k), and
+  the blocks combine by CRT idempotents.  The row e(j/c), j = 0..c-1, is
+  also built by baby and giant steps: ceil(sqrt(c)) baby roots e(j/c) times
+  about as many giant roots e(s*i/c), one outer product, so 2 sqrt(c)
+  complex exps instead of c.  The phase a*xbar + b*x is
   reduced mod c in exact integer arithmetic and the terms are gathered from
   the row, one 2-D gather per chunk of rows (_GATHER_TERMS terms) and of
   columns (_GATHER_COLS units), so a large modulus needs little beyond its
@@ -42,7 +43,7 @@ from math import gcd, isqrt, pi, sqrt
 import numpy as np
 
 from .arith import divisors, factorize, jacobi, moebius
-from .characters import prime_power_units
+from .characters import unit_grid
 
 __all__ = [
     "KloostermanParams",
@@ -95,43 +96,9 @@ def _power_mod(xs: np.ndarray, e: int, c: int) -> np.ndarray:
     return out
 
 
-def _crt_lift(acc: np.ndarray | None, col: np.ndarray, idem: int, c: int) -> np.ndarray:
-    """(acc_i + idem * col_j) mod c over all pairs i, j, flattened; idem * col mod c for the first block."""
-    if idem != 1:
-        col = col * idem
-        col %= c
-    if acc is None:
-        return col
-    out = np.add.outer(acc, col).ravel()
-    out %= c
-    return out
-
-
-def _units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units x mod c in generator order and their inverses: the first two columns of `_unit_table`.
-
-    Generator tables: each prime-power block q lists its units as generator
-    powers g^0 .. g^(phi(q)-1) (`characters.prime_power_units`); the inverse
-    of g^k is g^(phi(q)-k), so the block's inverse row is the same array
-    reversed past index 0 (past index 0 of each half, +5^t and -5^t, at 2^e).
-    The blocks combine through the CRT idempotents (1 mod q, 0 mod c/q) in
-    outer sums mod c, last block fastest, and the lifted columns are returned
-    as they come, each inverse at its unit's index: a few passes over phi(c)
-    int64s, against 2 log2(phi) for x^(phi-1).
-    """
-    xs = inv = None
-    for p, e in factorize(c).factors:
-        q = p**e
-        units, orders = prime_power_units(p, e)
-        rows = units.reshape(-1, orders[-1] if orders else 1)  # a leading order-2 digit is its own negative
-        inverses = np.concatenate((rows[:, :1], rows[:, :0:-1]), axis=1).ravel()
-        idem = c // q * pow(c // q, -1, q)  # 1 mod q, 0 mod c/q
-        xs, inv = _crt_lift(xs, units, idem, c), _crt_lift(inv, inverses, idem, c)
-    return xs, inv
-
-
 def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Units x mod c (2 <= c <= BRUTE_LIMIT) in generator order, their inverses, and the row e(j/c).
+    """Units x mod c (2 <= c <= BRUTE_LIMIT) in grid order, their inverses (`characters.unit_grid`), and
+    the row e(j/c).
 
     The cap is checked before any allocation.  The row is built by baby and
     giant steps: s = ceil(sqrt(c)) baby roots e(j/c), j < s, and ceil(c/s)
@@ -140,7 +107,7 @@ def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if c > BRUTE_LIMIT:
         raise ValueError(f"brute evaluation capped at c <= {BRUTE_LIMIT}, got {c}")
-    xs, inv = _units_and_inverses(c)
+    xs, inv, _ = unit_grid(c)
     s = isqrt(c - 1) + 1
     baby = np.exp(2j * np.pi * (np.arange(s) / c))
     giant = np.exp(2j * np.pi * (np.arange(0, c, s) / c))

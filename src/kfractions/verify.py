@@ -53,7 +53,8 @@ def _suite(subcommand: str):
 
     params are every argument but the seed, a tuple or list comma-joined as the CLI parses it, and
     runtime_seconds is the time of the body.  An int argument other than the seed (a size or a
-    count) below 1, or a seed outside [0, 2^64), raises ValueError, naming it, before the body runs.
+    count) below 1, a float argument that is not finite, or a seed outside [0, 2^64), raises
+    ValueError, naming it, before the body runs.
     """
     def decorate(fn):
         signature = inspect.signature(fn)
@@ -65,6 +66,8 @@ def _suite(subcommand: str):
             for name, value in bound.arguments.items():
                 if type(value) is int and name != "seed" and value < 1:
                     raise ValueError(f"{name} must be >= 1, got {value}")
+                if type(value) is float and not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
             if not 0 <= bound.arguments["seed"] < 2**64:
                 raise ValueError(f"seed must be in [0, 2^64), got {bound.arguments['seed']}")
             start = time.perf_counter()

@@ -1,5 +1,6 @@
 """Dirichlet character construction, orthogonality, multiplicativity."""
 
+import functools
 import math
 import random
 from math import gcd
@@ -15,6 +16,7 @@ from kfractions.characters import (
     _primitive_root_mod_prime_power,
     character_group,
     characters_mod,
+    unit_grid,
 )
 from kfractions.forms import AmplifierSpec, CoefficientVector, FormSpec, amplifier_check
 
@@ -28,14 +30,14 @@ class TestGroupStructure:
 
     def test_modulus_one(self):
         (chi,) = characters_mod(1)
-        assert chi.is_principal
+        assert chi.is_principal and chi.indices == (0,)
         assert chi(0) == 1.0 and chi(17) == 1.0
 
     def test_two_generator_structure_mod_8(self):
         chars = characters_mod(8)
         assert len(chars) == 4
         group = character_group(8)
-        assert sorted(c.order for c in group.components) == [2, 2]
+        assert group.shape == (2, 2)
 
     def test_limit(self):
         with pytest.raises(ValueError):
@@ -86,20 +88,70 @@ class TestGeneratorPowers:
             assert all(np.array_equal(a, b) for a, b in zip(old, new)), q
 
 
-def exact_exponent_values(group: CharacterGroup, rows: np.ndarray, xs) -> np.ndarray:
-    """chi(x) for each index row (one per character) at each point x: the oracle of the DFT.
+@functools.cache
+def _block_logs(p: int, e: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """(order, log table over the residues mod p^e, -1 off the units) per generator of (Z/p^e)*.
 
-    The phase sum_j idx_j * log_j(x) / order_j is reduced exactly as an integer
-    modulo the group exponent before the root-of-unity gather.
+    Read off scalar power loops of the generators: a primitive root at odd p, and at 2^e the
+    sign -1 (x = 3 mod 4) and, from 2^3 on, the powers of 5, of which -x is one when x is not.
+    """
+    q = p**e
+    if p != 2:
+        order = (p - 1) * p ** (e - 1)
+        log = np.full(q, -1, dtype=np.int64)
+        log[loop_powers(_primitive_root_mod_prime_power(p, e), order, q)] = np.arange(order)
+        return ((order, log),)
+    if e == 1:
+        return ()
+    sign = np.where(np.arange(q) % 2 == 1, np.arange(q) % 4 // 2, -1)
+    if e == 2:
+        return ((2, sign),)
+    half = 2 ** (e - 2)
+    fives = loop_powers(5, half, q)
+    log5 = np.full(q, -1, dtype=np.int64)
+    log5[fives] = log5[q - fives] = np.arange(half)
+    return ((2, sign), (half, log5))
+
+
+def loop_logs(q: int) -> list[tuple[int, np.ndarray]]:
+    """(order, discrete log of each residue 0..q-1, -1 off that block's units) per generator of
+    (Z/q)*, the prime-power blocks in factor order: the reference grid."""
+    xs = np.arange(q)
+    return [(order, log[xs % p**e]) for p, e in factorize(q).factors for order, log in _block_logs(p, e)]
+
+
+class TestUnitGrid:
+    def test_units_inverses_and_shape_match_the_scalar_loop_logs_up_to_3000(self):
+        for c in range(1, 3001):
+            comps = loop_logs(c)
+            units, inverses, shape = unit_grid(c)
+            assert shape == (tuple(order for order, _ in comps) or (1,)), c
+            flat = np.zeros(c, dtype=np.int64)  # mixed radix over the orders, last generator fastest
+            for order, log in comps:
+                flat = flat * order + log
+            unit = np.gcd(np.arange(c), c) == 1
+            expect = np.full(math.prod(shape), -1, dtype=np.int64)
+            expect[flat[unit]] = np.flatnonzero(unit)
+            assert units.dtype == inverses.dtype == np.int64
+            assert units.tolist() == expect.tolist(), c
+            assert inverses.min() >= 0 and inverses.max() < c and np.all(units * inverses % c == 1 % c), c
+
+
+def exact_exponent_values(q: int, rows: np.ndarray, xs) -> np.ndarray:
+    """chi(x) mod q for each index row (one per character) at each point x: the oracle of the DFT.
+
+    The phase sum_j idx_j * log_j(x) / order_j, the logs from `loop_logs`, is reduced exactly
+    as an integer modulo the group exponent before the root-of-unity gather.
     """
     xs = np.asarray(xs, dtype=np.int64)
-    exponent = math.lcm(*(comp.order for comp in group.components))
+    comps = loop_logs(q)
+    exponent = math.lcm(*(order for order, _ in comps))
     turns = np.zeros((len(rows), len(xs)), dtype=np.int64)
-    for j, comp in enumerate(group.components):
-        weight = rows[:, j] * (exponent // comp.order)
-        turns += np.outer(weight, comp.log[xs % comp.modulus])
+    for j, (order, log) in enumerate(comps):
+        weight = rows[:, j] * (exponent // order)
+        turns += np.outer(weight, log[xs % q])
     out = np.exp(2j * np.pi * np.arange(exponent) / exponent)[turns % exponent]
-    out[:, np.gcd(xs, group.modulus) != 1] = 0.0
+    out[:, np.gcd(xs, q) != 1] = 0.0
     return out
 
 
@@ -107,11 +159,10 @@ class TestExactExponentOracle:
     @pytest.mark.parametrize("moduli", [range(1, 301), (720, 1024, 2310)], ids=["q<=300", "composite"])
     def test_value_tables_match_the_exact_exponent_evaluator(self, moduli):
         for q in moduli:
-            group = CharacterGroup(q)
-            chars = group.characters()
-            rows = np.array([chi.indices for chi in chars], dtype=np.int64).reshape(len(chars), len(group.components))
+            chars = CharacterGroup(q).characters()
+            rows = np.array([chi.indices for chi in chars], dtype=np.int64)
             tables = np.array([chi.value_table for chi in chars])
-            assert np.max(np.abs(tables - exact_exponent_values(group, rows, range(q)))) <= 1e-14, q
+            assert np.max(np.abs(tables - exact_exponent_values(q, rows, range(q)))) <= 1e-14, q
 
 
 class TestValues:
@@ -190,7 +241,7 @@ class TestGroupMatrix:
 
 class TestAmplifierSmallModuli:
     def test_m_scale_two(self):
-        # m in {1, 2}: both groups have no components and a single character.
+        # m in {1, 2}: both groups have the one-point grid and a single character.
         # With the one amplifier prime 5, D_b = sum_m |sum_n T[m, n]|^2 = C_b.
         spec = FormSpec(2, 9, 3, theta=1)
         amp = AmplifierSpec(1, 3.0)

@@ -129,6 +129,28 @@ class TestCli:
         code = main(["--out", str(tmp_path / "x.csv"), "compdiv-check", "--l-scale", "1.0"])
         assert code == 2
 
+    @pytest.mark.parametrize("args, work", [
+        # were accepted: 10^5 is_prime calls over (L, 2L), then a pass over 7e7 tuples
+        (["--m-scale", "1", "--n-scale", "1", "--l-scale", "100001"], "would take 1e+05 primality tests"),
+        # was accepted: 55 primes in (350, 700) at M = N = 64 make 33 * (55 * 33)^2 tuples
+        (["--l-scale", "350"], "would visit 108709425 (m, ell1, n1, ell2, n2) tuples"),
+    ], ids=["prime_window", "tuples"])
+    def test_compdiv_work_over_the_cap_exit_2_naming_the_work(self, tmp_path, capsys, args, work):
+        out = tmp_path / "x.csv"
+        assert main(["--out", str(out), "compdiv-check"] + args) == cli.EXIT_USAGE
+        assert work in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("suite, option", [("compdiv-check", "l_scale"), ("equidist", "density_exponent")])
+    def test_non_finite_float_exit_2_naming_the_option(self, tmp_path, capsys, suite, option, value):
+        # --l-scale inf was exit 3 (an OverflowError); --density-exponent inf passed on empty sets
+        out = tmp_path / "x.csv"
+        flag = "--" + option.replace("_", "-")
+        assert main(["--out", str(out), suite, f"{flag}={value}"]) == cli.EXIT_USAGE
+        assert f"configuration rejected: {option} must be finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [
         ["--density-exponent", "0.5", "--n-list", "-5"],  # was a TypeError traceback
         ["--n-list", "-3"],  # was accepted, printing dstar_N-3 = nan

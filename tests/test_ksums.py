@@ -99,7 +99,7 @@ class TestUnitInverses:
         def no_table(c):
             raise AssertionError(f"inverses_mod built the unit table of {c}")
 
-        monkeypatch.setattr(ksums, "_units_and_inverses", no_table)
+        monkeypatch.setattr(ksums, "unit_grid", no_table)
         for n in (2, 97, 4096, 4097):
             assert inverses_mod(np.arange(-50, 50), n).tolist() == self.expected_inverses(range(-50, 50), n)
 
