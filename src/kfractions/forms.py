@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Sequence
 
@@ -63,8 +64,12 @@ __all__ = [
 ]
 
 TENSOR_ENTRY_LIMIT = 10**8
-PRIME_WINDOW_LIMIT = 10**5  # (L, 2L) is scanned by about L is_prime calls: 0.2 s at the cap on a 2-core host
-COMPDIV_TUPLE_LIMIT = 10**8  # (m, ell1, n1, ell2, n2) tuples of one complementary-divisor pass
+PRIME_WINDOW_LIMIT = 10**5  # (L, 2L) is scanned once per spec by about L is_prime calls: 0.15 s at the cap
+COMPDIV_TUPLE_LIMIT = 10**8  # (m, ell1, n1, ell2, n2) tuples of a complementary-divisor sweep
+# What one complementary-divisor pass holds per (m, ell2, n2) entry: the int64 differences and quotients, one
+# int64 temporary and the boolean masks; traced peaks are 28-37 bytes an entry at |M| * P|N| = 2e3-1e6.
+COMPDIV_ENTRY_BYTES = 48
+COMPDIV_BYTES = 2**30
 _PHASE_INT_GUARD = 2**60
 
 
@@ -467,7 +472,7 @@ class AmplifierSpec:
         if not self.primes:
             raise ValueError(f"no primes strictly between {self.l_scale} and {2*self.l_scale}")
 
-    @property
+    @cached_property  # one scan of (L, 2L) per spec, made by __post_init__
     def primes(self) -> tuple[int, ...]:
         lo, hi = self.l_scale, 2 * self.l_scale
         return tuple(p for p in range(int(lo) + 1, math.ceil(hi)) if lo < p < hi and is_prime(p))
@@ -630,12 +635,17 @@ def complementary_divisor_check(m_scale: int, n_scale: int, l_scale: float) -> C
 
     One (|M|, |L|*|N|) array pass per (ell1, n1) over m and the (ell2, n2); the
     violations come in the order (ell1, n1, ell2, n2, m).  A sweep of more than
-    COMPDIV_TUPLE_LIMIT tuples |M| * (|L|*|N|)^2 raises ValueError before any array is built."""
+    COMPDIV_TUPLE_LIMIT tuples |M| * (|L|*|N|)^2, or a pass that would hold more than
+    COMPDIV_BYTES at COMPDIV_ENTRY_BYTES per entry, raises ValueError before any array is built."""
     ells = AmplifierSpec(1, l_scale).primes
-    work = len(DyadicRange(m_scale)) * (len(ells) * len(DyadicRange(n_scale))) ** 2
+    entries = len(DyadicRange(m_scale)) * len(ells) * len(DyadicRange(n_scale))
+    work = entries * len(ells) * len(DyadicRange(n_scale))
     if work > COMPDIV_TUPLE_LIMIT:
         raise ValueError(f"the sweep would visit {work} (m, ell1, n1, ell2, n2) tuples, "
                          f"cap is {COMPDIV_TUPLE_LIMIT}")
+    if COMPDIV_ENTRY_BYTES * entries > COMPDIV_BYTES:
+        raise ValueError(f"one pass over {entries} (m, ell2, n2) entries would hold {COMPDIV_ENTRY_BYTES * entries} "
+                         f"bytes, over the cap of {COMPDIV_BYTES}")
     ms = DyadicRange(m_scale).members[:, None]
     cap = 3 * n_scale * l_scale / m_scale
     pairs = [(ell, int(n)) for ell in ells for n in DyadicRange(n_scale).members]

@@ -22,12 +22,13 @@ whole row in b:
   multiplicativity across prime-power blocks,
   S(a,b;mn) = S(a*nbar, b*nbar; m) * S(a*mbar, b*mbar; n) for coprime m,n,
   with the two-term Salie closed form at odd prime powers p^alpha, alpha >= 2,
-  p coprime to ab (the printed sum over the square roots +-y of ab, y by one
-  Tonelli-Shanks in the cyclic group (Z/p^alpha)*; the block vanishes when ab
-  is a non-residue).  The route is block-major: each distinct modulus is
-  factorized once, the blocks are taken in increasing p, and the elements of
-  every modulus with a block that has no closed form are one brute batch at
-  that block, so a block is gathered once however many moduli share it.
+  p coprime to ab (the printed sum over the square roots +-y of ab, y by
+  Tonelli-Shanks mod p and a Hensel lift to p^alpha, and its symbol by Euler's
+  criterion mod p; the block vanishes when ab is a non-residue).  The route is
+  block-major: each distinct modulus is factorized once, the blocks are taken
+  in increasing p, and the elements of every modulus with a block that has no
+  closed form are one brute batch at that block, so a block is gathered once
+  however many moduli share it.
 
 Plus the Ramanujan sum S(a,0;c) in exact integer arithmetic, the explicit
 Weil bound tau(c) * gcd(a,b,c)^(1/2) * c^(1/2), and ``inverses_mod``, the one
@@ -42,7 +43,7 @@ from math import gcd, isqrt, pi, sqrt
 
 import numpy as np
 
-from .arith import divisors, factorize, jacobi, moebius
+from .arith import divisors, factorize, moebius
 from .characters import unit_grid
 
 __all__ = [
@@ -228,22 +229,30 @@ def ramanujan(a: int, c: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _sqrt_mod_prime_power(t: int, p: int, alpha: int) -> int | None:
-    """A square root of the unit t mod q = p^alpha (p odd), None for a non-residue (Euler's criterion).
+    """A square root of the unit t mod q = p^alpha (p odd), None for a non-residue (Euler's criterion mod p).
 
-    Tonelli-Shanks in the cyclic group (Z/q)* of order phi = 2^s * m, m odd, with c = z^m generating its
-    2-part for the first non-residue z = 2, 3, ...  At s = 1 (p = 3 mod 4) the loop makes no pass.
+    Tonelli-Shanks mod p, in (Z/p)* of order p - 1 = 2^s * m, m odd: r = t^((m+1)/2) and x = t^m from one
+    power, and, unless x = 1 already (always at s = 1, p = 3 mod 4), c = z^m generating the 2-part for the
+    first non-residue z = 2, 3, ...  Then Hensel's step y - (y^2 - t) * u, u the inverse of 2r mod p, lifts
+    the root from p^k to p^(k+1), alpha - 1 times.
     """
-    q, phi = p**alpha, (p - 1) * p ** (alpha - 1)
-    if pow(t, phi // 2, q) != 1:
+    s = (p - 1 & 1 - p).bit_length() - 1
+    m = (p - 1) >> s
+    w = pow(t, m >> 1, p)
+    r, x = w * t % p, w * w * t % p  # invariant r^2 = t * x
+    if pow(x, 1 << (s - 1), p) != 1:  # t^((p-1)/2): a unit is a square mod p^alpha exactly when it is one mod p
         return None
-    s = (phi & -phi).bit_length() - 1
-    m = phi >> s
-    z = next(z for z in range(2, p) if pow(z, phi // 2, q) != 1)  # a non-residue mod p is one mod q
-    c, x, r = pow(z, m, q), pow(t, m, q), pow(t, (m + 1) // 2, q)  # invariant r^2 = t * x
+    if x != 1:
+        c = pow(next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) != 1), m, p)
     while x != 1:
-        i = next(k for k in range(1, s) if pow(x, 1 << k, q) == 1)  # x has order 2^i < 2^s
-        b = pow(c, 1 << (s - i - 1), q)
-        s, c, x, r = i, b * b % q, x * b * b % q, r * b % q
+        i, x2 = 1, x * x % p  # x has order 2^i < 2^s
+        while x2 != 1:
+            i, x2 = i + 1, x2 * x2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, x, r = i, b * b % p, x * b * b % p, r * b % p
+    q, u = p**alpha, pow(2 * r, -1, p)
+    for _ in range(alpha - 1):
+        r = (r - (r * r - t) * u) % q
     return r
 
 
@@ -255,13 +264,16 @@ def _salie_block(a: int, b: int, p: int, alpha: int) -> float:
               of (y/q) * e(2y/q),
     with (y/q) the Jacobi symbol and eps_q = 1 or i as q = 1 or 3 (mod 4).
     The sum is empty (ab a non-residue, value 0) or runs over y = y0, q - y0.
+    Their symbols are (y0/q) = (y0/p)^alpha, by Euler's criterion mod p, and
+    (-y0/q) = (-1/q) * (y0/q), with (-1/q) = 1 or -1 as q = 1 or 3 (mod 4).
     """
     q = p**alpha
     y0 = _sqrt_mod_prime_power(a * b % q, p, alpha)
     if y0 is None:
         return 0.0
-    eps = 1 if q % 4 == 1 else 1j
-    terms = sum(jacobi(y, q) * cmath.exp(2j * pi * (2 * y % q / q)) for y in (y0, q - y0))
+    eps, flip = (1, 1) if q % 4 == 1 else (1j, -1)
+    sign = -1 if alpha % 2 and pow(y0, (p - 1) // 2, p) != 1 else 1
+    terms = sum(j * cmath.exp(2j * pi * (2 * y % q / q)) for j, y in ((sign, y0), (flip * sign, q - y0)))
     return (p ** (alpha / 2) * eps * terms).real
 
 
@@ -274,7 +286,8 @@ def kloosterman_fast_batch(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     every element whose modulus has that block is reduced by its cofactor
     inverse wbar.  Per block, the elements without a closed form (alpha = 1,
     p = 2, or p | ab) are one `kloosterman_batch` gather at q over all moduli;
-    the rest take the Salie closed form one by one.  So each value is the
+    at odd p and alpha >= 2 each element is read as Python ints once, and those
+    with p prime to ab take the Salie closed form one by one.  So each value is the
     product of its blocks in factor order, as one modulus at a time would
     give.  Supports c <= 1e12 provided every block that has to fall back to
     brute summation is at most the brute cap.
@@ -308,27 +321,28 @@ def kloosterman_fast_batch(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     for (p, alpha), held in sorted(owners.items()):
         q = p**alpha
         runs = [order[starts[k] : ends[k]] for k, _ in held]
-        one = len(runs) == 1
-        idx = runs[0] if one else np.concatenate(runs)
-        wbar = held[0][1] if one else np.repeat([w for _, w in held], [len(r) for r in runs])
-        if alpha >= 2 and p != 2:  # p divides a*wbar exactly when it divides a
-            closed = np.logical_and(a[idx] % p, b[idx] % p)
+        if alpha >= 2 and p != 2:  # the Salie closed form where p is prime to ab; residues up to 1e12 as Python ints
+            fall, wbar = [], []
+            for run, (_, w) in zip(runs, held):
+                for j, x, y in zip(run.tolist(), a[run].tolist(), b[run].tolist()):
+                    if x % p and y % p:  # p divides a*wbar exactly when it divides a
+                        values[j] *= _salie_block(x % q * w % q, y % q * w % q, p, alpha)
+                        crt_salie[j] = True
+                    else:
+                        fall.append(j)
+                        wbar.append(w)
         else:
-            closed = np.zeros(len(idx), dtype=bool)
-        fall, salie = idx[~closed], idx[closed]
+            one = len(runs) == 1
+            fall = runs[0] if one else np.concatenate(runs)
+            wbar = held[0][1] if one else np.repeat([w for _, w in held], [len(r) for r in runs])
         if len(fall):
             if q > BRUTE_LIMIT:
                 raise ValueError(
                     f"block {p}^{alpha} of c={c[fall[0]] if per_element else c} has no closed form and "
                     f"exceeds the brute cap {BRUTE_LIMIT}"
                 )
-            w = wbar if one else wbar[~closed]
-            values[fall] *= kloosterman_batch(a[fall] % q * w % q, b[fall] % q * w % q, q)  # q^2 < 2^63
-        if len(salie):  # residues up to 1e12: the products as Python ints
-            ws = [wbar] * len(salie) if one else wbar[closed].tolist()
-            for j, x, y, w in zip(salie.tolist(), a[salie].tolist(), b[salie].tolist(), ws):
-                values[j] *= _salie_block(x % q * w % q, y % q * w % q, p, alpha)
-            crt_salie[salie] = True
+            fall, wbar = np.asarray(fall), np.asarray(wbar)
+            values[fall] *= kloosterman_batch(a[fall] % q * wbar % q, b[fall] % q * wbar % q, q)  # q^2 < 2^63
     return values, crt_salie
 
 

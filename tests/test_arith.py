@@ -1,12 +1,13 @@
 """Exactness tests for the integer and mod-1 layer."""
 
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfractions import arith
 from kfractions.arith import (
     FactoredInteger,
     Mod1Fraction,
@@ -107,6 +108,57 @@ class TestJacobi:
             assert (jacobi(a, n) == 0) == (gcd(a, n) > 1)
 
 
+# OEIS A014233 below 2^63: for k = 1, ..., 9, the least odd composite that is a strong pseudoprime to each
+# of the first k prime bases (the term for k = 8 repeats the one for k = 7).
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+                       3825123056546413051)
+
+
+def prime_sieve(n: int) -> bytearray:
+    sieve = bytearray(b"\x01") * (n + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return sieve
+
+
+def miller_rabin_12_bases(n: int) -> bool:
+    """The strong probable-prime test to every base 2..37, proven for odd n > 37 below 3.18e23."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
+            return False
+    return True
+
+
+class TestIsPrime:
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+    def test_strong_pseudoprimes_to_the_first_bases_are_composite(self, n):
+        assert not is_prime(n)
+        assert miller_rabin_12_bases(n) is False
+
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+    def test_a_bound_table_shifted_by_one_base_calls_them_prime(self, n, monkeypatch):
+        # so the test above fails for any table that admits one base too few at n
+        monkeypatch.setattr(arith, "_MR_BOUNDS", arith._MR_BOUNDS[1:] + (2**80,))
+        assert is_prime(n)
+
+    def test_agrees_with_a_sieve_up_to_10_6(self):
+        sieve = prime_sieve(10**6)
+        assert [n for n in range(10**6 + 1) if is_prime(n)] == [n for n, v in enumerate(sieve) if v]
+
+    def test_agrees_with_twelve_bases_on_random_odd_n_below_2_63(self):
+        rng = random.Random(63)
+        ns = [rng.randrange(41, 2**63, 2) for _ in range(5_000)]
+        got = [is_prime(n) for n in ns]
+        assert got == [miller_rabin_12_bases(n) for n in ns]
+        assert 75 < sum(got) < 375  # about 2 / ln(2^63) of odd n are prime
+
+
 class TestFactorize:
     def test_examples(self):
         assert factorize(12).factors == ((2, 2), (3, 1))
@@ -141,6 +193,48 @@ class TestFactorize:
     def test_cofactors_beyond_trial_division(self, factors):
         n = 1
         for p, e in factors:
+            n *= p**e
+        assert factorize(n).factors == factors
+
+    def test_agrees_with_trial_division_up_to_10_5(self):
+        n_max = 10**5
+        sieve = prime_sieve(isqrt(n_max))
+        primes = [p for p, v in enumerate(sieve) if v]
+        for n in range(1, n_max + 1):
+            want, m = [], n
+            for p in primes:
+                if p * p > m:
+                    break
+                if m % p == 0:
+                    e = 0
+                    while m % p == 0:
+                        m, e = m // p, e + 1
+                    want.append((p, e))
+            if m > 1:
+                want.append((m, 1))
+            assert factorize.__wrapped__(n).factors == tuple(want), n
+
+    @pytest.mark.parametrize("p", [4099, 65537, 999983, 2097143, 3037000493])
+    def test_prime_powers_above_the_trial_primes(self, p):
+        for e in range(2, 5):
+            if p**e <= 2**63:
+                assert factorize(p**e).factors == ((p, e),)
+
+    @pytest.mark.parametrize("factors", [
+        ((4099, 1), (4111, 1)),
+        ((65537, 1), (999983, 1)),
+        ((4099, 1), (3037000493, 1)),
+        ((1000000007, 1), (1000000009, 1)),
+        ((1000003, 1), (2147483647, 1)),
+        ((3, 1), (3037000493, 1)),
+        ((2, 1), (4611686018427387847, 1)),
+        ((3, 3), (7, 1), (4099, 1), (999983, 1)),
+        ((4093, 1), (4099, 1)),  # the largest trial prime times the first one above it
+    ])
+    def test_products_with_primes_above_the_trial_primes(self, factors):
+        n = 1
+        for p, e in factors:
+            assert is_prime(p)
             n *= p**e
         assert factorize(n).factors == factors
 

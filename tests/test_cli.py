@@ -134,7 +134,10 @@ class TestCli:
         (["--m-scale", "1", "--n-scale", "1", "--l-scale", "100001"], "would take 1e+05 primality tests"),
         # was accepted: 55 primes in (350, 700) at M = N = 64 make 33 * (55 * 33)^2 tuples
         (["--l-scale", "350"], "would visit 108709425 (m, ell1, n1, ell2, n2) tuples"),
-    ], ids=["prime_window", "tuples"])
+        # was accepted: 10^8 tuples, at the tuple cap, but one pass of 10^8 entries holds about 3.5 GB
+        (["--m-scale", "199999998", "--n-scale", "1", "--l-scale", "2"],
+         "one pass over 100000000 (m, ell2, n2) entries would hold 4800000000 bytes"),
+    ], ids=["prime_window", "tuples", "bytes"])
     def test_compdiv_work_over_the_cap_exit_2_naming_the_work(self, tmp_path, capsys, args, work):
         out = tmp_path / "x.csv"
         assert main(["--out", str(out), "compdiv-check"] + args) == cli.EXIT_USAGE

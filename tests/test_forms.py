@@ -720,6 +720,26 @@ class TestAmplifier:
         with pytest.raises(ValueError):
             AmplifierSpec(1, 1.0)
 
+    def test_one_scan_of_the_window_per_spec(self, monkeypatch):
+        tested, is_prime = [], forms.is_prime
+
+        def counting_is_prime(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(forms, "is_prime", counting_is_prime)
+        spec = FormSpec(24, 8, 3, theta=1)
+        amp = AmplifierSpec(1, 9.0)
+        scan = list(range(10, 18))  # the integers strictly between 9 and 18
+        assert tested == scan
+        gen = np.random.default_rng(15)
+        beta = CoefficientVector.random_unit(spec.n_range, gen)
+        nu = CoefficientVector.random_unit(spec.a_range, gen)
+        assert amp.primes == (11, 13, 17) and amplifier_check(spec, amp, beta, nu).holds
+        assert tested == scan
+        complementary_divisor_check(16, 16, 9.0)  # builds its own spec: one more scan
+        assert tested == scan + scan
+
     def test_inequality_and_partitions(self):
         spec = FormSpec(24, 8, 3, theta=1)
         amp = AmplifierSpec(1, 9.0)  # 2*log(24) ~ 6.36 < 9
@@ -876,6 +896,15 @@ class TestComplementaryDivisor:
         assert violations and {v[-1] for v in violations} == {"cap"}
         assert (rep.tuples_checked, rep.bijection_ok) == (checked, bijection_ok)
         assert list(rep.violations) == violations
+
+    def test_byte_cap_rejects_before_the_pass(self, monkeypatch):
+        # (|M|, P*|N|) = (9, 2 * 9) entries a pass at M = N = 16, L = 4 (the primes 5 and 7)
+        need = forms.COMPDIV_ENTRY_BYTES * 9 * 18
+        monkeypatch.setattr(forms, "COMPDIV_BYTES", need)
+        assert complementary_divisor_check(16, 16, 4.0).ok  # exactly at the cap
+        monkeypatch.setattr(forms, "COMPDIV_BYTES", need - 1)
+        with pytest.raises(ValueError, match=f"one pass over 162 \\(m, ell2, n2\\) entries would hold {need} bytes"):
+            complementary_divisor_check(16, 16, 4.0)
 
     def test_hand_example(self):
         assert (23 - 3) // 10 == 2  # the arithmetic the sweep performs

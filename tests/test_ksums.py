@@ -425,6 +425,26 @@ class TestFast:
             assert _sqrt_mod_prime_power(y * y % q, p, 2) in (y, q - y)
             assert _sqrt_mod_prime_power(nonresidue * y * y % q, p, 2) is None
 
+    # the ksum-scale shapes beside 999983^2, at p = 3 (mod 4) and at p - 1 with a large 2-part
+    @pytest.mark.parametrize("p, alpha", [
+        (786_433, 2),  # 786433 - 1 = 3 * 2^18
+        (2_999, 3), (3_329, 3),  # 3329 - 1 = 13 * 2^8
+        (907, 4), (769, 4),  # 769 - 1 = 3 * 2^8
+        (223, 5), (193, 5),  # 193 - 1 = 3 * 2^6
+    ])
+    def test_sqrt_mod_prime_power_at_the_ksum_scale_shapes(self, p, alpha):
+        q = p**alpha
+        rng = random.Random(q)
+        nonresidue = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        for _ in range(200):
+            y = rng.randrange(1, q)
+            if y % p == 0:
+                continue
+            t = y * y % q
+            root = _sqrt_mod_prime_power(t, p, alpha)
+            assert root * root % q == t and root in (y, q - y)
+            assert _sqrt_mod_prime_power(nonresidue * t % q, p, alpha) is None
+
     @staticmethod
     def three_branch_salie(y: int, p: int, alpha: int) -> float:
         """S(a,b;p^alpha) from a square root y of ab, as the two-term sum worked out into a cosine or a sine."""
