@@ -262,6 +262,26 @@ class FactoredInteger:
         return lcm(*(p ** (e - 2) if p == 2 and e >= 3 else (p - 1) * p ** (e - 1) for p, e in self.factors))
 
 
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, k) with m = r^k for the first k of 2, 3, 5 that fits, else (m, 1).
+
+    For a cofactor of `factorize`: no prime up to 4096 divides it, so a root r is at least 4097,
+    and m is below 2^63 < 4097^7, so a perfect power that is not a square is a cube or a fifth
+    power, and one below 4097^k is no k-th power.  The float root of a perfect k-th power is
+    within 1e-8 of r, so rounding it gives r, and r^k == m checks exactly.
+    """
+    r = isqrt(m)
+    if r * r == m:
+        return r, 2
+    for k in (3, 5):
+        if m < (_TRIAL_LIMIT + 1) ** k:
+            break
+        r = round(m ** (1 / k))
+        if r**k == m:
+            return r, k
+    return m, 1
+
+
 @lru_cache(maxsize=65536)
 def factorize(n: int) -> FactoredInteger:
     """Exact deterministic factorization for 1 <= n <= 2^63.
@@ -269,8 +289,8 @@ def factorize(n: int) -> FactoredInteger:
     One gcd of n with the product of the 564 primes up to 4096 gives g, the product of the primes
     of n among them; trial division splits g (while p^2 <= g, so n with no prime factor up to 4096
     skips it), and each of its primes is divided out of n.  Then, on every remaining cofactor, an
-    exact square-root split of perfect squares, Miller-Rabin certification, and Brent rho with
-    deterministic parameters.
+    exact root split of squares, cubes and fifth powers (`_perfect_power`), Miller-Rabin
+    certification, and Brent rho with deterministic parameters.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
@@ -296,15 +316,14 @@ def factorize(n: int) -> FactoredInteger:
         m = stack.pop()
         if m == 1:
             continue
-        r = isqrt(m)
-        if r * r == m:
-            stack.extend((r, r))
-            continue
-        if is_prime(m):
+        root, k = _perfect_power(m)
+        if k > 1:
+            stack.extend((root,) * k)
+        elif is_prime(m):
             factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _brent_rho(m)
-        stack.extend((d, m // d))
+        else:
+            d = _brent_rho(m)
+            stack.extend((d, m // d))
     return FactoredInteger(value, tuple(sorted(factors.items())))
 
 

@@ -151,11 +151,17 @@ class CharacterGroup:
     def character_sums(self, xs: Sequence[int], weights: np.ndarray | complex) -> np.ndarray:
         """sum_x chi(x) * w(x) for every character, in characters() order (principal first):
         the weights (shaped like xs, or a scalar) added at the grid points of xs, under one
-        unscaled inverse DFT.  A non-unit adds into one extra slot past the grid, dropped."""
+        unscaled inverse DFT.  Weights with leading batch axes, shape (*batch, *xs.shape),
+        give one row of sums per batch entry, shape (*batch, order), from one transform over
+        the grid axes.  A non-unit adds into one extra slot past the grid, dropped."""
         xs = np.asarray(xs, dtype=np.int64)
-        grid = np.zeros(self.order + 1, dtype=np.complex128)
-        np.add.at(grid, self._index[xs % self.modulus], np.broadcast_to(weights, xs.shape))
-        return np.fft.ifftn(grid[:-1].reshape(self.shape), norm="forward").ravel()
+        batch = np.shape(weights)[: max(np.ndim(weights) - xs.ndim, 0)]
+        grid = np.zeros((*batch, self.order + 1), dtype=np.complex128)
+        at = (slice(None),) * len(batch) + (self._index[xs % self.modulus],)
+        np.add.at(grid, at, np.broadcast_to(weights, (*batch, *xs.shape)))
+        axes = tuple(range(len(batch), len(batch) + len(self.shape)))
+        sums = np.fft.ifftn(grid[..., :-1].reshape(*batch, *self.shape), axes=axes, norm="forward")
+        return sums.reshape(*batch, self.order)
 
     def characters(self) -> list["DirichletCharacter"]:
         """Every character, last component fastest (the C order of the grid)."""

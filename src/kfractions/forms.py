@@ -11,11 +11,13 @@ complementary-divisor bookkeeping check.
 Every consumer reads the form through one contraction W(nu)[m, n] =
 sum_a nu_a entry(a,m,n): `_inner_terms` streams it one n-slab at a time
 (evaluation, Cauchy-Schwarz, amplifier); the search takes it for all its live
-restarts at once, one matrix product on the dense tensor of `build_tensor`, the
-streamed route's oracle, and takes its nu-step from the companion contraction
-X(beta)[a, m] = sum_n beta_n entry(a,m,n).  The amplifier's congruence form and
-diagonal are one energy each over every admissible (m, ell, n); its character
-form is one character group per m.
+restarts at once, one matrix product on T_S, the tensor's columns on its
+support S = {(m, n): gcd(m, n) = 1, both odd when twisted}, and takes its
+nu-step from the same matrix against the products alpha_m beta_n on S.  The
+dense tensor of `build_tensor`, zero off S, is the oracle of both routes.  The
+amplifier's congruence form and diagonal are one energy each over every
+admissible (m, ell, n); its character form is one character group per m, whose
+ell- and n-sums come from one inverse DFT.
 
 Coefficients live on dyadic ranges [X/2, X] and are always handled as unit-L2
 vectors in the envelopes (the norms are folded in).
@@ -216,6 +218,31 @@ def build_tensor(spec: FormSpec, twisted: bool = False) -> np.ndarray:
     return entries
 
 
+def _support_matrix(spec: FormSpec, twisted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T_S, the (|A|, P) columns of the tensor on its support S, and the m and n index of each.
+
+    S is the set of (m, n) with gcd(m, n) = 1, m and n also odd when twisted: the columns
+    where `_entry_matrix` is not identically zero.  The columns come n-major, each n-slab of
+    `_entry_matrix` (as `build_tensor` reads it) compressed into its own block of one array
+    allocated once, after the same 1e8-entry guard as the dense tensor.
+    """
+    ms, ns = spec.m_range.members, spec.n_range.members
+    dims = (len(spec.a_range), len(ms), len(ns))
+    if dims[0] * dims[1] * dims[2] > TENSOR_ENTRY_LIMIT:
+        raise ValueError(f"tensor would have {dims[0]*dims[1]*dims[2]} entries, cap is {TENSOR_ENTRY_LIMIT}")
+    support = np.gcd(ms[:, None], ns[None, :]) == 1
+    if twisted:
+        support &= (ms[:, None] % 2 == 1) & (ns % 2 == 1)
+    n_of, m_of = np.nonzero(support.T)
+    t_s = np.empty((dims[0], len(n_of)), dtype=np.complex128)
+    start = 0
+    for j, end in enumerate(np.cumsum(support.sum(axis=0)).tolist()):
+        if end > start:  # an n with no column on S (even, when twisted) builds no slab
+            np.compress(support[:, j], _entry_matrix(spec, int(ns[j]), twisted), axis=1, out=t_s[:, start:end])
+        start = end
+    return t_s, m_of, n_of
+
+
 def _check_ranges(spec: FormSpec, alpha: CoefficientVector, beta: CoefficientVector, nu: CoefficientVector) -> None:
     if alpha.range.scale != spec.m_scale or beta.range.scale != spec.n_scale or nu.range.scale != spec.a_scale:
         raise ValueError("coefficient ranges do not match the form scales")
@@ -278,49 +305,55 @@ def extremal_search(
     history holds each live restart's objective at the cycle start and after
     each half-step, and one comparison per cycle raises for the first half-step
     that decreased.  The restarts run as one block, and a cycle makes two
-    passes over the tensor T for all live restarts together.  With T viewed as
-    an (|A|, |M|*|N|) matrix, W = nu T (an |M| x |N| matrix per restart) serves
-    both the alpha-step W beta and the beta-step alpha^T W.  With T viewed as an
-    (|A|*|M|, |N|) matrix, X = T beta^T (an |A| x |M| matrix per restart, the
-    restarts last) gives the nu-step X alpha, one batched product.  Restart r
-    draws its start from `records.derive_rng(seed, r)` and leaves the live set
-    after the cycle where its own stopping rule fires (or when `iters` runs
-    out), its vectors, objective and cycle count then frozen.  The best value
-    wins with lowest-restart-index tie-breaking.
+    passes over T_S for all live restarts together: T_S is the (|A|, P) matrix
+    of the P columns (m, n) in the support S of the tensor (`_support_matrix`),
+    so the columns that are zero by construction are never read.  W = nu T_S,
+    one product, is scattered onto S in a (restarts, |M|*|N|) buffer that is
+    zero off S for good; viewed as an |M| x |N| matrix per restart, it serves
+    both the alpha-step W beta and the beta-step alpha^T W.  The nu-step is
+    T_S (alpha x beta on S)^T, one product, alpha_m beta_n taken at S only.
+    Every step is the exact maximizer of the dense search; only the order of
+    the floating-point sums differs.  Restart r draws its start from
+    `records.derive_rng(seed, r)` and leaves the live set after the cycle where
+    its own stopping rule fires (or when `iters` runs out), its vectors,
+    objective and cycle count then frozen.  The best value wins with
+    lowest-restart-index tie-breaking.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
-    tensor = build_tensor(spec, twisted)
-    a_len, m_len, n_len = tensor.shape
-    flat = tensor.reshape(a_len, -1)  # (|A|, |M|*|N|), the operand of W = nu T
-    by_n = tensor.reshape(-1, n_len)  # (|A|*|M|, |N|), the operand of X = T beta^T
+    t_s, m_of, n_of = _support_matrix(spec, twisted)
     ranges = (spec.a_range, spec.m_range, spec.n_range)  # the tensor's axes
+    m_len, n_len = len(spec.m_range), len(spec.n_range)
     starts = []
     for r in range(restarts):
         gen = derive_rng(seed, r)
         starts.append([CoefficientVector.random_unit(rng, gen).values for rng in ranges])
     # indexed by restart: the starts, each row overwritten when its restart leaves the live set
     nu_v, alpha_v, beta_v = (np.array(block) for block in zip(*starts))
-    # the one stack buffer: each cycle writes W for the live restarts to its front, then X over the spent W
-    w_size, x_size = m_len * n_len, a_len * m_len
-    stack = np.empty(restarts * max(w_size, x_size), dtype=np.complex128)
-    w = np.matmul(nu_v, flat, out=stack[: restarts * w_size].reshape(restarts, w_size))
-    obj = np.abs(np.einsum("rm,rmn,rn->r", alpha_v, w.reshape(restarts, m_len, n_len), beta_v))
+    size, p_len = m_len * n_len, len(m_of)
+    # W of every restart, zero off S for good, and W's flat index of each restart's entries on S
+    w_buf = np.zeros(restarts * size, dtype=np.complex128)
+    scatter = (np.arange(restarts)[:, None] * size + m_of * n_len + n_of).ravel()
+    on_s = np.empty((2, restarts, p_len), dtype=np.complex128)  # nu T_S; then alpha_m and beta_n at S
+    w_buf[scatter] = np.matmul(nu_v, t_s, out=on_s[0]).ravel()
+    obj = np.abs(np.einsum("rm,rmn,rn->r", alpha_v, w_buf.reshape(restarts, m_len, n_len), beta_v))
     history = np.empty((4, restarts))  # per live restart: the objective at the cycle start and after each half-step
     cycles = np.zeros(restarts, dtype=np.int64)
     live = np.arange(restarts)
     be, cur = beta_v, obj  # the live rows, in restart order
     for it in range(1, iters + 1):
         k = len(live)
-        w = stack[: k * w_size].reshape(k, m_len, n_len)
+        w = w_buf[: k * size].reshape(k, m_len, n_len)
         hist = history[:, :k]
         hist[0] = cur
         al, hist[1] = _unit_or_basis(np.matmul(w, be[:, :, None])[:, :, 0])
         be, hist[2] = _unit_or_basis(np.matmul(al[:, None, :], w)[:, 0, :])
-        x = np.matmul(by_n, be.T, out=stack[: k * x_size].reshape(x_size, k)).reshape(a_len, m_len, k)
-        nu, cur = _unit_or_basis(np.matmul(x.transpose(2, 0, 1), al[:, :, None])[:, :, 0])
+        # alpha x beta on S; mode="clip" (the indices are in range) takes into `out` with no buffer
+        ab = np.take(al, m_of, axis=1, out=on_s[0, :k], mode="clip")
+        ab *= np.take(be, n_of, axis=1, out=on_s[1, :k], mode="clip")
+        nu, cur = _unit_or_basis(np.matmul(t_s, ab.T).T)  # faster than ab T_S^T at every size timed
         hist[3] = cur
         _assert_monotone(hist, spec, twisted, live, it)
         done = (cur - hist[0] <= 1e-10 * np.maximum(cur, 1e-300)) & (it > 1) | (it == iters)
@@ -331,7 +364,7 @@ def extremal_search(
             live, be, nu, cur = live[~done], be[~done], nu[~done], cur[~done]
             if not len(live):
                 break
-        np.matmul(nu, flat, out=stack[: len(live) * w_size].reshape(len(live), w_size))
+        w_buf[scatter[: len(live) * p_len]] = np.matmul(nu, t_s, out=on_s[0, : len(live)]).ravel()
     best = int(np.argmax(obj))
     return ExtremalResult(
         float(obj[best]),
@@ -583,11 +616,17 @@ def amplifier_check(
     diag = _energy(rows * products.size + ranks, weights)
     off = d_direct - diag
 
-    # character-sum form, one term per character of each (Z/m)*
+    # character-sum form, one term per character of each (Z/m)*: the ell-weights (1 at each ell) and the
+    # n-weights T[m, n] are two rows of weights at the points (ells, ns), under one transform per m
+    points = np.concatenate((ells, ns))
+    point_weights = np.zeros((2, len(points)), dtype=np.complex128)
+    point_weights[0, : len(ells)] = 1.0
     d_char = chi0_total = 0.0
     for m, t_row in zip(ms, terms):
         group = character_group(int(m))
-        chi_terms = np.abs(group.character_sums(ells, 1.0)) ** 2 * np.abs(group.character_sums(ns, t_row)) ** 2
+        point_weights[1, len(ells) :] = t_row
+        ell_sums, n_sums = np.abs(group.character_sums(points, point_weights)) ** 2
+        chi_terms = ell_sums * n_sums
         d_char += float(chi_terms.sum()) / group.order
         chi0_total += float(chi_terms[0]) / group.order
 

@@ -220,6 +220,14 @@ class TestFactorize:
             if p**e <= 2**63:
                 assert factorize(p**e).factors == ((p, e),)
 
+    @pytest.mark.parametrize("p, e", [(4099, 3), (999983, 3), (65537, 3), (2097143, 3), (4099, 5)])
+    def test_cubes_and_fifth_powers_split_without_rho(self, monkeypatch, p, e):
+        def no_rho(n):
+            raise AssertionError(f"rho called on {n}")
+
+        monkeypatch.setattr(arith, "_brent_rho", no_rho)
+        assert factorize.__wrapped__(p**e).factors == ((p, e),)
+
     @pytest.mark.parametrize("factors", [
         ((4099, 1), (4111, 1)),
         ((65537, 1), (999983, 1)),

@@ -238,6 +238,17 @@ class TestGroupMatrix:
         assert group.character_sums(xs, w)[0] == pytest.approx(np.sum(w[units]), rel=1e-12, abs=1e-12)
         assert group.character_sums(xs, 1.0)[0] == np.count_nonzero(units)
 
+    @pytest.mark.parametrize("q", EDGE_MODULI)
+    def test_batched_rows_are_the_single_row_sums_bit_for_bit(self, q):
+        xs = np.arange(-q, 2 * q)
+        gen = np.random.default_rng(q)
+        weights = gen.standard_normal((2, 3, len(xs))) + 1j * gen.standard_normal((2, 3, len(xs)))
+        group = character_group(q)
+        sums = group.character_sums(xs, weights)
+        assert sums.shape == (2, 3, group.order)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(sums[i, j], group.character_sums(xs, weights[i, j]))
+
 
 class TestAmplifierSmallModuli:
     def test_m_scale_two(self):

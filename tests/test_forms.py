@@ -3,6 +3,7 @@ Cauchy-Schwarz and amplifier chains, complementary divisor."""
 
 import cmath
 import random
+import tracemalloc
 from math import gcd, sqrt
 
 import numpy as np
@@ -387,9 +388,9 @@ class TestExtremalSearch:
     def test_global_phase_invariance(self, monkeypatch):
         spec = FormSpec(9, 8, 4, theta=1)
         base = extremal_search(spec, restarts=3, iters=300, seed=6)
-        real = forms.build_tensor
+        real = forms._entry_matrix
         rotation = np.exp(2j * np.pi * 0.2371)
-        monkeypatch.setattr(forms, "build_tensor", lambda s, twisted=False: rotation * real(s, twisted))
+        monkeypatch.setattr(forms, "_entry_matrix", lambda *args: rotation * real(*args))
         rotated = extremal_search(spec, restarts=3, iters=300, seed=6)
         assert rotated.value == pytest.approx(base.value, abs=1e-9 * max(1, base.value))
 
@@ -440,17 +441,53 @@ class TestExtremalSearch:
         ({"iters": -1}, "iters must be >= 0, got -1"),
     ])
     def test_bad_option_rejected_before_the_tensor_is_built(self, monkeypatch, kwargs, message):
-        monkeypatch.setattr(forms, "build_tensor", lambda *args: pytest.fail("the tensor was built"))
+        monkeypatch.setattr(forms, "_entry_matrix", lambda *args: pytest.fail("a slab was built"))
         with pytest.raises(ValueError, match=message):
             extremal_search(FormSpec(9, 8, 4), **kwargs)
 
     def test_zero_tensor_ties_go_to_the_lowest_restart(self, monkeypatch):
-        real = forms.build_tensor
-        monkeypatch.setattr(forms, "build_tensor", lambda s, twisted=False: np.zeros_like(real(s, twisted)))
+        real = forms._entry_matrix
+        monkeypatch.setattr(forms, "_entry_matrix", lambda *args: np.zeros_like(real(*args)))
         res = extremal_search(FormSpec(6, 8, 10), restarts=3, iters=50)
         assert (res.value, res.restart_index, res.iterations) == (0.0, 0, 2)
         for vec in (res.alpha, res.beta, res.nu):  # every contraction vanishes: e_0
             assert np.array_equal(vec.values, np.eye(len(vec.values))[0])
+
+    @pytest.mark.parametrize("spec, twisted", [
+        (FormSpec(12, 10, 7, theta=2), False),
+        (FormSpec(11, 13, 6, theta=-3), True),  # theta shares the factor 3 with n = 9 and 12
+        (FormSpec(10, 12, 5, theta=1, theta_f=3), False),
+        (FormSpec(24, 20, 1, theta=3), False),
+        (FormSpec(15, 16, 4, theta=6), False),  # theta shares a factor with every even n and with 9, 15
+    ], ids=["plain", "twisted", "reciprocity", "A1", "theta-shares-factors"])
+    def test_support_matrix_is_the_dense_tensor_on_its_support(self, spec, twisted):
+        t_s, m_of, n_of = forms._support_matrix(spec, twisted)
+        dense = build_tensor(spec, twisted).reshape(len(spec.a_range), -1)
+        ms, ns = spec.m_range.members, spec.n_range.members
+        support = m_of * len(ns) + n_of
+        want = [i * len(ns) + j for j, n in enumerate(ns) for i, m in enumerate(ms)  # n-major
+                if gcd(int(m), int(n)) == 1 and (not twisted or m * n % 2 == 1)]
+        assert support.tolist() == want
+        assert np.array_equal(t_s, dense[:, support])  # bit for bit
+        assert np.all(t_s != 0)  # no entry on S vanishes
+        assert not np.any(np.delete(dense, support, axis=1))  # exactly 0 off S
+
+    def test_over_cap_spec_rejected_before_any_slab(self, monkeypatch):
+        monkeypatch.setattr(forms, "_entry_matrix", lambda *args: pytest.fail("a slab was built"))
+        message = f"tensor would have 1003003001 entries, cap is {forms.TENSOR_ENTRY_LIMIT}"  # 1001^3
+        with pytest.raises(ValueError, match=message):
+            extremal_search(FormSpec(2000, 2000, 2000), restarts=1, iters=1)
+
+    def test_search_holds_less_than_the_dense_tensor(self):
+        spec = FormSpec(160, 160, 160)
+        dense_bytes = 16 * len(spec.a_range) * len(spec.m_range) * len(spec.n_range)  # 8.1 MB
+        tracemalloc.start()
+        try:
+            extremal_search(spec, restarts=4, iters=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
 
     def test_unit_or_basis_rows(self):
         units, norms = forms._unit_or_basis(np.array([[3, 4j], [0, 0], [0, 2j]]))
@@ -826,6 +863,28 @@ class TestAmplifier:
         need = forms.AMPLIFIER_ENTRY_BYTES * 5001 * 10 * 2049
         with pytest.raises(ValueError, match=f"M=10000, N=4096 with 10 primes would hold {need} bytes"):
             amplifier_check(big, AmplifierSpec(1, 40.0), big_beta, nu)
+
+    @pytest.mark.parametrize("case, pinned", [
+        ((32, 6, 1, 15.0, 1),
+         ("0x1.20703310511cdp+6", "0x1.2f2edba355058p+8", "0x1.2f2edba35505ap+8", "0x1.30481aefdf216p+8",
+          "0x1.d39da5dde5697p-8")),
+        ((40, 8, 2, 16.0, -1),
+         ("0x1.056b499d7ebe4p+5", "0x1.07b18ec34f5a9p+7", "0x1.07b18ec34f5a7p+7", "0x1.0a600595df9dap+7",
+          "0x1.b1235bfae8718p-7")),
+        ((24, 6, 3, 17.0, 1),
+         ("0x1.26a1b8026e9c8p+5", "0x1.433b1c8cee5aap+7", "0x1.433b1c8cee5aap+7", "0x1.43a9d519b2edbp+7",
+          "0x1.c007de547d6d2p-8")),
+    ], ids=["b1", "b2", "b3"])
+    def test_m_300_values_pinned_to_the_bit(self, case, pinned):
+        # the M = 300 amplifier cases of the forms benchmark, recorded when each m took its two
+        # character sums from two separate transforms
+        n_scale, a_scale, b, l_scale, theta = case
+        spec = FormSpec(300, n_scale, a_scale, theta=theta)
+        gen = np.random.default_rng(np.random.SeedSequence([7, 7000 + b - 1]))  # the (b-1)-th case at seed 7
+        beta = CoefficientVector.random_unit(spec.n_range, gen)
+        nu = CoefficientVector.random_unit(spec.a_range, gen)
+        rep = amplifier_check(spec, AmplifierSpec(b, l_scale), beta, nu)
+        assert tuple(x.hex() for x in (rep.c_b, rep.d_b, rep.d_b_direct, rep.diagonal, rep.ratio)) == pinned
 
     def test_m_600_chain_and_forms_match(self):
         # the first rung of the M = 600-3000 amplifier ladder, past the scale the acceptance cases reach
