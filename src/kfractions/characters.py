@@ -4,15 +4,13 @@
 by a primitive root), and for the 2-part either nothing (2^0, 2^1), a single
 order-2 component (2^2), or the pair <-1> x <5> (2^e, e >= 3).
 `prime_power_units` lists each block's units as generator powers, built by
-baby-step/giant-step.  `unit_grid`, the one map from a unit to its point on
-the grid shaped by the generator orders, joins the blocks by CRT into the
-units in the grid's C order, with their inverses; `ksums` takes its unit
-tables from it, and a `CharacterGroup` keeps each residue's flat grid index
-(-1 off the units).  A character, a choice of exponent index per component,
-is a frequency of that grid.  `CharacterGroup.character_sums` takes
-sum_x chi(x) w(x) for every chi as one unscaled inverse DFT of the weights
-added at their grid points; a character's `value_table` on 0..q-1 is the
-inverse DFT of its indicator, gathered at the residues' indices (q <= 1e4).
+baby-step/giant-step.  `unit_grid` lifts the blocks by CRT to the units in the
+C order of the grid shaped by the generator orders, with their inverses (the
+`ksums` unit tables); `grid_index` maps residues back to flat grid indices for
+many moduli at once.  A character is a frequency of that grid: the character
+sums of a modulus are one unscaled inverse DFT of the weights added at their
+grid points (`character_sums_by_modulus`, `CharacterGroup.character_sums`),
+and a `value_table` the inverse DFT of an indicator (q <= 1e4).
 """
 
 from __future__ import annotations
@@ -20,15 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .arith import factorize
 
-__all__ = ["DirichletCharacter", "CharacterGroup", "character_group", "characters_mod", "prime_power_units", "unit_grid"]
+__all__ = ["DirichletCharacter", "CharacterGroup", "character_group", "character_sums_by_modulus", "characters_mod",
+           "grid_index", "prime_power_units", "unit_grid"]
 
 CHARACTER_MODULUS_LIMIT = 10**4
+_GRID_BLOCK = 2**12  # grid points per flat buffer of character_sums_by_modulus
 
 
 def _primitive_root_mod_prime(p: int) -> int:
@@ -128,19 +128,88 @@ def unit_grid(c: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     return xs, inv, shape or (1,)
 
 
+def grid_index(moduli: Sequence[int], xs) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """The flat grid index of residues for many moduli at once, and each modulus's grid shape.
+
+    Row i of xs, shaped (len(moduli), ...) or (1, ...), holds residues mod c = moduli[i] =
+    q_1 ... q_k.  x maps to sum_j log_j(x mod q_j) * (the later blocks' orders), its C-order
+    position in `unit_grid(c)`, from one log table per prime power (the inverse permutation of
+    `prime_power_units`), or to -1 off the units and outside [0, c).  Shapes are `unit_grid`'s.
+    """
+    cs = [int(c) for c in moduli]
+    if cs and (min(cs) < 1 or max(cs) > CHARACTER_MODULUS_LIMIT):
+        raise ValueError(f"character moduli must lie in [1, {CHARACTER_MODULUS_LIMIT}]")
+    xs = np.asarray(xs, dtype=np.int64)
+    trail = (1,) * (xs.ndim - 1)
+    blocks = [factorize(c).factors for c in cs]
+    width = max(map(len, blocks), default=0)
+    # the log tables side by side in one int32 array, after the one residue of q = 1 (log 0, order 1)
+    # that a modulus reads past its last block
+    powers = sorted({f for factors in blocks for f in factors})
+    starts = np.cumsum([1] + [p**e for p, e in powers]).tolist()
+    logs = np.full(starts[-1], -1, dtype=np.int32)
+    logs[0] = 0
+    orders, at = {}, {(1, 1): (1, 0, 1)}
+    for (p, e), start in zip(powers, starts):
+        units, orders[p, e] = prime_power_units(p, e)
+        logs[start + units] = np.arange(len(units), dtype=np.int32)
+        at[p, e] = (p**e, start, len(units))  # q, the table's start and the block's order
+    # (3, width, len(cs), *trail): q, table start and order of every modulus's j-th block
+    cols = np.array([[at[f] for f in factors + ((1, 1),) * (width - len(factors))] for factors in blocks],
+                    dtype=np.int64).reshape(len(cs), width, 3).transpose(2, 1, 0).reshape(3, width, len(cs), *trail)
+    index = np.zeros((len(cs), *xs.shape[1:]), dtype=np.int64)
+    bad = (xs < 0) | (xs >= np.array(cs, dtype=np.int64).reshape(-1, *trail))
+    for qs, start, order in zip(*cols):
+        log = logs[start + xs % qs]
+        bad |= log < 0
+        index *= order
+        index += log
+    index[bad] = -1
+    shapes = [sum((orders[f] for f in factors), ()) or (1,) for factors in blocks]
+    return index, shapes
+
+
+def character_sums_by_modulus(moduli: Sequence[int], xs: Sequence[int], weights) -> Iterator[np.ndarray]:
+    """sum_x chi(x) * w(x) for every character mod c, one (*batch, phi(c)) array per c in moduli.
+
+    xs (any integers) is shared; weights is a scalar or broadcasts to (len(moduli), *batch,
+    *xs.shape).  A block of moduli, up to _GRID_BLOCK grid points, adds its weights into one
+    flat buffer (one slot past the grids for non-units) by one `np.add.at`; then each modulus
+    takes one unscaled inverse DFT over its grid's view.
+    """
+    cs = np.array([int(c) for c in moduli], dtype=np.int64)
+    xs = np.asarray(xs, dtype=np.int64)
+    index, shapes = grid_index(cs, xs[None] % cs.reshape(-1, *(1,) * xs.ndim))
+    weights = np.asarray(weights)
+    weights = weights.reshape((1,) * max(xs.ndim + 1 - weights.ndim, 0) + weights.shape)
+    batch = weights.shape[1 : weights.ndim - xs.ndim]
+    weights = np.broadcast_to(weights, (len(cs), *batch, *xs.shape))
+    sizes = [math.prod(shape) for shape in shapes]
+    lo = 0
+    while lo < len(sizes):
+        hi, total = lo + 1, sizes[lo]
+        while hi < len(sizes) and total + sizes[hi] <= _GRID_BLOCK:
+            total += sizes[hi]
+            hi += 1
+        starts = np.cumsum([0] + sizes[lo:hi])
+        flat = np.where(index[lo:hi] >= 0, index[lo:hi] + starts[:-1].reshape(-1, *(1,) * xs.ndim), total)
+        grid = np.zeros((*batch, total + 1), dtype=np.complex128)
+        np.add.at(grid, (slice(None),) * len(batch) + (flat,), np.moveaxis(weights[lo:hi], 0, len(batch)))
+        for start, size, shape in zip(starts.tolist(), sizes[lo:hi], shapes[lo:hi]):
+            view = grid[..., start : start + size].reshape(*batch, *shape)
+            axes = tuple(range(len(batch), len(batch) + len(shape)))
+            yield np.fft.ifftn(view, axes=axes, norm="forward").reshape(*batch, size)
+        lo = hi
+
+
 class CharacterGroup:
     """All Dirichlet characters modulo q, sharing one table of grid indices."""
 
     def __init__(self, modulus: int):
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        if modulus > CHARACTER_MODULUS_LIMIT:
-            raise ValueError(f"character groups capped at modulus {CHARACTER_MODULUS_LIMIT}")
         self.modulus = modulus
-        units, _, self.shape = unit_grid(modulus)
-        self.order = len(units)
-        self._index = np.full(modulus, -1, dtype=np.int64)  # residue -> flat grid index, -1 off the units
-        self._index[units] = np.arange(self.order)
+        index, (self.shape,) = grid_index([modulus], np.arange(modulus)[None])
+        self._index = index[0]  # residue -> flat grid index, -1 off the units
+        self.order = math.prod(self.shape)
 
     def __eq__(self, other: object) -> bool:  # the group is a function of its modulus
         return isinstance(other, CharacterGroup) and other.modulus == self.modulus
@@ -153,15 +222,8 @@ class CharacterGroup:
         the weights (shaped like xs, or a scalar) added at the grid points of xs, under one
         unscaled inverse DFT.  Weights with leading batch axes, shape (*batch, *xs.shape),
         give one row of sums per batch entry, shape (*batch, order), from one transform over
-        the grid axes.  A non-unit adds into one extra slot past the grid, dropped."""
-        xs = np.asarray(xs, dtype=np.int64)
-        batch = np.shape(weights)[: max(np.ndim(weights) - xs.ndim, 0)]
-        grid = np.zeros((*batch, self.order + 1), dtype=np.complex128)
-        at = (slice(None),) * len(batch) + (self._index[xs % self.modulus],)
-        np.add.at(grid, at, np.broadcast_to(weights, (*batch, *xs.shape)))
-        axes = tuple(range(len(batch), len(batch) + len(self.shape)))
-        sums = np.fft.ifftn(grid[..., :-1].reshape(*batch, *self.shape), axes=axes, norm="forward")
-        return sums.reshape(*batch, self.order)
+        the grid axes: the one-modulus case of `character_sums_by_modulus`."""
+        return next(character_sums_by_modulus([self.modulus], xs, np.asarray(weights)[None]))
 
     def characters(self) -> list["DirichletCharacter"]:
         """Every character, last component fastest (the C order of the grid)."""

@@ -8,16 +8,16 @@ envelopes with implied constant 1; the Cauchy-Schwarz step; the
 character-amplified second moment with its exact inequality chain; and the
 complementary-divisor bookkeeping check.
 
-Every consumer reads the form through one contraction W(nu)[m, n] =
-sum_a nu_a entry(a,m,n): `_inner_terms` streams it one n-slab at a time
+Every entry comes from one phase kernel, `_phases`, and every consumer reads
+the form through one contraction W(nu)[m, n] = sum_a nu_a entry(a,m,n): `_inner_terms` streams it one n-slab at a time
 (evaluation, Cauchy-Schwarz, amplifier); the search takes it for all its live
 restarts at once, one matrix product on T_S, the tensor's columns on its
 support S = {(m, n): gcd(m, n) = 1, both odd when twisted}, and takes its
 nu-step from the same matrix against the products alpha_m beta_n on S.  The
 dense tensor of `build_tensor`, zero off S, is the oracle of both routes.  The
 amplifier's congruence form and diagonal are one energy each over every
-admissible (m, ell, n); its character form is one character group per m, whose
-ell- and n-sums come from one inverse DFT.
+admissible (m, ell, n); its character form takes the ell- and n-sums of every m
+from `characters.character_sums_by_modulus`, one inverse DFT per m.
 
 Coefficients live on dyadic ranges [X/2, X] and are always handled as unit-L2
 vectors in the envelopes (the norms are folded in).
@@ -25,6 +25,7 @@ vectors in the envelopes (the norms are folded in).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,7 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .arith import is_prime, jacobi
-from .characters import CHARACTER_MODULUS_LIMIT, character_group
+from .characters import CHARACTER_MODULUS_LIMIT, character_sums_by_modulus
+from .characters import character_group  # noqa: F401  -- perfbench's tracer test reads forms.character_group
 from .ksums import inverses_mod
 from .records import derive_rng
 
@@ -73,6 +75,7 @@ COMPDIV_TUPLE_LIMIT = 10**8  # (m, ell1, n1, ell2, n2) tuples of a complementary
 COMPDIV_ENTRY_BYTES = 48
 COMPDIV_BYTES = 2**30
 _PHASE_INT_GUARD = 2**60
+_SUPPORT_COLS = 2**9  # columns of T_S per phase-kernel call (whole n-blocks): its int64 phases stay small
 
 
 # ---------------------------------------------------------------------------
@@ -183,27 +186,52 @@ class FormSpec:
         return DyadicRange(self.a_scale)
 
 
-def _entry_matrix(spec: FormSpec, n: int, twisted: bool, b: int = 1) -> np.ndarray:
-    """entry(a, m, n) = e(theta*a*mbar/(b*n)) for fixed n, shape (|A|, |M|), zero
-    where gcd(m, b*n) > 1; b > 1 serves only the amplifier's inner sums."""
-    ms = spec.m_range.members
+def _phases(spec: FormSpec, ms: np.ndarray, ns, counts: list[int], twisted: bool, b: int = 1) -> np.ndarray:
+    """entry(a, m, n) = e(theta*a*mbar/(b*n)) on columns (m, n), shape (|A|, len(ms)): the entries
+    of the columns on the support (gcd(m, b*n) = 1, m and n odd when twisted); a caller zeroes any other.
+
+    The one phase kernel.  The columns come in blocks, counts[k] columns at n = ns[k], and ms
+    holds each column's m.  Per block one `inverses_mod` call; theta*a*mbar is reduced mod b*n
+    exactly, and e(t/(b*n)) gathered from the blocks' root rows under one exp (or, with fewer
+    entries than root points, one exp per entry: the same value); then the reciprocity shift
+    and the Jacobi factor per column.
+    """
     az = spec.a_range.members
-    mod = b * n
-    if twisted and n % 2 == 0:
-        return np.zeros((len(az), len(ms)), dtype=np.complex128)
-    coprime = np.gcd(ms, mod) == 1
-    # exact reduction of theta*a*mbar mod b*n, then e(t/(b*n)) gathered from the root row (the same
-    # expression per element), or evaluated per entry when the slab is smaller than the row
-    t = (spec.theta * az[:, None] * inverses_mod(ms, mod)[None, :]) % mod
-    out = np.exp(2j * np.pi * (np.arange(mod) / mod))[t] if mod <= t.size else np.exp(2j * np.pi * (t / mod))
+    rows = [b * int(n) for n in ns]
+    if len(rows) == 1:  # one n: its modulus is a scalar
+        mods, inv = rows[0], inverses_mod(ms, rows[0])
+    else:
+        bounds = [0, *itertools.accumulate(counts)]
+        inv = np.concatenate([inverses_mod(ms[lo:hi], mod) for lo, hi, mod in zip(bounds, bounds[1:], rows)])
+        mods = np.repeat(rows, counts)
+    t = np.multiply.outer(spec.theta * az, inv)
+    t %= mods
+    if sum(rows) <= t.size:
+        roots = np.exp(2j * np.pi * np.concatenate([np.arange(mod) / mod for mod in rows]))
+        if len(rows) > 1:  # shift each block's phases to its root row
+            t += np.repeat(np.cumsum(rows) - rows, counts)
+        out = roots[t]
+    else:
+        out = np.exp(2j * np.pi * (t / mods))
     if spec.theta_f:
-        out = out * np.exp(2j * np.pi * (spec.theta_f * az[:, None] / (ms[None, :] * n)))
+        out *= np.exp(2j * np.pi * (spec.theta_f * az[:, None] / (ms * (mods // b))))
     if twisted:
-        jac = np.array(
-            [jacobi(int(m), n) if m % 2 == 1 else 0 for m in ms], dtype=np.float64
-        )
-        out = out * jac[None, :]
-    out[:, ~coprime] = 0.0
+        out *= np.array([jacobi(m, n) for m, n in zip(ms.tolist(), np.repeat(ns, counts).tolist())], dtype=np.float64)
+    return out
+
+
+def _entry_matrix(spec: FormSpec, n: int, twisted: bool, b: int = 1) -> np.ndarray:
+    """entry(a, m, n) for fixed n, shape (|A|, |M|): the phase kernel's one-n call over every m,
+    zeroed where gcd(m, b*n) > 1 (and at even m or n when twisted); b > 1 serves only the
+    amplifier's inner sums."""
+    ms = spec.m_range.members
+    if twisted and n % 2 == 0:
+        return np.zeros((len(spec.a_range), len(ms)), dtype=np.complex128)
+    out = _phases(spec, ms, [n], [len(ms)], twisted, b)
+    off = np.gcd(ms, b * n) != 1
+    if twisted:
+        off |= ms % 2 == 0
+    out[:, off] = 0.0
     return out
 
 
@@ -222,9 +250,9 @@ def _support_matrix(spec: FormSpec, twisted: bool) -> tuple[np.ndarray, np.ndarr
     """T_S, the (|A|, P) columns of the tensor on its support S, and the m and n index of each.
 
     S is the set of (m, n) with gcd(m, n) = 1, m and n also odd when twisted: the columns
-    where `_entry_matrix` is not identically zero.  The columns come n-major, each n-slab of
-    `_entry_matrix` (as `build_tensor` reads it) compressed into its own block of one array
-    allocated once, after the same 1e8-entry guard as the dense tensor.
+    where `build_tensor` is not identically zero.  The columns come n-major into one array
+    allocated once, after the same 1e8-entry guard as the dense tensor, filled from the phase
+    kernel `_phases` in chunks of whole n-blocks, up to _SUPPORT_COLS columns.
     """
     ms, ns = spec.m_range.members, spec.n_range.members
     dims = (len(spec.a_range), len(ms), len(ns))
@@ -235,11 +263,17 @@ def _support_matrix(spec: FormSpec, twisted: bool) -> tuple[np.ndarray, np.ndarr
         support &= (ms[:, None] % 2 == 1) & (ns % 2 == 1)
     n_of, m_of = np.nonzero(support.T)
     t_s = np.empty((dims[0], len(n_of)), dtype=np.complex128)
-    start = 0
-    for j, end in enumerate(np.cumsum(support.sum(axis=0)).tolist()):
-        if end > start:  # an n with no column on S (even, when twisted) builds no slab
-            np.compress(support[:, j], _entry_matrix(spec, int(ns[j]), twisted), axis=1, out=t_s[:, start:end])
-        start = end
+    with_cols = np.flatnonzero(support.any(axis=0))  # the n with a column on S, and their column counts
+    counts = support.sum(axis=0)[with_cols].tolist()
+    lo = col = 0
+    while lo < len(counts):  # whole n-blocks, up to _SUPPORT_COLS columns a call (or one block)
+        hi, width = lo + 1, counts[lo]
+        while hi < len(counts) and width + counts[hi] <= _SUPPORT_COLS:
+            width += counts[hi]
+            hi += 1
+        cols = slice(col, col + width)
+        t_s[:, cols] = _phases(spec, ms[m_of[cols]], ns[with_cols[lo:hi]], counts[lo:hi], twisted)
+        lo, col = hi, col + width
     return t_s, m_of, n_of
 
 
@@ -336,8 +370,9 @@ def extremal_search(
     # W of every restart, zero off S for good, and W's flat index of each restart's entries on S
     w_buf = np.zeros(restarts * size, dtype=np.complex128)
     scatter = (np.arange(restarts)[:, None] * size + m_of * n_len + n_of).ravel()
-    on_s = np.empty((2, restarts, p_len), dtype=np.complex128)  # nu T_S; then alpha_m and beta_n at S
-    w_buf[scatter] = np.matmul(nu_v, t_s, out=on_s[0]).ravel()
+    per_n = np.bincount(n_of, minlength=n_len)  # the lengths of T_S's n-major blocks
+    on_s = np.empty((restarts, p_len), dtype=np.complex128)  # nu T_S; then alpha_m beta_n at S
+    w_buf[scatter] = np.matmul(nu_v, t_s, out=on_s).ravel()
     obj = np.abs(np.einsum("rm,rmn,rn->r", alpha_v, w_buf.reshape(restarts, m_len, n_len), beta_v))
     history = np.empty((4, restarts))  # per live restart: the objective at the cycle start and after each half-step
     cycles = np.zeros(restarts, dtype=np.int64)
@@ -350,9 +385,10 @@ def extremal_search(
         hist[0] = cur
         al, hist[1] = _unit_or_basis(np.matmul(w, be[:, :, None])[:, :, 0])
         be, hist[2] = _unit_or_basis(np.matmul(al[:, None, :], w)[:, 0, :])
-        # alpha x beta on S; mode="clip" (the indices are in range) takes into `out` with no buffer
-        ab = np.take(al, m_of, axis=1, out=on_s[0, :k], mode="clip")
-        ab *= np.take(be, n_of, axis=1, out=on_s[1, :k], mode="clip")
+        # alpha x beta on S; mode="clip" (the indices are in range) takes into `out` with no buffer,
+        # and beta_n repeats over its n-block
+        ab = np.take(al, m_of, axis=1, out=on_s[:k], mode="clip")
+        ab *= np.repeat(be, per_n, axis=1)
         nu, cur = _unit_or_basis(np.matmul(t_s, ab.T).T)  # faster than ab T_S^T at every size timed
         hist[3] = cur
         _assert_monotone(hist, spec, twisted, live, it)
@@ -364,7 +400,7 @@ def extremal_search(
             live, be, nu, cur = live[~done], be[~done], nu[~done], cur[~done]
             if not len(live):
                 break
-        w_buf[scatter[: len(live) * p_len]] = np.matmul(nu, t_s, out=on_s[0, : len(live)]).ravel()
+        w_buf[scatter[: len(live) * p_len]] = np.matmul(nu, t_s, out=on_s[: len(live)]).ravel()
     best = int(np.argmax(obj))
     return ExtremalResult(
         float(obj[best]),
@@ -562,12 +598,12 @@ def amplifier_check(
     (the explicit stand-in for the asymptotic L/log L).  C_b and D_b come from
     the inner-term array T at modulus b*n, over the m coprime to b.  D_b is
     computed twice.  The character form is sum_m phi(m)^-1 sum_chi
-    |sum_ell chi(ell)|^2 |sum_n chi(n) T[m,n]|^2, each inner sum one inverse DFT
-    over (Z/m)* (entry 0 principal), one character group per m.  The congruence
-    form takes every admissible m at once: the weights T[m, n], broadcast over
-    (m, ell, n) and zeroed where gcd(ell, m) > 1, have their energy grouped by
-    (m, ell*n mod m); the diagonal is the energy grouped by (m, ell*n), and the
-    off-diagonal part is the difference.  The same admissibility mask gives P_m.
+    |sum_ell chi(ell)|^2 |sum_n chi(n) T[m,n]|^2 (entry 0 principal), its inner
+    sums from one `characters.character_sums_by_modulus` call: one inverse DFT
+    of two rows of weights per m, added in m order.  The congruence form takes every admissible m at once: the
+    weights T[m, n], broadcast over (m, ell, n) and zeroed where gcd(ell, m) > 1,
+    have their energy grouped by (m, ell*n mod m); the diagonal is the energy
+    grouped by (m, ell*n), and the off-diagonal part is the difference.  The same admissibility mask gives P_m.
     The report records the agreement of the two routes.
 
     beta is masked to multipliers n coprime to theta*b (the standing support
@@ -578,7 +614,7 @@ def amplifier_check(
     if spec.theta_f:
         raise ValueError("amplifier check is defined for unshifted specs")
     if spec.m_scale > CHARACTER_MODULUS_LIMIT:
-        raise ValueError(f"amplifier check builds a character group per m, capped at M <= {CHARACTER_MODULUS_LIMIT}")
+        raise ValueError(f"amplifier check takes character sums mod every m, capped at M <= {CHARACTER_MODULUS_LIMIT}")
     if gcd(spec.theta, amp.b) != 1:
         raise ValueError("need gcd(theta, b) = 1")
     if amp.l_scale <= 2 * math.log(amp.b * abs(spec.theta) * spec.m_scale):
@@ -619,16 +655,15 @@ def amplifier_check(
     # character-sum form, one term per character of each (Z/m)*: the ell-weights (1 at each ell) and the
     # n-weights T[m, n] are two rows of weights at the points (ells, ns), under one transform per m
     points = np.concatenate((ells, ns))
-    point_weights = np.zeros((2, len(points)), dtype=np.complex128)
-    point_weights[0, : len(ells)] = 1.0
+    point_weights = np.zeros((len(ms), 2, len(points)), dtype=np.complex128)
+    point_weights[:, 0, : len(ells)] = 1.0
+    point_weights[:, 1, len(ells) :] = terms
     d_char = chi0_total = 0.0
-    for m, t_row in zip(ms, terms):
-        group = character_group(int(m))
-        point_weights[1, len(ells) :] = t_row
-        ell_sums, n_sums = np.abs(group.character_sums(points, point_weights)) ** 2
+    for sums in character_sums_by_modulus(ms, points, point_weights):
+        ell_sums, n_sums = np.abs(sums) ** 2
         chi_terms = ell_sums * n_sums
-        d_char += float(chi_terms.sum()) / group.order
-        chi0_total += float(chi_terms[0]) / group.order
+        d_char += float(chi_terms.sum()) / len(chi_terms)
+        chi0_total += float(chi_terms[0]) / len(chi_terms)
 
     bound = spec.m_scale / min_p**2 * d_char
     holds = (

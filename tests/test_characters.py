@@ -15,7 +15,9 @@ from kfractions.characters import (
     _generator_powers,
     _primitive_root_mod_prime_power,
     character_group,
+    character_sums_by_modulus,
     characters_mod,
+    grid_index,
     unit_grid,
 )
 from kfractions.forms import AmplifierSpec, CoefficientVector, FormSpec, amplifier_check
@@ -135,6 +137,50 @@ class TestUnitGrid:
             assert units.dtype == inverses.dtype == np.int64
             assert units.tolist() == expect.tolist(), c
             assert inverses.min() >= 0 and inverses.max() < c and np.all(units * inverses % c == 1 % c), c
+
+
+class TestGridIndex:
+    def test_inverse_of_unit_grid_up_to_3000(self):
+        # the moduli in blocks of 100 sharing one residue row: -3 .. 3002 covers negatives and residues >= c
+        xs = np.arange(-3, 3003)
+        for lo in range(1, 3001, 100):
+            moduli = list(range(lo, lo + 100))
+            index, shapes = grid_index(moduli, xs[None])
+            assert index.shape == (100, len(xs))
+            for c, row, shape in zip(moduli, index, shapes):
+                units, _, want_shape = unit_grid(c)
+                assert shape == want_shape, c
+                want = np.full(len(xs), -1, dtype=np.int64)
+                want[units + 3] = np.arange(len(units))  # units in grid order
+                assert np.array_equal(row, want), c
+
+    def test_rows_per_modulus_and_the_group_index(self):
+        moduli = [1, 2, 8, 35, 300]
+        xs = np.array(moduli)[:, None] + np.arange(-5, 0)  # row i: residues mod moduli[i], some negative
+        index, _ = grid_index(moduli, xs)
+        for c, x, row in zip(moduli, xs, index):
+            assert np.array_equal(row, np.where(x >= 0, character_group(c)._index[x % c], -1))
+
+    @pytest.mark.parametrize("bad", [0, characters.CHARACTER_MODULUS_LIMIT + 1])
+    def test_moduli_outside_the_cap_rejected(self, bad):
+        with pytest.raises(ValueError, match="character moduli must lie in"):
+            grid_index([5, bad], np.arange(3)[None])
+
+
+class TestCharacterSumsByModulus:
+    @pytest.mark.parametrize("block", [None, 1, 7, 500])
+    def test_equal_to_each_group_bit_for_bit_up_to_300(self, monkeypatch, block):
+        if block is not None:  # grid points per flat buffer: one modulus a block, or a few
+            monkeypatch.setattr(characters, "_GRID_BLOCK", block)
+        moduli = list(range(1, 301))
+        xs = np.tile(np.arange(-40, 340), 2)  # negative points, points >= m and every point twice
+        gen = np.random.default_rng(300)
+        batched = gen.standard_normal((300, 2, 3, len(xs))) + 1j * gen.standard_normal((300, 2, 3, len(xs)))
+        for weights, per_m in [(batched, lambda i: batched[i]), (batched[:, 1, 2], lambda i: batched[i, 1, 2]),
+                               (batched[0, 0, 0], lambda i: batched[0, 0, 0]), (0.5 - 2j, lambda i: 0.5 - 2j)]:
+            for i, (m, sums) in enumerate(zip(moduli, character_sums_by_modulus(moduli, xs, weights))):
+                want = character_group(m).character_sums(xs, per_m(i))
+                assert sums.shape == want.shape and sums.tobytes() == want.tobytes(), m
 
 
 def exact_exponent_values(q: int, rows: np.ndarray, xs) -> np.ndarray:

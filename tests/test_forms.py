@@ -388,9 +388,9 @@ class TestExtremalSearch:
     def test_global_phase_invariance(self, monkeypatch):
         spec = FormSpec(9, 8, 4, theta=1)
         base = extremal_search(spec, restarts=3, iters=300, seed=6)
-        real = forms._entry_matrix
+        real = forms._phases
         rotation = np.exp(2j * np.pi * 0.2371)
-        monkeypatch.setattr(forms, "_entry_matrix", lambda *args: rotation * real(*args))
+        monkeypatch.setattr(forms, "_phases", lambda *args: rotation * real(*args))
         rotated = extremal_search(spec, restarts=3, iters=300, seed=6)
         assert rotated.value == pytest.approx(base.value, abs=1e-9 * max(1, base.value))
 
@@ -441,13 +441,13 @@ class TestExtremalSearch:
         ({"iters": -1}, "iters must be >= 0, got -1"),
     ])
     def test_bad_option_rejected_before_the_tensor_is_built(self, monkeypatch, kwargs, message):
-        monkeypatch.setattr(forms, "_entry_matrix", lambda *args: pytest.fail("a slab was built"))
+        monkeypatch.setattr(forms, "_phases", lambda *args: pytest.fail("a phase was computed"))
         with pytest.raises(ValueError, match=message):
             extremal_search(FormSpec(9, 8, 4), **kwargs)
 
     def test_zero_tensor_ties_go_to_the_lowest_restart(self, monkeypatch):
-        real = forms._entry_matrix
-        monkeypatch.setattr(forms, "_entry_matrix", lambda *args: np.zeros_like(real(*args)))
+        real = forms._phases
+        monkeypatch.setattr(forms, "_phases", lambda *args: np.zeros_like(real(*args)))
         res = extremal_search(FormSpec(6, 8, 10), restarts=3, iters=50)
         assert (res.value, res.restart_index, res.iterations) == (0.0, 0, 2)
         for vec in (res.alpha, res.beta, res.nu):  # every contraction vanishes: e_0
@@ -472,8 +472,21 @@ class TestExtremalSearch:
         assert np.all(t_s != 0)  # no entry on S vanishes
         assert not np.any(np.delete(dense, support, axis=1))  # exactly 0 off S
 
+    @pytest.mark.parametrize("cols", [1, 7])
+    @pytest.mark.parametrize("spec, twisted", [
+        (FormSpec(12, 10, 7, theta=2), False),
+        (FormSpec(11, 13, 6, theta=-3), True),
+        (FormSpec(10, 12, 5, theta=1, theta_f=3), False),
+        (FormSpec(24, 20, 1, theta=3), False),
+    ], ids=["plain", "twisted", "reciprocity", "A1"])
+    def test_support_matrix_chunks_do_not_move_a_bit(self, monkeypatch, spec, twisted, cols):
+        want = forms._support_matrix(spec, twisted)
+        monkeypatch.setattr(forms, "_SUPPORT_COLS", cols)  # a column, or a few, per kernel call
+        got = forms._support_matrix(spec, twisted)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
     def test_over_cap_spec_rejected_before_any_slab(self, monkeypatch):
-        monkeypatch.setattr(forms, "_entry_matrix", lambda *args: pytest.fail("a slab was built"))
+        monkeypatch.setattr(forms, "_phases", lambda *args: pytest.fail("a phase was computed"))
         message = f"tensor would have 1003003001 entries, cap is {forms.TENSOR_ENTRY_LIMIT}"  # 1001^3
         with pytest.raises(ValueError, match=message):
             extremal_search(FormSpec(2000, 2000, 2000), restarts=1, iters=1)
@@ -810,7 +823,7 @@ class TestAmplifier:
             raise AssertionError("_inner_terms called above the character-group cap")
 
         monkeypatch.setattr(forms, "_inner_terms", no_inner_terms)
-        # M cap: one character group per m; 2*log(M) ~ 18.4 < 20, so only the cap rejects this spec
+        # M cap: character sums mod every m; 2*log(M) ~ 18.4 < 20, so only the cap rejects this spec
         with pytest.raises(ValueError, match="capped"):
             amplifier_check(FormSpec(CHARACTER_MODULUS_LIMIT + 2, 8, 3, theta=1), AmplifierSpec(1, 20.0), beta, nu)
 
@@ -885,6 +898,22 @@ class TestAmplifier:
         nu = CoefficientVector.random_unit(spec.a_range, gen)
         rep = amplifier_check(spec, AmplifierSpec(b, l_scale), beta, nu)
         assert tuple(x.hex() for x in (rep.c_b, rep.d_b, rep.d_b_direct, rep.diagonal, rep.ratio)) == pinned
+
+    @pytest.mark.parametrize("case", [(32, 6, 1, 15.0, 1), (40, 8, 2, 16.0, -1), (24, 6, 3, 17.0, 1)],
+                             ids=["b1", "b2", "b3"])
+    def test_m_300_cases_match_the_per_m_oracle(self, case):
+        # the oracle takes its character sums from one character group per m, ell- and n-sums apart
+        n_scale, a_scale, b, l_scale, theta = case
+        spec = FormSpec(300, n_scale, a_scale, theta=theta)
+        amp = AmplifierSpec(b, l_scale)
+        gen = np.random.default_rng(np.random.SeedSequence([7, 7000 + b - 1]))
+        beta = CoefficientVector.random_unit(spec.n_range, gen)
+        nu = CoefficientVector.random_unit(spec.a_range, gen)
+        c_b, d_b, d_direct, diag, min_p = per_m_amplifier(spec, amp, beta, nu)
+        rep = amplifier_check(spec, amp, beta, nu)
+        assert (rep.c_b, rep.d_b, rep.min_principal_count) == (c_b, d_b, min_p)
+        assert rep.d_b_direct == pytest.approx(d_direct, rel=1e-12)
+        assert rep.diagonal == pytest.approx(diag, rel=1e-12)
 
     def test_m_600_chain_and_forms_match(self):
         # the first rung of the M = 600-3000 amplifier ladder, past the scale the acceptance cases reach
