@@ -9,15 +9,16 @@ character-amplified second moment with its exact inequality chain; and the
 complementary-divisor bookkeeping check.
 
 Every entry comes from one phase kernel, `_phases`, and every consumer reads
-the form through one contraction W(nu)[m, n] = sum_a nu_a entry(a,m,n): `_inner_terms` streams it one n-slab at a time
-(evaluation, Cauchy-Schwarz, amplifier); the search takes it for all its live
-restarts at once, one matrix product on T_S, the tensor's columns on its
-support S = {(m, n): gcd(m, n) = 1, both odd when twisted}, and takes its
-nu-step from the same matrix against the products alpha_m beta_n on S.  The
-dense tensor of `build_tensor`, zero off S, is the oracle of both routes.  The
-amplifier's congruence form and diagonal are one energy each over every
-admissible (m, ell, n); its character form takes the ell- and n-sums of every m
-from `characters.character_sums_by_modulus`, one inverse DFT per m.
+the form from one stream of the tensor's columns on its support S = {(m, n):
+gcd(m, b*n) = 1, both odd when twisted}, `_support_columns`, in chunks of whole
+n-blocks: `_inner_terms` contracts each chunk with nu into W(nu)[m, n] = sum_a
+nu_a entry(a,m,n) (evaluation, Cauchy-Schwarz, the amplifier at modulus b*n);
+the search fills T_S, its columns at b = 1, once and takes W for all live
+restarts, and its nu-step, as matrix products on T_S.  The dense tensor of
+`build_tensor`, zero off S, is the oracle of both.  The amplifier's congruence
+form and diagonal are one energy each over every admissible (m, ell, n); its
+character form takes the ell- and n-sums of every m from
+`characters.character_sums_by_modulus`, one inverse DFT per m.
 
 Coefficients live on dyadic ranges [X/2, X] and are always handled as unit-L2
 vectors in the envelopes (the norms are folded in).
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,7 +76,7 @@ COMPDIV_TUPLE_LIMIT = 10**8  # (m, ell1, n1, ell2, n2) tuples of a complementary
 COMPDIV_ENTRY_BYTES = 48
 COMPDIV_BYTES = 2**30
 _PHASE_INT_GUARD = 2**60
-_SUPPORT_COLS = 2**9  # columns of T_S per phase-kernel call (whole n-blocks): its int64 phases stay small
+_SUPPORT_COLS = 2**9  # support columns per phase-kernel call (whole n-blocks): its int64 phases stay small
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +188,7 @@ class FormSpec:
 
 
 def _phases(spec: FormSpec, ms: np.ndarray, ns, counts: list[int], twisted: bool, b: int = 1) -> np.ndarray:
-    """entry(a, m, n) = e(theta*a*mbar/(b*n)) on columns (m, n), shape (|A|, len(ms)): the entries
-    of the columns on the support (gcd(m, b*n) = 1, m and n odd when twisted); a caller zeroes any other.
+    """entry(a, m, n) = e(theta*a*mbar/(b*n)) on columns (m, n) of the support, shape (|A|, len(ms)).
 
     The one phase kernel.  The columns come in blocks, counts[k] columns at n = ns[k], and ms
     holds each column's m.  Per block one `inverses_mod` call; theta*a*mbar is reduced mod b*n
@@ -198,18 +198,14 @@ def _phases(spec: FormSpec, ms: np.ndarray, ns, counts: list[int], twisted: bool
     """
     az = spec.a_range.members
     rows = [b * int(n) for n in ns]
-    if len(rows) == 1:  # one n: its modulus is a scalar
-        mods, inv = rows[0], inverses_mod(ms, rows[0])
-    else:
-        bounds = [0, *itertools.accumulate(counts)]
-        inv = np.concatenate([inverses_mod(ms[lo:hi], mod) for lo, hi, mod in zip(bounds, bounds[1:], rows)])
-        mods = np.repeat(rows, counts)
+    bounds = [0, *itertools.accumulate(counts)]
+    inv = np.concatenate([inverses_mod(ms[lo:hi], mod) for lo, hi, mod in zip(bounds, bounds[1:], rows)])
+    mods = np.repeat(rows, counts)
     t = np.multiply.outer(spec.theta * az, inv)
     t %= mods
     if sum(rows) <= t.size:
         roots = np.exp(2j * np.pi * np.concatenate([np.arange(mod) / mod for mod in rows]))
-        if len(rows) > 1:  # shift each block's phases to its root row
-            t += np.repeat(np.cumsum(rows) - rows, counts)
+        t += np.repeat(np.cumsum(rows) - rows, counts)  # shift each block's phases to its root row
         out = roots[t]
     else:
         out = np.exp(2j * np.pi * (t / mods))
@@ -220,60 +216,56 @@ def _phases(spec: FormSpec, ms: np.ndarray, ns, counts: list[int], twisted: bool
     return out
 
 
-def _entry_matrix(spec: FormSpec, n: int, twisted: bool, b: int = 1) -> np.ndarray:
-    """entry(a, m, n) for fixed n, shape (|A|, |M|): the phase kernel's one-n call over every m,
-    zeroed where gcd(m, b*n) > 1 (and at even m or n when twisted); b > 1 serves only the
-    amplifier's inner sums."""
-    ms = spec.m_range.members
-    if twisted and n % 2 == 0:
-        return np.zeros((len(spec.a_range), len(ms)), dtype=np.complex128)
-    out = _phases(spec, ms, [n], [len(ms)], twisted, b)
-    off = np.gcd(ms, b * n) != 1
-    if twisted:
-        off |= ms % 2 == 0
-    out[:, off] = 0.0
-    return out
+def _tensor_dims(spec: FormSpec) -> tuple[int, int, int]:
+    """(|A|, |M|, |N|), after the 1e8-entry guard that the dense tensor and T_S share."""
+    dims = (len(spec.a_range), len(spec.m_range), len(spec.n_range))
+    if math.prod(dims) > TENSOR_ENTRY_LIMIT:
+        raise ValueError(f"tensor would have {math.prod(dims)} entries, cap is {TENSOR_ENTRY_LIMIT}")
+    return dims
 
 
 def build_tensor(spec: FormSpec, twisted: bool = False) -> np.ndarray:
-    """The dense complex entry array indexed [a, m, n] over the three dyadic ranges (guarded at 1e8 entries)."""
-    dims = (len(spec.a_range), len(spec.m_range), len(spec.n_range))
-    if dims[0] * dims[1] * dims[2] > TENSOR_ENTRY_LIMIT:
-        raise ValueError(f"tensor would have {dims[0]*dims[1]*dims[2]} entries, cap is {TENSOR_ENTRY_LIMIT}")
-    entries = np.zeros(dims, dtype=np.complex128)
-    for j, n in enumerate(spec.n_range.members):
-        entries[:, :, j] = _entry_matrix(spec, int(n), twisted)
+    """The dense complex entry array indexed [a, m, n] over the three dyadic ranges (guarded at 1e8 entries),
+    the oracle of the support-column stream: one `_phases` call per n over every m, zeroed off the support."""
+    entries = np.zeros(_tensor_dims(spec), dtype=np.complex128)
+    ms, ns = spec.m_range.members, spec.n_range.members
+    on_s = (np.gcd(ms[:, None], ns) == 1) & ~(twisted & (ms[:, None] * ns % 2 == 0))
+    for j in np.flatnonzero(on_s.any(axis=0)).tolist():  # a twisted tensor vanishes at even n (no Jacobi symbol)
+        entries[:, :, j] = np.where(on_s[:, j], _phases(spec, ms, ns[j : j + 1], [len(ms)], twisted), 0.0)
     return entries
 
 
-def _support_matrix(spec: FormSpec, twisted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """T_S, the (|A|, P) columns of the tensor on its support S, and the m and n index of each.
-
-    S is the set of (m, n) with gcd(m, n) = 1, m and n also odd when twisted: the columns
-    where `build_tensor` is not identically zero.  The columns come n-major into one array
-    allocated once, after the same 1e8-entry guard as the dense tensor, filled from the phase
-    kernel `_phases` in chunks of whole n-blocks, up to _SUPPORT_COLS columns.
-    """
+def _support_columns(spec: FormSpec, twisted: bool, b: int = 1) -> tuple[np.ndarray, np.ndarray, Iterator]:
+    """The tensor's columns at modulus b*n on its support S (gcd(m, b*n) = 1, m and n odd when twisted): the m
+    and n index of each, n-major, and a generator of (cols, entries), cols a slice of whole n-blocks, up to
+    _SUPPORT_COLS columns (or one block), and entries their (|A|, width) values from one `_phases` call.  A
+    consumer drops each chunk before it asks for the next, so one chunk at a time is alive."""
     ms, ns = spec.m_range.members, spec.n_range.members
-    dims = (len(spec.a_range), len(ms), len(ns))
-    if dims[0] * dims[1] * dims[2] > TENSOR_ENTRY_LIMIT:
-        raise ValueError(f"tensor would have {dims[0]*dims[1]*dims[2]} entries, cap is {TENSOR_ENTRY_LIMIT}")
-    support = np.gcd(ms[:, None], ns[None, :]) == 1
-    if twisted:
-        support &= (ms[:, None] % 2 == 1) & (ns % 2 == 1)
+    support = (np.gcd(ms[:, None], b * ns) == 1) & ~(twisted & (ms[:, None] * ns % 2 == 0))
     n_of, m_of = np.nonzero(support.T)
-    t_s = np.empty((dims[0], len(n_of)), dtype=np.complex128)
     with_cols = np.flatnonzero(support.any(axis=0))  # the n with a column on S, and their column counts
     counts = support.sum(axis=0)[with_cols].tolist()
-    lo = col = 0
-    while lo < len(counts):  # whole n-blocks, up to _SUPPORT_COLS columns a call (or one block)
-        hi, width = lo + 1, counts[lo]
-        while hi < len(counts) and width + counts[hi] <= _SUPPORT_COLS:
-            width += counts[hi]
-            hi += 1
-        cols = slice(col, col + width)
-        t_s[:, cols] = _phases(spec, ms[m_of[cols]], ns[with_cols[lo:hi]], counts[lo:hi], twisted)
-        lo, col = hi, col + width
+
+    def chunks():  # blocks lo..hi-1 from column start to end; the chunk closes when block hi would not fit
+        lo = start = 0
+        for hi, end in enumerate(itertools.accumulate(counts), 1):
+            if hi == len(counts) or end + counts[hi] - start > _SUPPORT_COLS:
+                cols = slice(start, end)
+                yield cols, _phases(spec, ms[m_of[cols]], ns[with_cols[lo:hi]], counts[lo:hi], twisted, b)
+                lo, start = hi, end
+
+    return m_of, n_of, chunks()
+
+
+def _support_matrix(spec: FormSpec, twisted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T_S, the (|A|, P) columns of the tensor on its support S, and the m and n index of each:
+    one array allocated after the dense tensor's 1e8-entry guard, filled from `_support_columns`."""
+    a_len = _tensor_dims(spec)[0]
+    m_of, n_of, chunks = _support_columns(spec, twisted)
+    t_s = np.empty((a_len, len(m_of)), dtype=np.complex128)
+    for cols, entries in chunks:
+        t_s[:, cols] = entries
+        del entries  # not held while the stream computes the next chunk
     return t_s, m_of, n_of
 
 
@@ -291,8 +283,9 @@ def eval_trilinear(
 ) -> complex:
     """Streaming evaluation of sum alpha_m beta_n nu_a entry(a,m,n).
 
-    alpha against the row sums of the inner-term array `_inner_terms`, so the
-    tensor is never materialized.
+    alpha against the row sums of the inner-term array `_inner_terms`, which
+    contracts the support columns one chunk at a time, so neither the tensor
+    nor T_S is ever materialized.
     """
     _check_ranges(spec, alpha, beta, nu)
     return complex(alpha.values @ _inner_terms(spec, beta, nu, 1, twisted).sum(axis=1))
@@ -482,18 +475,24 @@ def _inner_terms(
 ) -> np.ndarray:
     """T[m, n] = beta_n * sum_a nu_a entry(a, m, n), with entry reduced mod b*n.
 
-    The one streaming nu-contraction: a dense (|M|, |N|) array, one `_entry_matrix`
-    slab per n, zero where gcd(m, b*n) > 1.  Its row sums are the inner sums c_m of
-    the Cauchy-Schwarz step, and alpha against them is the form.  A reciprocity
-    shift is honored only at b=1, where it multiplies e(theta*a*mbar/n).
+    The streaming nu-contraction: a dense (|M|, |N|) array, zero where gcd(m, b*n) > 1, filled
+    on S from the chunks of `_support_columns`, so the tensor's columns are never held whole.
+    Its row sums are the inner sums c_m of the Cauchy-Schwarz step, and alpha against them is
+    the form.  A reciprocity shift is honored only at b=1, where it multiplies e(theta*a*mbar/n).
     """
     if spec.theta_f and b != 1:
         raise ValueError("shifted inner sums are only defined at b = 1")
-    cols = [
-        beta.values[j] * (nu.values @ _entry_matrix(spec, int(n), twisted, b))
-        for j, n in enumerate(spec.n_range.members)
-    ]
-    return np.stack(cols, axis=1)
+    m_of, n_of, chunks = _support_columns(spec, twisted, b)
+    nu_t = np.empty(len(m_of), dtype=np.complex128)  # sum_a nu_a entry(a, m, n) on S
+    for cols, entries in chunks:
+        # one product per n-block: a product's rounding depends on its width, so T does not depend on the chunks
+        bounds = np.flatnonzero(np.diff(n_of[cols], prepend=-1, append=-1)).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            np.matmul(nu.values, entries[:, lo:hi], out=nu_t[cols][lo:hi])
+        del entries  # not held while the stream computes the next chunk
+    terms = np.zeros((len(spec.m_range), len(spec.n_range)), dtype=np.complex128)
+    terms[m_of, n_of] = beta.values[n_of] * nu_t
+    return terms
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,23 @@ class TestEvaluation:
         stream = eval_trilinear(al, be, nu, spec)
         assert stream == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
+    def test_streaming_holds_a_quarter_of_t_s_at_most(self):
+        # T_S at 256^3 is 16 * |A| * P = 16 * 129 * 10032 bytes, 20.7 MB; the stream holds one chunk of
+        # at most 512 columns with its int64 phases and the (|M|, |N|) inner terms: about 2 MB traced
+        spec = FormSpec(256, 256, 256)
+        ms, ns = spec.m_range.members, spec.n_range.members
+        t_s_bytes = 16 * len(spec.a_range) * int(np.count_nonzero(np.gcd(ms[:, None], ns) == 1))
+        assert t_s_bytes == 20_706_048
+        gen = np.random.default_rng(5)
+        vecs = [CoefficientVector.random_unit(r, gen) for r in (spec.m_range, spec.n_range, spec.a_range)]
+        tracemalloc.start()
+        try:
+            eval_trilinear(*vecs, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t_s_bytes / 4
+
     def test_linearity_in_each_slot(self):
         gen = np.random.default_rng(4)
         spec = FormSpec(8, 7, 5, theta=1)
@@ -459,7 +476,8 @@ class TestExtremalSearch:
         (FormSpec(10, 12, 5, theta=1, theta_f=3), False),
         (FormSpec(24, 20, 1, theta=3), False),
         (FormSpec(15, 16, 4, theta=6), False),  # theta shares a factor with every even n and with 9, 15
-    ], ids=["plain", "twisted", "reciprocity", "A1", "theta-shares-factors"])
+        (FormSpec(4, 4, 2), True),  # m, n in {2, 3, 4}: the one odd pair (3, 3) is not coprime, so P = 0
+    ], ids=["plain", "twisted", "reciprocity", "A1", "theta-shares-factors", "empty"])
     def test_support_matrix_is_the_dense_tensor_on_its_support(self, spec, twisted):
         t_s, m_of, n_of = forms._support_matrix(spec, twisted)
         dense = build_tensor(spec, twisted).reshape(len(spec.a_range), -1)
@@ -478,12 +496,48 @@ class TestExtremalSearch:
         (FormSpec(11, 13, 6, theta=-3), True),
         (FormSpec(10, 12, 5, theta=1, theta_f=3), False),
         (FormSpec(24, 20, 1, theta=3), False),
-    ], ids=["plain", "twisted", "reciprocity", "A1"])
+        (FormSpec(4, 4, 2), True),  # no column on S
+    ], ids=["plain", "twisted", "reciprocity", "A1", "empty"])
     def test_support_matrix_chunks_do_not_move_a_bit(self, monkeypatch, spec, twisted, cols):
-        want = forms._support_matrix(spec, twisted)
+        # T_S, and the inner terms of both stream consumers at every modulus b*n they take
+        gen = np.random.default_rng(cols)
+        beta = CoefficientVector.random_unit(spec.n_range, gen)
+        nu = CoefficientVector.random_unit(spec.a_range, gen)
+        bs = (1,) if twisted or spec.theta_f else (1, 2, 3)  # twisted or shifted inner sums are taken at b = 1
+
+        def stream_outputs():
+            return [*forms._support_matrix(spec, twisted), *(_inner_terms(spec, beta, nu, b, twisted) for b in bs)]
+
+        want = stream_outputs()
         monkeypatch.setattr(forms, "_SUPPORT_COLS", cols)  # a column, or a few, per kernel call
-        got = forms._support_matrix(spec, twisted)
+        got = stream_outputs()
+        assert len(got) == len(want) == 3 + len(bs)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_empty_support_reads_zero(self):
+        spec = FormSpec(4, 4, 2)  # twisted, no (m, n) is odd and coprime
+        assert extremal_search(spec, twisted=True, restarts=2, iters=5).value == 0.0
+        gen = np.random.default_rng(3)
+        vecs = [CoefficientVector.random_unit(r, gen) for r in (spec.m_range, spec.n_range, spec.a_range)]
+        assert eval_trilinear(*vecs, spec, twisted=True) == 0j
+
+    def test_streaming_consumers_are_not_capped(self, monkeypatch):
+        # the 1e8-entry guard belongs to the dense tensor and T_S; the stream holds one chunk, so it has none
+        spec = FormSpec(24, 20, 9, theta=1)
+        gen = np.random.default_rng(21)
+        alpha, beta, nu = (CoefficientVector.random_unit(r, gen) for r in (spec.m_range, spec.n_range, spec.a_range))
+        amp = AmplifierSpec(2, 12.0)
+
+        def streamed():
+            return (eval_trilinear(alpha, beta, nu, spec), cauchy_step(spec, alpha, beta, nu),
+                    amplifier_check(spec, amp, beta, nu))
+
+        want = streamed()
+        monkeypatch.setattr(forms, "TENSOR_ENTRY_LIMIT", 5 * 13 * 11 - 1)  # |A| * |M| * |N| - 1
+        assert repr(streamed()) == repr(want)  # the same bits: repr round-trips every float
+        for build in (lambda: build_tensor(spec), lambda: extremal_search(spec, restarts=1, iters=1)):
+            with pytest.raises(ValueError, match="tensor would have 715 entries, cap is 714"):
+                build()
 
     def test_over_cap_spec_rejected_before_any_slab(self, monkeypatch):
         monkeypatch.setattr(forms, "_phases", lambda *args: pytest.fail("a phase was computed"))
