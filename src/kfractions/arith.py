@@ -77,10 +77,6 @@ class Mod1Fraction:
     def __sub__(self, other: "Mod1Fraction") -> "Mod1Fraction":
         return self + (-other)
 
-    def scaled(self, k: int) -> "Mod1Fraction":
-        """k * self mod 1 for an integer k."""
-        return Mod1Fraction(k * self.numerator, self.denominator)
-
     def __float__(self) -> float:
         return self.numerator / self.denominator
 

@@ -9,8 +9,8 @@ C order of the grid shaped by the generator orders, with their inverses (the
 `ksums` unit tables); `grid_index` maps residues back to flat grid indices for
 many moduli at once.  A character is a frequency of that grid: the character
 sums of a modulus are one unscaled inverse DFT of the weights added at their
-grid points (`character_sums_by_modulus`, `CharacterGroup.character_sums`),
-and a `value_table` the inverse DFT of an indicator (q <= 1e4).
+grid points (`character_sums_by_modulus`, for many moduli at once), and a
+`value_table` the inverse DFT of an indicator (q <= 1e4).
 """
 
 from __future__ import annotations
@@ -216,14 +216,6 @@ class CharacterGroup:
 
     def __hash__(self) -> int:
         return hash(self.modulus)
-
-    def character_sums(self, xs: Sequence[int], weights: np.ndarray | complex) -> np.ndarray:
-        """sum_x chi(x) * w(x) for every character, in characters() order (principal first):
-        the weights (shaped like xs, or a scalar) added at the grid points of xs, under one
-        unscaled inverse DFT.  Weights with leading batch axes, shape (*batch, *xs.shape),
-        give one row of sums per batch entry, shape (*batch, order), from one transform over
-        the grid axes: the one-modulus case of `character_sums_by_modulus`."""
-        return next(character_sums_by_modulus([self.modulus], xs, np.asarray(weights)[None]))
 
     def characters(self) -> list["DirichletCharacter"]:
         """Every character, last component fastest (the C order of the grid)."""

@@ -143,12 +143,6 @@ class CoefficientVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def normalized(self) -> "CoefficientVector":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return CoefficientVector(self.range, self.values / n)
-
 
 # ---------------------------------------------------------------------------
 # form parameters
@@ -187,7 +181,7 @@ class FormSpec:
         return DyadicRange(self.a_scale)
 
 
-def _phases(spec: FormSpec, ms: np.ndarray, ns, counts: list[int], twisted: bool, b: int = 1) -> np.ndarray:
+def _phases(spec: FormSpec, ms: np.ndarray, ns, counts: Sequence[int], twisted: bool, b: int = 1) -> np.ndarray:
     """entry(a, m, n) = e(theta*a*mbar/(b*n)) on columns (m, n) of the support, shape (|A|, len(ms)).
 
     The one phase kernel.  The columns come in blocks, counts[k] columns at n = ns[k], and ms
@@ -197,14 +191,14 @@ def _phases(spec: FormSpec, ms: np.ndarray, ns, counts: list[int], twisted: bool
     and the Jacobi factor per column.
     """
     az = spec.a_range.members
-    rows = [b * int(n) for n in ns]
-    bounds = [0, *itertools.accumulate(counts)]
-    inv = np.concatenate([inverses_mod(ms[lo:hi], mod) for lo, hi, mod in zip(bounds, bounds[1:], rows)])
+    rows, counts = b * np.asarray(ns, dtype=np.int64), np.asarray(counts, dtype=np.int64)  # blocks' moduli b*n
+    bounds = [0, *itertools.accumulate(counts.tolist())]
+    inv = np.concatenate([inverses_mod(ms[lo:hi], mod) for lo, hi, mod in zip(bounds, bounds[1:], rows.tolist())])
     mods = np.repeat(rows, counts)
     t = np.multiply.outer(spec.theta * az, inv)
     t %= mods
-    if sum(rows) <= t.size:
-        roots = np.exp(2j * np.pi * np.concatenate([np.arange(mod) / mod for mod in rows]))
+    if rows.sum() <= t.size:
+        roots = np.exp(2j * np.pi * np.concatenate([np.arange(mod) / mod for mod in rows.tolist()]))
         t += np.repeat(np.cumsum(rows) - rows, counts)  # shift each block's phases to its root row
         out = roots[t]
     else:

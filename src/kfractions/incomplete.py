@@ -40,7 +40,6 @@ __all__ = [
     "incomplete_brute",
     "lemma_params",
     "bound_plain",
-    "bound_filtered",
     "erdos_turan_majorant",
     "erdos_turan_majorant_symmetrized",
     "erdos_turan_sweep",
@@ -138,21 +137,6 @@ def bound_plain(spec: IncompleteSpec, *, eps: float = 0.0) -> float:
     ag = gcd(spec.alpha, g1)  # alpha = 0 gives gamma1
     first = (spec.gamma * spec.delta) ** eps * (lp.h1 / lp.h) * (g1 / ag) ** 0.5
     second = ag * spec.x_len * spec.delta**eps / (g1 * spec.k)
-    return first + second
-
-
-def bound_filtered(spec: IncompleteSpec, *, eps: float = 0.0) -> float:
-    """Envelope for the twisted/filtered variant: the first term gains the
-    (c*gamma*delta)^eps factor and the second becomes
-    (alpha,gamma1)^(1/2) * gamma1^(1/2+eps) * X * (c*delta)^eps / (gamma1*k)."""
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    lp = lemma_params(spec)
-    g1 = lp.gamma1
-    ag = gcd(spec.alpha, g1)
-    c = spec.gcd_cond[2] if spec.gcd_cond is not None else 1
-    first = (c * spec.gamma * spec.delta) ** eps * (lp.h1 / lp.h) * (g1 / ag) ** 0.5
-    second = ag**0.5 * g1 ** (0.5 + eps) * spec.x_len * (c * spec.delta) ** eps / (g1 * spec.k)
     return first + second
 
 

@@ -98,7 +98,7 @@ def _power_mod(xs: np.ndarray, e: int, c: int) -> np.ndarray:
 
 
 def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Units x mod c (2 <= c <= BRUTE_LIMIT) in grid order, their inverses (`characters.unit_grid`), and
+    """Units x mod c (1 <= c <= BRUTE_LIMIT) in grid order, their inverses (`characters.unit_grid`), and
     the row e(j/c).
 
     The cap is checked before any allocation.  The row is built by baby and
@@ -179,8 +179,6 @@ def kloosterman_batch(a, b, c: int) -> np.ndarray:
         raise ValueError("modulus c must be >= 1")
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if c == 1:
-        return np.ones(len(a))
     table = _unit_table(c)
     phi_c = len(table[0])
     rows = max(1, _GATHER_TERMS // phi_c)
@@ -207,8 +205,6 @@ def kloosterman_row(a: int, c: int) -> np.ndarray:
     """
     if c < 1:
         raise ValueError("modulus c must be >= 1")
-    if c == 1:
-        return np.ones(1)
     xs, inv, roots = _unit_table(c)
     f = np.zeros(c, dtype=np.complex128)
     f[xs] = roots[inv * (a % c) % c]

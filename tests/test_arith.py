@@ -328,7 +328,6 @@ class TestMod1Fraction:
     def test_add_neg(self):
         assert Mod1Fraction(2, 3) + Mod1Fraction(1, 2) == Mod1Fraction(1, 6)
         assert -Mod1Fraction(1, 4) == Mod1Fraction(3, 4)
-        assert Mod1Fraction(1, 3).scaled(3) == Mod1Fraction(0, 1)
 
     def test_invalid(self):
         with pytest.raises(ValueError):

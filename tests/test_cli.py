@@ -179,11 +179,11 @@ class TestCli:
 
     def test_lost_realness_names_the_sum_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli.verify.ksums, "_IMAG_TOL", -1.0)  # every sum now fails the check
-        a, b = derive_rng(7, 2).integers(-4, 5, size=2)  # the first pair at c = 2 (c = 1 is exact)
+        a, b = derive_rng(7, 1).integers(-2, 3, size=2)  # the first pair, at c = 1
         out = tmp_path / "x.csv"
         assert main(["--out", str(out), "ksum-verify", "--cmax", "3", "--pairs", "2"]) == cli.EXIT_INTERNAL
         err = capsys.readouterr().err
-        assert f"internal check failed in ksum-verify: S({a},{b};2) lost realness: imag=" in err
+        assert f"internal check failed in ksum-verify: S({a},{b};1) lost realness: imag=" in err
         assert err.rstrip().endswith("phi=1")
         assert not out.exists()
 

@@ -1,5 +1,6 @@
-"""Every name a kfractions module exports in __all__ resolves, every module attribute the
-benchmark's own tests read stays bound, and the number of options the package offers is tracked."""
+"""Every name a kfractions module exports in __all__ resolves and is read outside the tests, every
+module attribute the benchmark's own tests read stays bound, and the number of options the package
+offers is tracked."""
 
 import ast
 import dataclasses
@@ -55,4 +56,53 @@ def test_tracked_option_count():
             elif inspect.isfunction(obj):
                 params += _defaulted(obj)
     assert len(MODULES[1:]) == 9
-    assert (params, fields) == (54, 18)  # 72 options
+    assert (params, fields) == (53, 18)  # 71 options
+
+
+def _module_all(tree: ast.Module) -> list[str]:
+    return next((ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)), [])
+
+
+def _defines(node: ast.stmt, name: str | None) -> bool:
+    """Whether a top-level statement defines name, or is an __all__ line (which names, not reads)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name == name
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return any(isinstance(t, ast.Name) and t.id in (name, "__all__") for t in targets)
+
+
+def _references(tree: ast.Module, name: str | None = None) -> set[str]:
+    """Names read, attributes read and exact string constants (the benchmark's tracer names its
+    targets by string), outside the __all__ lines and the top-level definition of name."""
+    found = set()
+    for node in (node for top in tree.body if not _defines(top, name) for node in ast.walk(top)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+NO_CALLER_OUTSIDE_TESTS = {"apps.rho"}  # the scalar oracle of the build_fraction_set tests
+
+
+def test_every_export_has_a_caller_outside_tests():
+    """A ratchet on dead exports: each name in a submodule's __all__ is read somewhere in the package,
+    the demos or the benchmark, other than in its own definition and the __all__ line."""
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text()) for folder in ("src/kfractions", "demos", "perfbench")
+             for path in sorted((root / folder).glob("*.py"))}
+    elsewhere = {path: _references(tree) for path, tree in trees.items()}
+    dead = []
+    for path, tree in trees.items():
+        if path.parent.name != "kfractions" or path.stem == "__init__":
+            continue
+        for name in _module_all(tree):
+            read_elsewhere = any(name in refs for other, refs in elsewhere.items() if other != path)
+            if not read_elsewhere and name not in _references(tree, name):
+                dead.append(f"{path.stem}.{name}")
+    assert sorted(set(dead) - NO_CALLER_OUTSIDE_TESTS) == [], "exported, and read only by the tests"
+    assert NO_CALLER_OUTSIDE_TESTS <= set(dead), "an exemption that now has a caller is no longer needed"

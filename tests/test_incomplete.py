@@ -11,7 +11,6 @@ from kfractions.characters import characters_mod
 from kfractions.incomplete import (
     IncompleteSpec,
     bound_plain,
-    bound_filtered,
     envelope_sharpness_sweep,
     erdos_turan_majorant,
     erdos_turan_majorant_symmetrized,
@@ -213,16 +212,12 @@ class TestEnvelopes:
         spec = IncompleteSpec(gamma=24, k=2, x_len=100, alpha=1)
         assert bound_plain(spec) == pytest.approx(4 * sqrt(3) + 100 / 6)
 
-    def test_filtered_envelope_collapse(self):
-        spec = IncompleteSpec(gamma=97, x_len=500, alpha=3)
-        assert bound_filtered(spec) == pytest.approx(sqrt(97) + sqrt(1) * 500 / (sqrt(97) * 1))
-
     def test_eps_and_c_dependence(self):
         spec = IncompleteSpec(gamma=24, k=2, x_len=100, alpha=1, delta=2,
                               gcd_cond=(1, 0, 6, 1))
         with pytest.raises(TypeError):  # no implied-constant argument: a stale positional C is not eps
-            bound_filtered(spec, 2.0)
-        assert bound_filtered(spec, eps=0.2) > bound_filtered(spec, eps=0.0)
+            bound_plain(spec, 2.0)
+        assert bound_plain(spec, eps=0.2) > bound_plain(spec, eps=0.0)
         with pytest.raises(ValueError):
             bound_plain(spec, eps=-0.1)
 

@@ -113,7 +113,14 @@ class TestUnitInverses:
 
 class TestBrute:
     def test_modulus_one(self):
-        assert kloosterman_brute(KloostermanParams(5, -3, 1)).value == 1.0
+        # c = 1 takes the general path: the one unit 0 and the root row [1] give S(a, b; 1) = 1 exactly
+        xs, inv, roots = _unit_table(1)
+        assert xs.tolist() == inv.tolist() == [0] and roots.tolist() == [1 + 0j]
+        pairs = [(5, -3), (0, 0), (-5, 3), (-(10**6), -7), (2**40, 12)]
+        for size in (0, 1, 5):
+            a, b = (np.array([pair[i] for pair in pairs[:size]], dtype=np.int64) for i in (0, 1))
+            assert kloosterman_batch(a, b, 1).tolist() == [1.0] * size
+        assert all(kloosterman_brute(KloostermanParams(x, y, 1)).value == 1.0 for x, y in pairs)
 
     def test_zero_zero_is_phi(self):
         for c in (2, 6, 12, 97):
@@ -251,6 +258,7 @@ class TestBatch:
         values, crt_salie = kloosterman_fast_batch(a, b, c)
         assert np.array_equal(kloosterman_fast_batch(a.tolist(), b.tolist(), c.tolist())[0], values)
         assert crt_salie[c == 9 * 333_331**2].all() and crt_salie[c == 625].any()
+        assert values[c == 1].tolist() == [1.0] * 6 and not crt_salie[c == 1].any()  # no block at all
         for m in self.PER_ELEMENT_MODULI:
             mine = c == m
             one_modulus, one_modulus_salie = kloosterman_fast_batch(a[mine], b[mine], m)
@@ -325,7 +333,17 @@ class TestRow:
         self.assert_row_matches_batch(unit, c)
 
     def test_modulus_one(self):
-        assert kloosterman_row(5, 1).tolist() == [1.0]
+        for a in (5, 0, -7, 2**40):
+            assert kloosterman_row(a, 1).tolist() == [1.0]
+
+    def test_second_and_fourth_moments_at_a_prime(self):
+        # over a in F_p^*, by orthogonality: sum S(a,1;p)^2 = p^2 - p - 1 and sum S(a,1;p)^4 =
+        # 2p^3 - 3p^2 - 3p - 1 (the sixth moment is no such identity)
+        p = 99_991
+        assert is_prime(p)
+        row = kloosterman_row(1, p)[1:]
+        for power, want in ((2, p**2 - p - 1), (4, 2 * p**3 - 3 * p**2 - 3 * p - 1)):
+            assert abs(float(np.sum(row**power)) - want) <= 1e-12 * want, power
 
     def test_guard_comes_before_allocation(self):
         tracemalloc.start()
