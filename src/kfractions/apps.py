@@ -342,7 +342,7 @@ def equidist_experiment(
     # the whole ladder and the exponent are checked before any set is built
     if any(n < 1 for n in n_list):
         raise ValueError(f"every N of the ladder must be >= 1, got {tuple(n_list)}")
-    if density_exponent < 0:
+    if not density_exponent >= 0:  # nan too
         raise ValueError(f"density_exponent must be >= 0, got {density_exponent}")
     full = density_exponent == 0
     sizes = [n + 1 if full else min(math.ceil(n ** (1 - density_exponent)), n + 1) for n in n_list]

@@ -5,12 +5,13 @@ by a primitive root), and for the 2-part either nothing (2^0, 2^1), a single
 order-2 component (2^2), or the pair <-1> x <5> (2^e, e >= 3).
 `prime_power_units` lists each block's units as generator powers, built by
 baby-step/giant-step.  `unit_grid` lifts the blocks by CRT to the units in the
-C order of the grid shaped by the generator orders, with their inverses (the
-`ksums` unit tables); `grid_index` maps residues back to flat grid indices for
-many moduli at once.  A character is a frequency of that grid: the character
-sums of a modulus are one unscaled inverse DFT of the weights added at their
-grid points (`character_sums_by_modulus`, for many moduli at once), and a
-`value_table` the inverse DFT of an indicator (q <= 1e4).
+C order of the grid shaped by the generator orders, with their inverses; it
+serves the `ksums` unit tables and the character groups.  `grid_index` maps
+residues to flat grid indices for many moduli at once.  A character is a
+frequency of that grid: the character sums of a modulus are one unscaled
+inverse DFT of the weights added at their grid points
+(`character_sums_by_modulus`, for many moduli at once), and a `value_table`
+the inverse DFT of an indicator (q <= 1e4).
 """
 
 from __future__ import annotations
@@ -203,13 +204,16 @@ def character_sums_by_modulus(moduli: Sequence[int], xs: Sequence[int], weights)
 
 
 class CharacterGroup:
-    """All Dirichlet characters modulo q, sharing one table of grid indices."""
+    """All Dirichlet characters modulo q <= 1e4, sharing one index of residues: the units of `unit_grid(q)`."""
 
     def __init__(self, modulus: int):
+        if not 1 <= modulus <= CHARACTER_MODULUS_LIMIT:
+            raise ValueError(f"character moduli must lie in [1, {CHARACTER_MODULUS_LIMIT}]")
         self.modulus = modulus
-        index, (self.shape,) = grid_index([modulus], np.arange(modulus)[None])
-        self._index = index[0]  # residue -> flat grid index, -1 off the units
-        self.order = math.prod(self.shape)
+        units, _, self.shape = unit_grid(modulus)
+        self._index = np.full(modulus, -1, dtype=np.int64)  # residue -> flat grid index, -1 off the units
+        self._index[units] = np.arange(len(units))
+        self.order = len(units)
 
     def __eq__(self, other: object) -> bool:  # the group is a function of its modulus
         return isinstance(other, CharacterGroup) and other.modulus == self.modulus

@@ -528,9 +528,9 @@ class AmplifierSpec:
     def __post_init__(self) -> None:
         if self.b < 1:
             raise ValueError("b must be >= 1")
-        if not self.l_scale <= PRIME_WINDOW_LIMIT:  # nan too
-            raise ValueError(f"l_scale={self.l_scale} would take {self.l_scale:.3g} primality tests over (L, 2L), "
-                             f"cap is L <= {PRIME_WINDOW_LIMIT}")
+        if not 0 <= self.l_scale <= PRIME_WINDOW_LIMIT:  # nan and -inf too
+            raise ValueError(f"l_scale={self.l_scale} must lie in [0, {PRIME_WINDOW_LIMIT}]: (L, 2L) would take "
+                             f"{self.l_scale:.3g} primality tests")
         if not self.primes:
             raise ValueError(f"no primes strictly between {self.l_scale} and {2*self.l_scale}")
 
@@ -688,10 +688,6 @@ class CompDivReport:
     cap: float                  # D = 3NL/M
     violations: tuple
     bijection_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.bijection_ok
 
 
 def complementary_divisor_check(m_scale: int, n_scale: int, l_scale: float) -> CompDivReport:

@@ -130,7 +130,7 @@ def lemma_params(spec: IncompleteSpec) -> LemmaParams:
 def bound_plain(spec: IncompleteSpec, *, eps: float = 0.0) -> float:
     """(gamma*delta)^eps * (h1/h) * (gamma1/(alpha,gamma1))^(1/2)
     + (alpha,gamma1) * X * delta^eps / (gamma1 * k)."""
-    if eps < 0:
+    if not eps >= 0:  # nan too
         raise ValueError(f"eps must be >= 0, got {eps}")
     lp = lemma_params(spec)
     g1 = lp.gamma1

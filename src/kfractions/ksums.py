@@ -101,11 +101,13 @@ def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Units x mod c (1 <= c <= BRUTE_LIMIT) in grid order, their inverses (`characters.unit_grid`), and
     the row e(j/c).
 
-    The cap is checked before any allocation.  The row is built by baby and
+    The range is checked before any allocation.  The row is built by baby and
     giant steps: s = ceil(sqrt(c)) baby roots e(j/c), j < s, and ceil(c/s)
     giant roots e(s*i/c); one outer product gives e((s*i + j)/c) in order of
     s*i + j, so 2 sqrt(c) complex exps and one multiply over c, not c exps.
     """
+    if c < 1:
+        raise ValueError("modulus c must be >= 1")
     if c > BRUTE_LIMIT:
         raise ValueError(f"brute evaluation capped at c <= {BRUTE_LIMIT}, got {c}")
     xs, inv, _ = unit_grid(c)
@@ -129,20 +131,17 @@ def _unit_sums(a, b, c: int, table: tuple[np.ndarray, np.ndarray, np.ndarray]) -
     """sum over units x mod c of e((a*xbar + b*x)/c) for int64 columns a, b of shape (k, 1) in [0, c).
 
     The k sums come from one 2-D gather per chunk of _GATHER_COLS units, added chunk by chunk; the
-    phase is reduced mod c in exact integer arithmetic.
+    phase t >= 0 is reduced mod c exactly as t - (t // c) * c, which beats the remainder t % c.
     """
     xs, inv, roots = table
     totals = None
     for j in range(0, len(xs), _GATHER_COLS):
         t = inv[j : j + _GATHER_COLS] * a
         t += xs[j : j + _GATHER_COLS] * b
-        if t.size > 512:  # from ~600 terms, floor division by a scalar beats the remainder
-            q = t // c
-            q *= c
-            t -= q
-            del q  # freed before the gather
-        else:
-            t %= c
+        q = t // c
+        q *= c
+        t -= q
+        del q  # freed before the gather
         part = roots[t].sum(axis=-1)
         totals = part if totals is None else totals + part
     return totals
@@ -175,8 +174,6 @@ def kloosterman_batch(a, b, c: int) -> np.ndarray:
     1e-9 * phi(c).
     """
     _check_lengths(a, b, c)
-    if c < 1:
-        raise ValueError("modulus c must be >= 1")
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     table = _unit_table(c)
@@ -200,11 +197,9 @@ def kloosterman_row(a: int, c: int) -> np.ndarray:
     """S(a, b; c) for b = 0 .. c-1 from one length-c FFT: entry b is sum_x f[x] e(bx/c).
 
     f[x] = e(a*xbar/c) on the units x mod c (from the brute route's unit
-    table, so the same cap) and 0 elsewhere.  Raises ArithmeticError
+    table, so the same range) and 0 elsewhere.  Raises ArithmeticError
     naming the first (a, b, c) whose imaginary part exceeds 1e-9 * phi(c).
     """
-    if c < 1:
-        raise ValueError("modulus c must be >= 1")
     xs, inv, roots = _unit_table(c)
     f = np.zeros(c, dtype=np.complex128)
     f[xs] = roots[inv * (a % c) % c]
@@ -328,9 +323,8 @@ def kloosterman_fast_batch(a, b, c) -> tuple[np.ndarray, np.ndarray]:
                         fall.append(j)
                         wbar.append(w)
         else:
-            one = len(runs) == 1
-            fall = runs[0] if one else np.concatenate(runs)
-            wbar = held[0][1] if one else np.repeat([w for _, w in held], [len(r) for r in runs])
+            fall = np.concatenate(runs)
+            wbar = np.repeat([w for _, w in held], [len(r) for r in runs])
         if len(fall):
             if q > BRUTE_LIMIT:
                 raise ValueError(

@@ -464,6 +464,12 @@ class TestEquidistExperiment:
         with pytest.raises(ValueError):
             equidist_experiment([2**15])
 
+    def test_nan_density_exponent_rejected_by_name(self, monkeypatch):
+        # raised "cannot convert float NaN to integer" from the set sizes, naming no option
+        monkeypatch.setattr(apps, "build_fraction_set", lambda *args: pytest.fail("a set was built"))
+        with pytest.raises(ValueError, match="density_exponent must be >= 0, got nan"):
+            equidist_experiment([64], float("nan"))
+
     def test_ladder_checked_before_any_set_is_built(self, monkeypatch):
         calls = []
         real = apps.build_fraction_set

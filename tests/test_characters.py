@@ -161,6 +161,7 @@ class TestGridIndex:
                 assert np.array_equal(row, want), c
 
     def test_rows_per_modulus_and_the_group_index(self):
+        # two separate maps: grid_index from log tables, the group's index from the units of unit_grid
         moduli = [1, 2, 8, 35, 300]
         xs = np.array(moduli)[:, None] + np.arange(-5, 0)  # row i: residues mod moduli[i], some negative
         index, _ = grid_index(moduli, xs)
@@ -171,6 +172,12 @@ class TestGridIndex:
     def test_moduli_outside_the_cap_rejected(self, bad):
         with pytest.raises(ValueError, match="character moduli must lie in"):
             grid_index([5, bad], np.arange(3)[None])
+
+    @pytest.mark.parametrize("bad", [0, characters.CHARACTER_MODULUS_LIMIT + 1])
+    def test_group_outside_the_cap_rejected_before_the_grid(self, monkeypatch, bad):
+        monkeypatch.setattr(characters, "unit_grid", lambda c: pytest.fail("unit_grid ran"))
+        with pytest.raises(ValueError, match="character moduli must lie in"):
+            CharacterGroup(bad)
 
 
 class TestCharacterSumsByModulus:

@@ -1,12 +1,13 @@
-"""Every name a kfractions module exports in __all__ resolves and is read outside the tests, every
-module attribute the benchmark's own tests read stays bound, and the number of options the package
-offers is tracked."""
+"""Every name a kfractions module exports in __all__ resolves and is read outside the tests, as is every
+public method and property of its classes; every module attribute the benchmark's own tests read stays
+bound, and the number of options the package offers is tracked."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,15 +87,20 @@ def _references(tree: ast.Module, name: str | None = None) -> set[str]:
     return found
 
 
+def _source_trees() -> dict[Path, ast.Module]:
+    """The parsed sources of the package, the demos and the benchmark: where a public name finds its caller."""
+    root = Path(__file__).resolve().parents[1]
+    return {path: ast.parse(path.read_text()) for folder in ("src/kfractions", "demos", "perfbench")
+            for path in sorted((root / folder).glob("*.py"))}
+
+
 NO_CALLER_OUTSIDE_TESTS = {"apps.rho"}  # the scalar oracle of the build_fraction_set tests
 
 
 def test_every_export_has_a_caller_outside_tests():
     """A ratchet on dead exports: each name in a submodule's __all__ is read somewhere in the package,
     the demos or the benchmark, other than in its own definition and the __all__ line."""
-    root = Path(__file__).resolve().parents[1]
-    trees = {path: ast.parse(path.read_text()) for folder in ("src/kfractions", "demos", "perfbench")
-             for path in sorted((root / folder).glob("*.py"))}
+    trees = _source_trees()
     elsewhere = {path: _references(tree) for path, tree in trees.items()}
     dead = []
     for path, tree in trees.items():
@@ -106,3 +112,33 @@ def test_every_export_has_a_caller_outside_tests():
                 dead.append(f"{path.stem}.{name}")
     assert sorted(set(dead) - NO_CALLER_OUTSIDE_TESTS) == [], "exported, and read only by the tests"
     assert NO_CALLER_OUTSIDE_TESTS <= set(dead), "an exemption that now has a caller is no longer needed"
+
+
+MEMBER_NO_CALLER_OUTSIDE_TESTS = {"records.ExperimentRecord.passed"}  # the acceptance tests' verdict
+
+
+def _member_reads(node: ast.AST) -> Counter:
+    """Attributes read and exact string constants (getattr, the tracer's targets) under node."""
+    return Counter(n.attr if isinstance(n, ast.Attribute) else n.value for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                   or isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
+def test_every_public_member_has_a_caller_outside_tests():
+    """The same ratchet on the public methods and properties of each class in a submodule's __all__:
+    each is read somewhere in the package, the demos or the benchmark, other than inside its own
+    definition."""
+    trees = _source_trees()
+    reads = sum((_member_reads(tree) for tree in trees.values()), Counter())
+    dead = []
+    for path, tree in trees.items():
+        if path.parent.name != "kfractions" or path.stem == "__init__":
+            continue
+        exported = set(_module_all(tree))
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name in exported):
+            for member in cls.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("_")
+                        and reads[member.name] == _member_reads(member)[member.name]):
+                    dead.append(f"{path.stem}.{cls.name}.{member.name}")
+    assert sorted(set(dead) - MEMBER_NO_CALLER_OUTSIDE_TESTS) == [], "public, and read only by the tests"
+    assert MEMBER_NO_CALLER_OUTSIDE_TESTS <= set(dead), "an exemption that now has a caller is no longer needed"

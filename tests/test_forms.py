@@ -823,6 +823,13 @@ class TestAmplifier:
         with pytest.raises(ValueError):
             AmplifierSpec(1, 1.0)
 
+    @pytest.mark.parametrize("l_scale", [float("-inf"), float("nan"), -3.0])
+    def test_window_outside_the_range_rejected_by_name(self, monkeypatch, l_scale):
+        # -inf raised OverflowError from int(-inf) inside the prime scan
+        monkeypatch.setattr(forms, "is_prime", lambda n: pytest.fail("the window was scanned"))
+        with pytest.raises(ValueError, match=r"l_scale=.* must lie in \[0, 100000\]"):
+            AmplifierSpec(1, l_scale)
+
     def test_one_scan_of_the_window_per_spec(self, monkeypatch):
         tested, is_prime = [], forms.is_prime
 
@@ -1042,7 +1049,8 @@ class TestComplementaryDivisor:
         # (|M|, P*|N|) = (9, 2 * 9) entries a pass at M = N = 16, L = 4 (the primes 5 and 7)
         need = forms.COMPDIV_ENTRY_BYTES * 9 * 18
         monkeypatch.setattr(forms, "COMPDIV_BYTES", need)
-        assert complementary_divisor_check(16, 16, 4.0).ok  # exactly at the cap
+        rep = complementary_divisor_check(16, 16, 4.0)  # exactly at the cap
+        assert not rep.violations and rep.bijection_ok
         monkeypatch.setattr(forms, "COMPDIV_BYTES", need - 1)
         with pytest.raises(ValueError, match=f"one pass over 162 \\(m, ell2, n2\\) entries would hold {need} bytes"):
             complementary_divisor_check(16, 16, 4.0)
@@ -1052,13 +1060,13 @@ class TestComplementaryDivisor:
 
     def test_small_sweep_clean(self):
         rep = complementary_divisor_check(16, 16, 4.0)
-        assert rep.ok
+        assert not rep.violations and rep.bijection_ok
         assert rep.cap == pytest.approx(3 * 16 * 4 / 16)
         assert rep.tuples_checked > 0
 
     def test_acceptance_scale(self):
         rep = complementary_divisor_check(64, 64, 8.0)
-        assert rep.ok and not rep.violations
+        assert not rep.violations and rep.bijection_ok
 
 
 class TestScalingExperiment:

@@ -221,6 +221,11 @@ class TestEnvelopes:
         with pytest.raises(ValueError):
             bound_plain(spec, eps=-0.1)
 
+    def test_nan_eps_rejected_by_name(self):
+        # returned nan: `eps < 0` is false for nan
+        with pytest.raises(ValueError, match="eps must be >= 0, got nan"):
+            bound_plain(IncompleteSpec(gamma=97, x_len=500, alpha=3), eps=float("nan"))
+
     def test_sharpness_sweep_finite(self):
         samples = envelope_sharpness_sweep(100, 120, seed=5)
         assert all(np.isfinite(s.ratio) for s in samples)

@@ -310,6 +310,16 @@ class TestBatch:
         with pytest.raises(ValueError):
             kloosterman_fast_batch([1], [1], 10**13)
 
+    @pytest.mark.parametrize("route", [lambda c: kloosterman_batch([1], [1], c), lambda c: kloosterman_row(1, c)],
+                             ids=["batch", "row"])
+    @pytest.mark.parametrize("c, message", [(0, "modulus c must be >= 1"), (-3, "modulus c must be >= 1"),
+                                            (BRUTE_LIMIT + 1, f"brute evaluation capped at c <= {BRUTE_LIMIT}")])
+    def test_unit_table_checks_the_range_before_the_grid(self, monkeypatch, route, c, message):
+        # _unit_table owns the brute range [1, BRUTE_LIMIT]; the grid is never built out of it
+        monkeypatch.setattr(ksums, "unit_grid", lambda c: pytest.fail("unit_grid ran"))
+        with pytest.raises(ValueError, match=message):
+            route(c)
+
 
 class TestRow:
     @staticmethod
