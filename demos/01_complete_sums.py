@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from kfractions.arith import euler_phi, tau
+from kfractions.arith import factorize
 from kfractions.ksums import (
     KloostermanParams,
     kloosterman_batch,
@@ -76,4 +76,4 @@ print(f"max |S|/envelope over 1499 random parameter points: {worst:.4f}  (never 
 print("\n=== Ramanujan sums: S(a,0;c) is an integer ===")
 for a, c in [(1, 3), (2, 4), (0, 30), (6, 36)]:
     r = ramanujan(a, c)
-    print(f"S({a},0;{c}) = {r}   (phi(c) = {euler_phi(c)}, tau(c) = {tau(c)})")
+    print(f"S({a},0;{c}) = {r}   (phi(c) = {factorize(c).euler_phi}, tau(c) = {factorize(c).tau})")

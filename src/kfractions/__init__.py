@@ -1,6 +1,9 @@
 """kfractions: a desk-scale laboratory for Kloosterman sums and the
 trilinear/bilinear forms built from Kloosterman fractions a*mbar/n.
 
+The package exports its submodules only; import each name from its submodule
+(``from kfractions.ksums import kloosterman_brute``).
+
 Submodules
 ----------
 arith       exact integer and mod-1 rational arithmetic, reciprocity identities
@@ -18,35 +21,7 @@ cli         the `kfractions` command-line runner
 """
 
 from . import apps, arith, characters, forms, incomplete, ksums, records, verify
-from .arith import Mod1Fraction, factorize, gcd_infty, jacobi, mod_inverse, squarefull_split
-from .forms import CoefficientVector, DyadicRange, FormSpec, extremal_search
-from .ksums import KloostermanParams, kloosterman_brute, kloosterman_fast, ramanujan, weil_bound
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "apps",
-    "arith",
-    "characters",
-    "forms",
-    "incomplete",
-    "ksums",
-    "records",
-    "verify",
-    "Mod1Fraction",
-    "factorize",
-    "gcd_infty",
-    "jacobi",
-    "mod_inverse",
-    "squarefull_split",
-    "CoefficientVector",
-    "DyadicRange",
-    "FormSpec",
-    "extremal_search",
-    "KloostermanParams",
-    "kloosterman_brute",
-    "kloosterman_fast",
-    "ramanujan",
-    "weil_bound",
-    "__version__",
-]
+__all__ = ["apps", "arith", "characters", "forms", "incomplete", "ksums", "records", "verify", "__version__"]

@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from math import gcd
+from numbers import Integral
 
 import numpy as np
 
@@ -340,8 +341,8 @@ def equidist_experiment(
     distinct integers from [0, N].
     """
     # the whole ladder and the exponent are checked before any set is built
-    if any(n < 1 for n in n_list):
-        raise ValueError(f"every N of the ladder must be >= 1, got {tuple(n_list)}")
+    if not all(isinstance(n, Integral) and n >= 1 for n in n_list):  # nan, inf and 64.5 too
+        raise ValueError(f"every N of the ladder must be an integer >= 1, got {tuple(n_list)}")
     if not density_exponent >= 0:  # nan too
         raise ValueError(f"density_exponent must be >= 0, got {density_exponent}")
     full = density_exponent == 0

@@ -27,9 +27,6 @@ __all__ = [
     "is_prime",
     "factorize",
     "divisors",
-    "tau",
-    "moebius",
-    "euler_phi",
     "squarefull_split",
     "gcd_infty",
     "reciprocity_two_term",
@@ -329,18 +326,6 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).factors:
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
-
-
-def tau(n: int) -> int:
-    return factorize(n).tau
-
-
-def moebius(n: int) -> int:
-    return factorize(n).moebius
-
-
-def euler_phi(n: int) -> int:
-    return factorize(n).euler_phi
 
 
 def squarefull_split(n: int) -> tuple[int, int]:

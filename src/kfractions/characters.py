@@ -213,7 +213,6 @@ class CharacterGroup:
         units, _, self.shape = unit_grid(modulus)
         self._index = np.full(modulus, -1, dtype=np.int64)  # residue -> flat grid index, -1 off the units
         self._index[units] = np.arange(len(units))
-        self.order = len(units)
 
     def __eq__(self, other: object) -> bool:  # the group is a function of its modulus
         return isinstance(other, CharacterGroup) and other.modulus == self.modulus

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -90,8 +91,8 @@ class DyadicRange:
     scale: int
 
     def __post_init__(self) -> None:
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
+        if not (isinstance(self.scale, Integral) and self.scale >= 1):  # nan, inf and 8.5 too
+            raise ValueError(f"scale must be an integer >= 1, got {self.scale!r}")
 
     @property
     def lo(self) -> int:
@@ -103,14 +104,6 @@ class DyadicRange:
 
     def __len__(self) -> int:
         return self.scale - self.lo + 1
-
-    def __contains__(self, n: int) -> bool:
-        return self.lo <= n <= self.scale
-
-    def index(self, n: int) -> int:
-        if n not in self:
-            raise ValueError(f"{n} is not in [{self.lo}, {self.scale}]")
-        return n - self.lo
 
 
 @dataclass
@@ -124,16 +117,6 @@ class CoefficientVector:
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != (len(self.range),):
             raise ValueError("coefficient array does not match the range")
-
-    @classmethod
-    def zeros(cls, rng: DyadicRange) -> "CoefficientVector":
-        return cls(rng, np.zeros(len(rng), dtype=np.complex128))
-
-    @classmethod
-    def unit(cls, rng: DyadicRange, member: int) -> "CoefficientVector":
-        v = np.zeros(len(rng), dtype=np.complex128)
-        v[rng.index(member)] = 1.0
-        return cls(rng, v)
 
     @classmethod
     def random_unit(cls, rng: DyadicRange, gen: np.random.Generator) -> "CoefficientVector":
@@ -163,8 +146,9 @@ class FormSpec:
     def __post_init__(self) -> None:
         if self.theta == 0:
             raise ValueError("theta must be nonzero")
-        if min(self.m_scale, self.n_scale, self.a_scale) < 1:
-            raise ValueError("scales must be >= 1")
+        scales = (self.m_scale, self.n_scale, self.a_scale)
+        if not all(isinstance(x, Integral) and x >= 1 for x in scales):  # nan, inf and 8.5 too
+            raise ValueError(f"scales must be integers >= 1, got {scales}")
         if abs(self.theta) * self.a_scale * max(self.n_scale, self.m_scale) >= _PHASE_INT_GUARD:
             raise ValueError("theta*a*n exceeds the exact-phase integer guard")
 

@@ -30,7 +30,8 @@ whole row in b:
   closed form are one brute batch at that block, so a block is gathered once
   however many moduli share it.
 
-Plus the Ramanujan sum S(a,0;c) in exact integer arithmetic, the explicit
+Plus the Ramanujan sum S(a,0;c) = mu(q) * phi(c) / phi(q), q = c / gcd(a,c), in
+exact integer arithmetic (Hoelder's closed form, two factorizations), the explicit
 Weil bound tau(c) * gcd(a,b,c)^(1/2) * c^(1/2), and ``inverses_mod``, the one
 vectorized modular inverse of the package (x^(lambda-1) by square-and-multiply, no table).
 """
@@ -43,7 +44,7 @@ from math import gcd, isqrt, pi, sqrt
 
 import numpy as np
 
-from .arith import divisors, factorize, moebius
+from .arith import factorize
 from .characters import unit_grid
 
 __all__ = [
@@ -208,11 +209,14 @@ def kloosterman_row(a: int, c: int) -> np.ndarray:
 
 
 def ramanujan(a: int, c: int) -> int:
-    """Ramanujan sum S(a,0;c) = sum_{d | gcd(a,c)} d * mu(c/d), exactly."""
+    """Ramanujan sum S(a,0;c) = mu(q) * phi(c) / phi(q) with q = c / gcd(a,c) (Hoelder), exactly.
+
+    This is the divisor sum sum_{d | gcd(a,c)} d * mu(c/d) in closed form; phi(q) divides phi(c).
+    """
     if c < 1:
         raise ValueError("modulus c must be >= 1")
-    g = gcd(a, c)  # a = 0 gives g = c
-    return sum(d * moebius(c // d) for d in divisors(g))
+    q = factorize(c // gcd(a, c))  # a = 0 gives q = 1
+    return q.moebius * (factorize(c).euler_phi // q.euler_phi)
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def identities_verify(trials: int = 1000, seed: int = 7, max_n: int = 10**6) -> 
         facs = arith.factorize(b).factors
         if b * nprime != n or gcd(b, nprime) != 1:
             sq_ok = False
-        if arith.moebius(nprime) == 0 or any(e < 2 for _, e in facs):
+        if arith.factorize(nprime).moebius == 0 or any(e < 2 for _, e in facs):
             sq_ok = False
 
     values = {
@@ -275,11 +275,11 @@ def incomplete_verify(
     chars_ok = True
     for g in [1, 5, 8, 12] + [rng.randint(2, 60) for _ in range(4)]:
         chars = characters_mod(g)
-        if len(chars) != arith.euler_phi(g):
+        if len(chars) != arith.factorize(g).euler_phi:
             chars_ok = False
         tables = np.array([chi.value_table for chi in chars])
         gram = tables @ tables.conj().T
-        target = arith.euler_phi(g) * np.eye(len(chars))
+        target = arith.factorize(g).euler_phi * np.eye(len(chars))
         if np.max(np.abs(gram - target)) > 1e-6:
             chars_ok = False
         for chi in chars[: min(4, len(chars))]:

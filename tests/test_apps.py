@@ -1,6 +1,7 @@
 """Determinant-equation counts and equidistribution of a0/m fractions."""
 
 import random
+import re
 import tracemalloc
 from math import gcd
 
@@ -114,7 +115,7 @@ class TestDetCount:
 class TestMainTerm:
     def test_zero_coefficients(self):
         spec = DetSpec(delta=1, m1_scale=8, m2_scale=8,
-                       alpha=CoefficientVector.zeros(DyadicRange(4)), beta=ones(4))
+                       alpha=CoefficientVector(DyadicRange(4), np.zeros(len(DyadicRange(4)))), beta=ones(4))
         assert det_main_term(spec) == 0
 
     def test_disjoint_supports(self):
@@ -469,6 +470,15 @@ class TestEquidistExperiment:
         monkeypatch.setattr(apps, "build_fraction_set", lambda *args: pytest.fail("a set was built"))
         with pytest.raises(ValueError, match="density_exponent must be >= 0, got nan"):
             equidist_experiment([64], float("nan"))
+
+    def test_ladder_value_that_is_no_integer_rejected_by_name(self, monkeypatch):
+        # nan and 64.5 raised "'float' object cannot be interpreted as an integer" from range
+        assert [r.n_scale for r in equidist_experiment([np.int64(8), np.int32(16)])] == [8, 16]
+        monkeypatch.setattr(apps, "build_fraction_set", lambda *args: pytest.fail("a set was built"))
+        for n_scale in (float("nan"), float("inf"), 64.5):
+            message = f"every N of the ladder must be an integer >= 1, got (32, {n_scale})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                equidist_experiment([32, n_scale])
 
     def test_ladder_checked_before_any_set_is_built(self, monkeypatch):
         calls = []

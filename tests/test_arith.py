@@ -13,18 +13,15 @@ from kfractions.arith import (
     Mod1Fraction,
     crt_combine,
     divisors,
-    euler_phi,
     factorize,
     gcd_infty,
     is_prime,
     jacobi,
     mod_inverse,
-    moebius,
     reciprocity_three_term,
     reciprocity_two_term,
     split_denominator,
     squarefull_split,
-    tau,
 )
 
 
@@ -259,10 +256,10 @@ class TestFactorize:
             FactoredInteger(12, ((2, 1), (3, 1)))  # wrong product
 
     def test_arithmetic_functions(self):
-        assert tau(12) == 6
-        assert moebius(30) == -1
-        assert moebius(12) == 0
-        assert euler_phi(12) == 4
+        assert factorize(12).tau == 6
+        assert factorize(30).moebius == -1
+        assert factorize(12).moebius == 0
+        assert factorize(12).euler_phi == 4
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
 
     def test_carmichael_is_the_exponent_of_the_unit_group(self):
@@ -291,7 +288,7 @@ class TestSquarefullSplit:
             b, nprime = squarefull_split(n)
             assert b * nprime == n
             assert gcd(b, nprime) == 1
-            assert moebius(nprime) != 0
+            assert factorize(nprime).moebius != 0
             assert all(e >= 2 for _, e in factorize(b).factors)
 
 

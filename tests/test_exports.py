@@ -1,12 +1,19 @@
-"""Every name a kfractions module exports in __all__ resolves and is read outside the tests, as is every
-public method and property of its classes; every module attribute the benchmark's own tests read stays
-bound, and the number of options the package offers is tracked."""
+"""Every name a kfractions module exports in __all__ resolves, is defined in that module and is read
+outside the tests, as is every public method, property and __init__-assigned instance attribute of its
+classes; the package itself exports its submodules only; every module attribute the benchmark's own
+tests read stays bound, and the number of options the package offers is tracked.
+
+The caller ratchets match names by spelling, so they skip what only shares a spelling with a member: an
+attribute read on an imported module (np.zeros is no read of CoefficientVector.zeros) and a string
+constant other than the benchmark tracer's "Class.member" targets (a dict key "unit" is no read)."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -115,30 +122,101 @@ def test_every_export_has_a_caller_outside_tests():
 
 
 MEMBER_NO_CALLER_OUTSIDE_TESTS = {"records.ExperimentRecord.passed"}  # the acceptance tests' verdict
+TRACER_TARGET = re.compile(r"(?:\w+\.)*[A-Z]\w*\.(\w+)")  # "DirichletCharacter.__call__", module prefix optional
 
 
-def _member_reads(node: ast.AST) -> Counter:
-    """Attributes read and exact string constants (getattr, the tracer's targets) under node."""
-    return Counter(n.attr if isinstance(n, ast.Attribute) else n.value for n in ast.walk(node)
-                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-                   or isinstance(n, ast.Constant) and isinstance(n.value, str))
+def _is_module(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ImportError:  # a parent that is no package, or is not importable here
+        return False
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The names a file binds to modules: `import x [as y]`, and `from p import x` where p.x is a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = ".".join(filter(None, ["kfractions" if node.level else None, node.module]))
+            found.update(a.asname or a.name for a in node.names if _is_module(f"{package}.{a.name}"))
+    return found
+
+
+def _member_reads(node: ast.AST, modules: set[str]) -> Counter:
+    """Attributes read under node, other than on the modules named, and the members the string
+    constants in the tracer's "Class.member" form name."""
+    reads = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            if not (isinstance(n.value, ast.Name) and n.value.id in modules):
+                reads[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and (target := TRACER_TARGET.fullmatch(n.value)):
+            reads[target.group(1)] += 1
+    return reads
+
+
+def _public_members(cls: ast.ClassDef, dataclass: bool) -> list[tuple[str, ast.AST]]:
+    """The public methods and properties of a class, and, unless it is a dataclass, the public instance
+    attributes its __init__ assigns; each with the definition whose own reads do not count."""
+    members = []
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                members.append((node.name, node))
+            elif node.name == "__init__" and not dataclass:
+                members += [(n.attr, node) for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                            and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
+                            and n.value.id == "self" and not n.attr.startswith("_")]
+    return members
 
 
 def test_every_public_member_has_a_caller_outside_tests():
-    """The same ratchet on the public methods and properties of each class in a submodule's __all__:
+    """The same ratchet on the public methods and properties of each class in a submodule's __all__, and
+    on the public instance attributes that __init__ assigns in each such class that is not a dataclass:
     each is read somewhere in the package, the demos or the benchmark, other than inside its own
-    definition."""
+    definition (the __init__, for an attribute)."""
     trees = _source_trees()
-    reads = sum((_member_reads(tree) for tree in trees.values()), Counter())
+    modules = {path: _imported_modules(tree) for path, tree in trees.items()}
+    reads = sum((_member_reads(tree, modules[path]) for path, tree in trees.items()), Counter())
     dead = []
     for path, tree in trees.items():
         if path.parent.name != "kfractions" or path.stem == "__init__":
             continue
+        module = importlib.import_module(f"kfractions.{path.stem}")
         exported = set(_module_all(tree))
         for cls in (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name in exported):
-            for member in cls.body:
-                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("_")
-                        and reads[member.name] == _member_reads(member)[member.name]):
-                    dead.append(f"{path.stem}.{cls.name}.{member.name}")
+            for name, definition in _public_members(cls, dataclasses.is_dataclass(getattr(module, cls.name))):
+                if reads[name] == _member_reads(definition, modules[path])[name]:
+                    dead.append(f"{path.stem}.{cls.name}.{name}")
     assert sorted(set(dead) - MEMBER_NO_CALLER_OUTSIDE_TESTS) == [], "public, and read only by the tests"
     assert MEMBER_NO_CALLER_OUTSIDE_TESTS <= set(dead), "an exemption that now has a caller is no longer needed"
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """The names a module defines at its top level: functions, classes and assigned names, not imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_each_public_name_has_one_path():
+    """A public name has one import path: each name in a submodule's __all__ is defined at that module's
+    top level, not imported into it, and the package exports its submodules and __version__ only."""
+    imported = [f"{path.stem}.{name}" for path, tree in _source_trees().items()
+                if path.parent.name == "kfractions" and path.stem != "__init__"
+                for name in _module_all(tree) if name not in _top_level_names(tree)]
+    assert imported == [], "exported by a module that does not define it"
+    submodules = {m.name for m in pkgutil.iter_modules(kfractions.__path__)}
+    assert "__version__" in kfractions.__all__
+    assert sorted(set(kfractions.__all__) - submodules - {"__version__"}) == [], "re-exported by the package"
+    init = ast.parse(Path(kfractions.__file__).read_text())
+    bound = {a.asname or a.name for node in init.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             for a in node.names}
+    assert bound == set(kfractions.__all__) - {"__version__"}, "the package binds a name it does not export"

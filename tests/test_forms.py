@@ -3,6 +3,7 @@ Cauchy-Schwarz and amplifier chains, complementary divisor."""
 
 import cmath
 import random
+import re
 import tracemalloc
 from math import gcd, sqrt
 
@@ -34,6 +35,13 @@ from kfractions.forms import (
 )
 
 
+def unit_vector(rng, member):
+    """The coefficient vector that is 1 at member and 0 elsewhere on rng."""
+    v = np.zeros(len(rng), dtype=np.complex128)
+    v[member - rng.lo] = 1.0
+    return CoefficientVector(rng, v)
+
+
 def brute_trilinear(alpha, beta, nu, spec, twisted=False):
     """Independent pure-python triple loop with exact integer phases."""
     total = 0j
@@ -55,9 +63,9 @@ def brute_trilinear(alpha, beta, nu, spec, twisted=False):
                 if twisted:
                     term *= jacobi(m, n)
                 total += (
-                    alpha.values[spec.m_range.index(m)]
-                    * beta.values[spec.n_range.index(n)]
-                    * nu.values[spec.a_range.index(a)]
+                    alpha.values[m - spec.m_range.lo]
+                    * beta.values[n - spec.n_range.lo]
+                    * nu.values[a - spec.a_range.lo]
                     * term
                 )
     return total
@@ -181,11 +189,25 @@ class TestDyadicRange:
         assert list(DyadicRange(8).members) == [4, 5, 6, 7, 8]
         assert list(DyadicRange(1).members) == [1]
         assert list(DyadicRange(5).members) == [3, 4, 5]
-        assert 4 in DyadicRange(8) and 3 not in DyadicRange(8)
+        assert 4 in DyadicRange(8).members and 3 not in DyadicRange(8).members
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 8.5, 8.0, 0, -3])
+    def test_scale_that_is_no_integer_or_below_one_rejected_by_name(self, scale):
+        # nan, inf and 8.5 were accepted, and len() then raised a TypeError
+        with pytest.raises(ValueError, match=f"scale must be an integer >= 1, got {scale!r}"):
+            DyadicRange(scale)
+        assert len(DyadicRange(np.int64(8))) == 5
+
+    @pytest.mark.parametrize("scales", [(float("nan"), 8, 8), (8, float("inf"), 8), (8, 8, 2.5), (8, 0, 8)])
+    def test_form_scales_that_are_no_integers_rejected_by_name(self, scales):
+        # FormSpec(nan, 8, 8) was accepted
+        with pytest.raises(ValueError, match=re.escape(f"scales must be integers >= 1, got {scales}")):
+            FormSpec(*scales)
+        assert FormSpec(np.int64(8), np.int32(6), np.int64(4)).m_range == DyadicRange(8)
 
     def test_coefficients(self):
         rng = DyadicRange(8)
-        v = CoefficientVector.unit(rng, 6)
+        v = unit_vector(rng, 6)
         assert v.norm() == 1.0
         gen = np.random.default_rng(0)
         w = CoefficientVector.random_unit(rng, gen)
@@ -198,9 +220,9 @@ class TestTensor:
     def test_entry_values(self):
         spec = FormSpec(2, 2, 2, theta=1)
         t = build_tensor(spec)
-        e = t[spec.a_range.index(1), spec.m_range.index(1), spec.n_range.index(2)]
+        e = t[1 - spec.a_range.lo, 1 - spec.m_range.lo, 2 - spec.n_range.lo]
         assert e == pytest.approx(-1.0)
-        assert t[0, spec.m_range.index(2), spec.n_range.index(2)] == 0
+        assert t[0, 2 - spec.m_range.lo, 2 - spec.n_range.lo] == 0
 
     def test_unit_modulus_on_support(self):
         spec = FormSpec(12, 10, 6, theta=3)
@@ -243,9 +265,9 @@ class TestEvaluation:
         m0, n0, a0 = 5, 4, 3
         assert gcd(m0, n0) == 1
         val = eval_trilinear(
-            CoefficientVector.unit(spec.m_range, m0),
-            CoefficientVector.unit(spec.n_range, n0),
-            CoefficientVector.unit(spec.a_range, a0),
+            unit_vector(spec.m_range, m0),
+            unit_vector(spec.n_range, n0),
+            unit_vector(spec.a_range, a0),
             spec,
         )
         expect = cmath.exp(2j * cmath.pi * ((spec.theta * a0 * pow(m0, -1, n0)) % n0) / n0)
@@ -257,7 +279,7 @@ class TestEvaluation:
         val = eval_trilinear(
             CoefficientVector.random_unit(spec.m_range, gen),
             CoefficientVector.random_unit(spec.n_range, gen),
-            CoefficientVector.zeros(spec.a_range),
+            CoefficientVector(spec.a_range, np.zeros(len(spec.a_range))),
             spec,
         )
         assert val == 0
@@ -321,7 +343,7 @@ class TestEvaluation:
         m0, n0, a0 = 5, 4, 3
         base = ((a0 * pow(m0, -1, n0)) % n0) / n0
         expect = cmath.exp(2j * cmath.pi * (base + a0 / (m0 * n0)))
-        got = t[spec.a_range.index(a0), spec.m_range.index(m0), spec.n_range.index(n0)]
+        got = t[a0 - spec.a_range.lo, m0 - spec.m_range.lo, n0 - spec.n_range.lo]
         assert got == pytest.approx(expect, abs=1e-12)
 
     def test_reciprocity_consistency(self):
@@ -342,7 +364,7 @@ class TestEvaluation:
         al = CoefficientVector.random_unit(DyadicRange(m_scale), gen)
         be = CoefficientVector.random_unit(DyadicRange(n_scale), gen)
         spec = FormSpec(m_scale, n_scale, 1, theta=a)
-        got = eval_trilinear(al, be, CoefficientVector.unit(spec.a_range, 1), spec)
+        got = eval_trilinear(al, be, unit_vector(spec.a_range, 1), spec)
         total = 0j
         for m in DyadicRange(m_scale).members:
             for n in DyadicRange(n_scale).members:
@@ -351,14 +373,14 @@ class TestEvaluation:
                     continue
                 ph = ((a * pow(m_, -1, n_)) % n_) / n_ if n_ > 1 else 0.0
                 total += (
-                    al.values[DyadicRange(m_scale).index(m_)]
-                    * be.values[DyadicRange(n_scale).index(n_)]
+                    al.values[m_ - DyadicRange(m_scale).lo]
+                    * be.values[n_ - DyadicRange(n_scale).lo]
                     * cmath.exp(2j * cmath.pi * ph)
                 )
         assert got == pytest.approx(total, abs=1e-10)
         # the same form with theta = 1 and nu = delta_a on the range A = a
         spec = FormSpec(m_scale, n_scale, a_scale=a, theta=1)
-        tri = eval_trilinear(al, be, CoefficientVector.unit(spec.a_range, a), spec)
+        tri = eval_trilinear(al, be, unit_vector(spec.a_range, a), spec)
         assert got == pytest.approx(tri, abs=1e-10)
         with pytest.raises(ValueError):
             FormSpec(m_scale, n_scale, 1, theta=0)
@@ -679,7 +701,7 @@ class TestCauchyStep:
         rep = cauchy_step(
             spec,
             CoefficientVector.random_unit(spec.m_range, gen),
-            CoefficientVector.zeros(spec.n_range),
+            CoefficientVector(spec.n_range, np.zeros(len(spec.n_range))),
             CoefficientVector.random_unit(spec.a_range, gen),
         )
         assert rep.lhs == rep.rhs == 0
@@ -690,7 +712,7 @@ class TestCauchyStep:
         gen = np.random.default_rng(9)
         rep = cauchy_step(
             spec,
-            CoefficientVector.unit(spec.m_range, 1),
+            unit_vector(spec.m_range, 1),
             CoefficientVector.random_unit(spec.n_range, gen),
             CoefficientVector.random_unit(spec.a_range, gen),
         )
@@ -864,7 +886,7 @@ class TestAmplifier:
         spec = FormSpec(20, 7, 2, theta=1)
         amp = AmplifierSpec(1, 8.0)
         gen = np.random.default_rng(12)
-        beta = CoefficientVector.unit(spec.n_range, 5)
+        beta = unit_vector(spec.n_range, 5)
         nu = CoefficientVector.random_unit(spec.a_range, gen)
         rep = amplifier_check(spec, amp, beta, nu)
         assert rep.holds

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kfractions import ksums
-from kfractions.arith import euler_phi, is_prime, jacobi, tau
+from kfractions.arith import factorize, is_prime, jacobi
 from kfractions.ksums import (
     BRUTE_LIMIT,
     FAST_LIMIT,
@@ -73,7 +73,7 @@ class TestUnitInverses:
     @pytest.mark.parametrize("c", [700001, 2**12 * 147, 199**2 * 13])  # prime, 2^k*odd, p^2*r
     def test_large_modulus_shapes(self, c):
         xs, inv, _ = _unit_table(c)
-        assert len(xs) == euler_phi(c)
+        assert len(xs) == factorize(c).euler_phi
         assert (xs * inv % c == 1).all()
         assert inv.tolist() == [pow(x, -1, c) for x in xs.tolist()]
 
@@ -124,7 +124,7 @@ class TestBrute:
 
     def test_zero_zero_is_phi(self):
         for c in (2, 6, 12, 97):
-            assert kloosterman_brute(KloostermanParams(0, 0, c)).value == pytest.approx(euler_phi(c))
+            assert kloosterman_brute(KloostermanParams(0, 0, c)).value == pytest.approx(factorize(c).euler_phi)
 
     def test_s113(self):
         assert kloosterman_brute(KloostermanParams(1, 1, 3)).value == pytest.approx(-1.0)
@@ -182,7 +182,7 @@ class TestUnitTableKernels:
         default = kloosterman_batch(a, b, c)
         monkeypatch.setattr(ksums, "_GATHER_COLS", 7)
         chunked = kloosterman_batch(a, b, c)
-        assert np.abs(chunked - default).max() <= 1e-12 * euler_phi(c)
+        assert np.abs(chunked - default).max() <= 1e-12 * factorize(c).euler_phi
         if c == 70001:
             assert chunked[0] == pytest.approx(slow_reference(int(a[0]), int(b[0]), c).real, abs=1e-9)
 
@@ -376,7 +376,7 @@ class TestRamanujan:
         assert ramanujan(1, 3) == -1
         assert ramanujan(2, 4) == -2
         for c in (1, 2, 9, 30):
-            assert ramanujan(0, c) == euler_phi(c)
+            assert ramanujan(0, c) == factorize(c).euler_phi
 
     def test_matches_brute_and_gcd_bound(self):
         rng = random.Random(3)
@@ -387,6 +387,16 @@ class TestRamanujan:
             brute = kloosterman_brute(KloostermanParams(a, 0, c)).value
             assert brute == pytest.approx(r, abs=1e-9)
             assert abs(r) <= gcd(a, c)
+
+    def test_closed_form_is_the_divisor_sum_exactly(self):
+        # reference: sum_{d | gcd(a,c)} d * mu(c/d), mu from sum_{d | n} mu(d) = [n == 1]
+        mu = [0, 1] + [0] * 299
+        for n in range(2, 301):
+            mu[n] = -sum(mu[d] for d in range(1, n) if n % d == 0)
+        divs = [[]] + [[d for d in range(1, g + 1) if g % d == 0] for g in range(1, 301)]
+        for c in range(1, 301):
+            got = [ramanujan(a, c) for a in range(-2 * c, 2 * c + 1)]
+            assert got == [sum(d * mu[c // d] for d in divs[gcd(a, c)]) for a in range(-2 * c, 2 * c + 1)]
 
 
 class TestFast:
@@ -551,9 +561,9 @@ class TestWeil:
         p = 101
         assert weil_bound(KloostermanParams(1, 1, p)) == pytest.approx(2 * sqrt(p))
         c = 12
-        assert weil_bound(KloostermanParams(1, 1, c)) == pytest.approx(tau(c) * sqrt(c))
-        assert weil_bound(KloostermanParams(0, 0, c)) == pytest.approx(tau(c) * c)
-        assert euler_phi(c) <= tau(c) * c
+        assert weil_bound(KloostermanParams(1, 1, c)) == pytest.approx(factorize(c).tau * sqrt(c))
+        assert weil_bound(KloostermanParams(0, 0, c)) == pytest.approx(factorize(c).tau * c)
+        assert factorize(c).euler_phi <= factorize(c).tau * c
 
     def test_prime_sweep_exhaustive(self):
         # |S(1,1;p)| <= 2 sqrt(p) for every prime p <= 1e4
