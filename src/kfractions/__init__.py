@@ -7,8 +7,8 @@ The package exports its submodules only; import each name from its submodule
 Submodules
 ----------
 arith       exact integer and mod-1 rational arithmetic, reciprocity identities
-ksums       complete Kloosterman sums in batches: kloosterman_batch at one c, kloosterman_fast_batch
-            (block-major) at one c or one c per element; kloosterman_brute and kloosterman_fast are
+ksums       complete Kloosterman sums in batches at one c or one c per element: kloosterman_batch and
+            kloosterman_fast_batch (block-major); kloosterman_brute and kloosterman_fast are
             their one-element cases; Weil; inverses_mod
 characters  the unit group's grid (unit_grid: units in grid order, their inverses; grid_index:
             residues to grid points for many moduli) and Dirichlet characters as its frequencies

@@ -113,10 +113,12 @@ class DetSpec:
     g_weight: object = None
 
     def __post_init__(self) -> None:
-        if self.delta == 0:
-            raise ValueError("Delta must be nonzero")
-        if self.eta <= 1:
-            raise ValueError("eta must exceed 1")
+        if not (isinstance(self.delta, Integral) and self.delta != 0):  # nan and 1.5 too
+            raise ValueError(f"Delta must be a nonzero integer, got {self.delta!r}")
+        if not all(isinstance(x, Integral) and x >= 1 for x in (self.m1_scale, self.m2_scale)):
+            raise ValueError(f"m1_scale and m2_scale must be integers >= 1, got {(self.m1_scale, self.m2_scale)}")
+        if not self.eta > 1:  # nan too
+            raise ValueError(f"eta must exceed 1, got {self.eta}")
 
     @property
     def n1_scale(self) -> int:
@@ -312,8 +314,8 @@ def star_discrepancy(points) -> float:
     k = len(xs)
     if k == 0:
         raise ValueError("star discrepancy needs at least one point")
-    if xs[0] < 0 or xs[-1] >= 1:
-        raise ValueError("points must lie in [0, 1)")
+    if not (xs[0] >= 0 and xs[-1] < 1):  # nan sorts last
+        raise ValueError(f"points must lie in [0, 1), got the sorted ends {xs[0]} and {xs[-1]}")
     t = np.arange(k, dtype=np.float64)
     below = np.subtract(xs, np.divide(t, k, out=t), out=t).max()  # x_(i) - (i-1)/k, in place
     del t  # one work row at a time

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -66,9 +67,10 @@ def _generator_powers(g: int, order: int, modulus: int) -> np.ndarray:
     s = math.isqrt(order - 1) + 1
     baby = np.array(_short_powers(g, s, modulus), dtype=np.int64)
     giant = np.array(_short_powers(pow(g, s, modulus), -(-order // s), modulus), dtype=np.int64)
-    out = np.multiply.outer(giant, baby)
-    out %= modulus
-    return out.ravel()[:order]
+    out = np.multiply.outer(giant, baby).ravel()[:order]
+    for j in range(0, order, 2**13):  # the remainder of out >= 0 without np.remainder; 64 KB quotients, not one
+        out[j : j + 2**13] -= out[j : j + 2**13] // modulus * modulus
+    return out
 
 
 def prime_power_units(p: int, e: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -96,11 +98,11 @@ def _crt_lift(acc: np.ndarray | None, col: np.ndarray, idem: int, c: int) -> np.
     """(acc_i + idem * col_j) mod c over all pairs i, j, flattened; idem * col mod c for the first block."""
     if idem != 1:
         col = col * idem
-        col %= c
+        col -= col // c * c  # the remainder of col >= 0, without np.remainder
     if acc is None:
         return col
-    out = np.add.outer(acc, col).ravel()
-    out %= c
+    out = np.add.outer(acc, col - c).ravel()  # two residues less c: in [-c, c)
+    out += (out >> 63) & c  # c where negative: one conditional subtract, no np.remainder
     return out
 
 
@@ -112,8 +114,11 @@ def unit_grid(c: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     (`prime_power_units`) and the inverse of g^k is g^(phi-k), so its inverse row is the
     same array reversed past index 0 (of each half, +5^t and -5^t, at 2^e).  The blocks
     combine through the CRT idempotents (1 mod q, 0 mod c/q) in outer sums mod c.  c = 1
-    has the one unit 0, and c in {1, 2} the one-point grid (1,).
+    has the one unit 0, and c in {1, 2} the one-point grid (1,).  A numpy integer c is read as an int.
     """
+    if not isinstance(c, Integral):  # nan and 7.5 too, before any table
+        raise ValueError(f"modulus c must be an integer, got {c!r}")
+    c = int(c)
     xs = inv = None
     shape: tuple[int, ...] = ()
     for p, e in factorize(c).factors:

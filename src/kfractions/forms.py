@@ -510,8 +510,8 @@ class AmplifierSpec:
     l_scale: float
 
     def __post_init__(self) -> None:
-        if self.b < 1:
-            raise ValueError("b must be >= 1")
+        if not (isinstance(self.b, Integral) and self.b >= 1):  # nan and 1.5 too
+            raise ValueError(f"b must be an integer >= 1, got {self.b!r}")
         if not 0 <= self.l_scale <= PRIME_WINDOW_LIMIT:  # nan and -inf too
             raise ValueError(f"l_scale={self.l_scale} must lie in [0, {PRIME_WINDOW_LIMIT}]: (L, 2L) would take "
                              f"{self.l_scale:.3g} primality tests")

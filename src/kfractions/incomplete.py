@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
+from numbers import Integral
 
 import numpy as np
 
@@ -72,14 +73,17 @@ class IncompleteSpec:
     character: DirichletCharacter | None = None
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "delta", "k", "v", "x_start", "x_len", "alpha", "beta"):  # nan and 7.5 too
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.gamma < 1 or self.delta < 1 or self.k < 1:
             raise ValueError("gamma, delta, k must be >= 1")
         if self.x_len < 0:
             raise ValueError("x_len must be >= 0")
         if self.gcd_cond is not None:
             _, _, c, d = self.gcd_cond
-            if c < 1 or d < 1 or c % d != 0:
-                raise ValueError("gcd condition needs d | c with c, d >= 1")
+            if not all(isinstance(x, Integral) for x in self.gcd_cond) or c < 1 or d < 1 or c % d != 0:
+                raise ValueError(f"gcd condition needs integers with d | c and c, d >= 1, got {self.gcd_cond}")
         if self.character is not None and self.character.modulus != self.gamma:
             raise ValueError("character modulus must equal gamma")
 
@@ -156,7 +160,7 @@ def _majorants(spec: IncompleteSpec) -> tuple[float, float]:
         raise ValueError("majorant requires delta = 1, beta = 0, no gcd condition")
     if spec.character is not None and not spec.character.is_principal:
         raise ValueError("majorant requires a trivial character")
-    g, k = spec.gamma, spec.k
+    g, k = int(spec.gamma), int(spec.k)  # a numpy integer too
     row = np.abs(kloosterman_row(spec.alpha, g))
     first = (spec.x_len + k) / (g * k) * row[0]
     r = np.arange(1, g // 2 + 1)

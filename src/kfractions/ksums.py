@@ -1,9 +1,8 @@
 """Complete Kloosterman sums S(a,b;c) = sum over units x mod c of e((a*xbar + b*x)/c).
 
 Two evaluation routes with disjoint internals, each in array form for many
-(a, b) (at one c for the oracle; at one c or one c per element for the fast
-route), with the scalar function as its one-element case, and a third for a
-whole row in b:
+(a, b) at one c or one c per element (grouped by one helper, ``_runs``), with
+the scalar function as its one-element case, and a third for a whole row in b:
 
 * ``kloosterman_batch`` / ``kloosterman_brute`` -- the oracle: direct
   summation over reduced residues.  The units of c and their inverses come
@@ -15,9 +14,9 @@ whole row in b:
   about as many giant roots e(s*i/c), one outer product, so 2 sqrt(c)
   complex exps instead of c.  The phase a*xbar + b*x is
   reduced mod c in exact integer arithmetic and the terms are gathered from
-  the row, one 2-D gather per chunk of rows (_GATHER_TERMS terms) and of
-  columns (_GATHER_COLS units), so a large modulus needs little beyond its
-  table: 32 bytes per residue at a prime.
+  the row of their modulus, one 2-D gather per chunk of rows (bounded in bytes)
+  and of columns (_GATHER_COLS units), so a large modulus needs little beyond
+  its table: 32 bytes per residue at a prime.
 * ``kloosterman_fast_batch`` / ``kloosterman_fast`` -- twisted
   multiplicativity across prime-power blocks,
   S(a,b;mn) = S(a*nbar, b*nbar; m) * S(a*mbar, b*mbar; n) for coprime m,n,
@@ -41,6 +40,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from math import gcd, isqrt, pi, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -65,7 +65,9 @@ __all__ = [
 BRUTE_LIMIT = 10**7
 FAST_LIMIT = 10**12
 _IMAG_TOL = 1e-9
-_GATHER_TERMS = 2**20  # terms per 2-D gather of kloosterman_batch
+# terms of 24 bytes (a phase, then its root) per 2-D gather of kloosterman_batch, a row's own 64 bytes (its
+# reduced a and b, index and sums) counted as 3 terms; one row at least
+_GATHER_TERMS = 2**15
 _GATHER_COLS = 2**16  # units per column chunk of one gather
 
 
@@ -76,8 +78,8 @@ class KloostermanParams:
     c: int
 
     def __post_init__(self) -> None:
-        if self.c < 1:
-            raise ValueError("modulus c must be >= 1")
+        if not (all(isinstance(x, Integral) for x in (self.a, self.b, self.c)) and self.c >= 1):  # nan, 7.5 too
+            raise ValueError(f"a, b and c must be integers, c >= 1, got {(self.a, self.b, self.c)}")
 
 
 @dataclass(frozen=True)
@@ -102,11 +104,14 @@ def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Units x mod c (1 <= c <= BRUTE_LIMIT) in grid order, their inverses (`characters.unit_grid`), and
     the row e(j/c).
 
-    The range is checked before any allocation.  The row is built by baby and
+    The type and the range are checked before any allocation.  The row is built by baby and
     giant steps: s = ceil(sqrt(c)) baby roots e(j/c), j < s, and ceil(c/s)
     giant roots e(s*i/c); one outer product gives e((s*i + j)/c) in order of
     s*i + j, so 2 sqrt(c) complex exps and one multiply over c, not c exps.
     """
+    if not isinstance(c, Integral):  # a numpy integer is one; nan and 7.5 are not
+        raise ValueError(f"modulus c must be an integer, got {c!r}")
+    c = int(c)
     if c < 1:
         raise ValueError("modulus c must be >= 1")
     if c > BRUTE_LIMIT:
@@ -157,33 +162,42 @@ def _real_parts(totals: np.ndarray, c: int, phi_c: int, args) -> np.ndarray:
     return totals.real
 
 
-def _check_lengths(a, b, c) -> bool:
-    """Whether c is given per element; raises ValueError, naming the lengths, unless a, b and such a c
-    have one length."""
-    per_element = not isinstance(c, (int, np.integer))
-    if len(a) != len(b) or per_element and len(c) != len(a):
-        sizes = f"len(a)={len(a)}, len(b)={len(b)}" + (f", len(c)={len(c)}" if per_element else "")
-        raise ValueError(f"a, b{' and c' if per_element else ''} need one length, got {sizes}")
-    return per_element
+def _runs(a, b, c) -> tuple[list[int], list[np.ndarray]]:
+    """The distinct moduli in increasing order, as Python ints, and the indices of each one's elements in order.
+
+    c is one modulus (an int or a numpy integer: one run) or one integer per element.  Raises ValueError naming
+    any other c, or naming the lengths unless a, b and such a c have one length."""
+    cs = np.asarray(c)
+    if cs.ndim > 1 or cs.size and cs.dtype.kind not in "iu":  # nan and 7.5 too
+        raise ValueError(f"c must be one integer modulus or one integer per element, got {c!r}")
+    if len(a) != len(b) or cs.ndim and len(cs) != len(a):
+        sizes = f"len(a)={len(a)}, len(b)={len(b)}" + (f", len(c)={len(cs)}" if cs.ndim else "")
+        raise ValueError(f"a, b{' and c' if cs.ndim else ''} need one length, got {sizes}")
+    if not cs.ndim:
+        return [int(c)], [np.arange(len(a))]
+    order = np.argsort(cs, kind="stable")
+    ascending = cs[order]
+    cuts = np.flatnonzero(ascending[1:] != ascending[:-1]) + 1
+    return ascending[cuts - 1].tolist() + ascending[-1:].tolist(), np.split(order, cuts)
 
 
-def kloosterman_batch(a, b, c: int) -> np.ndarray:
-    """S(a_i, b_i; c) by direct summation, for int64 arrays a, b of one length (any sign).
+def kloosterman_batch(a, b, c) -> np.ndarray:
+    """S(a_i, b_i; c_i) by direct summation for int64 sequences a, b (any sign); c is one modulus or one per element.
 
-    Each chunk of rows and columns is one 2-D gather from the unit table of c.  Raises
-    ArithmeticError naming the first (a, b, c) whose imaginary part exceeds
-    1e-9 * phi(c).
+    Each distinct modulus, in increasing order, builds one unit table for its elements.  Raises ArithmeticError
+    naming the first (a, b, c), of the least such c, whose imaginary part exceeds 1e-9 * phi(c).
     """
-    _check_lengths(a, b, c)
+    moduli, runs = _runs(a, b, c)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    table = _unit_table(c)
-    phi_c = len(table[0])
-    rows = max(1, _GATHER_TERMS // phi_c)
-    totals = np.empty(len(a), dtype=np.complex128)
-    for i in range(0, len(a), rows):
-        totals[i : i + rows] = _unit_sums(a[i : i + rows, None] % c, b[i : i + rows, None] % c, c, table)
-    return _real_parts(totals, c, phi_c, lambda i: (a[i], b[i]))
+    values = np.empty(len(a))
+    for m, run in zip(moduli, runs):
+        table = _unit_table(m)
+        rows = max(1, _GATHER_TERMS // (len(table[0]) + 3))
+        totals = np.concatenate([_unit_sums(a[at, None] % m, b[at, None] % m, m, table)
+                                 for at in np.split(run, range(rows, len(run), rows))])
+        values[run] = _real_parts(totals, m, len(table[0]), lambda i: (a[run[i]], b[run[i]]))
+    return values
 
 
 def kloosterman_brute(params: KloostermanParams) -> KloostermanResult:
@@ -287,18 +301,9 @@ def kloosterman_fast_batch(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     give.  Supports c <= 1e12 provided every block that has to fall back to
     brute summation is at most the brute cap.
     """
-    per_element = _check_lengths(a, b, c)
+    moduli, runs = _runs(a, b, c)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if per_element:  # the elements of each distinct modulus, in increasing order, as a run of `order`
-        c = np.asarray(c, dtype=np.int64)
-        order = np.argsort(c, kind="stable")
-        ascending = c[order]
-        cuts = (np.flatnonzero(ascending[1:] != ascending[:-1]) + 1).tolist()
-        starts, ends = [0, *cuts], [*cuts, len(c)]
-        moduli = ascending[starts].tolist() if len(c) else []
-    else:
-        order, starts, ends, moduli = np.arange(len(a)), [0], [len(a)], [int(c)]
     if moduli and moduli[0] < 1:
         raise ValueError(f"modulus c must be >= 1, got {moduli[0]}")
     if moduli and moduli[-1] > FAST_LIMIT:
@@ -312,14 +317,13 @@ def kloosterman_fast_batch(a, b, c) -> tuple[np.ndarray, np.ndarray]:
             q = p**alpha
             owners.setdefault((p, alpha), []).append((k, pow(m // q % q, -1, q)))
         if len(blocks) > 1:
-            crt_salie[order[starts[k] : ends[k]]] = True
+            crt_salie[runs[k]] = True
     for (p, alpha), held in sorted(owners.items()):
         q = p**alpha
-        runs = [order[starts[k] : ends[k]] for k, _ in held]
         if alpha >= 2 and p != 2:  # the Salie closed form where p is prime to ab; residues up to 1e12 as Python ints
             fall, wbar = [], []
-            for run, (_, w) in zip(runs, held):
-                for j, x, y in zip(run.tolist(), a[run].tolist(), b[run].tolist()):
+            for k, w in held:
+                for j, x, y in zip(runs[k].tolist(), a[runs[k]].tolist(), b[runs[k]].tolist()):
                     if x % p and y % p:  # p divides a*wbar exactly when it divides a
                         values[j] *= _salie_block(x % q * w % q, y % q * w % q, p, alpha)
                         crt_salie[j] = True
@@ -327,13 +331,13 @@ def kloosterman_fast_batch(a, b, c) -> tuple[np.ndarray, np.ndarray]:
                         fall.append(j)
                         wbar.append(w)
         else:
-            fall = np.concatenate(runs)
-            wbar = np.repeat([w for _, w in held], [len(r) for r in runs])
+            fall = np.concatenate([runs[k] for k, _ in held])
+            wbar = np.repeat([w for _, w in held], [len(runs[k]) for k, _ in held])
         if len(fall):
             if q > BRUTE_LIMIT:
                 raise ValueError(
-                    f"block {p}^{alpha} of c={c[fall[0]] if per_element else c} has no closed form and "
-                    f"exceeds the brute cap {BRUTE_LIMIT}"
+                    f"block {p}^{alpha} of c={next(moduli[k] for k, _ in held if fall[0] in runs[k])} has no "
+                    f"closed form and exceeds the brute cap {BRUTE_LIMIT}"
                 )
             fall, wbar = np.asarray(fall), np.asarray(wbar)
             values[fall] *= kloosterman_batch(a[fall] % q * wbar % q, b[fall] % q * wbar % q, q)  # q^2 < 2^63

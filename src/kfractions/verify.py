@@ -89,12 +89,12 @@ def _suite(subcommand: str):
 # ksum-verify: oracle equivalence + Weil + Ramanujan + symmetry  (criteria 1, 2)
 # ---------------------------------------------------------------------------
 
-# What ksum-verify holds at once.  Per pair: a, b, the brute values, their swapped twins, the fast values
-# and the Weil bounds, and up to four temporaries (the fast route's moduli and sort order, or the operands
-# of the maxima), 8 bytes each, plus masks; traced allocations grow by 75 bytes a pair at cmax = 2000.
-# Per modulus: tau, c and three Ramanujan gaps.  One modulus's brute gather is bounded by _GATHER_TERMS.
+# What ksum-verify holds at its peak, inside the one brute call.  Per pair: its two rows (the pair, its swap) in
+# a, b, the moduli, their sort order, and the sorted copy or the values, 8 bytes each; traced allocations grow
+# by 80 bytes a pair at cmax = 2000.  Per modulus: its three Ramanujan rows in those arrays, its run's index view,
+# tau and the closed forms (about 480 bytes).  One modulus's gather (ksums._GATHER_TERMS) comes on top.
 KSUM_PAIR_BYTES = 96
-KSUM_MODULUS_BYTES = 40
+KSUM_MODULUS_BYTES = 512
 KSUM_VERIFY_BYTES = 2**30
 
 
@@ -102,40 +102,36 @@ KSUM_VERIFY_BYTES = 2**30
 def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7) -> ExperimentRecord:
     """Oracle equivalence + Weil bound grid over every modulus c <= cmax.
 
-    Per modulus, the draws and one brute gather (the pairs, the swapped pairs, the Ramanujan a's at
-    b = 0) fill one row of (cmax, pairs) arrays; one fast-route call then takes all cmax * pairs
-    pairs, and the Weil bounds and the maxima are array expressions.  A config needing more than
-    KSUM_VERIFY_BYTES raises ValueError before the first draw.
+    Per modulus, the draws fill one row of (cmax, 2 * pairs + 3) arrays (the pairs, the swapped pairs, the
+    Ramanujan a's at b = 0), beside tau and the Ramanujan closed forms.  One brute call, one modulus per
+    element, then takes every row and one fast-route call all cmax * pairs pairs; the Weil bounds and the
+    maxima are array expressions.  A config over KSUM_VERIFY_BYTES raises ValueError before the first draw.
     """
     need = cmax * (pairs * KSUM_PAIR_BYTES + KSUM_MODULUS_BYTES)
     if need > KSUM_VERIFY_BYTES:
         raise ValueError(
             f"cmax={cmax}, pairs={pairs} would hold {need} bytes, over the cap of {KSUM_VERIFY_BYTES}"
         )
+    rows = 2 * pairs + 3  # per modulus: the pairs, the swapped pairs, the Ramanujan a's at b = 0
     cs = np.arange(1, cmax + 1)
-    a, b = np.empty((cmax, pairs), dtype=np.int64), np.empty((cmax, pairs), dtype=np.int64)
-    brute, sym = np.empty((cmax, pairs)), np.empty((cmax, pairs))
-    tau, ram_gap = np.empty(cmax), np.empty((cmax, 3))
+    a, b = np.empty((cmax, rows), dtype=np.int64), np.zeros((cmax, rows), dtype=np.int64)
+    tau, ram = np.empty(cmax), np.empty((cmax, 3))
     for c in range(1, cmax + 1):
         gen = derive_rng(seed, c)
-        draws = gen.integers(-2 * c, 2 * c + 1, size=2 * pairs)  # a, b alternate, as scalar draws would
-        row_a, row_b = a[c - 1], b[c - 1]
-        row_a[:], row_b[:] = draws[0::2], draws[1::2]
-        ram_a = np.array([0, 1, gen.integers(1, 4 * c + 1)])
-        # one brute gather: the pairs, the swapped pairs, the Ramanujan a's at b = 0
-        brute_all = ksums.kloosterman_batch(
-            np.concatenate([row_a, row_b, ram_a]), np.concatenate([row_b, row_a, np.zeros(3, dtype=np.int64)]), c
-        )
-        brute[c - 1], sym[c - 1] = brute_all[:pairs], brute_all[pairs : 2 * pairs]
-        ram_gap[c - 1] = np.abs([ksums.ramanujan(int(x), c) for x in ram_a] - brute_all[2 * pairs :])
+        draws = gen.integers(-2 * c, 2 * c + 1, size=(pairs, 2)).T  # a, b alternate, as scalar draws would
+        a[c - 1, : 2 * pairs], b[c - 1, : 2 * pairs] = draws.ravel(), draws[::-1].ravel()
+        a[c - 1, 2 * pairs :] = 0, 1, gen.integers(1, 4 * c + 1)
+        ram[c - 1] = [ksums.ramanujan(int(x), c) for x in a[c - 1, 2 * pairs :]]
         tau[c - 1] = arith.factorize(c).tau
+    brute_all = ksums.kloosterman_batch(a.ravel(), b.ravel(), np.repeat(cs, rows)).reshape(cmax, rows)
+    a, b, brute, sym = a[:, :pairs].copy(), b[:, :pairs].copy(), brute_all[:, :pairs], brute_all[:, pairs : 2 * pairs]
     fast, _ = ksums.kloosterman_fast_batch(a.ravel(), b.ravel(), np.repeat(cs, pairs))
     fast = fast.reshape(cmax, pairs)
     weil = tau[:, None] * np.sqrt(np.gcd(np.gcd(a, b), cs[:, None])) * np.sqrt(cs)[:, None]  # ksums.weil_bound
     max_fast = float(np.max(np.abs(fast - brute) / np.maximum(1.0, np.abs(brute))))
     max_weil = float(np.max(np.abs(brute) / weil))
     max_sym = float(np.max(np.abs(brute - sym)))
-    max_ram = float(np.max(ram_gap))
+    max_ram = float(np.max(np.abs(ram - brute_all[:, 2 * pairs :])))
     values = {
         "moduli_checked": float(cmax),
         "max_fast_vs_brute": max_fast,

@@ -105,6 +105,19 @@ class TestDetCount:
         with pytest.raises(ValueError):
             DetSpec(delta=1, m1_scale=8, m2_scale=8, alpha=ones(8), beta=ones(8), eta=1.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("delta", float("nan"), "Delta must be a nonzero integer, got nan"),  # det_count returned 0j
+        ("delta", 1.5, "Delta must be a nonzero integer, got 1.5"),
+        ("eta", float("nan"), "eta must exceed 1, got nan"),  # det_error_envelope returned nan
+        ("m1_scale", 8.5, "m1_scale and m2_scale must be integers >= 1, got (8.5, 8)"),
+        ("m2_scale", float("nan"), "m1_scale and m2_scale must be integers >= 1, got (8, nan)"),
+    ])
+    def test_parameters_that_are_no_integers_or_nan_rejected_by_name(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DetSpec(**{"delta": 1, "m1_scale": 8, "m2_scale": 8, "alpha": ones(8), "beta": ones(8), field: value})
+        spec = DetSpec(delta=np.int64(1), m1_scale=np.int64(8), m2_scale=8, alpha=ones(8), beta=ones(8))
+        assert det_count(spec) == det_count(DetSpec(delta=1, m1_scale=8, m2_scale=8, alpha=ones(8), beta=ones(8)))
+
     @pytest.mark.parametrize("order", [0, 3, -1])
     def test_unknown_order_raises(self, order):  # was counted as order 2
         spec = DetSpec(delta=1, m1_scale=8, m2_scale=8, alpha=ones(8), beta=ones(8))
@@ -443,6 +456,8 @@ class TestStarDiscrepancy:
             star_discrepancy([])
         with pytest.raises(ValueError):
             star_discrepancy([0.2, 1.0])
+        with pytest.raises(ValueError, match="points must lie in \\[0, 1\\), got the sorted ends 0.2 and nan"):
+            star_discrepancy([0.2, float("nan")])  # returned nan
 
 
 class TestEquidistExperiment:

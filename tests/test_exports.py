@@ -1,7 +1,7 @@
 """Every name a kfractions module exports in __all__ resolves, is defined in that module and is read
 outside the tests, as is every public method, property and __init__-assigned instance attribute of its
 classes; the package itself exports its submodules only; every module attribute the benchmark's own
-tests read stays bound, and the number of options the package offers is tracked.
+tests read stays bound, and the number of options the package offers and its line total are tracked.
 
 The caller ratchets match names by spelling, so they skip what only shares a spelling with a member: an
 attribute read on an imported module (np.zeros is no read of CoefficientVector.zeros) and a string
@@ -65,6 +65,13 @@ def test_tracked_option_count():
                 params += _defaulted(obj)
     assert len(MODULES[1:]) == 9
     assert (params, fields) == (53, 18)  # 71 options
+
+
+def test_tracked_line_count():
+    """A ratchet on the line total of src/kfractions/*.py that ROADMAP quotes: code added or deleted changes
+    this number, so it has to change it on purpose."""
+    total = sum(path.read_bytes().count(b"\n") for path in Path(kfractions.__file__).parent.glob("*.py"))
+    assert total == 3319
 
 
 def _module_all(tree: ast.Module) -> list[str]:

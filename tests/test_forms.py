@@ -852,6 +852,14 @@ class TestAmplifier:
         with pytest.raises(ValueError, match=r"l_scale=.* must lie in \[0, 100000\]"):
             AmplifierSpec(1, l_scale)
 
+    @pytest.mark.parametrize("b", [float("nan"), 1.5, 0])
+    def test_b_that_is_no_integer_or_below_one_rejected_by_name(self, monkeypatch, b):
+        # AmplifierSpec(nan, 15.0) and AmplifierSpec(1.5, 15.0) were accepted
+        assert AmplifierSpec(np.int64(2), 8.0).primes == (11, 13)
+        monkeypatch.setattr(forms, "is_prime", lambda n: pytest.fail("the window was scanned"))
+        with pytest.raises(ValueError, match=f"b must be an integer >= 1, got {b!r}"):
+            AmplifierSpec(b, 15.0)
+
     def test_one_scan_of_the_window_per_spec(self, monkeypatch):
         tested, is_prime = [], forms.is_prime
 

@@ -182,6 +182,17 @@ class TestBrute:
         with pytest.raises(ValueError):
             incomplete_brute(IncompleteSpec(gamma=2, x_len=10**8))
 
+    @pytest.mark.parametrize("name, value", [("gamma", 7.5), ("alpha", float("nan")), ("x_len", 5.0), ("k", 2.5),
+                                             ("beta", float("inf"))])
+    def test_parameters_that_are_no_integers_rejected_by_name(self, name, value):
+        # alpha = nan returned (nan+nanj), and gamma = 7.5 failed inside np.gcd with UFuncTypeError
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            IncompleteSpec(**{"gamma": 7, "x_len": 10, name: value})
+        with pytest.raises(ValueError, match=r"gcd condition needs integers .*, got \(1, 0.5, 6, 3\)"):
+            IncompleteSpec(gamma=7, x_len=10, gcd_cond=(1, 0.5, 6, 3))
+        spec = IncompleteSpec(gamma=np.int64(7), k=np.int32(2), x_len=np.int64(10), alpha=np.int64(3))
+        assert incomplete_brute(spec) == incomplete_brute(IncompleteSpec(gamma=7, k=2, x_len=10, alpha=3))
+
 
 class TestLemmaParams:
     def test_examples(self):

@@ -2,13 +2,14 @@
 
 import cmath
 import random
+import re
 import tracemalloc
 from math import cos, gcd, pi, sin, sqrt
 
 import numpy as np
 import pytest
 
-from kfractions import ksums
+from kfractions import characters, incomplete, ksums
 from kfractions.arith import factorize, is_prime, jacobi
 from kfractions.ksums import (
     BRUTE_LIMIT,
@@ -164,6 +165,13 @@ class TestBrute:
         with pytest.raises(ValueError):
             KloostermanParams(1, 1, 0)
 
+    @pytest.mark.parametrize("params", [(1, 1, 7.5), (1, 1, float("nan")), (1.5, 1, 7), (1, float("nan"), 7)])
+    def test_params_that_are_no_integers_rejected_by_name(self, params):
+        # KloostermanParams(1, 1, 7.5) was accepted, then failed with "object of type 'float' has no len()"
+        with pytest.raises(ValueError, match=re.escape(f"a, b and c must be integers, c >= 1, got {params}")):
+            KloostermanParams(*params)
+        assert KloostermanParams(np.int64(1), np.int32(2), np.int64(7)).c == 7
+
 
 class TestUnitTableKernels:
     """The root row from baby and giant steps, and the gather in column chunks of _GATHER_COLS units."""
@@ -275,6 +283,42 @@ class TestBatch:
         with pytest.raises(ValueError, match=message):
             kloosterman_fast_batch([1, 2, 3], [1, 2, 3], np.array([97, bad, 5]))
 
+    # shuffled: 1, 2, primes, the prime powers 3^5, 5^4 and 7^3, the 2-powers 4, 128 and 2^12, composites, and
+    # moduli given as numpy integers
+    BRUTE_PER_ELEMENT_MODULI = [1, 2, 3, 97, 1999, 243, 625, 343, 4, 128, 4096, 2310, 8 * 27, 5000]
+
+    def test_brute_per_element_moduli_equal_the_per_modulus_calls(self):
+        rng = random.Random(29)
+        c = [m for m in self.BRUTE_PER_ELEMENT_MODULI for _ in range(5)]
+        rng.shuffle(c)
+        a = [rng.randint(-3 * m, 3 * m) for m in c]
+        b = [rng.randint(-3 * m, 3 * m) for m in c]
+        values = kloosterman_batch(a, b, c)
+        assert values.shape == (len(c),)
+        as_numpy = [np.int64(m) if i % 2 else m for i, m in enumerate(c)]  # np.asarray reads both kinds
+        assert np.array_equal(kloosterman_batch(np.array(a), np.array(b), as_numpy), values)
+        c = np.array(c)
+        for m in self.BRUTE_PER_ELEMENT_MODULI:
+            mine = c == m
+            assert np.array_equal(values[mine], kloosterman_batch(np.array(a)[mine], np.array(b)[mine], m)), m
+            assert np.array_equal(values[mine], kloosterman_batch(np.array(a)[mine], np.array(b)[mine], np.int64(m)))
+        for empty in ([], np.array([], dtype=np.int64)):
+            assert kloosterman_batch([], [], empty).shape == (0,)
+
+    def test_per_element_brute_moduli_that_crashed(self):
+        # both raised TypeError: a list c reached `c < 1`, and a numpy c reached pow() inside unit_grid
+        assert np.array_equal(kloosterman_batch([1, 2], [1, 2], [7, 7]), kloosterman_batch([1, 2], [1, 2], 7))
+        assert np.array_equal(kloosterman_batch([1], [1], np.int64(12)), kloosterman_batch([1], [1], 12))
+
+    @pytest.mark.parametrize("bad", [7.5, float("nan"), [7.5, 7.0], np.array([7.0, float("nan")]), [[7, 7]]])
+    def test_moduli_that_are_no_integers_rejected_by_name_before_any_table(self, monkeypatch, bad):
+        monkeypatch.setattr(ksums, "unit_grid", lambda c: pytest.fail("unit_grid ran"))
+        message = re.escape(f"c must be one integer modulus or one integer per element, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            kloosterman_batch([1, 2], [3, 4], bad)
+        with pytest.raises(ValueError, match=message):
+            kloosterman_fast_batch([1, 2], [3, 4], bad)
+
     def test_batch_rejects_unequal_lengths_before_any_allocation(self):
         tracemalloc.start()
         try:  # at c = 10^6 the unit table alone would take 32 MB
@@ -301,6 +345,22 @@ class TestBatch:
         monkeypatch.setattr(ksums, "_IMAG_TOL", -1.0)  # every sum now fails the check
         with pytest.raises(ArithmeticError, match=r"S\(-3,5;7\) lost realness: imag=.*, phi=6"):
             kloosterman_batch([-3, 4], [5, 6], 7)
+        with pytest.raises(ArithmeticError, match=r"S\(2,9;5\) lost realness: imag=.*, phi=4"):  # the least c first
+            kloosterman_batch([-3, 2, 4], [5, 9, 6], [7, 5, 5])
+
+    @pytest.mark.parametrize("c, n", [(3, 20000), (1999, 200), (70001, 5)])
+    def test_gathers_are_bounded_in_bytes(self, monkeypatch, c, n):
+        # the fast route's q = 3 fallback in ksum-verify took 13,340 rows of 2 terms in one gather
+        shapes, unit_sums = [], ksums._unit_sums
+        monkeypatch.setattr(ksums, "_unit_sums", lambda a, *rest: shapes.append(a.shape) or unit_sums(a, *rest))
+        a = np.arange(n) % (5 * c) - c
+        values = kloosterman_batch(a, a[::-1], c)
+        phi = factorize(c).euler_phi
+        assert 24 * ksums._GATHER_TERMS <= 2**20  # under 1 MiB of terms per gather
+        assert sum(rows for rows, _ in shapes) == len(a)
+        assert all(rows == 1 or rows * (phi + 3) <= ksums._GATHER_TERMS for rows, _ in shapes)
+        monkeypatch.setattr(ksums, "_GATHER_TERMS", 2**40)  # one gather: rows are summed independently
+        assert np.array_equal(kloosterman_batch(a, a[::-1], c), values)
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -319,6 +379,34 @@ class TestBatch:
         monkeypatch.setattr(ksums, "unit_grid", lambda c: pytest.fail("unit_grid ran"))
         with pytest.raises(ValueError, match=message):
             route(c)
+
+
+class TestNumpyIntegerModuli:
+    """A numpy integer modulus gives the bits of the Python int; each call below raised TypeError inside
+    unit_grid, at pow(c // q, -1, q)."""
+
+    def test_unit_grid_and_the_brute_route(self):
+        for c in (1, 2, 12, 97, 4096):
+            for got, want in zip(characters.unit_grid(np.int64(c)), characters.unit_grid(c)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(kloosterman_batch([1, 5], [1, -3], np.int64(c)), kloosterman_batch([1, 5], [1, -3], c))
+            assert np.array_equal(kloosterman_row(3, np.int64(c)), kloosterman_row(3, c))
+        assert kloosterman_brute(KloostermanParams(1, 1, np.int64(12))) == kloosterman_brute(KloostermanParams(1, 1, 12))
+
+    def test_characters_and_the_majorant(self):
+        assert characters.CharacterGroup(np.int64(12)) == characters.CharacterGroup(12)
+        for got, want in zip(characters.characters_mod(np.int64(12)), characters.characters_mod(12)):
+            assert np.array_equal(got.value_table, want.value_table)
+        spec, spec_int = (incomplete.IncompleteSpec(gamma=g, x_len=30, alpha=5) for g in (np.int64(13), 13))
+        assert incomplete.erdos_turan_majorant(spec) == incomplete.erdos_turan_majorant(spec_int)
+
+    @pytest.mark.parametrize("bad", [7.5, float("nan")])
+    def test_float_moduli_rejected_by_name_before_any_table(self, monkeypatch, bad):
+        with pytest.raises(ValueError, match=f"modulus c must be an integer, got {bad!r}"):
+            characters.unit_grid(bad)
+        monkeypatch.setattr(ksums, "unit_grid", lambda c: pytest.fail("unit_grid ran"))
+        with pytest.raises(ValueError, match=f"modulus c must be an integer, got {bad!r}"):
+            kloosterman_row(1, bad)
 
 
 class TestRow:

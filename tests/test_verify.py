@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from kfractions import ksums, verify
@@ -108,6 +109,27 @@ def test_ksum_verify_makes_one_fast_route_call(monkeypatch):
     monkeypatch.setattr(ksums, "kloosterman_fast_batch", counting)
     assert ksum_verify(cmax=30, pairs=4).passed
     assert sizes == [30 * 4]
+
+
+def test_ksum_verify_makes_one_brute_call_of_its_own(monkeypatch):
+    real_batch, real_fast, calls, inside_fast = ksums.kloosterman_batch, ksums.kloosterman_fast_batch, [], []
+
+    def counting(a, b, c):  # the fast route's own fallback gathers, at one block each, are not counted
+        if not inside_fast:
+            calls.append((len(a), np.asarray(c).tolist()))
+        return real_batch(a, b, c)
+
+    def fast(a, b, c):
+        inside_fast.append(True)
+        try:
+            return real_fast(a, b, c)
+        finally:
+            inside_fast.pop()
+
+    monkeypatch.setattr(ksums, "kloosterman_batch", counting)
+    monkeypatch.setattr(ksums, "kloosterman_fast_batch", fast)
+    assert ksum_verify(cmax=30, pairs=4).passed
+    assert calls == [(30 * (2 * 4 + 3), np.repeat(np.arange(1, 31), 2 * 4 + 3).tolist())]
 
 
 def test_ksum_verify_over_the_byte_cap_is_rejected_before_any_draw(monkeypatch):
