@@ -4,6 +4,10 @@ trilinear/bilinear forms built from Kloosterman fractions a*mbar/n.
 The package exports its submodules only; import each name from its submodule
 (``from kfractions.ksums import kloosterman_brute``).
 
+Integers enter by one rule, `arith.as_int`: a spec or kernel makes each integer
+argument (a numpy integer too) a Python int once, and refuses 7.5, nan, inf or a
+value out of range by a ValueError naming it; `arith.as_nonneg` does so for eps.
+
 Submodules
 ----------
 arith       exact integer and mod-1 rational arithmetic, reciprocity identities

@@ -20,11 +20,10 @@ import math
 import random
 from dataclasses import dataclass
 from math import gcd
-from numbers import Integral
 
 import numpy as np
 
-from .arith import mod_inverse
+from .arith import as_int, as_nonneg, mod_inverse
 from .forms import CoefficientVector, DyadicRange
 from .ksums import inverses_mod
 
@@ -97,10 +96,10 @@ def indicator_weight(m_scale: int):
 class DetSpec:
     """Parameters of one determinant-equation count.
 
-    The m-weights default to the built-in bump family on (M/2, M); eta is
-    the declared smoothness parameter entering only the error envelopes.
-    Custom weights (e.g. indicators, for exact-counting oracles) can be
-    supplied per side.
+    The m-weights default to the built-in bump family on (M/2, M), filled
+    in on construction; eta is the declared smoothness parameter entering
+    only the error envelopes.  Custom weights (e.g. indicators, for
+    exact-counting oracles) can be supplied per side.
     """
 
     delta: int
@@ -113,12 +112,15 @@ class DetSpec:
     g_weight: object = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.delta, Integral) and self.delta != 0):  # nan and 1.5 too
-            raise ValueError(f"Delta must be a nonzero integer, got {self.delta!r}")
-        if not all(isinstance(x, Integral) and x >= 1 for x in (self.m1_scale, self.m2_scale)):
-            raise ValueError(f"m1_scale and m2_scale must be integers >= 1, got {(self.m1_scale, self.m2_scale)}")
+        for name, lo in (("delta", None), ("m1_scale", 1), ("m2_scale", 1)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, lo))
+        if self.delta == 0:
+            raise ValueError("delta must be nonzero, got 0")
         if not self.eta > 1:  # nan too
             raise ValueError(f"eta must exceed 1, got {self.eta}")
+        for name, scale in (("f_weight", self.m1_scale), ("g_weight", self.m2_scale)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, bump_weight(scale))
 
     @property
     def n1_scale(self) -> int:
@@ -127,12 +129,6 @@ class DetSpec:
     @property
     def n2_scale(self) -> int:
         return self.beta.range.scale
-
-    def weight_f(self):
-        return self.f_weight if self.f_weight is not None else bump_weight(self.m1_scale)
-
-    def weight_g(self):
-        return self.g_weight if self.g_weight is not None else bump_weight(self.m2_scale)
 
 
 def _pair_blocks(spec: DetSpec, width: int):
@@ -152,32 +148,28 @@ def det_count(spec: DetSpec, order: int = 1) -> complex:
     """Exact sum of f(m1) g(m2) alpha_{n1} beta_{n2} over solutions of
     m1*n2 - m2*n1 = Delta inside the four dyadic ranges.
 
-    order=1 enumerates (m1, n1, n2) and solves for m2; order=2 enumerates
-    (m2, n1, n2) and solves for m1.  The two must agree to float accuracy.
-    Each is one block pass: a divmod over (pairs, m), masked by remainder 0
-    and the solved m in its range, then the sum of f(m1) g(m2) along m.
+    order=1 enumerates (m1, n1, n2) and solves m2 = (m1 n2 - Delta)/n1;
+    order=2 enumerates (m2, n1, n2) and solves m1 = (m2 n1 + Delta)/n2.  The
+    two must agree to float accuracy.  Each is one block pass: a divmod over
+    (pairs, m), masked by remainder 0 and the solved m in its range, then the
+    sum of the two weights' product along m.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    m1r, m2r = DyadicRange(spec.m1_scale), DyadicRange(spec.m2_scale)
-    work = len(spec.alpha.range) * len(spec.beta.range) * len(m1r if order == 1 else m2r)
+    # (range, weight) of the enumerated m, then of the solved one; order 2 swaps them, and n1 with n2
+    sides = [(DyadicRange(spec.m1_scale), spec.f_weight), (DyadicRange(spec.m2_scale), spec.g_weight)]
+    (run, w_run), (solved, w_solved) = sides if order == 1 else sides[::-1]
+    work = len(spec.alpha.range) * len(spec.beta.range) * len(run)
     if work > DET_TUPLE_LIMIT:
         raise ValueError(f"enumeration would visit {work} tuples, cap is {DET_TUPLE_LIMIT}")
-    f = spec.weight_f()
-    g = spec.weight_g()
-    m = (m1r if order == 1 else m2r).members
+    m, delta = run.members, -spec.delta if order == 1 else spec.delta
     total = 0.0 + 0.0j
     for n1, n2, coef in _pair_blocks(spec, len(m)):
-        if order == 1:
-            m2, rem = np.divmod(m * n2[:, None] - spec.delta, n1[:, None])
-            ok = (rem == 0) & (m2 >= m2r.lo) & (m2 <= spec.m2_scale)
-            row, col = np.nonzero(ok)
-            terms = f(m[col]) * g(m2[ok])
-        else:
-            m1, rem = np.divmod(m * n1[:, None] + spec.delta, n2[:, None])
-            ok = (rem == 0) & (m1 >= m1r.lo) & (m1 <= spec.m1_scale)
-            row, col = np.nonzero(ok)
-            terms = f(m1[ok]) * g(m[col])
+        num, den = (n2, n1) if order == 1 else (n1, n2)
+        s, rem = np.divmod(m * num[:, None] + delta, den[:, None])
+        ok = (rem == 0) & (s >= solved.lo) & (s <= solved.scale)
+        row, col = np.nonzero(ok)
+        terms = w_run(m[col]) * w_solved(s[ok])
         total += np.sum(coef * np.bincount(row, terms, minlength=len(coef)))
     return complex(total)
 
@@ -211,9 +203,7 @@ def det_main_term(spec: DetSpec) -> complex:
     """sum over (n1,n2) with gcd(n1,n2) | Delta of
     gcd/(n1 n2) * alpha_{n1} beta_{n2} * integral of f((x+Delta)/n2) g(x/n1) dx,
     in one block pass that masks out the pairs with gcd not dividing Delta or disjoint supports."""
-    f = spec.weight_f()
-    g = spec.weight_g()
-    d = spec.delta
+    f, g, d = spec.f_weight, spec.g_weight, spec.delta
     total = 0.0 + 0.0j
     for n1, n2, coef in _pair_blocks(spec, 1):
         k = np.gcd(n1, n2)
@@ -237,6 +227,7 @@ def _ratio_r(spec: DetSpec) -> float:
 
 def _det_envelope(spec: DetSpec, eps: float, r_exp: float, n_exp: float, sum_exp: float) -> float:
     """(eta R)^r_exp ||alpha|| ||beta|| (N1 N2)^n_exp (N1+N2)^(sum_exp+eps) (M1 M2)^eps."""
+    eps = as_nonneg(eps, "eps")
     r = _ratio_r(spec)
     n1, n2 = spec.n1_scale, spec.n2_scale
     return ((spec.eta * r) ** r_exp * spec.alpha.norm() * spec.beta.norm() * (n1 * n2) ** n_exp
@@ -259,8 +250,7 @@ def det_error_envelope_comparison(spec: DetSpec, *, eps: float = 0.05) -> float:
 
 def rho_solution(m: int, n: int) -> tuple[int, int]:
     """Smallest positive (a0, b0) with a0*m - b0*n = 1, for coprime m, n >= 1."""
-    if m < 1 or n < 1:
-        raise ValueError("m, n must be positive")
+    m, n = as_int(m, "m", 1), as_int(n, "n", 1)
     if gcd(m, n) != 1:
         raise ValueError("m, n must be coprime")
     a0 = mod_inverse(m, n)
@@ -343,10 +333,8 @@ def equidist_experiment(
     distinct integers from [0, N].
     """
     # the whole ladder and the exponent are checked before any set is built
-    if not all(isinstance(n, Integral) and n >= 1 for n in n_list):  # nan, inf and 64.5 too
-        raise ValueError(f"every N of the ladder must be an integer >= 1, got {tuple(n_list)}")
-    if not density_exponent >= 0:  # nan too
-        raise ValueError(f"density_exponent must be >= 0, got {density_exponent}")
+    n_list = [as_int(n, f"n_list[{i}]", 1) for i, n in enumerate(n_list)]
+    density_exponent = as_nonneg(density_exponent, "density_exponent")
     full = density_exponent == 0
     sizes = [n + 1 if full else min(math.ceil(n ** (1 - density_exponent)), n + 1) for n in n_list]
     if 48 * max(sizes, default=0) ** 2 > _FRACTION_SET_BYTES:

@@ -8,6 +8,11 @@ taken modulo 1.
 The reciprocity operations return BOTH sides of each identity as canonical
 ``Mod1Fraction`` values and raise if the claimed equality ever fails, so the
 experiment suites can assert them with zero tolerance.
+
+The package's one integer rule lives here too: `as_int` makes an integer
+argument (a numpy integer too) a Python int once, where it enters a spec or a
+kernel, and refuses 7.5, nan, inf or a value below its bound by name, as
+`as_nonneg` does for a finite real >= 0 (an eps).  Specs store what it returns.
 """
 
 from __future__ import annotations
@@ -15,10 +20,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import gcd, inf, isqrt, lcm, prod
+from numbers import Integral, Real
 from typing import Iterable
 
 __all__ = [
+    "as_int",
+    "as_nonneg",
     "Mod1Fraction",
     "FactoredInteger",
     "mod_inverse",
@@ -36,6 +44,24 @@ __all__ = [
 
 FACTORIZE_LIMIT = 2**63
 _TRIAL_LIMIT = 4096  # factorize trial-divides by the primes up to here, then splits the cofactor
+
+
+def as_int(value, name: str, lo: int | None) -> int:
+    """value as a Python int, for an integer (a numpy integer too) >= lo (None: no bound); ValueError naming
+    the argument for anything else."""
+    n = value if type(value) is int else int(value) if isinstance(value, Integral) else None
+    if n is None:  # 7.5, nan, inf and 8.0 too
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and n < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {n}")
+    return n
+
+
+def as_nonneg(value, name: str) -> float:
+    """value as a float, for a finite real >= 0; ValueError naming the argument for nan, inf or a negative."""
+    if not (isinstance(value, Real) and 0 <= value < inf):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +113,10 @@ class Mod1Fraction:
 
 def mod_inverse(a: int, n: int) -> int:
     """Multiplicative inverse of a modulo n, in [0, n-1]; 0 for n = 1; ValueError if gcd(a, n) > 1."""
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
+    if type(a) is not int:
+        a = as_int(a, "a", None)
+    if type(n) is not int or n < 1:  # one type check for the common call
+        n = as_int(n, "n", 1)
     return pow(a, -1, n)
 
 
@@ -99,8 +127,7 @@ def crt_combine(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """
     res, mod = 0, 1
     for r, m in pairs:
-        if m < 1:
-            raise ValueError("moduli must be >= 1")
+        m = as_int(m, "m", 1)
         if gcd(mod, m) != 1:
             raise ValueError(f"moduli are not pairwise coprime: gcd({mod},{m})>1")
         # x = res + mod*t with res + mod*t = r (mod m)
@@ -285,8 +312,7 @@ def factorize(n: int) -> FactoredInteger:
     exact root split of squares, cubes and fifth powers (`_perfect_power`), Miller-Rabin
     certification, and Brent rho with deterministic parameters.
     """
-    if n < 1:
-        raise ValueError("factorize needs a positive integer")
+    n = as_int(n, "n", 1)
     if n > FACTORIZE_LIMIT:
         raise ValueError(f"factorize supports n <= 2^63, got {n}")
     value = n
@@ -333,8 +359,7 @@ def squarefull_split(n: int) -> tuple[int, int]:
 
     (Square-full: every prime of b has exponent >= 2; the splitting is unique.)
     """
-    if n < 1:
-        raise ValueError("squarefull_split needs a positive integer")
+    n = as_int(n, "n", 1)
     b = 1
     nprime = 1
     for p, e in factorize(n).factors:
@@ -351,8 +376,7 @@ def gcd_infty(m: int, n: int) -> int:
     Equals the stable value of gcd(m^r, n); computed by repeated extraction,
     no factorization needed.
     """
-    if n < 1:
-        raise ValueError("gcd_infty needs n >= 1")
+    n = as_int(n, "n", 1)
     out = 1
     while True:
         d = gcd(m, n)
@@ -375,8 +399,7 @@ def _checked_pair(lhs: Mod1Fraction, rhs: Mod1Fraction, name: str) -> tuple[Mod1
 
 def reciprocity_two_term(m: int, n: int) -> tuple[Mod1Fraction, Mod1Fraction]:
     """inverse(m)/n + inverse(n)/m = 1/(mn) mod 1, for coprime m, n >= 1."""
-    if m < 1 or n < 1:
-        raise ValueError("m, n must be positive")
+    m, n = as_int(m, "m", 1), as_int(n, "n", 1)
     if gcd(m, n) != 1:
         raise ValueError(f"m, n must be coprime, gcd={gcd(m, n)}")
     lhs = Mod1Fraction(mod_inverse(m, n), n) + Mod1Fraction(mod_inverse(n, m), m)
@@ -389,9 +412,7 @@ def reciprocity_three_term(a: int, b: int, c: int) -> tuple[Mod1Fraction, Mod1Fr
 
     Requires a, b, c >= 1 pairwise coprime.
     """
-    for x in (a, b, c):
-        if x < 1:
-            raise ValueError("arguments must be positive")
+    a, b, c = as_int(a, "a", 1), as_int(b, "b", 1), as_int(c, "c", 1)
     if gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
         raise ValueError("arguments must be pairwise coprime")
     lhs = (
@@ -409,8 +430,7 @@ def split_denominator(a: int, b: int, c: int) -> tuple[Mod1Fraction, Mod1Fractio
     Requires b, c >= 1 with gcd(b,c) = 1 and gcd(a, bc) = 1 (a may be any
     integer satisfying the coprimality).
     """
-    if b < 1 or c < 1:
-        raise ValueError("b, c must be positive")
+    b, c = as_int(b, "b", 1), as_int(c, "c", 1)
     if gcd(b, c) != 1:
         raise ValueError("b, c must be coprime")
     if gcd(a, b * c) != 1:

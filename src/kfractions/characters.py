@@ -19,12 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import factorize
+from .arith import as_int, factorize
 
 __all__ = ["DirichletCharacter", "CharacterGroup", "character_group", "character_sums_by_modulus", "characters_mod",
            "grid_index", "prime_power_units", "unit_grid"]
@@ -114,11 +113,9 @@ def unit_grid(c: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     (`prime_power_units`) and the inverse of g^k is g^(phi-k), so its inverse row is the
     same array reversed past index 0 (of each half, +5^t and -5^t, at 2^e).  The blocks
     combine through the CRT idempotents (1 mod q, 0 mod c/q) in outer sums mod c.  c = 1
-    has the one unit 0, and c in {1, 2} the one-point grid (1,).  A numpy integer c is read as an int.
+    has the one unit 0, and c in {1, 2} the one-point grid (1,).  c goes through `arith.as_int` first.
     """
-    if not isinstance(c, Integral):  # nan and 7.5 too, before any table
-        raise ValueError(f"modulus c must be an integer, got {c!r}")
-    c = int(c)
+    c = as_int(c, "modulus c", 1)
     xs = inv = None
     shape: tuple[int, ...] = ()
     for p, e in factorize(c).factors:
@@ -142,7 +139,7 @@ def grid_index(moduli: Sequence[int], xs) -> tuple[np.ndarray, list[tuple[int, .
     position in `unit_grid(c)`, from one log table per prime power (the inverse permutation of
     `prime_power_units`), or to -1 off the units and outside [0, c).  Shapes are `unit_grid`'s.
     """
-    cs = [int(c) for c in moduli]
+    cs = [as_int(c, f"moduli[{i}]", None) for i, c in enumerate(moduli)]
     if cs and (min(cs) < 1 or max(cs) > CHARACTER_MODULUS_LIMIT):
         raise ValueError(f"character moduli must lie in [1, {CHARACTER_MODULUS_LIMIT}]")
     xs = np.asarray(xs, dtype=np.int64)
@@ -183,9 +180,9 @@ def character_sums_by_modulus(moduli: Sequence[int], xs: Sequence[int], weights)
     flat buffer (one slot past the grids for non-units) by one `np.add.at`; then each modulus
     takes one unscaled inverse DFT over its grid's view.
     """
-    cs = np.array([int(c) for c in moduli], dtype=np.int64)
     xs = np.asarray(xs, dtype=np.int64)
-    index, shapes = grid_index(cs, xs[None] % cs.reshape(-1, *(1,) * xs.ndim))
+    cs = np.asarray(moduli)  # grid_index refuses a modulus that is no integer before it reads these residues
+    index, shapes = grid_index(moduli, xs[None] % cs.reshape(-1, *(1,) * xs.ndim))
     weights = np.asarray(weights)
     weights = weights.reshape((1,) * max(xs.ndim + 1 - weights.ndim, 0) + weights.shape)
     batch = weights.shape[1 : weights.ndim - xs.ndim]

@@ -31,12 +31,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import is_prime, jacobi
+from .arith import as_int, as_nonneg, is_prime, jacobi
 from .characters import CHARACTER_MODULUS_LIMIT, character_sums_by_modulus
 from .characters import character_group  # noqa: F401  -- perfbench's tracer test reads forms.character_group
 from .ksums import inverses_mod
@@ -91,8 +90,7 @@ class DyadicRange:
     scale: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.scale, Integral) and self.scale >= 1):  # nan, inf and 8.5 too
-            raise ValueError(f"scale must be an integer >= 1, got {self.scale!r}")
+        object.__setattr__(self, "scale", as_int(self.scale, "scale", 1))
 
     @property
     def lo(self) -> int:
@@ -144,11 +142,10 @@ class FormSpec:
     theta_f: int = 0
 
     def __post_init__(self) -> None:
+        for name, lo in (("m_scale", 1), ("n_scale", 1), ("a_scale", 1), ("theta", None), ("theta_f", None)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, lo))
         if self.theta == 0:
             raise ValueError("theta must be nonzero")
-        scales = (self.m_scale, self.n_scale, self.a_scale)
-        if not all(isinstance(x, Integral) and x >= 1 for x in scales):  # nan, inf and 8.5 too
-            raise ValueError(f"scales must be integers >= 1, got {scales}")
         if abs(self.theta) * self.a_scale * max(self.n_scale, self.m_scale) >= _PHASE_INT_GUARD:
             raise ValueError("theta*a*n exceeds the exact-phase integer guard")
 
@@ -417,6 +414,7 @@ def bound_trilinear(spec: FormSpec, *, eps: float = 0.0) -> float:
     """(1 + (|theta|A + X)/(MN))^(1/2) *
     [ (AMN)^(7/20+eps) (M+N)^(1/4) + (AMN)^(3/8+eps) (AN+AM)^(1/8) ];
     X = |theta_f|*A is the scale of the reciprocity shift."""
+    eps = as_nonneg(eps, "eps")
     m, n, a, th = spec.m_scale, spec.n_scale, spec.a_scale, abs(spec.theta)
     x = abs(spec.theta_f) * spec.a_scale
     pref = (1 + (th * a + x) / (m * n)) ** 0.5
@@ -427,12 +425,14 @@ def bound_trilinear(spec: FormSpec, *, eps: float = 0.0) -> float:
 
 def bound_bilinear(m_scale: int, n_scale: int, a: int, *, eps: float = 0.0) -> float:
     """(a + MN)^(3/8) (M+N)^(11/48+eps)."""
+    eps = as_nonneg(eps, "eps")
     return (abs(a) + m_scale * n_scale) ** (3 / 8) * (m_scale + n_scale) ** (11 / 48 + eps)
 
 
 def bound_twisted(spec: FormSpec, *, eps: float = 0.0) -> float:
     """(1 + |theta|A/(NM))^(1/2) *
     [ (MN)^(3/10) (AM+AN)^(7/20+eps) + A^(1/2) (N+M)^(7/8+eps) ]."""
+    eps = as_nonneg(eps, "eps")
     m, n, a, th = spec.m_scale, spec.n_scale, spec.a_scale, abs(spec.theta)
     pref = (1 + th * a / (n * m)) ** 0.5
     env = (m * n) ** (3 / 10) * (a * m + a * n) ** (7 / 20 + eps) + a**0.5 * (n + m) ** (7 / 8 + eps)
@@ -510,8 +510,7 @@ class AmplifierSpec:
     l_scale: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.b, Integral) and self.b >= 1):  # nan and 1.5 too
-            raise ValueError(f"b must be an integer >= 1, got {self.b!r}")
+        object.__setattr__(self, "b", as_int(self.b, "b", 1))
         if not 0 <= self.l_scale <= PRIME_WINDOW_LIMIT:  # nan and -inf too
             raise ValueError(f"l_scale={self.l_scale} must lie in [0, {PRIME_WINDOW_LIMIT}]: (L, 2L) would take "
                              f"{self.l_scale:.3g} primality tests")

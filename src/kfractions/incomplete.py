@@ -26,11 +26,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
-from numbers import Integral
 
 import numpy as np
 
-from .arith import gcd_infty, mod_inverse
+from .arith import as_int, as_nonneg, gcd_infty, mod_inverse
 from .characters import DirichletCharacter
 from .ksums import inverses_mod, kloosterman_row
 from .ksums import kloosterman_brute  # noqa: F401  -- perfbench's tracer test patches incomplete.kloosterman_brute
@@ -73,17 +72,14 @@ class IncompleteSpec:
     character: DirichletCharacter | None = None
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "delta", "k", "v", "x_start", "x_len", "alpha", "beta"):  # nan and 7.5 too
-            if not isinstance(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.gamma < 1 or self.delta < 1 or self.k < 1:
-            raise ValueError("gamma, delta, k must be >= 1")
-        if self.x_len < 0:
-            raise ValueError("x_len must be >= 0")
+        for name, lo in (("gamma", 1), ("delta", 1), ("k", 1), ("v", None), ("x_start", None), ("x_len", 0),
+                         ("alpha", None), ("beta", None)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, lo))
         if self.gcd_cond is not None:
-            _, _, c, d = self.gcd_cond
-            if not all(isinstance(x, Integral) for x in self.gcd_cond) or c < 1 or d < 1 or c % d != 0:
-                raise ValueError(f"gcd condition needs integers with d | c and c, d >= 1, got {self.gcd_cond}")
+            a, b, c, d = (as_int(x, f"gcd_cond[{i}]", None if i < 2 else 1) for i, x in enumerate(self.gcd_cond))
+            if c % d:
+                raise ValueError(f"gcd_cond (a, b, c, d) needs d | c, got {self.gcd_cond}")
+            object.__setattr__(self, "gcd_cond", (a, b, c, d))
         if self.character is not None and self.character.modulus != self.gamma:
             raise ValueError("character modulus must equal gamma")
 
@@ -134,8 +130,7 @@ def lemma_params(spec: IncompleteSpec) -> LemmaParams:
 def bound_plain(spec: IncompleteSpec, *, eps: float = 0.0) -> float:
     """(gamma*delta)^eps * (h1/h) * (gamma1/(alpha,gamma1))^(1/2)
     + (alpha,gamma1) * X * delta^eps / (gamma1 * k)."""
-    if not eps >= 0:  # nan too
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    eps = as_nonneg(eps, "eps")
     lp = lemma_params(spec)
     g1 = lp.gamma1
     ag = gcd(spec.alpha, g1)  # alpha = 0 gives gamma1
@@ -160,7 +155,7 @@ def _majorants(spec: IncompleteSpec) -> tuple[float, float]:
         raise ValueError("majorant requires delta = 1, beta = 0, no gcd condition")
     if spec.character is not None and not spec.character.is_principal:
         raise ValueError("majorant requires a trivial character")
-    g, k = int(spec.gamma), int(spec.k)  # a numpy integer too
+    g, k = spec.gamma, spec.k
     row = np.abs(kloosterman_row(spec.alpha, g))
     first = (spec.x_len + k) / (g * k) * row[0]
     r = np.arange(1, g // 2 + 1)

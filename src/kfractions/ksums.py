@@ -40,11 +40,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from math import gcd, isqrt, pi, sqrt
-from numbers import Integral
 
 import numpy as np
 
-from .arith import factorize
+from .arith import as_int, factorize
 from .characters import unit_grid
 
 __all__ = [
@@ -78,8 +77,8 @@ class KloostermanParams:
     c: int
 
     def __post_init__(self) -> None:
-        if not (all(isinstance(x, Integral) for x in (self.a, self.b, self.c)) and self.c >= 1):  # nan, 7.5 too
-            raise ValueError(f"a, b and c must be integers, c >= 1, got {(self.a, self.b, self.c)}")
+        for name, lo in (("a", None), ("b", None), ("c", 1)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, lo))
 
 
 @dataclass(frozen=True)
@@ -104,16 +103,12 @@ def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Units x mod c (1 <= c <= BRUTE_LIMIT) in grid order, their inverses (`characters.unit_grid`), and
     the row e(j/c).
 
-    The type and the range are checked before any allocation.  The row is built by baby and
+    c is converted by `arith.as_int` and capped before any allocation.  The row is built by baby and
     giant steps: s = ceil(sqrt(c)) baby roots e(j/c), j < s, and ceil(c/s)
     giant roots e(s*i/c); one outer product gives e((s*i + j)/c) in order of
     s*i + j, so 2 sqrt(c) complex exps and one multiply over c, not c exps.
     """
-    if not isinstance(c, Integral):  # a numpy integer is one; nan and 7.5 are not
-        raise ValueError(f"modulus c must be an integer, got {c!r}")
-    c = int(c)
-    if c < 1:
-        raise ValueError("modulus c must be >= 1")
+    c = as_int(c, "modulus c", 1)
     if c > BRUTE_LIMIT:
         raise ValueError(f"brute evaluation capped at c <= {BRUTE_LIMIT}, got {c}")
     xs, inv, _ = unit_grid(c)
@@ -227,8 +222,7 @@ def ramanujan(a: int, c: int) -> int:
 
     This is the divisor sum sum_{d | gcd(a,c)} d * mu(c/d) in closed form; phi(q) divides phi(c).
     """
-    if c < 1:
-        raise ValueError("modulus c must be >= 1")
+    c = as_int(c, "modulus c", 1)
     q = factorize(c // gcd(a, c))  # a = 0 gives q = 1
     return q.moebius * (factorize(c).euler_phi // q.euler_phi)
 

@@ -106,11 +106,13 @@ class TestDetCount:
             DetSpec(delta=1, m1_scale=8, m2_scale=8, alpha=ones(8), beta=ones(8), eta=1.0)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("delta", float("nan"), "Delta must be a nonzero integer, got nan"),  # det_count returned 0j
-        ("delta", 1.5, "Delta must be a nonzero integer, got 1.5"),
+        ("delta", float("nan"), "delta must be an integer, got nan"),  # det_count returned 0j
+        ("delta", 1.5, "delta must be an integer, got 1.5"),
+        ("delta", 0, "delta must be nonzero, got 0"),
         ("eta", float("nan"), "eta must exceed 1, got nan"),  # det_error_envelope returned nan
-        ("m1_scale", 8.5, "m1_scale and m2_scale must be integers >= 1, got (8.5, 8)"),
-        ("m2_scale", float("nan"), "m1_scale and m2_scale must be integers >= 1, got (8, nan)"),
+        ("m1_scale", 8.5, "m1_scale must be an integer, got 8.5"),
+        ("m2_scale", float("nan"), "m2_scale must be an integer, got nan"),
+        ("m2_scale", 0, "m2_scale must be >= 1, got 0"),
     ])
     def test_parameters_that_are_no_integers_or_nan_rejected_by_name(self, field, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -139,7 +141,7 @@ class TestMainTerm:
     def test_single_pair_matches_independent_quadrature(self):
         spec = DetSpec(delta=3, m1_scale=12, m2_scale=10, alpha=ones(1), beta=ones(1))
         got = det_main_term(spec)
-        f, g = spec.weight_f(), spec.weight_g()
+        f, g = spec.f_weight, spec.g_weight
         xs = np.linspace(3.0, 14.0, 2_000_001)
         trapz = np.trapezoid(f(xs + 3) * g(xs), xs)
         assert got.real == pytest.approx(trapz, rel=1e-6)
@@ -150,8 +152,7 @@ def scalar_det_count(spec: DetSpec, order: int = 1) -> complex:
     """The (n1, n2) double loop that det_count replaced, kept as its oracle."""
     m1r = DyadicRange(spec.m1_scale).members
     m2r = DyadicRange(spec.m2_scale).members
-    f = spec.weight_f()
-    g = spec.weight_g()
+    f, g = spec.f_weight, spec.g_weight
     m2_lo, m2_hi = int(m2r[0]), int(m2r[-1])
     m1_lo, m1_hi = int(m1r[0]), int(m1r[-1])
     total = 0.0 + 0.0j
@@ -202,8 +203,7 @@ def scalar_refined_integral(func, lo: float, hi: float) -> float:
 
 def scalar_main_term(spec: DetSpec) -> complex:
     """The (n1, n2) double loop that det_main_term replaced, kept as its oracle."""
-    f = spec.weight_f()
-    g = spec.weight_g()
+    f, g = spec.f_weight, spec.g_weight
     total = 0.0 + 0.0j
     for i1, n1 in enumerate(spec.alpha.range.members):
         n1 = int(n1)
@@ -483,7 +483,7 @@ class TestEquidistExperiment:
     def test_nan_density_exponent_rejected_by_name(self, monkeypatch):
         # raised "cannot convert float NaN to integer" from the set sizes, naming no option
         monkeypatch.setattr(apps, "build_fraction_set", lambda *args: pytest.fail("a set was built"))
-        with pytest.raises(ValueError, match="density_exponent must be >= 0, got nan"):
+        with pytest.raises(ValueError, match="density_exponent must be a finite number >= 0, got nan"):
             equidist_experiment([64], float("nan"))
 
     def test_ladder_value_that_is_no_integer_rejected_by_name(self, monkeypatch):
@@ -491,7 +491,7 @@ class TestEquidistExperiment:
         assert [r.n_scale for r in equidist_experiment([np.int64(8), np.int32(16)])] == [8, 16]
         monkeypatch.setattr(apps, "build_fraction_set", lambda *args: pytest.fail("a set was built"))
         for n_scale in (float("nan"), float("inf"), 64.5):
-            message = f"every N of the ladder must be an integer >= 1, got (32, {n_scale})"
+            message = f"n_list[1] must be an integer, got {n_scale}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 equidist_experiment([32, n_scale])
 
@@ -505,7 +505,7 @@ class TestEquidistExperiment:
             equidist_experiment([64, -3])
         with pytest.raises(ValueError):
             equidist_experiment([-5], density_exponent=0.5)
-        with pytest.raises(ValueError, match="density_exponent must be >= 0, got -0.5"):
+        with pytest.raises(ValueError, match="density_exponent must be a finite number >= 0, got -0.5"):
             equidist_experiment([64, 128], density_exponent=-0.5)
         assert calls == []
         equidist_experiment([8])

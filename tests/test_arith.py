@@ -1,13 +1,15 @@
 """Exactness tests for the integer and mod-1 layer."""
 
 import random
+import re
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfractions import arith
+from kfractions import apps, arith, characters, forms, incomplete, ksums
 from kfractions.arith import (
     FactoredInteger,
     Mod1Fraction,
@@ -388,3 +390,97 @@ class TestReciprocity:
                 lhs, rhs = split_denominator(a, b, c)
                 assert lhs == rhs
                 done += 1
+
+
+def _incomplete(**fields):
+    spec = incomplete.IncompleteSpec(**{"gamma": 7, "x_len": 20, "alpha": 3, **fields})
+    return incomplete.incomplete_brute(spec)
+
+
+def _det_spec(**fields):
+    ones = forms.CoefficientVector(forms.DyadicRange(4), np.ones(3))
+    return apps.DetSpec(**{"delta": 1, "m1_scale": 8, "m2_scale": 8, "alpha": ones, "beta": ones, **fields})
+
+
+# every entry point of an integer: (the name its message gives, a call of the value, a valid value)
+INTEGER_ENTRIES = {
+    "DyadicRange": ("scale", forms.DyadicRange, 8),
+    "FormSpec.m_scale": ("m_scale", lambda v: forms.FormSpec(v, 8, 8), 8),
+    "FormSpec.n_scale": ("n_scale", lambda v: forms.FormSpec(8, v, 8), 8),
+    "FormSpec.a_scale": ("a_scale", lambda v: forms.FormSpec(8, 8, v), 8),
+    "FormSpec.theta": ("theta", lambda v: forms.FormSpec(8, 8, 8, theta=v), 3),  # 1.5 raised IndexError in _phases
+    "FormSpec.theta_f": ("theta_f", lambda v: forms.FormSpec(8, 8, 8, theta_f=v), 2),
+    "AmplifierSpec": ("b", lambda v: forms.AmplifierSpec(v, 8.0), 2),
+    **{f"KloostermanParams.{name}": (name, lambda v, name=name: ksums.kloosterman_brute(
+        ksums.KloostermanParams(**{"a": 3, "b": 5, "c": 12, name: v})), good)
+       for name, good in [("a", 3), ("b", 5), ("c", 12)]},
+    **{f"IncompleteSpec.{name}": (name, lambda v, name=name: _incomplete(**{name: v}), good)
+       for name, good in [("gamma", 7), ("delta", 2), ("k", 2), ("v", 1), ("x_start", -3), ("x_len", 20),
+                          ("alpha", 3), ("beta", 2)]},
+    "IncompleteSpec.gcd_cond": ("gcd_cond[2]", lambda v: _incomplete(gcd_cond=(1, 0, v, 3)), 6),
+    **{f"DetSpec.{name}": (name, lambda v, name=name: apps.det_count(_det_spec(**{name: v})), good)
+       for name, good in [("delta", -3), ("m1_scale", 8), ("m2_scale", 12)]},
+    "unit_grid": ("modulus c", characters.unit_grid, 12),
+    "_unit_table": ("modulus c", ksums._unit_table, 12),
+    "grid_index": ("moduli[1]", lambda v: characters.grid_index([5, v], np.arange(12)[None]), 12),  # 7.5 was read as 7
+    "character_sums_by_modulus": (
+        "moduli[0]", lambda v: list(characters.character_sums_by_modulus([v], np.arange(12), 1.0)), 12),
+    "mod_inverse.a": ("a", lambda v: mod_inverse(v, 13), 3),
+    "mod_inverse.n": ("n", lambda v: mod_inverse(3, v), 13),  # np.int64(13) raised TypeError in pow
+    "equidist_experiment": ("n_list[0]", lambda v: apps.equidist_experiment([v]), 16),
+}
+
+SPEC = forms.FormSpec(8, 16, 4)
+# every entry point of a finite real >= 0: (its name, a call of the value); all but bound_plain returned nan for nan
+NONNEG_ENTRIES = {
+    "bound_trilinear": ("eps", lambda v: forms.bound_trilinear(SPEC, eps=v)),
+    "bound_bilinear": ("eps", lambda v: forms.bound_bilinear(8, 16, 4, eps=v)),
+    "bound_twisted": ("eps", lambda v: forms.bound_twisted(SPEC, eps=v)),
+    "bound_plain": ("eps", lambda v: incomplete.bound_plain(incomplete.IncompleteSpec(gamma=97, x_len=500), eps=v)),
+    "det_error_envelope": ("eps", lambda v: apps.det_error_envelope(_det_spec(), eps=v)),
+    "det_error_envelope_comparison": ("eps", lambda v: apps.det_error_envelope_comparison(_det_spec(), eps=v)),
+    "equidist_experiment": ("density_exponent", lambda v: apps.equidist_experiment([16], density_exponent=v)),
+}
+
+
+class TestIntegerRule:
+    """One rule, `arith.as_int`, for every integer the package takes: a numpy integer gives the Python int's
+    result, and 7.5, nan or inf raise a ValueError naming the argument, never a TypeError, an IndexError or a
+    truncation.  `arith.as_nonneg` holds every eps and the density exponent to a finite real >= 0."""
+
+    @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+    @pytest.mark.parametrize("bad", [7.5, float("nan"), float("inf"), np.float64(7.0)])
+    def test_non_integers_rejected_by_name(self, entry, bad):
+        name, call, _ = INTEGER_ENTRIES[entry]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            call(bad)
+
+    @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+    def test_numpy_integers_give_the_python_result(self, entry):
+        _, call, good = INTEGER_ENTRIES[entry]
+        assert type(good) is int
+        for kind in (np.int64, np.int32):  # repr shows a stored numpy integer, and every value's bits
+            assert repr(call(kind(good))) == repr(call(good))
+
+    @pytest.mark.parametrize("entry", NONNEG_ENTRIES)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_reals_rejected_by_name(self, entry, bad):
+        name, call = NONNEG_ENTRIES[entry]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a finite number >= 0, got {bad!r}")):
+            call(bad)
+        assert repr(call(np.float64(0.05))) == repr(call(0.05))
+
+    def test_numpy_scales_cannot_overflow_the_phase_guard(self):
+        # the product theta*a*n wrapped in int64 and passed the 2^60 guard
+        with pytest.raises(ValueError, match="exceeds the exact-phase integer guard"):
+            forms.FormSpec(np.int64(2**40), np.int64(2**40), np.int64(2**31))
+
+    def test_bounds_and_stored_types(self):
+        assert arith.as_int(np.int64(-4), "x", None) == -4 and type(arith.as_int(np.uint8(4), "x", 1)) is int
+        with pytest.raises(ValueError, match=re.escape("x must be >= 1, got 0")):
+            arith.as_int(np.int64(0), "x", 1)
+        with pytest.raises(ValueError, match=re.escape("x must be an integer, got '7'")):
+            arith.as_int("7", "x", None)
+        assert arith.as_nonneg(0, "eps") == 0.0 and type(arith.as_nonneg(np.float32(0.5), "eps")) is float
+        spec = incomplete.IncompleteSpec(gamma=np.int64(7), gcd_cond=(np.int8(1), 0, np.int64(6), 3))
+        assert all(type(x) is int for x in (spec.gamma, *spec.gcd_cond))

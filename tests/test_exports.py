@@ -1,7 +1,8 @@
 """Every name a kfractions module exports in __all__ resolves, is defined in that module and is read
 outside the tests, as is every public method, property and __init__-assigned instance attribute of its
 classes; the package itself exports its submodules only; every module attribute the benchmark's own
-tests read stays bound, and the number of options the package offers and its line total are tracked.
+tests read stays bound, only arith imports numbers.Integral, and the number of options the package offers
+and its line total are tracked.
 
 The caller ratchets match names by spelling, so they skip what only shares a spelling with a member: an
 attribute read on an imported module (np.zeros is no read of CoefficientVector.zeros) and a string
@@ -71,7 +72,24 @@ def test_tracked_line_count():
     """A ratchet on the line total of src/kfractions/*.py that ROADMAP quotes: code added or deleted changes
     this number, so it has to change it on purpose."""
     total = sum(path.read_bytes().count(b"\n") for path in Path(kfractions.__file__).parent.glob("*.py"))
-    assert total == 3319
+    assert total == 3316
+
+
+def test_only_arith_imports_integral():
+    """The integer rule has one home: arith is the one module that imports numbers.Integral (or numbers), so
+    every other module takes its integers through arith.as_int."""
+    importers = set()
+    for path in Path(kfractions.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                names = {"Integral" for a in node.names if a.name == "numbers"}  # numbers.Integral is one read away
+            else:
+                continue
+            if "Integral" in names:
+                importers.add(path.name)
+    assert importers == {"arith.py"}
 
 
 def _module_all(tree: ast.Module) -> list[str]:

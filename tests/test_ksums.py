@@ -168,7 +168,8 @@ class TestBrute:
     @pytest.mark.parametrize("params", [(1, 1, 7.5), (1, 1, float("nan")), (1.5, 1, 7), (1, float("nan"), 7)])
     def test_params_that_are_no_integers_rejected_by_name(self, params):
         # KloostermanParams(1, 1, 7.5) was accepted, then failed with "object of type 'float' has no len()"
-        with pytest.raises(ValueError, match=re.escape(f"a, b and c must be integers, c >= 1, got {params}")):
+        name, value = next((n, x) for n, x in zip("abc", params) if not isinstance(x, int))
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             KloostermanParams(*params)
         assert KloostermanParams(np.int64(1), np.int32(2), np.int64(7)).c == 7
 
