@@ -9,14 +9,14 @@ the scalar function as its one-element case, and a third for a whole row in b:
   from `characters.unit_grid`, the cyclic structure of (Z/c)*: each
   prime-power block lists its units as generator powers g^0 .. g^(phi-1)
   (baby-step/giant-step; +-5^t at 2^e), the inverse of g^k is g^(phi-k), and
-  the blocks combine by CRT idempotents.  The row e(j/c), j = 0..c-1, is
-  also built by baby and giant steps: ceil(sqrt(c)) baby roots e(j/c) times
-  about as many giant roots e(s*i/c), one outer product, so 2 sqrt(c)
-  complex exps instead of c.  The phase a*xbar + b*x is
-  reduced mod c in exact integer arithmetic and the terms are gathered from
-  the row of their modulus, one 2-D gather per chunk of rows (bounded in bytes)
-  and of columns (_GATHER_COLS units), so a large modulus needs little beyond
-  its table: 32 bytes per residue at a prime.
+  the blocks combine by CRT idempotents.  The roots e(t/c) come from baby and
+  giant steps, about 2 sqrt(c) complex exps instead of c: up to _ROW_ROOTS
+  residues their outer product is the row e(j/c), j < c; above it e(t/c) is
+  giant[t >> k] * baby[t & (2^k - 1)], two gathers that stay in cache.  The
+  phase a*xbar + b*x is reduced mod c in exact integer arithmetic and the
+  terms are gathered one 2-D gather per chunk of rows (bounded in bytes) and
+  of columns (_GATHER_COLS units), so a large modulus needs little beyond its
+  units and inverses: 16 bytes per residue at a prime.
 * ``kloosterman_fast_batch`` / ``kloosterman_fast`` -- twisted
   multiplicativity across prime-power blocks,
   S(a,b;mn) = S(a*nbar, b*nbar; m) * S(a*mbar, b*mbar; n) for coprime m,n,
@@ -61,13 +61,16 @@ __all__ = [
     "FAST_LIMIT",
 ]
 
+# the brute cap: 16 bytes per unit (the unit and its inverse) plus one gather chunk, about 160 MB at the cap
 BRUTE_LIMIT = 10**7
 FAST_LIMIT = 10**12
 _IMAG_TOL = 1e-9
-# terms of 24 bytes (a phase, then its root) per 2-D gather of kloosterman_batch, a row's own 64 bytes (its
-# reduced a and b, index and sums) counted as 3 terms; one row at least
+# terms per 2-D gather of kloosterman_batch, a row's own 64 bytes (its reduced a and b, index and sums) counted
+# as 3 terms; one row at least.  A term is 24 bytes (a phase, then its root) from a whole row, 48 from the steps
+# (a phase, a step index and two roots)
 _GATHER_TERMS = 2**15
 _GATHER_COLS = 2**16  # units per column chunk of one gather
+_ROW_ROOTS = 2**16  # the largest c whose unit table keeps the whole row e(j/c), j < c
 
 
 @dataclass(frozen=True)
@@ -99,39 +102,59 @@ def _power_mod(xs: np.ndarray, e: int, c: int) -> np.ndarray:
     return out
 
 
-def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray | None]]:
     """Units x mod c (1 <= c <= BRUTE_LIMIT) in grid order, their inverses (`characters.unit_grid`), and
-    the row e(j/c).
+    the roots e(t/c) as the pair (baby, giant) that `_roots` reads.
 
-    c is converted by `arith.as_int` and capped before any allocation.  The row is built by baby and
-    giant steps: s = ceil(sqrt(c)) baby roots e(j/c), j < s, and ceil(c/s)
-    giant roots e(s*i/c); one outer product gives e((s*i + j)/c) in order of
-    s*i + j, so 2 sqrt(c) complex exps and one multiply over c, not c exps.
+    c is converted by `arith.as_int` and capped before any allocation.  Up to c = _ROW_ROOTS, s = ceil(sqrt(c))
+    baby roots e(j/c), j < s, and ceil(c/s) giant roots e(s*i/c) give by one outer product the row
+    e((s*i + j)/c) in order of s*i + j: the pair is (row, None).  Above it s = 2^k, k = ceil(log2(c)/2), and
+    the pair is the steps themselves, no row.  Either way 2 sqrt(c) complex exps, not c.
     """
     c = as_int(c, "modulus c", 1)
     if c > BRUTE_LIMIT:
         raise ValueError(f"brute evaluation capped at c <= {BRUTE_LIMIT}, got {c}")
     xs, inv, _ = unit_grid(c)
-    s = isqrt(c - 1) + 1
+    whole = c <= _ROW_ROOTS
+    s = isqrt(c - 1) + 1 if whole else 1 << ((c - 1).bit_length() + 1) // 2
     baby = np.exp(2j * np.pi * (np.arange(s) / c))
     giant = np.exp(2j * np.pi * (np.arange(0, c, s) / c))
-    return xs, inv, np.multiply.outer(giant, baby).ravel()[:c]
+    return xs, inv, (np.multiply.outer(giant, baby).ravel()[:c], None) if whole else (baby, giant)
+
+
+def _roots(roots: tuple[np.ndarray, np.ndarray | None], t: np.ndarray) -> np.ndarray:
+    """e(t/c) for an int64 array t of phases in [0, c), from `_unit_table`'s roots: the row's entries, or
+    giant[t >> k] * baby[t & (2^k - 1)] with 2^k = len(baby), a shift, a mask and two gathers."""
+    baby, giant = roots
+    if giant is None:
+        return baby[t]
+    out = giant[t >> (len(baby).bit_length() - 1)]
+    out *= baby[t & (len(baby) - 1)]
+    return out
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """values as an int64 array; raises ValueError naming them unless they are integers (`_runs`' test of c)."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":  # nan and 7.5 too; an empty sequence is accepted
+        raise ValueError(f"{name} must be integers, got {values!r}")
+    return array.astype(np.int64, copy=False)
 
 
 def inverses_mod(xs, n: int) -> np.ndarray:
     """xbar mod n for every integer x in xs (any sign), 0 where gcd(x, n) > 1: x^(lambda(n)-1) mod n."""
     if n < 1 or n * n >= 2**63:
         raise ValueError(f"inverses need 1 <= n and n^2 < 2^63 (exact int64 products), got n={n}")
-    xs = np.asarray(xs, dtype=np.int64) % n
+    xs = _integers(xs, "x") % n
     out = _power_mod(xs, factorize(n).carmichael - 1, n)  # at n = 1, x^0 = 1 = 0 (mod 1)
     out[np.gcd(xs, n) != 1] = 0
     return out
 
 
-def _unit_sums(a, b, c: int, table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+def _unit_sums(a, b, c: int, table) -> np.ndarray:
     """sum over units x mod c of e((a*xbar + b*x)/c) for int64 columns a, b of shape (k, 1) in [0, c).
 
-    The k sums come from one 2-D gather per chunk of _GATHER_COLS units, added chunk by chunk; the
+    The k sums come from one 2-D gather (`_roots`) per chunk of _GATHER_COLS units, added chunk by chunk; the
     phase t >= 0 is reduced mod c exactly as t - (t // c) * c, which beats the remainder t % c.
     """
     xs, inv, roots = table
@@ -143,7 +166,7 @@ def _unit_sums(a, b, c: int, table: tuple[np.ndarray, np.ndarray, np.ndarray]) -
         q *= c
         t -= q
         del q  # freed before the gather
-        part = roots[t].sum(axis=-1)
+        part = _roots(roots, t).sum(axis=-1)
         totals = part if totals is None else totals + part
     return totals
 
@@ -183,8 +206,7 @@ def kloosterman_batch(a, b, c) -> np.ndarray:
     naming the first (a, b, c), of the least such c, whose imaginary part exceeds 1e-9 * phi(c).
     """
     moduli, runs = _runs(a, b, c)
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a, b = _integers(a, "a"), _integers(b, "b")
     values = np.empty(len(a))
     for m, run in zip(moduli, runs):
         table = _unit_table(m)
@@ -207,12 +229,17 @@ def kloosterman_row(a: int, c: int) -> np.ndarray:
     """S(a, b; c) for b = 0 .. c-1 from one length-c FFT: entry b is sum_x f[x] e(bx/c).
 
     f[x] = e(a*xbar/c) on the units x mod c (from the brute route's unit
-    table, so the same range) and 0 elsewhere.  Raises ArithmeticError
-    naming the first (a, b, c) whose imaginary part exceeds 1e-9 * phi(c).
+    table, so the same range, gathered in chunks of _GATHER_COLS units) and 0
+    elsewhere.  Raises ArithmeticError naming the first (a, b, c) whose
+    imaginary part exceeds 1e-9 * phi(c).
     """
+    a = as_int(a, "a", None)
     xs, inv, roots = _unit_table(c)
     f = np.zeros(c, dtype=np.complex128)
-    f[xs] = roots[inv * (a % c) % c]
+    for j in range(0, len(xs), _GATHER_COLS):
+        t = inv[j : j + _GATHER_COLS] * (a % c)
+        t %= c
+        f[xs[j : j + _GATHER_COLS]] = _roots(roots, t)
     totals = np.fft.ifft(f, norm="forward")  # unscaled: sum_x f[x] e(bx/c)
     return _real_parts(totals, c, len(xs), lambda b: (a, b))
 
@@ -296,8 +323,7 @@ def kloosterman_fast_batch(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     brute summation is at most the brute cap.
     """
     moduli, runs = _runs(a, b, c)
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a, b = _integers(a, "a"), _integers(b, "b")
     if moduli and moduli[0] < 1:
         raise ValueError(f"modulus c must be >= 1, got {moduli[0]}")
     if moduli and moduli[-1] > FAST_LIMIT:

@@ -425,6 +425,7 @@ INTEGER_ENTRIES = {
     "grid_index": ("moduli[1]", lambda v: characters.grid_index([5, v], np.arange(12)[None]), 12),  # 7.5 was read as 7
     "character_sums_by_modulus": (
         "moduli[0]", lambda v: list(characters.character_sums_by_modulus([v], np.arange(12), 1.0)), 12),
+    "kloosterman_row.a": ("a", lambda v: ksums.kloosterman_row(v, 13), 3),  # 7.5 raised IndexError
     "mod_inverse.a": ("a", lambda v: mod_inverse(v, 13), 3),
     "mod_inverse.n": ("n", lambda v: mod_inverse(3, v), 13),  # np.int64(13) raised TypeError in pow
     "equidist_experiment": ("n_list[0]", lambda v: apps.equidist_experiment([v]), 16),

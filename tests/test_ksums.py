@@ -4,7 +4,7 @@ import cmath
 import random
 import re
 import tracemalloc
-from math import cos, gcd, pi, sin, sqrt
+from math import cos, gcd, isqrt, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from kfractions.ksums import (
     BRUTE_LIMIT,
     FAST_LIMIT,
     KloostermanParams,
+    _roots,
     _salie_block,
     _sqrt_mod_prime_power,
     _unit_table,
@@ -114,9 +115,9 @@ class TestUnitInverses:
 
 class TestBrute:
     def test_modulus_one(self):
-        # c = 1 takes the general path: the one unit 0 and the root row [1] give S(a, b; 1) = 1 exactly
+        # c = 1 takes the general path: the one unit 0 and the root e(0/1) = 1 give S(a, b; 1) = 1 exactly
         xs, inv, roots = _unit_table(1)
-        assert xs.tolist() == inv.tolist() == [0] and roots.tolist() == [1 + 0j]
+        assert xs.tolist() == inv.tolist() == [0] and _roots(roots, np.zeros(1, dtype=np.int64)).tolist() == [1 + 0j]
         pairs = [(5, -3), (0, 0), (-5, 3), (-(10**6), -7), (2**40, 12)]
         for size in (0, 1, 5):
             a, b = (np.array([pair[i] for pair in pairs[:size]], dtype=np.int64) for i in (0, 1))
@@ -175,13 +176,32 @@ class TestBrute:
 
 
 class TestUnitTableKernels:
-    """The root row from baby and giant steps, and the gather in column chunks of _GATHER_COLS units."""
+    """The roots from baby and giant steps, and the gather in column chunks of _GATHER_COLS units."""
 
-    @pytest.mark.parametrize("c", [2, 3, 5, 4096, 4097, 65537, 700001])  # 4096 = 64^2, 4097 = 64^2 + 1
+    # 4096 = 64^2, 4097 = 64^2 + 1, 65537 = 2^16 + 1 the least c read from the steps
+    @pytest.mark.parametrize("c", [2, 3, 5, 4096, 4097, 65537, 700001])
     def test_root_row_matches_exp(self, c):
         roots = _unit_table(c)[2]
-        assert roots.shape == (c,)
-        assert np.abs(roots - np.exp(2j * np.pi * np.arange(c) / c)).max() <= 1e-14
+        t = np.arange(c)
+        assert np.abs(_roots(roots, t) - np.exp(2j * np.pi * t / c)).max() <= 1e-14
+        if c <= 2**16:  # the whole row, built bit for bit as before the steps: one outer product
+            s = isqrt(c - 1) + 1
+            baby = np.exp(2j * np.pi * (np.arange(s) / c))
+            giant = np.exp(2j * np.pi * (np.arange(0, c, s) / c))
+            assert roots[1] is None and np.array_equal(roots[0], np.multiply.outer(giant, baby).ravel()[:c])
+        else:  # 2^k baby and ceil(c/2^k) giant roots, k = ceil(log2(c)/2): no length-c row
+            k = (int(np.ceil(np.log2(c))) + 1) // 2
+            assert [len(r) for r in roots] == [2**k, -(-c // 2**k)] and 2 ** (2 * k) >= c > 2 ** (2 * k - 2)
+
+    @pytest.mark.parametrize("c", [65537, 131071, 2**12 * 147])  # 2^16 + 1 and 2^17 - 1, primes; 2^k * odd
+    def test_batch_from_the_steps_matches_a_direct_exp_sum(self, c):
+        rng = random.Random(c)
+        units = np.flatnonzero(np.gcd(np.arange(c), c) == 1)
+        inverses = np.array([pow(int(x), -1, c) for x in units])
+        a = [rng.randint(-2 * c, 2 * c) for _ in range(3)] + [1, 0]
+        b = [rng.randint(-2 * c, 2 * c) for _ in range(3)] + [1, 0]
+        direct = [np.exp(2j * np.pi * ((x * inverses + y * units) % c) / c).sum().real for x, y in zip(a, b)]
+        assert np.abs(kloosterman_batch(a, b, c) - direct).max() <= 1e-9 * len(units)
 
     @pytest.mark.parametrize("c", [70001, 2**12 * 147])  # a prime with phi > 2^16, 2^k * odd
     def test_column_chunks_agree_with_the_default(self, c, monkeypatch):
@@ -211,8 +231,21 @@ class TestUnitTableKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # units and inverses (8 bytes each) and the complex row (16): 32 bytes per residue, 4 MiB for the rest
-        assert peak <= 32 * c + 4 * 2**20
+        # units and inverses (8 bytes each): 16 bytes per residue, no length-c row; 4 MiB for the rest (one
+        # gather chunk of 2^16 terms of 48 bytes among them)
+        assert peak <= 16 * c + 4 * 2**20
+
+    def test_uncached_row_peak_memory(self):
+        c = 700001
+        tracemalloc.start()
+        try:
+            kloosterman_row(3, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # units and inverses (16 bytes per residue), f and the FFT's output (16 each) and the FFT's own work
+        # (a prime length); the unit gather in chunks of _GATHER_COLS, so no length-c root row or phase array
+        assert peak <= 64 * c + 4 * 2**20
 
 
 class TestBatch:
@@ -320,9 +353,24 @@ class TestBatch:
         with pytest.raises(ValueError, match=message):
             kloosterman_fast_batch([1, 2], [3, 4], bad)
 
+    @pytest.mark.parametrize("name, call", [
+        ("a", lambda v: kloosterman_batch(v, [1], 13)),
+        ("b", lambda v: kloosterman_batch([1], v, [13])),
+        ("a", lambda v: kloosterman_fast_batch(v, [1], 13)),
+        ("b", lambda v: kloosterman_fast_batch([1], v, [13])),
+        ("x", lambda v: inverses_mod(v, 13)),
+    ], ids=["batch-a", "batch-b", "fast-a", "fast-b", "inverses"])
+    @pytest.mark.parametrize("bad", [[7.5], [float("nan")], np.array([3.0]), [np.float64(2.0)]])
+    def test_arguments_that_are_no_integers_rejected_by_name_before_any_table(self, monkeypatch, name, call, bad):
+        # kloosterman_batch([7.5], [1], 13) returned S(7, 1; 13) and inverses_mod([3.5], 13) returned 9
+        monkeypatch.setattr(ksums, "unit_grid", lambda c: pytest.fail("unit_grid ran"))
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be integers, got {bad!r}")):
+            call(bad)
+        assert inverses_mod([], 13).shape == (0,)  # an empty sequence stays accepted, as in the batches
+
     def test_batch_rejects_unequal_lengths_before_any_allocation(self):
         tracemalloc.start()
-        try:  # at c = 10^6 the unit table alone would take 32 MB
+        try:  # at c = 10^6 the unit table alone would take 16 MB
             with pytest.raises(ValueError, match=r"^a, b need one length, got len\(a\)=2, len\(b\)=1$"):
                 kloosterman_batch([1, 2], [3], 10**6)
             peak = tracemalloc.get_traced_memory()[1]
@@ -339,7 +387,7 @@ class TestBatch:
     def test_chunked_gather_is_bit_identical(self, monkeypatch):
         a, b = np.arange(-40, 40), np.arange(80) * 7
         whole = kloosterman_batch(a, b, 1999)
-        monkeypatch.setattr(ksums, "_GATHER_TERMS", 3 * 1998 + 5)  # chunks of 3 rows
+        monkeypatch.setattr(ksums, "_GATHER_TERMS", 3 * (1998 + 3))  # chunks of 3 rows of phi(1999) + 3 terms
         assert np.array_equal(kloosterman_batch(a, b, 1999), whole)
 
     def test_lost_realness_names_the_first_offending_sum(self, monkeypatch):
@@ -453,6 +501,13 @@ class TestRow:
         finally:
             tracemalloc.stop()
         assert peak < 2**20  # a length-c row would be 16 * 10^7 bytes
+
+    @pytest.mark.parametrize("bad", [7.5, float("nan"), np.float64(3.0)])
+    def test_a_that_is_no_integer_rejected_by_name_before_any_table(self, monkeypatch, bad):
+        # kloosterman_row(7.5, 13) raised IndexError
+        monkeypatch.setattr(ksums, "unit_grid", lambda c: pytest.fail("unit_grid ran"))
+        with pytest.raises(ValueError, match=re.escape(f"a must be an integer, got {bad!r}")):
+            kloosterman_row(bad, 13)
 
     def test_lost_realness_names_the_first_offending_sum(self, monkeypatch):
         monkeypatch.setattr(ksums, "_IMAG_TOL", -1.0)  # every sum now fails the check
