@@ -5,8 +5,10 @@ The package exports its submodules only; import each name from its submodule
 (``from kfractions.ksums import kloosterman_brute``).
 
 Integers enter by one rule, `arith.as_int`: a spec or kernel makes each integer
-argument (a numpy integer too) a Python int once, and refuses 7.5, nan, inf or a
-value out of range by a ValueError naming it; `arith.as_nonneg` does so for eps.
+argument (a numpy integer too, never a bool) a Python int once, and refuses 7.5,
+nan, inf or a value out of range by a ValueError naming it; `arith.as_ints` does
+so for an array of them and `arith.as_nonneg` for eps.  Memory has one budget,
+`arith.BYTE_CAP`: `arith.check_bytes` refuses a step over it before allocating.
 
 Submodules
 ----------

@@ -23,7 +23,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import as_int, as_nonneg, mod_inverse
+from .arith import as_int, as_nonneg, check_bytes, mod_inverse
 from .forms import CoefficientVector, DyadicRange
 from .ksums import inverses_mod
 
@@ -48,9 +48,10 @@ __all__ = [
 
 DET_TUPLE_LIMIT = 10**8
 _DET_BLOCK = 2**16  # (n1, n2, m) tuples of one det_count block, quadrature points of one det_main_term pass
-# bound on the peak bytes of one equidist step, charged at 48 B to each of the |X_N|^2 ordered pairs: a
-# coprime pair holds an int64 (m, n, a0) row and a float64 point, star_discrepancy a sorted copy and a work row
-_FRACTION_SET_BYTES = 2**30
+_STAR_ROW = 2**12  # points per work row of star_discrepancy: 32 KiB temporaries
+# What one equidist step holds per ordered pair of X_N: a coprime pair's int64 (m, n, a0) row and float64
+# point and star_discrepancy's sorted copy (40 B), with 8 B to spare for the masks and work rows beside them
+FRACTION_PAIR_BYTES = 48
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,9 @@ def build_fraction_set(n_scale: int, ground_set) -> FractionSet:
         a0 += n * np.maximum(0, -((a0 * m - n - 1) // (n * m)))
         pairs[lo:lo + len(n)] = np.column_stack([np.full_like(n, m), n, a0])
         lo += len(n)
-    return FractionSet(n_scale, tuple(members), pairs[:, 2] % pairs[:, 0] / pairs[:, 0], pairs)
+    points = np.remainder(pairs[:, 2], pairs[:, 0], out=np.empty(len(pairs)))  # a0 mod m, exact as a float
+    points /= pairs[:, 0]  # in place: no int64 temporary of the pairs' length beside the points
+    return FractionSet(n_scale, tuple(members), points, pairs)
 
 
 def star_discrepancy(points) -> float:
@@ -306,11 +309,12 @@ def star_discrepancy(points) -> float:
         raise ValueError("star discrepancy needs at least one point")
     if not (xs[0] >= 0 and xs[-1] < 1):  # nan sorts last
         raise ValueError(f"points must lie in [0, 1), got the sorted ends {xs[0]} and {xs[-1]}")
-    t = np.arange(k, dtype=np.float64)
-    below = np.subtract(xs, np.divide(t, k, out=t), out=t).max()  # x_(i) - (i-1)/k, in place
-    del t  # one work row at a time
-    t = np.arange(1, k + 1, dtype=np.float64)
-    return float(max(below, np.subtract(np.divide(t, k, out=t), xs, out=t).max()))
+    gap = 0.0  # D* >= 1 - x_(K) > 0
+    for lo in range(0, k, _STAR_ROW):  # one work row of _STAR_ROW points at a time
+        t = np.arange(lo, min(lo + _STAR_ROW, k), dtype=np.float64)
+        x = xs[lo : lo + len(t)]
+        gap = max(gap, (x - t / k).max(), ((t + 1) / k - x).max())  # x_(i) - (i-1)/k and i/k - x_(i)
+    return float(gap)
 
 
 @dataclass(frozen=True)
@@ -337,8 +341,8 @@ def equidist_experiment(
     density_exponent = as_nonneg(density_exponent, "density_exponent")
     full = density_exponent == 0
     sizes = [n + 1 if full else min(math.ceil(n ** (1 - density_exponent)), n + 1) for n in n_list]
-    if 48 * max(sizes, default=0) ** 2 > _FRACTION_SET_BYTES:
-        raise ValueError(f"|X_N| = {max(sizes)} needs 48*|X_N|^2 bytes, cap is {_FRACTION_SET_BYTES}")
+    largest = max(sizes, default=0)
+    check_bytes(FRACTION_PAIR_BYTES * largest**2, f"|X_N| = {largest}")
     rows = []
     for i, (n_scale, size) in enumerate(zip(n_list, sizes)):
         if full:

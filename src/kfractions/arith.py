@@ -10,9 +10,13 @@ The reciprocity operations return BOTH sides of each identity as canonical
 experiment suites can assert them with zero tolerance.
 
 The package's one integer rule lives here too: `as_int` makes an integer
-argument (a numpy integer too) a Python int once, where it enters a spec or a
-kernel, and refuses 7.5, nan, inf or a value below its bound by name, as
-`as_nonneg` does for a finite real >= 0 (an eps).  Specs store what it returns.
+argument (a numpy integer too, never a bool) a Python int once, where it enters
+a spec or a kernel, and refuses 7.5, nan, inf or a value below its bound by
+name, as `as_ints` does for an array of them (an int64 array) and `as_nonneg`
+for a finite real >= 0 (an eps).  Specs store what it returns.
+
+So does its one byte budget, BYTE_CAP: `check_bytes` refuses a step that would
+hold more, at its module's measured bytes per entry, before any allocation.
 """
 
 from __future__ import annotations
@@ -24,9 +28,14 @@ from math import gcd, inf, isqrt, lcm, prod
 from numbers import Integral, Real
 from typing import Iterable
 
+import numpy as np
+
 __all__ = [
     "as_int",
+    "as_ints",
     "as_nonneg",
+    "BYTE_CAP",
+    "check_bytes",
     "Mod1Fraction",
     "FactoredInteger",
     "mod_inverse",
@@ -42,19 +51,28 @@ __all__ = [
     "split_denominator",
 ]
 
+BYTE_CAP = 2**30  # the most bytes one step of a suite may hold
 FACTORIZE_LIMIT = 2**63
 _TRIAL_LIMIT = 4096  # factorize trial-divides by the primes up to here, then splits the cofactor
 
 
 def as_int(value, name: str, lo: int | None) -> int:
-    """value as a Python int, for an integer (a numpy integer too) >= lo (None: no bound); ValueError naming
+    """value as a Python int, for an integer (a numpy integer too, no bool) >= lo (None: no bound); ValueError naming
     the argument for anything else."""
     n = value if type(value) is int else int(value) if isinstance(value, Integral) else None
-    if n is None:  # 7.5, nan, inf and 8.0 too
+    if n is None or isinstance(value, bool):  # 7.5, nan, inf, 8.0 and True too
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if lo is not None and n < lo:
         raise ValueError(f"{name} must be >= {lo}, got {n}")
     return n
+
+
+def as_ints(values, name: str) -> np.ndarray:
+    """values as an int64 array; ValueError naming them unless they are integers (an empty sequence is)."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":  # 7.5, nan and True too
+        raise ValueError(f"{name} must be integers, got {values!r}")
+    return array.astype(np.int64, copy=False)
 
 
 def as_nonneg(value, name: str) -> float:
@@ -62,6 +80,12 @@ def as_nonneg(value, name: str) -> float:
     if not (isinstance(value, Real) and 0 <= value < inf):
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
     return float(value)
+
+
+def check_bytes(need: int, what: str) -> None:
+    """ValueError unless need bytes fit BYTE_CAP, the package's one byte budget; called before allocating."""
+    if need > BYTE_CAP:
+        raise ValueError(f"{what} would hold {need} bytes, over the cap of {BYTE_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +117,6 @@ class Mod1Fraction:
             self.numerator * other.denominator + other.numerator * self.denominator,
             self.denominator * other.denominator,
         )
-
-    def __neg__(self) -> "Mod1Fraction":
-        return Mod1Fraction(-self.numerator, self.denominator)
-
-    def __sub__(self, other: "Mod1Fraction") -> "Mod1Fraction":
-        return self + (-other)
-
-    def __float__(self) -> float:
-        return self.numerator / self.denominator
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"

@@ -6,10 +6,10 @@ order-2 component (2^2), or the pair <-1> x <5> (2^e, e >= 3).
 `prime_power_units` lists each block's units as generator powers, built by
 baby-step/giant-step.  `unit_grid` lifts the blocks by CRT to the units in the
 C order of the grid shaped by the generator orders, with their inverses; it
-serves the `ksums` unit tables and the character groups.  `grid_index` maps
-residues to flat grid indices for many moduli at once.  A character is a
-frequency of that grid: the character sums of a modulus are one unscaled
-inverse DFT of the weights added at their grid points
+serves the `ksums` unit tables.  `grid_index`, the one map of residues to flat
+grid indices, takes many moduli at once; a character group reads its index
+from it.  A character is a frequency of that grid: the character sums of a
+modulus are one unscaled inverse DFT of the weights added at their grid points
 (`character_sums_by_modulus`, for many moduli at once), and a `value_table`
 the inverse DFT of an indicator (q <= 1e4).
 """
@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import as_int, factorize
+from .arith import as_int, as_ints, factorize
 
 __all__ = ["DirichletCharacter", "CharacterGroup", "character_group", "character_sums_by_modulus", "characters_mod",
            "grid_index", "prime_power_units", "unit_grid"]
@@ -105,19 +105,19 @@ def _crt_lift(acc: np.ndarray | None, col: np.ndarray, idem: int, c: int) -> np.
     return out
 
 
-def unit_grid(c: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """The units x mod c in grid order, their inverses, and the grid shape (the generator orders).
+def unit_grid(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units x mod c in grid order and their inverses.
 
-    Unit i has as generator exponents the digits of i over the shape, last digit fastest,
-    the prime-power blocks in factor order.  A block's units are generator powers
-    (`prime_power_units`) and the inverse of g^k is g^(phi-k), so its inverse row is the
-    same array reversed past index 0 (of each half, +5^t and -5^t, at 2^e).  The blocks
-    combine through the CRT idempotents (1 mod q, 0 mod c/q) in outer sums mod c.  c = 1
-    has the one unit 0, and c in {1, 2} the one-point grid (1,).  c goes through `arith.as_int` first.
+    Unit i has as generator exponents the digits of i over the grid shape (the generator
+    orders, as `grid_index` gives it), last digit fastest, the prime-power blocks in factor
+    order.  A block's units are generator powers (`prime_power_units`) and the inverse of g^k
+    is g^(phi-k), so its inverse row is the same array reversed past index 0 (of each half,
+    +5^t and -5^t, at 2^e).  The blocks combine through the CRT idempotents (1 mod q, 0 mod
+    c/q) in outer sums mod c.  c = 1 has the one unit 0, and c in {1, 2} the one-point grid
+    (1,).  c goes through `arith.as_int` first.
     """
     c = as_int(c, "modulus c", 1)
     xs = inv = None
-    shape: tuple[int, ...] = ()
     for p, e in factorize(c).factors:
         q = p**e
         units, orders = prime_power_units(p, e)
@@ -125,24 +125,24 @@ def unit_grid(c: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         inverses = np.concatenate((rows[:, :1], rows[:, :0:-1]), axis=1).ravel()
         idem = c // q * pow(c // q, -1, q)  # 1 mod q, 0 mod c/q
         xs, inv = _crt_lift(xs, units, idem, c), _crt_lift(inv, inverses, idem, c)
-        shape += orders
     if xs is None:
         xs = inv = np.zeros(1, dtype=np.int64)
-    return xs, inv, shape or (1,)
+    return xs, inv
 
 
 def grid_index(moduli: Sequence[int], xs) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """The flat grid index of residues for many moduli at once, and each modulus's grid shape.
 
-    Row i of xs, shaped (len(moduli), ...) or (1, ...), holds residues mod c = moduli[i] =
-    q_1 ... q_k.  x maps to sum_j log_j(x mod q_j) * (the later blocks' orders), its C-order
-    position in `unit_grid(c)`, from one log table per prime power (the inverse permutation of
-    `prime_power_units`), or to -1 off the units and outside [0, c).  Shapes are `unit_grid`'s.
+    Row i of xs (integers), shaped (len(moduli), ...) or (1, ...), holds residues mod c =
+    moduli[i] = q_1 ... q_k.  x maps to sum_j log_j(x mod q_j) * (the later blocks' orders), its
+    C-order position in `unit_grid(c)`, from one log table per prime power (the inverse
+    permutation of `prime_power_units`), or to -1 off the units and outside [0, c).  The shape
+    is the generator orders, blocks in factor order, and (1,) for c in {1, 2}.
     """
     cs = [as_int(c, f"moduli[{i}]", None) for i, c in enumerate(moduli)]
     if cs and (min(cs) < 1 or max(cs) > CHARACTER_MODULUS_LIMIT):
         raise ValueError(f"character moduli must lie in [1, {CHARACTER_MODULUS_LIMIT}]")
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = as_ints(xs, "xs")
     trail = (1,) * (xs.ndim - 1)
     blocks = [factorize(c).factors for c in cs]
     width = max(map(len, blocks), default=0)
@@ -180,7 +180,7 @@ def character_sums_by_modulus(moduli: Sequence[int], xs: Sequence[int], weights)
     flat buffer (one slot past the grids for non-units) by one `np.add.at`; then each modulus
     takes one unscaled inverse DFT over its grid's view.
     """
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = as_ints(xs, "xs")
     cs = np.asarray(moduli)  # grid_index refuses a modulus that is no integer before it reads these residues
     index, shapes = grid_index(moduli, xs[None] % cs.reshape(-1, *(1,) * xs.ndim))
     weights = np.asarray(weights)
@@ -206,15 +206,13 @@ def character_sums_by_modulus(moduli: Sequence[int], xs: Sequence[int], weights)
 
 
 class CharacterGroup:
-    """All Dirichlet characters modulo q <= 1e4, sharing one index of residues: the units of `unit_grid(q)`."""
+    """All Dirichlet characters modulo q <= 1e4, sharing one index of residues 0..q-1: `grid_index`'s."""
 
     def __init__(self, modulus: int):
-        if not 1 <= modulus <= CHARACTER_MODULUS_LIMIT:
+        if not 1 <= modulus <= CHARACTER_MODULUS_LIMIT:  # before any array of length q
             raise ValueError(f"character moduli must lie in [1, {CHARACTER_MODULUS_LIMIT}]")
         self.modulus = modulus
-        units, _, self.shape = unit_grid(modulus)
-        self._index = np.full(modulus, -1, dtype=np.int64)  # residue -> flat grid index, -1 off the units
-        self._index[units] = np.arange(len(units))
+        (self._index,), (self.shape,) = grid_index([modulus], np.arange(modulus)[None])  # -1 off the units
 
     def __eq__(self, other: object) -> bool:  # the group is a function of its modulus
         return isinstance(other, CharacterGroup) and other.modulus == self.modulus
@@ -258,7 +256,7 @@ class DirichletCharacter:
         return values[self.group._index]
 
     def values_at(self, xs: Sequence[int]) -> np.ndarray:
-        return self.value_table[np.asarray(xs, dtype=np.int64) % self.modulus]
+        return self.value_table[as_ints(xs, "xs") % self.modulus]
 
 
 def characters_mod(modulus: int) -> list[DirichletCharacter]:

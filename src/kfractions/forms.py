@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import as_int, as_nonneg, is_prime, jacobi
+from .arith import as_int, as_nonneg, check_bytes, is_prime, jacobi
 from .characters import CHARACTER_MODULUS_LIMIT, character_sums_by_modulus
 from .characters import character_group  # noqa: F401  -- perfbench's tracer test reads forms.character_group
 from .ksums import inverses_mod
@@ -68,13 +68,12 @@ __all__ = [
     "COMPDIV_TUPLE_LIMIT",
 ]
 
-TENSOR_ENTRY_LIMIT = 10**8
+TENSOR_ENTRY_LIMIT = 10**8  # entries of the dense tensor or T_S: 1.6 GB of complex128 at the cap, above BYTE_CAP
 PRIME_WINDOW_LIMIT = 10**5  # (L, 2L) is scanned once per spec by about L is_prime calls: 0.15 s at the cap
 COMPDIV_TUPLE_LIMIT = 10**8  # (m, ell1, n1, ell2, n2) tuples of a complementary-divisor sweep
 # What one complementary-divisor pass holds per (m, ell2, n2) entry: the int64 differences and quotients, one
 # int64 temporary and the boolean masks; traced peaks are 28-37 bytes an entry at |M| * P|N| = 2e3-1e6.
 COMPDIV_ENTRY_BYTES = 48
-COMPDIV_BYTES = 2**30
 _PHASE_INT_GUARD = 2**60
 _SUPPORT_COLS = 2**9  # support columns per phase-kernel call (whole n-blocks): its int64 phases stay small
 
@@ -551,7 +550,6 @@ class AmplifierReport:
 # key array at a time and its temporaries, np.unique's sort order, sorted copy and inverse, and a
 # bincount's float64 copy of the weights; traced peaks are 74-77 bytes an entry at M = 2000-3000.
 AMPLIFIER_ENTRY_BYTES = 96
-AMPLIFIER_BYTES = 2**30
 
 
 def _energy(keys: np.ndarray, weights: np.ndarray) -> float:
@@ -584,7 +582,7 @@ def amplifier_check(
 
     beta is masked to multipliers n coprime to theta*b (the standing support
     assumption under which the two D_b forms coincide).  A spec whose all-m pass
-    would hold more than AMPLIFIER_BYTES, at AMPLIFIER_ENTRY_BYTES per (m, ell, n),
+    would hold more than `arith.BYTE_CAP`, at AMPLIFIER_ENTRY_BYTES per (m, ell, n),
     raises ValueError before the inner terms are built.
     """
     if spec.theta_f:
@@ -599,10 +597,8 @@ def amplifier_check(
         raise ValueError("theta*a*b*n exceeds the exact-phase integer guard")
     tb = abs(spec.theta) * amp.b
     ells = np.array([ell for ell in amp.primes if gcd(ell, tb) == 1], dtype=np.int64)
-    need = AMPLIFIER_ENTRY_BYTES * len(spec.m_range) * len(ells) * len(spec.n_range)
-    if need > AMPLIFIER_BYTES:
-        raise ValueError(f"amplifier check at M={spec.m_scale}, N={spec.n_scale} with {len(ells)} primes would hold "
-                         f"{need} bytes, over the cap of {AMPLIFIER_BYTES}")
+    check_bytes(AMPLIFIER_ENTRY_BYTES * len(spec.m_range) * len(ells) * len(spec.n_range),
+                f"amplifier check at M={spec.m_scale}, N={spec.n_scale} with {len(ells)} primes")
 
     ns = spec.n_range.members
     beta = CoefficientVector(beta.range, beta.values * (np.gcd(ns, tb) == 1))
@@ -682,16 +678,14 @@ def complementary_divisor_check(m_scale: int, n_scale: int, l_scale: float) -> C
     One (|M|, |L|*|N|) array pass per (ell1, n1) over m and the (ell2, n2); the
     violations come in the order (ell1, n1, ell2, n2, m).  A sweep of more than
     COMPDIV_TUPLE_LIMIT tuples |M| * (|L|*|N|)^2, or a pass that would hold more than
-    COMPDIV_BYTES at COMPDIV_ENTRY_BYTES per entry, raises ValueError before any array is built."""
+    `arith.BYTE_CAP` at COMPDIV_ENTRY_BYTES per entry, raises ValueError before any array is built."""
     ells = AmplifierSpec(1, l_scale).primes
     entries = len(DyadicRange(m_scale)) * len(ells) * len(DyadicRange(n_scale))
     work = entries * len(ells) * len(DyadicRange(n_scale))
     if work > COMPDIV_TUPLE_LIMIT:
         raise ValueError(f"the sweep would visit {work} (m, ell1, n1, ell2, n2) tuples, "
                          f"cap is {COMPDIV_TUPLE_LIMIT}")
-    if COMPDIV_ENTRY_BYTES * entries > COMPDIV_BYTES:
-        raise ValueError(f"one pass over {entries} (m, ell2, n2) entries would hold {COMPDIV_ENTRY_BYTES * entries} "
-                         f"bytes, over the cap of {COMPDIV_BYTES}")
+    check_bytes(COMPDIV_ENTRY_BYTES * entries, f"one pass over {entries} (m, ell2, n2) entries")
     ms = DyadicRange(m_scale).members[:, None]
     cap = 3 * n_scale * l_scale / m_scale
     pairs = [(ell, int(n)) for ell in ells for n in DyadicRange(n_scale).members]

@@ -14,9 +14,9 @@ the scalar function as its one-element case, and a third for a whole row in b:
   residues their outer product is the row e(j/c), j < c; above it e(t/c) is
   giant[t >> k] * baby[t & (2^k - 1)], two gathers that stay in cache.  The
   phase a*xbar + b*x is reduced mod c in exact integer arithmetic and the
-  terms are gathered one 2-D gather per chunk of rows (bounded in bytes) and
-  of columns (_GATHER_COLS units), so a large modulus needs little beyond its
-  units and inverses: 16 bytes per residue at a prime.
+  terms are gathered one 2-D gather per chunk of rows and of columns (half of
+  _GATHER_TERMS units), both bounded in bytes, so a large modulus needs little
+  beyond its units and inverses: 16 bytes per residue at a prime.
 * ``kloosterman_fast_batch`` / ``kloosterman_fast`` -- twisted
   multiplicativity across prime-power blocks,
   S(a,b;mn) = S(a*nbar, b*nbar; m) * S(a*mbar, b*mbar; n) for coprime m,n,
@@ -43,7 +43,7 @@ from math import gcd, isqrt, pi, sqrt
 
 import numpy as np
 
-from .arith import as_int, factorize
+from .arith import as_int, as_ints, factorize
 from .characters import unit_grid
 
 __all__ = [
@@ -65,11 +65,10 @@ __all__ = [
 BRUTE_LIMIT = 10**7
 FAST_LIMIT = 10**12
 _IMAG_TOL = 1e-9
-# terms per 2-D gather of kloosterman_batch, a row's own 64 bytes (its reduced a and b, index and sums) counted
-# as 3 terms; one row at least.  A term is 24 bytes (a phase, then its root) from a whole row, 48 from the steps
-# (a phase, a step index and two roots)
+# 24-byte terms per 2-D gather of kloosterman_batch (768 KiB): a unit read from a whole row is one term (a phase,
+# then its root), one read from the steps two (a phase, a step index and two roots), a row's own 64 bytes (its
+# reduced a and b, index and sums) 3; one row at least, in column chunks of half as many units
 _GATHER_TERMS = 2**15
-_GATHER_COLS = 2**16  # units per column chunk of one gather
 _ROW_ROOTS = 2**16  # the largest c whose unit table keeps the whole row e(j/c), j < c
 
 
@@ -114,7 +113,7 @@ def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.nd
     c = as_int(c, "modulus c", 1)
     if c > BRUTE_LIMIT:
         raise ValueError(f"brute evaluation capped at c <= {BRUTE_LIMIT}, got {c}")
-    xs, inv, _ = unit_grid(c)
+    xs, inv = unit_grid(c)
     whole = c <= _ROW_ROOTS
     s = isqrt(c - 1) + 1 if whole else 1 << ((c - 1).bit_length() + 1) // 2
     baby = np.exp(2j * np.pi * (np.arange(s) / c))
@@ -133,19 +132,11 @@ def _roots(roots: tuple[np.ndarray, np.ndarray | None], t: np.ndarray) -> np.nda
     return out
 
 
-def _integers(values, name: str) -> np.ndarray:
-    """values as an int64 array; raises ValueError naming them unless they are integers (`_runs`' test of c)."""
-    array = np.asarray(values)
-    if array.size and array.dtype.kind not in "iu":  # nan and 7.5 too; an empty sequence is accepted
-        raise ValueError(f"{name} must be integers, got {values!r}")
-    return array.astype(np.int64, copy=False)
-
-
 def inverses_mod(xs, n: int) -> np.ndarray:
     """xbar mod n for every integer x in xs (any sign), 0 where gcd(x, n) > 1: x^(lambda(n)-1) mod n."""
     if n < 1 or n * n >= 2**63:
         raise ValueError(f"inverses need 1 <= n and n^2 < 2^63 (exact int64 products), got n={n}")
-    xs = _integers(xs, "x") % n
+    xs = as_ints(xs, "x") % n
     out = _power_mod(xs, factorize(n).carmichael - 1, n)  # at n = 1, x^0 = 1 = 0 (mod 1)
     out[np.gcd(xs, n) != 1] = 0
     return out
@@ -154,14 +145,14 @@ def inverses_mod(xs, n: int) -> np.ndarray:
 def _unit_sums(a, b, c: int, table) -> np.ndarray:
     """sum over units x mod c of e((a*xbar + b*x)/c) for int64 columns a, b of shape (k, 1) in [0, c).
 
-    The k sums come from one 2-D gather (`_roots`) per chunk of _GATHER_COLS units, added chunk by chunk; the
-    phase t >= 0 is reduced mod c exactly as t - (t // c) * c, which beats the remainder t % c.
+    The k sums come from one 2-D gather (`_roots`) per chunk of _GATHER_TERMS // 2 units, added chunk by chunk;
+    the phase t >= 0 is reduced mod c exactly as t - (t // c) * c, which beats the remainder t % c.
     """
     xs, inv, roots = table
-    totals = None
-    for j in range(0, len(xs), _GATHER_COLS):
-        t = inv[j : j + _GATHER_COLS] * a
-        t += xs[j : j + _GATHER_COLS] * b
+    cols, totals = _GATHER_TERMS // 2, None
+    for j in range(0, len(xs), cols):
+        t = inv[j : j + cols] * a
+        t += xs[j : j + cols] * b
         q = t // c
         q *= c
         t -= q
@@ -206,11 +197,11 @@ def kloosterman_batch(a, b, c) -> np.ndarray:
     naming the first (a, b, c), of the least such c, whose imaginary part exceeds 1e-9 * phi(c).
     """
     moduli, runs = _runs(a, b, c)
-    a, b = _integers(a, "a"), _integers(b, "b")
+    a, b = as_ints(a, "a"), as_ints(b, "b")
     values = np.empty(len(a))
     for m, run in zip(moduli, runs):
         table = _unit_table(m)
-        rows = max(1, _GATHER_TERMS // (len(table[0]) + 3))
+        rows = max(1, _GATHER_TERMS // (len(table[0]) * (1 if table[2][1] is None else 2) + 3))
         totals = np.concatenate([_unit_sums(a[at, None] % m, b[at, None] % m, m, table)
                                  for at in np.split(run, range(rows, len(run), rows))])
         values[run] = _real_parts(totals, m, len(table[0]), lambda i: (a[run[i]], b[run[i]]))
@@ -229,17 +220,17 @@ def kloosterman_row(a: int, c: int) -> np.ndarray:
     """S(a, b; c) for b = 0 .. c-1 from one length-c FFT: entry b is sum_x f[x] e(bx/c).
 
     f[x] = e(a*xbar/c) on the units x mod c (from the brute route's unit
-    table, so the same range, gathered in chunks of _GATHER_COLS units) and 0
-    elsewhere.  Raises ArithmeticError naming the first (a, b, c) whose
+    table, so the same range, gathered in chunks of _GATHER_TERMS // 2 units)
+    and 0 elsewhere.  Raises ArithmeticError naming the first (a, b, c) whose
     imaginary part exceeds 1e-9 * phi(c).
     """
     a = as_int(a, "a", None)
     xs, inv, roots = _unit_table(c)
-    f = np.zeros(c, dtype=np.complex128)
-    for j in range(0, len(xs), _GATHER_COLS):
-        t = inv[j : j + _GATHER_COLS] * (a % c)
+    f, cols = np.zeros(c, dtype=np.complex128), _GATHER_TERMS // 2
+    for j in range(0, len(xs), cols):
+        t = inv[j : j + cols] * (a % c)
         t %= c
-        f[xs[j : j + _GATHER_COLS]] = _roots(roots, t)
+        f[xs[j : j + cols]] = _roots(roots, t)
     totals = np.fft.ifft(f, norm="forward")  # unscaled: sum_x f[x] e(bx/c)
     return _real_parts(totals, c, len(xs), lambda b: (a, b))
 
@@ -323,7 +314,7 @@ def kloosterman_fast_batch(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     brute summation is at most the brute cap.
     """
     moduli, runs = _runs(a, b, c)
-    a, b = _integers(a, "a"), _integers(b, "b")
+    a, b = as_ints(a, "a"), as_ints(b, "b")
     if moduli and moduli[0] < 1:
         raise ValueError(f"modulus c must be >= 1, got {moduli[0]}")
     if moduli and moduli[-1] > FAST_LIMIT:

@@ -95,7 +95,6 @@ def _suite(subcommand: str):
 # tau and the closed forms (about 480 bytes).  One modulus's gather (ksums._GATHER_TERMS) comes on top.
 KSUM_PAIR_BYTES = 96
 KSUM_MODULUS_BYTES = 512
-KSUM_VERIFY_BYTES = 2**30
 
 
 @_suite("ksum-verify")
@@ -105,13 +104,9 @@ def ksum_verify(cmax: int = 2000, pairs: int = 20, seed: int = 7) -> ExperimentR
     Per modulus, the draws fill one row of (cmax, 2 * pairs + 3) arrays (the pairs, the swapped pairs, the
     Ramanujan a's at b = 0), beside tau and the Ramanujan closed forms.  One brute call, one modulus per
     element, then takes every row and one fast-route call all cmax * pairs pairs; the Weil bounds and the
-    maxima are array expressions.  A config over KSUM_VERIFY_BYTES raises ValueError before the first draw.
+    maxima are array expressions.  A config over `arith.BYTE_CAP` raises ValueError before the first draw.
     """
-    need = cmax * (pairs * KSUM_PAIR_BYTES + KSUM_MODULUS_BYTES)
-    if need > KSUM_VERIFY_BYTES:
-        raise ValueError(
-            f"cmax={cmax}, pairs={pairs} would hold {need} bytes, over the cap of {KSUM_VERIFY_BYTES}"
-        )
+    arith.check_bytes(cmax * (pairs * KSUM_PAIR_BYTES + KSUM_MODULUS_BYTES), f"cmax={cmax}, pairs={pairs}")
     rows = 2 * pairs + 3  # per modulus: the pairs, the swapped pairs, the Ramanujan a's at b = 0
     cs = np.arange(1, cmax + 1)
     a, b = np.empty((cmax, rows), dtype=np.int64), np.zeros((cmax, rows), dtype=np.int64)

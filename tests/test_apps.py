@@ -430,6 +430,18 @@ class TestFractionSet:
         fs = build_fraction_set(9, [0])
         assert fs.pairs.shape == (0, 3) and len(fs.points) == 0
 
+    def test_peak_memory_per_pair(self):
+        build_fraction_set(512, range(513))  # warm the caches of the inverses
+        tracemalloc.start()
+        try:
+            fs = build_fraction_set(512, range(513))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (m, n, a0) rows (24 bytes), the points (8) and the coprime masks (1); the points came from an int64
+        # a0 mod m of their own length before (43 bytes a pair traced)
+        assert peak <= 33 * len(fs.pairs) + 2**19
+
 
 class TestStarDiscrepancy:
     def test_examples(self):
@@ -450,6 +462,24 @@ class TestStarDiscrepancy:
         assert d1 == d2
         assert 1 / (2 * len(pts)) <= d1 <= 1
         assert d1 < 0.1
+
+    def test_work_rows_give_the_sorted_formula_bit_for_bit(self, monkeypatch):
+        pts = np.random.default_rng(5).random(3 * apps._STAR_ROW + 5)
+        xs, t = np.sort(pts), np.arange(len(pts), dtype=np.float64)
+        want = max((xs - t / len(pts)).max(), ((t + 1) / len(pts) - xs).max())
+        assert star_discrepancy(pts) == want
+        monkeypatch.setattr(apps, "_STAR_ROW", 7)
+        assert star_discrepancy(pts) == want
+
+    def test_peak_memory_is_the_sorted_copy(self):
+        pts = np.random.default_rng(6).random(2**17)
+        tracemalloc.start()
+        try:
+            star_discrepancy(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(pts) + 2**18  # no work row of the points' length (16 bytes a point traced before)
 
     def test_validation(self):
         with pytest.raises(ValueError):

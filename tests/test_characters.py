@@ -3,6 +3,8 @@
 import functools
 import math
 import random
+import re
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -132,8 +134,9 @@ class TestUnitGrid:
     def test_units_inverses_and_shape_match_the_scalar_loop_logs_up_to_3000(self):
         for c in range(1, 3001):
             comps = loop_logs(c)
-            units, inverses, shape = unit_grid(c)
-            assert shape == (tuple(order for order, _ in comps) or (1,)), c
+            units, inverses = unit_grid(c)
+            shape = tuple(order for order, _ in comps) or (1,)
+            assert grid_index([c], np.zeros((1, 0), dtype=np.int64))[1] == [shape], c
             flat = np.zeros(c, dtype=np.int64)  # mixed radix over the orders, last generator fastest
             for order, log in comps:
                 flat = flat * order + log
@@ -154,19 +157,23 @@ class TestGridIndex:
             index, shapes = grid_index(moduli, xs[None])
             assert index.shape == (100, len(xs))
             for c, row, shape in zip(moduli, index, shapes):
-                units, _, want_shape = unit_grid(c)
-                assert shape == want_shape, c
+                units, _ = unit_grid(c)
+                assert math.prod(shape) == len(units), c
                 want = np.full(len(xs), -1, dtype=np.int64)
                 want[units + 3] = np.arange(len(units))  # units in grid order
                 assert np.array_equal(row, want), c
 
     def test_rows_per_modulus_and_the_group_index(self):
-        # two separate maps: grid_index from log tables, the group's index from the units of unit_grid
+        # grid_index from log tables against a scatter of the units of unit_grid; the group reads grid_index
         moduli = [1, 2, 8, 35, 300]
         xs = np.array(moduli)[:, None] + np.arange(-5, 0)  # row i: residues mod moduli[i], some negative
         index, _ = grid_index(moduli, xs)
         for c, x, row in zip(moduli, xs, index):
-            assert np.array_equal(row, np.where(x >= 0, character_group(c)._index[x % c], -1))
+            units = unit_grid(c)[0]
+            scatter = np.full(c, -1, dtype=np.int64)
+            scatter[units] = np.arange(len(units))
+            assert np.array_equal(character_group(c)._index, scatter), c
+            assert np.array_equal(row, np.where(x >= 0, scatter[x % c], -1)), c
 
     @pytest.mark.parametrize("bad", [0, characters.CHARACTER_MODULUS_LIMIT + 1])
     def test_moduli_outside_the_cap_rejected(self, bad):
@@ -175,9 +182,26 @@ class TestGridIndex:
 
     @pytest.mark.parametrize("bad", [0, characters.CHARACTER_MODULUS_LIMIT + 1])
     def test_group_outside_the_cap_rejected_before_the_grid(self, monkeypatch, bad):
-        monkeypatch.setattr(characters, "unit_grid", lambda c: pytest.fail("unit_grid ran"))
-        with pytest.raises(ValueError, match="character moduli must lie in"):
-            CharacterGroup(bad)
+        monkeypatch.setattr(characters, "grid_index", lambda *args: pytest.fail("grid_index ran"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="character moduli must lie in"):
+                CharacterGroup(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (characters.CHARACTER_MODULUS_LIMIT + 1)  # no residues 0..q-1: nothing of length q
+
+    @pytest.mark.parametrize("bad", [[1.9], [1.5, 2.0], [True], [float("nan")]])
+    @pytest.mark.parametrize("call", [
+        lambda xs: characters_mod(7)[2].values_at(xs),  # [1.9] read chi(1)
+        lambda xs: list(character_sums_by_modulus([7], xs, 1.0)),  # [1.5] read as 1
+        lambda xs: grid_index([7], [xs])[0],
+    ], ids=["values_at", "character_sums_by_modulus", "grid_index"])
+    def test_residues_that_are_no_integers_rejected_by_name(self, call, bad):
+        with pytest.raises(ValueError, match=re.escape("xs must be integers, got")):
+            call(bad)
+        assert np.array_equal(np.asarray(call(np.array([1, 2], dtype=np.int32))), np.asarray(call([1, 2])))
 
 
 class TestCharacterSumsByModulus:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kfractions import cli
+from kfractions import arith, cli
 from kfractions.cli import main
 from kfractions.records import CSV_COLUMNS, ExperimentRecord, derive_rng, write_csv, write_json
 from kfractions.verify import SUITES
@@ -273,7 +273,7 @@ class TestCli:
 
     def test_ksum_verify_over_the_byte_cap_exit_2_naming_cmax_and_pairs(self, tmp_path, capsys):
         verify = cli.verify
-        pairs = verify.KSUM_VERIFY_BYTES // (2000 * verify.KSUM_PAIR_BYTES) + 1  # at the default cmax
+        pairs = arith.BYTE_CAP // (2000 * verify.KSUM_PAIR_BYTES) + 1  # at the default cmax
         out = tmp_path / "x.csv"
         assert main(["--out", str(out), "ksum-verify", "--pairs", str(pairs)]) == cli.EXIT_USAGE
         assert f"configuration rejected: cmax=2000, pairs={pairs} would hold" in capsys.readouterr().err

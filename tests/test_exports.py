@@ -1,8 +1,8 @@
 """Every name a kfractions module exports in __all__ resolves, is defined in that module and is read
 outside the tests, as is every public method, property and __init__-assigned instance attribute of its
 classes; the package itself exports its submodules only; every module attribute the benchmark's own
-tests read stays bound, only arith imports numbers.Integral, and the number of options the package offers
-and its line total are tracked.
+tests read stays bound, only arith imports numbers.Integral or holds a byte cap, and the number of
+options the package offers and its line total are tracked.
 
 The caller ratchets match names by spelling, so they skip what only shares a spelling with a member: an
 attribute read on an imported module (np.zeros is no read of CoefficientVector.zeros) and a string
@@ -72,7 +72,7 @@ def test_tracked_line_count():
     """A ratchet on the line total of src/kfractions/*.py that ROADMAP quotes: code added or deleted changes
     this number, so it has to change it on purpose."""
     total = sum(path.read_bytes().count(b"\n") for path in Path(kfractions.__file__).parent.glob("*.py"))
-    assert total == 3342
+    assert total == 3341
 
 
 def test_only_arith_imports_integral():
@@ -90,6 +90,23 @@ def test_only_arith_imports_integral():
             if "Integral" in names:
                 importers.add(path.name)
     assert importers == {"arith.py"}
+
+
+def test_only_arith_holds_a_byte_cap():
+    """The byte budget has one home: arith.BYTE_CAP, raised on by arith.check_bytes.  Every other module names
+    only its measured bytes per entry (under 1 KiB each) and raises no "over the cap of" of its own."""
+    for path in Path(kfractions.__file__).parent.glob("*.py"):
+        if path.name == "arith.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            for target in node.targets if isinstance(node, ast.Assign) else []:
+                if isinstance(target, ast.Name) and "BYTE" in target.id:
+                    value = eval(compile(ast.Expression(node.value), path.name, "eval"), {})
+                    assert value < 2**10, f"{path.name} defines {target.id} = {value}"
+        strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        assert not any("over the cap of" in s for s in strings), path.name
+    assert kfractions.arith.BYTE_CAP == 2**30
 
 
 def _module_all(tree: ast.Module) -> list[str]:

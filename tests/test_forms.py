@@ -10,7 +10,7 @@ from math import gcd, sqrt
 import numpy as np
 import pytest
 
-from kfractions import forms
+from kfractions import arith, forms
 from kfractions.arith import jacobi
 from kfractions.characters import CHARACTER_MODULUS_LIMIT, character_sums_by_modulus
 from kfractions.forms import (
@@ -954,9 +954,9 @@ class TestAmplifier:
         beta = CoefficientVector.random_unit(spec.n_range, gen)
         nu = CoefficientVector.random_unit(spec.a_range, gen)
         need = forms.AMPLIFIER_ENTRY_BYTES * len(spec.m_range) * 3 * len(spec.n_range)
-        monkeypatch.setattr(forms, "AMPLIFIER_BYTES", need)
+        monkeypatch.setattr(arith, "BYTE_CAP", need)
         assert amplifier_check(spec, amp, beta, nu).holds  # exactly at the cap
-        monkeypatch.setattr(forms, "AMPLIFIER_BYTES", need - 1)
+        monkeypatch.setattr(arith, "BYTE_CAP", need - 1)
         with pytest.raises(ValueError, match=f"M=24, N=8 with 3 primes would hold {need} bytes"):
             amplifier_check(spec, amp, beta, nu)
         monkeypatch.undo()
@@ -1083,10 +1083,10 @@ class TestComplementaryDivisor:
     def test_byte_cap_rejects_before_the_pass(self, monkeypatch):
         # (|M|, P*|N|) = (9, 2 * 9) entries a pass at M = N = 16, L = 4 (the primes 5 and 7)
         need = forms.COMPDIV_ENTRY_BYTES * 9 * 18
-        monkeypatch.setattr(forms, "COMPDIV_BYTES", need)
+        monkeypatch.setattr(arith, "BYTE_CAP", need)
         rep = complementary_divisor_check(16, 16, 4.0)  # exactly at the cap
         assert not rep.violations and rep.bijection_ok
-        monkeypatch.setattr(forms, "COMPDIV_BYTES", need - 1)
+        monkeypatch.setattr(arith, "BYTE_CAP", need - 1)
         with pytest.raises(ValueError, match=f"one pass over 162 \\(m, ell2, n2\\) entries would hold {need} bytes"):
             complementary_divisor_check(16, 16, 4.0)
 

@@ -176,7 +176,7 @@ class TestBrute:
 
 
 class TestUnitTableKernels:
-    """The roots from baby and giant steps, and the gather in column chunks of _GATHER_COLS units."""
+    """The roots from baby and giant steps, and the gather in column chunks of _GATHER_TERMS // 2 units."""
 
     # 4096 = 64^2, 4097 = 64^2 + 1, 65537 = 2^16 + 1 the least c read from the steps
     @pytest.mark.parametrize("c", [2, 3, 5, 4096, 4097, 65537, 700001])
@@ -209,18 +209,23 @@ class TestUnitTableKernels:
         a = np.array([rng.randint(-2 * c, 2 * c) for _ in range(3)])
         b = np.array([rng.randint(-2 * c, 2 * c) for _ in range(3)])
         default = kloosterman_batch(a, b, c)
-        monkeypatch.setattr(ksums, "_GATHER_COLS", 7)
+        monkeypatch.setattr(ksums, "_GATHER_TERMS", 14)  # one row of 7 units a gather
         chunked = kloosterman_batch(a, b, c)
         assert np.abs(chunked - default).max() <= 1e-12 * factorize(c).euler_phi
         if c == 70001:
             assert chunked[0] == pytest.approx(slow_reference(int(a[0]), int(b[0]), c).real, abs=1e-9)
 
-    @pytest.mark.parametrize("c", [1999, 65537])  # phi(65537) = 2^16
+    # One column chunk by default up to phi(c) = _GATHER_TERMS // 2 = 2^14 units: acceptance's moduli (<= 2,000),
+    # the majorant rows (gamma <= 3,900), 2^15 (phi = 2^14, a whole row) and 66990 = 2*3*5*7*11*29, of all c above
+    # 2^16 the least phi (13,440), read from the steps
+    @pytest.mark.parametrize("c", [1999, 2**15, 66990])
     def test_one_column_chunk_is_bit_identical(self, c, monkeypatch):
+        phi = factorize(c).euler_phi
+        assert phi <= ksums._GATHER_TERMS // 2
         a, b = np.arange(-20, 20), np.arange(40) * 7
         default = kloosterman_batch(a, b, c)
-        for cols in (c - 1, c, 2**20):
-            monkeypatch.setattr(ksums, "_GATHER_COLS", cols)
+        for cols in (phi, c, 2**20):  # any chunk as wide as the units gives the one-chunk sums; rows are summed alone
+            monkeypatch.setattr(ksums, "_GATHER_TERMS", 2 * cols)
             assert np.array_equal(kloosterman_batch(a, b, c), default)
 
     def test_uncached_brute_sum_peak_memory(self):
@@ -232,7 +237,7 @@ class TestUnitTableKernels:
         finally:
             tracemalloc.stop()
         # units and inverses (8 bytes each): 16 bytes per residue, no length-c row; 4 MiB for the rest (one
-        # gather chunk of 2^16 terms of 48 bytes among them)
+        # gather chunk of 2^14 units of 48 bytes among them)
         assert peak <= 16 * c + 4 * 2**20
 
     def test_uncached_row_peak_memory(self):
@@ -244,7 +249,7 @@ class TestUnitTableKernels:
         finally:
             tracemalloc.stop()
         # units and inverses (16 bytes per residue), f and the FFT's output (16 each) and the FFT's own work
-        # (a prime length); the unit gather in chunks of _GATHER_COLS, so no length-c root row or phase array
+        # (a prime length); the unit gather in chunks of _GATHER_TERMS // 2, so no length-c root row or phase array
         assert peak <= 64 * c + 4 * 2**20
 
 
@@ -397,19 +402,26 @@ class TestBatch:
         with pytest.raises(ArithmeticError, match=r"S\(2,9;5\) lost realness: imag=.*, phi=4"):  # the least c first
             kloosterman_batch([-3, 2, 4], [5, 9, 6], [7, 5, 5])
 
-    @pytest.mark.parametrize("c, n", [(3, 20000), (1999, 200), (70001, 5)])
+    # 65521 < 2^16 and 70001 > 2^16 are primes with phi >= 2^15: one row a gather, from a whole row and from the
+    # steps; 66990 has the least phi above 2^16 (13,440), two rows a gather until a unit from the steps was 2 terms
+    @pytest.mark.parametrize("c, n", [(3, 20000), (1999, 200), (65521, 3), (66990, 5), (70001, 5)])
     def test_gathers_are_bounded_in_bytes(self, monkeypatch, c, n):
-        # the fast route's q = 3 fallback in ksum-verify took 13,340 rows of 2 terms in one gather
+        # the fast route's q = 3 fallback in ksum-verify took 13,340 rows of 2 terms in one gather, and one row
+        # at phi(c) >= 2^15 a whole 2^16-unit chunk: 1.5 MiB from a row, 3 MiB from the steps
         shapes, unit_sums = [], ksums._unit_sums
         monkeypatch.setattr(ksums, "_unit_sums", lambda a, *rest: shapes.append(a.shape) or unit_sums(a, *rest))
+        gathers, roots = [], ksums._roots  # (phases gathered, bytes a term: a phase and a root, or two and an index)
+        monkeypatch.setattr(ksums, "_roots", lambda r, t: gathers.append((t.size, 24 if r[1] is None else 48))
+                            or roots(r, t))
         a = np.arange(n) % (5 * c) - c
         values = kloosterman_batch(a, a[::-1], c)
         phi = factorize(c).euler_phi
         assert 24 * ksums._GATHER_TERMS <= 2**20  # under 1 MiB of terms per gather
-        assert sum(rows for rows, _ in shapes) == len(a)
-        assert all(rows == 1 or rows * (phi + 3) <= ksums._GATHER_TERMS for rows, _ in shapes)
-        monkeypatch.setattr(ksums, "_GATHER_TERMS", 2**40)  # one gather: rows are summed independently
-        assert np.array_equal(kloosterman_batch(a, a[::-1], c), values)
+        assert sum(rows for rows, _ in shapes) == len(a) and sum(size for size, _ in gathers) == len(a) * phi
+        assert all(size * term <= 24 * ksums._GATHER_TERMS for size, term in gathers)
+        if phi <= ksums._GATHER_TERMS // 2:  # one column chunk either way
+            monkeypatch.setattr(ksums, "_GATHER_TERMS", 2**40)  # one gather: rows are summed independently
+            assert np.array_equal(kloosterman_batch(a, a[::-1], c), values)
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kfractions import ksums, verify
+from kfractions import arith, ksums, verify
 from kfractions.verify import (
     SUITES,
     compdiv_verify,
@@ -133,7 +133,7 @@ def test_ksum_verify_makes_one_brute_call_of_its_own(monkeypatch):
 
 
 def test_ksum_verify_over_the_byte_cap_is_rejected_before_any_draw(monkeypatch):
-    per_pair, per_modulus, cap = verify.KSUM_PAIR_BYTES, verify.KSUM_MODULUS_BYTES, verify.KSUM_VERIFY_BYTES
+    per_pair, per_modulus, cap = verify.KSUM_PAIR_BYTES, verify.KSUM_MODULUS_BYTES, arith.BYTE_CAP
     pairs = (cap // 2000 - per_modulus) // per_pair + 1  # the fewest pairs over the cap at cmax = 2000
     assert 2000 * ((pairs - 1) * per_pair + per_modulus) <= cap < 2000 * (pairs * per_pair + per_modulus)
     monkeypatch.setattr(verify, "derive_rng", None)  # a draw would raise TypeError
@@ -148,7 +148,7 @@ def test_ksum_verify_over_the_byte_cap_is_rejected_before_any_draw(monkeypatch):
 
 
 def test_ksum_verify_byte_cap_is_inclusive(monkeypatch):
-    monkeypatch.setattr(verify, "KSUM_VERIFY_BYTES", 20 * (3 * verify.KSUM_PAIR_BYTES + verify.KSUM_MODULUS_BYTES))
+    monkeypatch.setattr(arith, "BYTE_CAP", 20 * (3 * verify.KSUM_PAIR_BYTES + verify.KSUM_MODULUS_BYTES))
     assert ksum_verify(cmax=20, pairs=3).passed
     with pytest.raises(ValueError, match="cmax=20, pairs=4"):
         ksum_verify(cmax=20, pairs=4)
