@@ -4,11 +4,11 @@ trilinear/bilinear forms built from Kloosterman fractions a*mbar/n.
 The package exports its submodules only; import each name from its submodule
 (``from kfractions.ksums import kloosterman_brute``).
 
-Integers enter by one rule, `arith.as_int`: a spec or kernel makes each integer
-argument (a numpy integer too, never a bool) a Python int once, and refuses 7.5,
-nan, inf or a value out of range by a ValueError naming it; `arith.as_ints` does
-so for an array of them and `arith.as_nonneg` for eps.  Memory has one budget,
-`arith.BYTE_CAP`: `arith.check_bytes` refuses a step over it before allocating.
+Integers enter by one rule, `arith.as_int`: specs, kernels, suites and searches
+make each integer argument (numpy's too, never a bool) a Python int once and
+refuse 7.5, nan, inf or a value out of range by a ValueError naming it, as
+`arith.as_ints` does arrays and `arith.as_nonneg` eps.  Before a step runs,
+`arith.check_bytes` holds it to `BYTE_CAP` and `check_int64` to the int64 range.
 
 Submodules
 ----------

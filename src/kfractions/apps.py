@@ -155,7 +155,7 @@ def det_count(spec: DetSpec, order: int = 1) -> complex:
     (pairs, m), masked by remainder 0 and the solved m in its range, then the
     sum of the two weights' product along m.
     """
-    if order not in (1, 2):
+    if (order := as_int(order, "order", None)) not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     # (range, weight) of the enumerated m, then of the solved one; order 2 swaps them, and n1 with n2
     sides = [(DyadicRange(spec.m1_scale), spec.f_weight), (DyadicRange(spec.m2_scale), spec.g_weight)]
@@ -351,6 +351,7 @@ def equidist_experiment(
             rng = random.Random(f"equidist-{seed}-{i}-{n_scale}")
             ground = rng.sample(range(n_scale + 1), size)
         fs = build_fraction_set(n_scale, ground)
-        dstar = star_discrepancy(fs.points) if len(fs.points) else None
-        rows.append(EquidistRow(n_scale, len(fs.members), len(fs.points), dstar))
+        size, points = len(fs.members), fs.points
+        del fs  # its (K, 3) pairs are not held while star_discrepancy sorts a copy, nor while the next set is built
+        rows.append(EquidistRow(n_scale, size, len(points), star_discrepancy(points) if len(points) else None))
     return rows

@@ -15,8 +15,8 @@ a spec or a kernel, and refuses 7.5, nan, inf or a value below its bound by
 name, as `as_ints` does for an array of them (an int64 array) and `as_nonneg`
 for a finite real >= 0 (an eps).  Specs store what it returns.
 
-So does its one byte budget, BYTE_CAP: `check_bytes` refuses a step that would
-hold more, at its module's measured bytes per entry, before any allocation.
+So do its byte budget and int64 range: `check_bytes` refuses a step over BYTE_CAP
+before allocating, `check_int64` an exact int64 kernel whose values reach 2^63.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "as_nonneg",
     "BYTE_CAP",
     "check_bytes",
+    "check_int64",
     "Mod1Fraction",
     "FactoredInteger",
     "mod_inverse",
@@ -88,6 +89,12 @@ def check_bytes(need: int, what: str) -> None:
         raise ValueError(f"{what} would hold {need} bytes, over the cap of {BYTE_CAP}")
 
 
+def check_int64(largest: int, what: str) -> None:
+    """ValueError unless largest, the largest value an exact int64 kernel forms, is below 2^63; called first."""
+    if largest >= 2**63:
+        raise ValueError(f"{what} can reach {largest}, outside the exact int64 range below 2^63")
+
+
 # ---------------------------------------------------------------------------
 # mod-1 fractions
 # ---------------------------------------------------------------------------
@@ -104,10 +111,8 @@ class Mod1Fraction:
     denominator: int
 
     def __post_init__(self) -> None:
-        den = self.denominator
-        if den <= 0:
-            raise ValueError("denominator must be positive")
-        num = self.numerator % den
+        den = as_int(self.denominator, "denominator", 1)
+        num = as_int(self.numerator, "numerator", None) % den
         g = gcd(num, den)
         object.__setattr__(self, "numerator", num // g)
         object.__setattr__(self, "denominator", den // g)

@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import as_int, as_nonneg, check_bytes, is_prime, jacobi
+from .arith import as_int, as_nonneg, check_bytes, check_int64, is_prime, jacobi
 from .characters import CHARACTER_MODULUS_LIMIT, character_sums_by_modulus
 from .characters import character_group  # noqa: F401  -- perfbench's tracer test reads forms.character_group
 from .ksums import inverses_mod
@@ -74,7 +74,6 @@ COMPDIV_TUPLE_LIMIT = 10**8  # (m, ell1, n1, ell2, n2) tuples of a complementary
 # What one complementary-divisor pass holds per (m, ell2, n2) entry: the int64 differences and quotients, one
 # int64 temporary and the boolean masks; traced peaks are 28-37 bytes an entry at |M| * P|N| = 2e3-1e6.
 COMPDIV_ENTRY_BYTES = 48
-_PHASE_INT_GUARD = 2**60
 _SUPPORT_COLS = 2**9  # support columns per phase-kernel call (whole n-blocks): its int64 phases stay small
 
 
@@ -145,8 +144,8 @@ class FormSpec:
             object.__setattr__(self, name, as_int(getattr(self, name), name, lo))
         if self.theta == 0:
             raise ValueError("theta must be nonzero")
-        if abs(self.theta) * self.a_scale * max(self.n_scale, self.m_scale) >= _PHASE_INT_GUARD:
-            raise ValueError("theta*a*n exceeds the exact-phase integer guard")
+        check_int64(self.a_scale * max(abs(self.theta) * max(self.m_scale, self.n_scale), abs(self.theta_f)),
+                    "the phase A*max(|theta|*max(M, N), |theta_f|)")
 
     @property
     def m_range(self) -> DyadicRange:
@@ -167,8 +166,8 @@ def _phases(spec: FormSpec, ms: np.ndarray, ns, counts: Sequence[int], twisted: 
     The one phase kernel.  The columns come in blocks, counts[k] columns at n = ns[k], and ms
     holds each column's m.  Per block one `inverses_mod` call; theta*a*mbar is reduced mod b*n
     exactly, and e(t/(b*n)) gathered from the blocks' root rows under one exp (or, with fewer
-    entries than root points, one exp per entry: the same value); then the reciprocity shift
-    and the Jacobi factor per column.
+    entries than root points, one exp per entry: the same value); then the reciprocity shift,
+    theta_f*a reduced mod m*n exactly as well, and the Jacobi factor per column.
     """
     az = spec.a_range.members
     rows, counts = b * np.asarray(ns, dtype=np.int64), np.asarray(counts, dtype=np.int64)  # blocks' moduli b*n
@@ -184,7 +183,7 @@ def _phases(spec: FormSpec, ms: np.ndarray, ns, counts: Sequence[int], twisted: 
     else:
         out = np.exp(2j * np.pi * (t / mods))
     if spec.theta_f:
-        out *= np.exp(2j * np.pi * (spec.theta_f * az[:, None] / (ms * (mods // b))))
+        out *= np.exp(2j * np.pi * (spec.theta_f * az[:, None] % (mn := ms * (mods // b)) / mn))
     if twisted:
         out *= np.array([jacobi(m, n) for m, n in zip(ms.tolist(), np.repeat(ns, counts).tolist())], dtype=np.float64)
     return out
@@ -320,10 +319,7 @@ def extremal_search(
     objective and cycle count then frozen.  The best value wins with
     lowest-restart-index tie-breaking.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    restarts, iters, seed = as_int(restarts, "restarts", 1), as_int(iters, "iters", 0), as_int(seed, "seed", 0)
     t_s, m_of, n_of = _support_matrix(spec, twisted)
     ranges = (spec.a_range, spec.m_range, spec.n_range)  # the tensor's axes
     m_len, n_len = len(spec.m_range), len(spec.n_range)
@@ -593,8 +589,7 @@ def amplifier_check(
         raise ValueError("need gcd(theta, b) = 1")
     if amp.l_scale <= 2 * math.log(amp.b * abs(spec.theta) * spec.m_scale):
         raise ValueError("need L > 2*log(b*theta*M) for the amplifier window")
-    if abs(spec.theta) * spec.a_scale * amp.b * spec.n_scale >= _PHASE_INT_GUARD:
-        raise ValueError("theta*a*b*n exceeds the exact-phase integer guard")
+    check_int64(abs(spec.theta) * spec.a_scale * amp.b * spec.n_scale, "the phase |theta|*A*b*N")
     tb = abs(spec.theta) * amp.b
     ells = np.array([ell for ell in amp.primes if gcd(ell, tb) == 1], dtype=np.int64)
     check_bytes(AMPLIFIER_ENTRY_BYTES * len(spec.m_range) * len(ells) * len(spec.n_range),

@@ -29,7 +29,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import as_int, as_nonneg, gcd_infty, mod_inverse
+from .arith import as_int, as_nonneg, check_int64, gcd_infty, mod_inverse
 from .characters import DirichletCharacter
 from .ksums import inverses_mod, kloosterman_row
 from .ksums import kloosterman_brute  # noqa: F401  -- perfbench's tracer test patches incomplete.kloosterman_brute
@@ -96,8 +96,7 @@ def incomplete_brute(spec: IncompleteSpec) -> complex:
         raise ValueError(f"interval has ~{size} admissible points, cap is {INTERVAL_LIMIT}")
     g, span, step = spec.gamma, spec.interval(), 2**16 * spec.k
     a, b, c, d = spec.gcd_cond if spec.gcd_cond is not None else (0, 1, 1, 1)
-    if max(abs(spec.x_start), abs(spec.x_start + spec.x_len), spec.k, g * spec.delta, g * g, c * c) >= 2**62:
-        raise ValueError(f"{spec} leaves the exact int64 range of the evaluation")
+    check_int64(2 * max(abs(spec.x_start), abs(span.stop - 1), spec.k, g * spec.delta, g * g, c * c), "alpha*xbar+beta*x")
     total = 0j
     for lo in range(span.start, span.stop, step):
         xs = np.arange(lo, min(lo + step, span.stop), spec.k, dtype=np.int64)
@@ -230,7 +229,7 @@ def erdos_turan_sweep(n_specs: int = 200, gamma_max: int = 300, seed: int = 7) -
     """
     rng = random.Random(seed)
     violations = []
-    for _ in range(n_specs):
+    for _ in range(as_int(n_specs, "n_specs", 0)):
         spec = _random_reduced_spec(rng, gamma_max)
         lhs = abs(incomplete_brute(spec))
         rhs, exact = _majorants(spec)
@@ -251,7 +250,7 @@ def envelope_sharpness_sweep(n_specs: int = 1000, gamma_max: int = 300, seed: in
     """
     rng = random.Random(seed)
     samples = []
-    for _ in range(n_specs):
+    for _ in range(as_int(n_specs, "n_specs", 0)):
         gamma = rng.randint(1, gamma_max)
         k = rng.randint(1, 12)
         spec = IncompleteSpec(

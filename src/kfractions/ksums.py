@@ -43,7 +43,7 @@ from math import gcd, isqrt, pi, sqrt
 
 import numpy as np
 
-from .arith import as_int, as_ints, factorize
+from .arith import as_int, as_ints, check_int64, factorize
 from .characters import unit_grid
 
 __all__ = [
@@ -134,8 +134,8 @@ def _roots(roots: tuple[np.ndarray, np.ndarray | None], t: np.ndarray) -> np.nda
 
 def inverses_mod(xs, n: int) -> np.ndarray:
     """xbar mod n for every integer x in xs (any sign), 0 where gcd(x, n) > 1: x^(lambda(n)-1) mod n."""
-    if n < 1 or n * n >= 2**63:
-        raise ValueError(f"inverses need 1 <= n and n^2 < 2^63 (exact int64 products), got n={n}")
+    n = as_int(n, "n", 1)
+    check_int64(n * n, "n^2")
     xs = as_ints(xs, "x") % n
     out = _power_mod(xs, factorize(n).carmichael - 1, n)  # at n = 1, x^0 = 1 = 0 (mod 1)
     out[np.gcd(xs, n) != 1] = 0
@@ -241,7 +241,7 @@ def ramanujan(a: int, c: int) -> int:
     This is the divisor sum sum_{d | gcd(a,c)} d * mu(c/d) in closed form; phi(q) divides phi(c).
     """
     c = as_int(c, "modulus c", 1)
-    q = factorize(c // gcd(a, c))  # a = 0 gives q = 1
+    q = factorize(c // gcd(as_int(a, "a", None), c))  # a = 0 gives q = 1
     return q.moebius * (factorize(c).euler_phi // q.euler_phi)
 
 

@@ -52,9 +52,9 @@ def _suite(subcommand: str):
     """Make a suite whose body returns (values, assertions) return its ExperimentRecord, as its annotation says.
 
     params are every argument but the seed, a tuple or list comma-joined as the CLI parses it, and
-    runtime_seconds is the time of the body.  An int argument other than the seed (a size or a
-    count) below 1, a float argument that is not finite, or a seed outside [0, 2^64), raises
-    ValueError, naming it, before the body runs.
+    runtime_seconds is the time of the body.  An argument with an int default (a size or a count, and the
+    seed) goes through `arith.as_int` and is stored as the int it returns; one below 1 (the seed: outside
+    [0, 2^64)), or a float argument that is not finite, raises ValueError, naming it, before the body runs.
     """
     def decorate(fn):
         signature = inspect.signature(fn)
@@ -64,8 +64,8 @@ def _suite(subcommand: str):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             for name, value in bound.arguments.items():
-                if type(value) is int and name != "seed" and value < 1:
-                    raise ValueError(f"{name} must be >= 1, got {value}")
+                if type(signature.parameters[name].default) is int:
+                    bound.arguments[name] = arith.as_int(value, name, None if name == "seed" else 1)
                 if type(value) is float and not math.isfinite(value):
                     raise ValueError(f"{name} must be finite, got {value}")
             if not 0 <= bound.arguments["seed"] < 2**64:

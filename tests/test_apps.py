@@ -3,6 +3,7 @@
 import random
 import re
 import tracemalloc
+import weakref
 from math import gcd
 
 import numpy as np
@@ -540,6 +541,28 @@ class TestEquidistExperiment:
         assert calls == []
         equidist_experiment([8])
         assert len(calls) == 1
+
+    def test_pairs_released_before_the_discrepancy_and_the_next_set(self, monkeypatch):
+        # the ladder holds one set's points, not its (K, 3) pairs, while it sorts them or builds the next set
+        pairs, dead = [], []
+        real_build, real_star = apps.build_fraction_set, apps.star_discrepancy
+
+        def build(*args):
+            dead.append(all(ref() is None for ref in pairs))
+            fs = real_build(*args)
+            pairs.append(weakref.ref(fs.pairs))
+            return fs
+
+        def star(points):
+            dead.append(pairs[-1]() is None)
+            return real_star(points)
+
+        monkeypatch.setattr(apps, "build_fraction_set", build)
+        monkeypatch.setattr(apps, "star_discrepancy", star)
+        rows = equidist_experiment([16, 32, 64])
+        assert dead == [True] * 6
+        points = [real_build(n, range(n + 1)).points for n in (16, 32, 64)]
+        assert rows == [apps.EquidistRow(n, n + 1, len(x), real_star(x)) for n, x in zip((16, 32, 64), points)]
 
     def test_byte_cap_admits_the_n_4096_ladder(self, monkeypatch):
         # 48 bytes per ordered pair of X_N under 2^30: |X_N| = 4729 passes the check, 4730 does not

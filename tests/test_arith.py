@@ -432,6 +432,16 @@ INTEGER_ENTRIES = {
     "mod_inverse.a": ("a", lambda v: mod_inverse(v, 13), 3),
     "mod_inverse.n": ("n", lambda v: mod_inverse(3, v), 13),  # np.int64(13) raised TypeError in pow
     "equidist_experiment": ("n_list[0]", lambda v: apps.equidist_experiment([v]), 16),
+    "det_count.order": ("order", lambda v: apps.det_count(_det_spec(), order=v), 2),  # True was read as order 1
+    "ramanujan.a": ("a", lambda v: ksums.ramanujan(v, 10), 3),  # 7.5 raised TypeError
+    "Mod1Fraction.numerator": ("numerator", lambda v: Mod1Fraction(v, 6), 5),  # 7.5 raised TypeError
+    "Mod1Fraction.denominator": ("denominator", lambda v: Mod1Fraction(5, v), 6),
+    # True ran one spec, 2.5 raised TypeError
+    "erdos_turan_sweep": ("n_specs", lambda v: incomplete.erdos_turan_sweep(v, 50, 7), 3),
+    "envelope_sharpness_sweep": ("n_specs", lambda v: incomplete.envelope_sharpness_sweep(v, 50, 7), 3),
+    **{f"extremal_search.{name}": (name, lambda v, name=name: forms.extremal_search(
+        forms.FormSpec(8, 8, 8), **{"restarts": 2, "iters": 5, name: v}), good)
+       for name, good in [("restarts", 2), ("iters", 3), ("seed", 3)]},
 }
 
 SPEC = forms.FormSpec(8, 16, 4)
@@ -475,8 +485,10 @@ class TestIntegerRule:
         assert repr(call(np.float64(0.05))) == repr(call(0.05))
 
     def test_numpy_scales_cannot_overflow_the_phase_guard(self):
-        # the product theta*a*n wrapped in int64 and passed the 2^60 guard
-        with pytest.raises(ValueError, match="exceeds the exact-phase integer guard"):
+        # the product theta*a*n wrapped in int64 and passed the guard; the scales are Python ints before it
+        with pytest.raises(ValueError, match=re.escape(
+                "the phase A*max(|theta|*max(M, N), |theta_f|) can reach 2361183241434822606848, outside the "
+                "exact int64 range below 2^63")):
             forms.FormSpec(np.int64(2**40), np.int64(2**40), np.int64(2**31))
 
     def test_bounds_and_stored_types(self):

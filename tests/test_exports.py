@@ -109,6 +109,31 @@ def test_only_arith_holds_a_byte_cap():
     assert kfractions.arith.BYTE_CAP == 2**30
 
 
+def test_only_arith_holds_the_int64_range():
+    """The int64 range has one home: arith.check_int64, which every exact int64 kernel's site calls with the
+    largest value it forms.  No other module writes a literal from 2^60 to 2^63 (2**62, 1 << 63, an integer in
+    that range) or raises an int64 message of its own."""
+    for path in Path(kfractions.__file__).parent.glob("*.py"):
+        if path.name == "arith.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Pow, ast.LShift)) and all(
+                    isinstance(side, ast.Constant) and type(side.value) is int for side in (node.left, node.right)):
+                value = eval(compile(ast.Expression(node), path.name, "eval"), {})
+            elif isinstance(node, ast.Constant) and type(node.value) is int:
+                value = node.value
+            else:
+                continue
+            assert not 2**60 <= value <= 2**63, f"{path.name}:{node.lineno} writes {ast.unparse(node)}"
+        raised = [n.value for r in ast.walk(tree) if isinstance(r, ast.Raise) for n in ast.walk(r)
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        assert not any("int64" in s for s in raised), path.name
+    with pytest.raises(ValueError, match="x can reach 9223372036854775808, outside the exact int64 range"):
+        kfractions.arith.check_int64(2**63, "x")
+    kfractions.arith.check_int64(2**63 - 1, "x")
+
+
 def _module_all(tree: ast.Module) -> list[str]:
     return next((ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)), [])

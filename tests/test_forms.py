@@ -43,7 +43,8 @@ def unit_vector(rng, member):
 
 
 def brute_trilinear(alpha, beta, nu, spec, twisted=False):
-    """Independent pure-python triple loop with exact integer phases."""
+    """Independent pure-python triple loop with exact integer phases: theta*a*mbar reduced mod n and
+    theta_f*a mod mn as Python ints, so each phase is rounded once."""
     total = 0j
     for m in spec.m_range.members:
         m = int(m)
@@ -58,7 +59,7 @@ def brute_trilinear(alpha, beta, nu, spec, twisted=False):
                 a = int(a)
                 phase = ((spec.theta * a * mbar) % n) / n if n > 1 else 0.0
                 if spec.theta_f:
-                    phase += spec.theta_f * a / (m * n)
+                    phase += spec.theta_f * a % (m * n) / (m * n)
                 term = cmath.exp(2j * cmath.pi * phase)
                 if twisted:
                     term *= jacobi(m, n)
@@ -74,8 +75,8 @@ def brute_trilinear(alpha, beta, nu, spec, twisted=False):
 def scalar_shifted_tensor(spec):
     """entry(a, m, n) = e(theta*a*mbar/n) * e(theta_f*a/(mn)), both factors
     evaluated one entry at a time with the float operations of the vectorized
-    build; only their product is taken on arrays (numpy's array and scalar
-    complex products may round differently)."""
+    build (each numerator reduced exactly first); only their product is taken on
+    arrays (numpy's array and scalar complex products may round differently)."""
     ms, ns, az = spec.m_range.members, spec.n_range.members, spec.a_range.members
     base = np.zeros((len(az), len(ms), len(ns)), dtype=np.complex128)
     pert = np.zeros_like(base)
@@ -89,7 +90,7 @@ def scalar_shifted_tensor(spec):
             for k, a in enumerate(az):
                 a = int(a)
                 base[k, i, j] = np.exp(2j * np.pi * ((spec.theta * a * mbar) % n / n))
-                pert[k, i, j] = np.exp(2j * np.pi * (spec.theta_f * a / (m * n)))
+                pert[k, i, j] = np.exp(2j * np.pi * (spec.theta_f * a % (m * n) / (m * n)))
     return base * pert
 
 
@@ -299,6 +300,21 @@ class TestEvaluation:
         expect = brute_trilinear(al, be, nu, spec, twisted=twisted)
         assert got == pytest.approx(expect, abs=1e-9)
 
+    @pytest.mark.parametrize("theta, theta_f", [
+        (2**56 + 3, 0),  # A*theta*N = 2^62 + 192: refused by the former 2^60 guard
+        (1, 10**6), (1, 10**12), (1, 2**59 + 1),  # the float quotient of the shift drifted 5.9e-11, 8.5e-5 and 1.8
+    ])
+    def test_exact_phases_up_to_the_int64_range(self, theta, theta_f):
+        gen = np.random.default_rng(3)
+        spec = FormSpec(8, 8, 8, theta=theta, theta_f=theta_f)
+        al, be, nu = (CoefficientVector.random_unit(r, gen) for r in (spec.m_range, spec.n_range, spec.a_range))
+        assert abs(eval_trilinear(al, be, nu, spec) - brute_trilinear(al, be, nu, spec)) <= 1e-14
+
+    def test_phase_past_the_int64_range_refused_by_name(self):
+        for kwargs in ({"theta_f": 2**61 + 1}, {"theta": 2**57}):
+            with pytest.raises(ValueError, match=re.escape("the phase A*max(|theta|*max(M, N), |theta_f|) can reach")):
+                FormSpec(8, 8, 8, **kwargs)
+
     def test_streaming_matches_dense_contraction(self):
         gen = np.random.default_rng(3)
         spec = FormSpec(14, 13, 7, theta=5)
@@ -481,6 +497,9 @@ class TestExtremalSearch:
         ({"restarts": 0}, "restarts must be >= 1, got 0"),  # was a TypeError
         ({"restarts": -1}, "restarts must be >= 1, got -1"),
         ({"iters": -1}, "iters must be >= 0, got -1"),
+        ({"restarts": True}, "restarts must be an integer, got True"),  # was a TypeError
+        ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),  # was a TypeError
+        ({"seed": -1}, "seed must be >= 0, got -1"),  # was numpy's "expected non-negative integer"
     ])
     def test_bad_option_rejected_before_the_tensor_is_built(self, monkeypatch, kwargs, message):
         monkeypatch.setattr(forms, "_phases", lambda *args: pytest.fail("a phase was computed"))
@@ -894,6 +913,17 @@ class TestAmplifier:
         rep = amplifier_check(spec, amp, beta, nu)
         assert rep.holds and rep.partition_ok and rep.forms_match
         assert rep.d_b == pytest.approx(rep.diagonal + rep.off_diagonal, rel=1e-9, abs=1e-9)
+
+    def test_phase_bound_is_the_int64_range(self):
+        # |theta|*A*b*N = 2^62 + 192 at b = 1, refused by the former 2^60 bound, and past 2^63 at b = 5
+        spec = FormSpec(8, 8, 8, theta=2**56 + 3)
+        gen = np.random.default_rng(14)
+        beta = CoefficientVector.random_unit(spec.n_range, gen)
+        nu = CoefficientVector.random_unit(spec.a_range, gen)
+        rep = amplifier_check(spec, AmplifierSpec(1, 90.0), beta, nu)  # 2*log(b*theta*M) ~ 81.8 < 90
+        assert rep.holds and rep.forms_match
+        with pytest.raises(ValueError, match=re.escape("the phase |theta|*A*b*N can reach")):
+            amplifier_check(spec, AmplifierSpec(5, 90.0), beta, nu)
 
     def test_single_support_beta(self):
         spec = FormSpec(20, 7, 2, theta=1)

@@ -1,5 +1,6 @@
 """Suite-level behavior: record shapes, subcommand map."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -51,6 +52,24 @@ def test_direct_call_record_carries_its_arguments_and_runtime():
     rec = compdiv_verify(16, 16, 4.0)
     assert (rec.subcommand, rec.params, rec.seed) == ("compdiv-check", {"m_scale": 16, "n_scale": 16, "l_scale": 4.0}, 7)
     assert rec.runtime_seconds > 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify.detcount_verify(n_specs=True), "n_specs must be an integer, got True"),  # ran one spec
+    (lambda: ksum_verify(cmax=np.int64(0), pairs=2), "cmax must be >= 1, got 0"),  # failed inside numpy
+    (lambda: ksum_verify(cmax=20.5), "cmax must be an integer, got 20.5"),  # a bare TypeError
+    (lambda: ksum_verify(cmax=4, seed=7.0), "seed must be an integer, got 7.0"),
+])
+def test_suite_sizes_and_seed_go_through_the_integer_rule(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_suite_stores_the_converted_ints():
+    rec = ksum_verify(cmax=np.int64(4), pairs=np.int32(2), seed=np.uint8(1))
+    assert rec.params == {"cmax": 4, "pairs": 2} and rec.seed == 1
+    assert all(type(x) is int for x in (*rec.params.values(), rec.seed))
+    assert rec.experiment_id == ksum_verify(cmax=4, pairs=2, seed=1).experiment_id
 
 
 def per_pair_ksum_values(cmax: int, pairs: int, seed: int) -> tuple[dict, dict]:
