@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import as_int, as_ints, factorize
+from .arith import as_int, as_ints, check_bytes, factorize
 
 __all__ = ["DirichletCharacter", "CharacterGroup", "character_group", "character_sums_by_modulus", "characters_mod",
            "grid_index", "prime_power_units", "unit_grid"]
@@ -58,22 +58,25 @@ def _short_powers(g: int, count: int, modulus: int) -> list[int]:
 
 
 def _generator_powers(g: int, order: int, modulus: int) -> np.ndarray:
-    """g^0 .. g^(order-1) mod modulus (modulus^2 < 2^63) by baby-step/giant-step.
+    """g^0 .. g^(order-1) mod modulus (modulus < 2^31) as int32, by baby-step/giant-step.
 
-    s = ceil(sqrt(order)) baby powers g^j and as many giant powers g^(s*i) are
-    built by scalar loops, then one outer multiply-reduce gives g^(s*i + j).
+    s = ceil(sqrt(order)) baby powers g^j and as many giant powers g^(s*i) are built by scalar
+    loops; the outer multiply-reduce to g^(s*i + j) runs a few giant rows at a time (about 64 KB
+    of int64 products) into the int32 output.
     """
     s = math.isqrt(order - 1) + 1
     baby = np.array(_short_powers(g, s, modulus), dtype=np.int64)
     giant = np.array(_short_powers(pow(g, s, modulus), -(-order // s), modulus), dtype=np.int64)
-    out = np.multiply.outer(giant, baby).ravel()[:order]
-    for j in range(0, order, 2**13):  # the remainder of out >= 0 without np.remainder; 64 KB quotients, not one
-        out[j : j + 2**13] -= out[j : j + 2**13] // modulus * modulus
+    out, rows = np.empty(order, dtype=np.int32), max(1, 2**13 // s)
+    for i in range(0, len(giant), rows):
+        chunk = np.multiply.outer(giant[i : i + rows], baby).ravel()
+        chunk -= chunk // modulus * modulus  # the remainder of chunk >= 0, without np.remainder
+        out[i * s : (i + rows) * s] = chunk[: order - i * s]
     return out
 
 
 def prime_power_units(p: int, e: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The units of Z/p^e (e >= 1) as generator powers, and the generator orders.
+    """The units of Z/p^e (e >= 1, p^e < 2^31) as int32 generator powers, and the generator orders.
 
     Unit i is prod_j g_j^(k_j), where (k_0, k_1, ...) is the mixed-radix
     expansion of i over the orders, last digit fastest.  Odd p^e has one
@@ -85,38 +88,43 @@ def prime_power_units(p: int, e: int) -> tuple[np.ndarray, tuple[int, ...]]:
         order = (p - 1) * p ** (e - 1)
         return _generator_powers(_primitive_root_mod_prime_power(p, e), order, q), (order,)
     if e == 1:
-        return np.ones(1, dtype=np.int64), ()
+        return np.ones(1, dtype=np.int32), ()
     if e == 2:
-        return np.array([1, 3], dtype=np.int64), (2,)
+        return np.array([1, 3], dtype=np.int32), (2,)
     half = 2 ** (e - 2)
     fives = _generator_powers(5, half, q)
     return np.concatenate([fives, q - fives]), (2, half)
 
 
 def _crt_lift(acc: np.ndarray | None, col: np.ndarray, idem: int, c: int) -> np.ndarray:
-    """(acc_i + idem * col_j) mod c over all pairs i, j, flattened; idem * col mod c for the first block."""
+    """(acc_i + idem * col_j) mod c over all pairs i, j, flattened; idem * col mod c for the first block.  The
+    products (below c^2) are formed in int64, the outer sums (in [-c, c), c < 2^31) in int32."""
     if idem != 1:
-        col = col * idem
+        col = np.multiply(col, idem, dtype=np.int64)
         col -= col // c * c  # the remainder of col >= 0, without np.remainder
+        col = col.astype(np.int32)
     if acc is None:
         return col
     out = np.add.outer(acc, col - c).ravel()  # two residues less c: in [-c, c)
-    out += (out >> 63) & c  # c where negative: one conditional subtract, no np.remainder
+    out += (out >> 31) & c  # c where negative: one conditional subtract, no np.remainder
     return out
 
 
 def unit_grid(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units x mod c in grid order and their inverses.
+    """The units x mod c in grid order and their inverses, as int32: 8 bytes a unit.
 
     Unit i has as generator exponents the digits of i over the grid shape (the generator
     orders, as `grid_index` gives it), last digit fastest, the prime-power blocks in factor
     order.  A block's units are generator powers (`prime_power_units`) and the inverse of g^k
     is g^(phi-k), so its inverse row is the same array reversed past index 0 (of each half,
     +5^t and -5^t, at 2^e).  The blocks combine through the CRT idempotents (1 mod q, 0 mod
-    c/q) in outer sums mod c.  c = 1 has the one unit 0, and c in {1, 2} the one-point grid
-    (1,).  c goes through `arith.as_int` first.
+    c/q) in outer sums mod c, the products idem * unit in int64.  c = 1 has the one unit 0, and
+    c in {1, 2} the one-point grid (1,).  c goes through `arith.as_int`, then `arith.check_bytes`
+    at 8 bytes a residue, before `factorize` or any allocation; the budget keeps c below 2^27,
+    so int32 holds every unit and int64 every product.
     """
     c = as_int(c, "modulus c", 1)
+    check_bytes(8 * c, f"the unit grid of c={c}")
     xs = inv = None
     for p, e in factorize(c).factors:
         q = p**e
@@ -126,7 +134,7 @@ def unit_grid(c: int) -> tuple[np.ndarray, np.ndarray]:
         idem = c // q * pow(c // q, -1, q)  # 1 mod q, 0 mod c/q
         xs, inv = _crt_lift(xs, units, idem, c), _crt_lift(inv, inverses, idem, c)
     if xs is None:
-        xs = inv = np.zeros(1, dtype=np.int64)
+        xs = inv = np.zeros(1, dtype=np.int32)
     return xs, inv
 
 

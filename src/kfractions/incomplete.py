@@ -227,7 +227,7 @@ def erdos_turan_sweep(n_specs: int = 200, gamma_max: int = 300, seed: int = 7) -
     is a theorem, so any violation of it indicates an implementation bug and
     raises immediately.
     """
-    rng = random.Random(seed)
+    rng, gamma_max = random.Random(as_int(seed, "seed", None)), as_int(gamma_max, "gamma_max", 1)
     violations = []
     for _ in range(as_int(n_specs, "n_specs", 0)):
         spec = _random_reduced_spec(rng, gamma_max)
@@ -248,7 +248,7 @@ def envelope_sharpness_sweep(n_specs: int = 1000, gamma_max: int = 300, seed: in
     The envelope hides an implied constant, so nothing is asserted here
     beyond finiteness; callers report the ratio distribution.
     """
-    rng = random.Random(seed)
+    rng, gamma_max = random.Random(as_int(seed, "seed", None)), as_int(gamma_max, "gamma_max", 1)
     samples = []
     for _ in range(as_int(n_specs, "n_specs", 0)):
         gamma = rng.randint(1, gamma_max)

@@ -13,10 +13,10 @@ the scalar function as its one-element case, and a third for a whole row in b:
   giant steps, about 2 sqrt(c) complex exps instead of c: up to _ROW_ROOTS
   residues their outer product is the row e(j/c), j < c; above it e(t/c) is
   giant[t >> k] * baby[t & (2^k - 1)], two gathers that stay in cache.  The
-  phase a*xbar + b*x is reduced mod c in exact integer arithmetic and the
+  phase a*xbar + b*x is formed and reduced mod c in exact int64 arithmetic and the
   terms are gathered one 2-D gather per chunk of rows and of columns (half of
   _GATHER_TERMS units), both bounded in bytes, so a large modulus needs little
-  beyond its units and inverses: 16 bytes per residue at a prime.
+  beyond its int32 units and inverses: 8 bytes per residue at a prime.
 * ``kloosterman_fast_batch`` / ``kloosterman_fast`` -- twisted
   multiplicativity across prime-power blocks,
   S(a,b;mn) = S(a*nbar, b*nbar; m) * S(a*mbar, b*mbar; n) for coprime m,n,
@@ -61,7 +61,7 @@ __all__ = [
     "FAST_LIMIT",
 ]
 
-# the brute cap: 16 bytes per unit (the unit and its inverse) plus one gather chunk, about 160 MB at the cap
+# the brute cap: 8 bytes per unit (the int32 unit and its inverse) plus one gather chunk, about 80 MB at the cap
 BRUTE_LIMIT = 10**7
 FAST_LIMIT = 10**12
 _IMAG_TOL = 1e-9
@@ -102,8 +102,8 @@ def _power_mod(xs: np.ndarray, e: int, c: int) -> np.ndarray:
 
 
 def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray | None]]:
-    """Units x mod c (1 <= c <= BRUTE_LIMIT) in grid order, their inverses (`characters.unit_grid`), and
-    the roots e(t/c) as the pair (baby, giant) that `_roots` reads.
+    """Units x mod c (1 <= c <= BRUTE_LIMIT) in grid order, their inverses (`characters.unit_grid`, int32: 8
+    bytes a unit), and the roots e(t/c) as the pair (baby, giant) that `_roots` reads.
 
     c is converted by `arith.as_int` and capped before any allocation.  Up to c = _ROW_ROOTS, s = ceil(sqrt(c))
     baby roots e(j/c), j < s, and ceil(c/s) giant roots e(s*i/c) give by one outer product the row
@@ -146,13 +146,14 @@ def _unit_sums(a, b, c: int, table) -> np.ndarray:
     """sum over units x mod c of e((a*xbar + b*x)/c) for int64 columns a, b of shape (k, 1) in [0, c).
 
     The k sums come from one 2-D gather (`_roots`) per chunk of _GATHER_TERMS // 2 units, added chunk by chunk;
-    the phase t >= 0 is reduced mod c exactly as t - (t // c) * c, which beats the remainder t % c.
+    the phase t >= 0 of the int32 units and inverses is formed in int64 and reduced mod c exactly as
+    t - (t // c) * c, which beats the remainder t % c.
     """
     xs, inv, roots = table
     cols, totals = _GATHER_TERMS // 2, None
     for j in range(0, len(xs), cols):
-        t = inv[j : j + cols] * a
-        t += xs[j : j + cols] * b
+        t = np.multiply(inv[j : j + cols], a, dtype=np.int64)
+        t += np.multiply(xs[j : j + cols], b, dtype=np.int64)
         q = t // c
         q *= c
         t -= q
@@ -228,7 +229,7 @@ def kloosterman_row(a: int, c: int) -> np.ndarray:
     xs, inv, roots = _unit_table(c)
     f, cols = np.zeros(c, dtype=np.complex128), _GATHER_TERMS // 2
     for j in range(0, len(xs), cols):
-        t = inv[j : j + cols] * (a % c)
+        t = np.multiply(inv[j : j + cols], a % c, dtype=np.int64)  # an int32 row times an int would stay int32
         t %= c
         f[xs[j : j + cols]] = _roots(roots, t)
     totals = np.fft.ifft(f, norm="forward")  # unscaled: sum_x f[x] e(bx/c)

@@ -143,9 +143,29 @@ class TestUnitGrid:
             unit = np.gcd(np.arange(c), c) == 1
             expect = np.full(math.prod(shape), -1, dtype=np.int64)
             expect[flat[unit]] = np.flatnonzero(unit)
-            assert units.dtype == inverses.dtype == np.int64
+            assert units.dtype == inverses.dtype == np.int32  # 8 bytes a unit
             assert units.tolist() == expect.tolist(), c
             assert inverses.min() >= 0 and inverses.max() < c and np.all(units * inverses % c == 1 % c), c
+
+    def test_peak_memory_is_8_bytes_a_unit(self):
+        c = 700001  # a prime: phi(c) = c - 1 int32 units and as many inverses, the giant x baby rows in 64 KB chunks
+        unit_grid(c)  # factorize's caches (c and c - 1) warm; the tables themselves are built anew
+        tracemalloc.start()
+        try:
+            units, inverses = unit_grid(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(units) == len(inverses) == c - 1
+        assert peak <= 8.5 * (c - 1)
+
+    @pytest.mark.parametrize("c", [2**27 + 1, 10**12])
+    def test_over_the_byte_budget_refused_before_the_grid(self, monkeypatch, c):
+        # 8 bytes a residue, checked before factorize or any block: so c < 2^27 and int32 is exact
+        monkeypatch.setattr(characters, "factorize", lambda n: pytest.fail("factorize ran"))
+        monkeypatch.setattr(characters, "prime_power_units", lambda p, e: pytest.fail("prime_power_units ran"))
+        with pytest.raises(ValueError, match=f"the unit grid of c={c} would hold {8 * c} bytes, over the cap of"):
+            unit_grid(c)
 
 
 class TestGridIndex:

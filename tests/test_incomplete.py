@@ -2,6 +2,7 @@
 
 import cmath
 import random
+import re
 from math import gcd, sqrt
 
 import numpy as np
@@ -279,6 +280,16 @@ class TestCompletionMajorant:
         rng = random.Random(5)
         # per spec: one row S(alpha, .; gamma), at that spec's gamma
         assert moduli == [incomplete._random_reduced_spec(rng, 80).gamma for _ in range(40)]
+
+    # each raised inside random without naming the argument, or ran on a float seed
+    @pytest.mark.parametrize("call, message", [
+        (lambda: erdos_turan_sweep(2, 2.5, 7), "gamma_max must be an integer, got 2.5"),  # non-integer stop
+        (lambda: erdos_turan_sweep(2, 0, 7), "gamma_max must be >= 1, got 0"),  # empty range (1, 1, 0)
+        (lambda: envelope_sharpness_sweep(2, 50, 7.5), "seed must be an integer, got 7.5"),  # hashed the float
+    ], ids=["erdos_turan_float_gamma_max", "erdos_turan_zero_gamma_max", "envelope_float_seed"])
+    def test_sweeps_take_gamma_max_and_seed_by_the_integer_rule(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
     def test_majorants_match_scalar_loop(self):
         from kfractions import incomplete

@@ -70,13 +70,13 @@ class TestUnitInverses:
     def test_generator_tables_at_prime_powers(self, c):
         xs, inv, _ = _unit_table(c)
         assert np.array_equal(np.sort(xs), np.flatnonzero(np.gcd(np.arange(c), c) == 1))
-        assert ((0 < inv) & (inv < c)).all() and (xs * inv % c == 1 % c).all()
+        assert ((0 < inv) & (inv < c)).all() and (xs.astype(np.int64) * inv % c == 1 % c).all()  # int32 would wrap
 
     @pytest.mark.parametrize("c", [700001, 2**12 * 147, 199**2 * 13])  # prime, 2^k*odd, p^2*r
     def test_large_modulus_shapes(self, c):
         xs, inv, _ = _unit_table(c)
         assert len(xs) == factorize(c).euler_phi
-        assert (xs * inv % c == 1).all()
+        assert (xs.astype(np.int64) * inv % c == 1).all()  # the int32 product would wrap
         assert inv.tolist() == [pow(x, -1, c) for x in xs.tolist()]
 
     @staticmethod
@@ -236,9 +236,9 @@ class TestUnitTableKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # units and inverses (8 bytes each): 16 bytes per residue, no length-c row; 4 MiB for the rest (one
+        # int32 units and inverses (4 bytes each): 8 bytes per residue, no length-c row; 4 MiB for the rest (one
         # gather chunk of 2^14 units of 48 bytes among them)
-        assert peak <= 16 * c + 4 * 2**20
+        assert peak <= 8 * c + 4 * 2**20
 
     def test_uncached_row_peak_memory(self):
         c = 700001
@@ -248,9 +248,30 @@ class TestUnitTableKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # units and inverses (16 bytes per residue), f and the FFT's output (16 each) and the FFT's own work
+        # int32 units and inverses (8 bytes per residue), f and the FFT's output (16 each) and the FFT's own work
         # (a prime length); the unit gather in chunks of _GATHER_TERMS // 2, so no length-c root row or phase array
-        assert peak <= 64 * c + 4 * 2**20
+        assert peak <= 56 * c + 4 * 2**20
+
+
+class TestInt64Phases:
+    """Above c = 46,341 (c^2 > 2^31) a phase a*xbar + b*x of the int32 units and inverses needs int64: each route
+    matches a direct sum whose phases are Python ints."""
+
+    @pytest.mark.parametrize("c", [700001, 602112])  # a prime, and 2^12 * 3 * 7^2
+    def test_routes_match_a_python_int_direct_sum(self, c):
+        units = [x for x in range(1, c) if gcd(x, c) == 1]
+        inverses = [pow(x, -1, c) for x in units]
+        pairs = [(c - 1, c - 2), (c - 1, c - 11), (c - 1, 7), (c - 13, c - 1)]  # a and b near c
+
+        def direct(a, b):
+            phases = [(a * y + b * x) % c for x, y in zip(units, inverses)]
+            return np.exp(2j * np.pi * (np.array(phases) / c)).sum().real
+
+        want = [direct(a, b) for a, b in pairs]
+        a, b = np.array(pairs).T
+        assert kloosterman_batch(a, b, c) == pytest.approx(want, abs=1e-6)
+        assert kloosterman_fast_batch(a, b, c)[0] == pytest.approx(want, abs=1e-6)
+        assert kloosterman_row(c - 1, c)[b[:3]] == pytest.approx(want[:3], abs=1e-6)  # the three pairs at a = c - 1
 
 
 class TestBatch:
