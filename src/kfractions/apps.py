@@ -281,11 +281,12 @@ class FractionSet:
     pairs: np.ndarray
 
 
-def build_fraction_set(n_scale: int, ground_set) -> FractionSet:
-    members = sorted({x for x in ground_set if 0 <= x <= n_scale})
-    ns = np.array([x for x in members if x >= 1], dtype=np.int64)
-    coprime = [np.gcd(ns, m) == 1 for m in ns.tolist()]  # counted first: the rows are filled in place
-    pairs = np.empty((sum(map(np.count_nonzero, coprime)), 3), dtype=np.int64)
+def _coprime_pairs(ns: np.ndarray) -> np.ndarray:
+    """The int64 (m, n, a0) rows of the coprime pairs of ns, by m then n; a0 as in `rho_solution`."""
+    coprime = np.empty((len(ns), len(ns)), dtype=bool)  # counted first: the rows are filled in place
+    for m, row in zip(ns.tolist(), coprime):
+        np.equal(np.gcd(ns, m), 1, out=row)
+    pairs = np.empty((np.count_nonzero(coprime), 3), dtype=np.int64)
     lo = 0
     for m, mask in zip(ns.tolist(), coprime):  # one block of rows per m, n ascending within it
         n = ns[mask]
@@ -295,6 +296,12 @@ def build_fraction_set(n_scale: int, ground_set) -> FractionSet:
         a0 += n * np.maximum(0, -((a0 * m - n - 1) // (n * m)))
         pairs[lo:lo + len(n)] = np.column_stack([np.full_like(n, m), n, a0])
         lo += len(n)
+    return pairs
+
+
+def build_fraction_set(n_scale: int, ground_set) -> FractionSet:
+    members = sorted({x for x in ground_set if 0 <= x <= n_scale})
+    pairs = _coprime_pairs(np.array([x for x in members if x >= 1], dtype=np.int64))  # its masks freed by now
     points = np.remainder(pairs[:, 2], pairs[:, 0], out=np.empty(len(pairs)))  # a0 mod m, exact as a float
     points /= pairs[:, 0]  # in place: no int64 temporary of the pairs' length beside the points
     return FractionSet(n_scale, tuple(members), points, pairs)
@@ -354,4 +361,5 @@ def equidist_experiment(
         size, points = len(fs.members), fs.points
         del fs  # its (K, 3) pairs are not held while star_discrepancy sorts a copy, nor while the next set is built
         rows.append(EquidistRow(n_scale, size, len(points), star_discrepancy(points) if len(points) else None))
+        del points  # nor are its points held while the next set is built
     return rows

@@ -30,6 +30,7 @@ __all__ = ["DirichletCharacter", "CharacterGroup", "character_group", "character
 
 CHARACTER_MODULUS_LIMIT = 10**4
 _GRID_BLOCK = 2**12  # grid points per flat buffer of character_sums_by_modulus
+_TABLE_CHUNK = 2**13  # int64 products (64 KB) per chunk of a unit table build, reduced into int32
 
 
 def _primitive_root_mod_prime(p: int) -> int:
@@ -57,21 +58,26 @@ def _short_powers(g: int, count: int, modulus: int) -> list[int]:
     return out
 
 
+def _reduce_into(out: np.ndarray, t: np.ndarray, modulus: int) -> None:
+    """out[:] = t mod modulus for a chunk t >= 0 of int64 products, as t - (t // modulus) * modulus: no np.remainder."""
+    t -= t // modulus * modulus
+    out[:] = t
+
+
 def _generator_powers(g: int, order: int, modulus: int) -> np.ndarray:
     """g^0 .. g^(order-1) mod modulus (modulus < 2^31) as int32, by baby-step/giant-step.
 
     s = ceil(sqrt(order)) baby powers g^j and as many giant powers g^(s*i) are built by scalar
-    loops; the outer multiply-reduce to g^(s*i + j) runs a few giant rows at a time (about 64 KB
-    of int64 products) into the int32 output.
+    loops; the outer multiply-reduce to g^(s*i + j) runs a few giant rows at a time (about
+    _TABLE_CHUNK int64 products) into the int32 output.
     """
     s = math.isqrt(order - 1) + 1
     baby = np.array(_short_powers(g, s, modulus), dtype=np.int64)
     giant = np.array(_short_powers(pow(g, s, modulus), -(-order // s), modulus), dtype=np.int64)
-    out, rows = np.empty(order, dtype=np.int32), max(1, 2**13 // s)
+    out, rows = np.empty(order, dtype=np.int32), max(1, _TABLE_CHUNK // s)
     for i in range(0, len(giant), rows):
-        chunk = np.multiply.outer(giant[i : i + rows], baby).ravel()
-        chunk -= chunk // modulus * modulus  # the remainder of chunk >= 0, without np.remainder
-        out[i * s : (i + rows) * s] = chunk[: order - i * s]
+        products = np.multiply.outer(giant[i : i + rows], baby).ravel()[: order - i * s]
+        _reduce_into(out[i * s : i * s + len(products)], products, modulus)
     return out
 
 
@@ -96,17 +102,26 @@ def prime_power_units(p: int, e: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.concatenate([fives, q - fives]), (2, half)
 
 
-def _crt_lift(acc: np.ndarray | None, col: np.ndarray, idem: int, c: int) -> np.ndarray:
-    """(acc_i + idem * col_j) mod c over all pairs i, j, flattened; idem * col mod c for the first block.  The
-    products (below c^2) are formed in int64, the outer sums (in [-c, c), c < 2^31) in int32."""
-    if idem != 1:
-        col = np.multiply(col, idem, dtype=np.int64)
-        col -= col // c * c  # the remainder of col >= 0, without np.remainder
-        col = col.astype(np.int32)
+def _lift(units: np.ndarray, idem: int, c: int) -> None:
+    """units = idem * units mod c in place, for int32 units; their int64 products (below c^2) a chunk at a time."""
+    for j in range(0, len(units), _TABLE_CHUNK):
+        part = units[j : j + _TABLE_CHUNK]
+        _reduce_into(part, np.multiply(part, idem, dtype=np.int64), c)
+
+
+def _crt_sum(acc: np.ndarray | None, col: np.ndarray, c: int) -> np.ndarray:
+    """(acc_i + col_j) mod c over all pairs i, j, flattened, as int32; col itself for the first block.
+
+    col (the caller's own array of lifted residues) is summed in place when acc has one entry; the sums, below 2c,
+    are reduced a chunk at a time, so no temporary of their length.
+    """
     if acc is None:
         return col
-    out = np.add.outer(acc, col - c).ravel()  # two residues less c: in [-c, c)
-    out += (out >> 31) & c  # c where negative: one conditional subtract, no np.remainder
+    out = np.add(col, acc[0], out=col) if len(acc) == 1 else np.add.outer(acc, col).ravel()
+    for j in range(0, len(out), _TABLE_CHUNK):
+        part = out[j : j + _TABLE_CHUNK]
+        part -= c  # two residues less c: in [-c, c)
+        part += (part >> 31) & c  # c where negative: one conditional subtract, no np.remainder
     return out
 
 
@@ -117,11 +132,14 @@ def unit_grid(c: int) -> tuple[np.ndarray, np.ndarray]:
     orders, as `grid_index` gives it), last digit fastest, the prime-power blocks in factor
     order.  A block's units are generator powers (`prime_power_units`) and the inverse of g^k
     is g^(phi-k), so its inverse row is the same array reversed past index 0 (of each half,
-    +5^t and -5^t, at 2^e).  The blocks combine through the CRT idempotents (1 mod q, 0 mod
-    c/q) in outer sums mod c, the products idem * unit in int64.  c = 1 has the one unit 0, and
-    c in {1, 2} the one-point grid (1,).  c goes through `arith.as_int`, then `arith.check_bytes`
-    at 8 bytes a residue, before `factorize` or any allocation; the budget keeps c below 2^27,
-    so int32 holds every unit and int64 every product.
+    +5^t and -5^t, at 2^e).  Each block is lifted once by its CRT idempotent (1 mod q, 0 mod
+    c/q), the products in int64 chunks, before its inverses are read off it; the blocks then
+    combine in outer sums mod c.  c = 1 has the one unit 0, and c in {1, 2} the one-point grid
+    (1,).  c goes through `arith.as_int`, then `arith.check_bytes` at 8 bytes a residue, before
+    `factorize` or any allocation; the budget keeps c below 2^27, so int32 holds every unit and
+    int64 every product.  The build peaks at 8 bytes a unit (c a prime power or twice one: the last
+    block summed in place) to 10 (c = 3p: the last outer sum beside the finished units), within
+    8 bytes a residue.
     """
     c = as_int(c, "modulus c", 1)
     check_bytes(8 * c, f"the unit grid of c={c}")
@@ -129,10 +147,13 @@ def unit_grid(c: int) -> tuple[np.ndarray, np.ndarray]:
     for p, e in factorize(c).factors:
         q = p**e
         units, orders = prime_power_units(p, e)
+        if q != c:
+            _lift(units, c // q * pow(c // q, -1, q), c)  # by the idempotent: 1 mod q, 0 mod c/q
         rows = units.reshape(-1, orders[-1] if orders else 1)  # a leading order-2 digit is its own negative
         inverses = np.concatenate((rows[:, :1], rows[:, :0:-1]), axis=1).ravel()
-        idem = c // q * pow(c // q, -1, q)  # 1 mod q, 0 mod c/q
-        xs, inv = _crt_lift(xs, units, idem, c), _crt_lift(inv, inverses, idem, c)
+        xs = _crt_sum(xs, units, c)
+        del units, rows  # freed before the inverses are summed, unless xs is this array summed in place
+        inv = _crt_sum(inv, inverses, c)
     if xs is None:
         xs = inv = np.zeros(1, dtype=np.int32)
     return xs, inv

@@ -61,7 +61,8 @@ __all__ = [
     "FAST_LIMIT",
 ]
 
-# the brute cap: 8 bytes per unit (the int32 unit and its inverse) plus one gather chunk, about 80 MB at the cap
+# the brute cap: 8 bytes per unit (the int32 unit and its inverse; its build holds at most 8 a residue) plus one
+# gather chunk, about 80 MB at the cap
 BRUTE_LIMIT = 10**7
 FAST_LIMIT = 10**12
 _IMAG_TOL = 1e-9
@@ -146,14 +147,14 @@ def _unit_sums(a, b, c: int, table) -> np.ndarray:
     """sum over units x mod c of e((a*xbar + b*x)/c) for int64 columns a, b of shape (k, 1) in [0, c).
 
     The k sums come from one 2-D gather (`_roots`) per chunk of _GATHER_TERMS // 2 units, added chunk by chunk;
-    the phase t >= 0 of the int32 units and inverses is formed in int64 and reduced mod c exactly as
+    the phase t >= 0 (int64: the int32 units and inverses times the int64 columns) is reduced mod c exactly as
     t - (t // c) * c, which beats the remainder t % c.
     """
     xs, inv, roots = table
     cols, totals = _GATHER_TERMS // 2, None
     for j in range(0, len(xs), cols):
-        t = np.multiply(inv[j : j + cols], a, dtype=np.int64)
-        t += np.multiply(xs[j : j + cols], b, dtype=np.int64)
+        t = inv[j : j + cols] * a
+        t += xs[j : j + cols] * b
         q = t // c
         q *= c
         t -= q

@@ -439,9 +439,10 @@ class TestFractionSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the (m, n, a0) rows (24 bytes), the points (8) and the coprime masks (1); the points came from an int64
-        # a0 mod m of their own length before (43 bytes a pair traced)
-        assert peak <= 33 * len(fs.pairs) + 2**19
+        # the (m, n, a0) rows (24 bytes) and the points (8); the coprime masks (1 byte a pair of members) are freed
+        # before the points are made (34.8 bytes a pair traced with them), and the points came from an int64
+        # a0 mod m of their own length before that (43 bytes a pair)
+        assert peak <= 32 * len(fs.pairs) + 2**18
 
 
 class TestStarDiscrepancy:
@@ -543,14 +544,16 @@ class TestEquidistExperiment:
         assert len(calls) == 1
 
     def test_pairs_released_before_the_discrepancy_and_the_next_set(self, monkeypatch):
-        # the ladder holds one set's points, not its (K, 3) pairs, while it sorts them or builds the next set
-        pairs, dead = [], []
+        # the ladder holds one set's points, not its (K, 3) pairs, while it sorts them, and no earlier set's
+        # pairs or points while it builds the next set
+        pairs, point_sets, dead = [], [], []
         real_build, real_star = apps.build_fraction_set, apps.star_discrepancy
 
         def build(*args):
-            dead.append(all(ref() is None for ref in pairs))
+            dead.append(all(ref() is None for ref in pairs + point_sets))
             fs = real_build(*args)
             pairs.append(weakref.ref(fs.pairs))
+            point_sets.append(weakref.ref(fs.points))
             return fs
 
         def star(points):

@@ -147,17 +147,32 @@ class TestUnitGrid:
             assert units.tolist() == expect.tolist(), c
             assert inverses.min() >= 0 and inverses.max() < c and np.all(units * inverses % c == 1 % c), c
 
-    def test_peak_memory_is_8_bytes_a_unit(self):
-        c = 700001  # a prime: phi(c) = c - 1 int32 units and as many inverses, the giant x baby rows in 64 KB chunks
-        unit_grid(c)  # factorize's caches (c and c - 1) warm; the tables themselves are built anew
+    # a prime: phi(c) = c - 1 int32 units and as many inverses, the giant x baby rows in 64 KB chunks; 2 * 350003:
+    # the large block lifted by its idempotent a chunk of int64 products at a time, then summed in place
+    @pytest.mark.parametrize("c", [700001, 2 * 350003])
+    def test_peak_memory_is_8_bytes_a_unit(self, c):
+        unit_grid(c)  # factorize's caches warm; the tables themselves are built anew
         tracemalloc.start()
         try:
             units, inverses = unit_grid(c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(units) == len(inverses) == c - 1
-        assert peak <= 8.5 * (c - 1)
+        assert len(units) == len(inverses) == factorize(c).euler_phi
+        assert peak <= 8.5 * len(units)
+
+    def test_peak_memory_is_at_most_8_bytes_a_residue(self):
+        # 3 * 700001: the last outer sum is built beside the finished units, 10 bytes a unit, the most any c holds;
+        # phi(c) = 2c/3 keeps that under the 8 bytes a residue that check_bytes admits
+        c = 3 * 700001
+        unit_grid(c)
+        tracemalloc.start()
+        try:
+            units, _ = unit_grid(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.25 * len(units) and peak <= 8 * c
 
     @pytest.mark.parametrize("c", [2**27 + 1, 10**12])
     def test_over_the_byte_budget_refused_before_the_grid(self, monkeypatch, c):

@@ -72,7 +72,7 @@ def test_tracked_line_count():
     """A ratchet on the line total of src/kfractions/*.py that ROADMAP quotes: code added or deleted changes
     this number, so it has to change it on purpose."""
     total = sum(path.read_bytes().count(b"\n") for path in Path(kfractions.__file__).parent.glob("*.py"))
-    assert total == 3350
+    assert total == 3380
 
 
 def test_only_arith_imports_integral():
