@@ -5,11 +5,12 @@ by a primitive root), and for the 2-part either nothing (2^0, 2^1), a single
 order-2 component (2^2), or the pair <-1> x <5> (2^e, e >= 3).
 `prime_power_units` lists each block's units as generator powers, built by
 baby-step/giant-step.  `unit_grid` lifts the blocks by CRT to the units in the
-C order of the grid shaped by the generator orders, with their inverses; it
-serves the `ksums` unit tables.  `grid_index`, the one map of residues to flat
-grid indices, takes many moduli at once; a character group reads its index
-from it.  A character is a frequency of that grid: the character sums of a
-modulus are one unscaled inverse DFT of the weights added at their grid points
+C order of the grid shaped by the generator orders, 4 bytes a unit and no
+inverse array: the `ksums` unit tables read xbar off the reversed grid.
+`grid_index`, the one map of residues to flat grid indices, takes many
+moduli at once; a character group reads its index from it.  A character is a
+frequency of that grid: the character sums of a modulus are one unscaled
+inverse DFT of the weights added at their grid points
 (`character_sums_by_modulus`, for many moduli at once), and a `value_table`
 the inverse DFT of an indicator (q <= 1e4).
 """
@@ -125,38 +126,31 @@ def _crt_sum(acc: np.ndarray | None, col: np.ndarray, c: int) -> np.ndarray:
     return out
 
 
-def unit_grid(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units x mod c in grid order and their inverses, as int32: 8 bytes a unit.
+def unit_grid(c: int) -> np.ndarray:
+    """The units x mod c in grid order, as int32: 4 bytes a unit, no inverse array.
 
     Unit i has as generator exponents the digits of i over the grid shape (the generator
     orders, as `grid_index` gives it), last digit fastest, the prime-power blocks in factor
-    order.  A block's units are generator powers (`prime_power_units`) and the inverse of g^k
-    is g^(phi-k), so its inverse row is the same array reversed past index 0 (of each half,
-    +5^t and -5^t, at 2^e).  Each block is lifted once by its CRT idempotent (1 mod q, 0 mod
-    c/q), the products in int64 chunks, before its inverses are read off it; the blocks then
-    combine in outer sums mod c.  c = 1 has the one unit 0, and c in {1, 2} the one-point grid
-    (1,).  c goes through `arith.as_int`, then `arith.check_bytes` at 8 bytes a residue, before
-    `factorize` or any allocation; the budget keeps c below 2^27, so int32 holds every unit and
-    int64 every product.  The build peaks at 8 bytes a unit (c a prime power or twice one: the last
-    block summed in place) to 10 (c = 3p: the last outer sum beside the finished units), within
-    8 bytes a residue.
+    order.  A block's units are generator powers (`prime_power_units`), lifted once by its CRT
+    idempotent (1 mod q, 0 mod c/q), the products in int64 chunks; the blocks then combine in
+    outer sums mod c.  Read backwards, each digit k becomes order-1-k and g^-k = g^(order-k)
+    (an order-2 digit, -1 at 2^e, is its own negative), so xbar_i = ubar * xs[phi-1-i] mod c,
+    ubar the inverse of xs[phi-1].  c = 1 has the one unit 0, and c in {1, 2} the one-point
+    grid (1,).  c goes through `arith.as_int`, then `arith.check_bytes` at 8 bytes a residue,
+    before `factorize` or any allocation; the budget keeps c below 2^27, so int32 holds every
+    unit and int64 every product.  The build peaks at 4.4 bytes a unit (c a prime power or
+    twice one: the last block summed in place) to 6 (c = 3p: the last outer sum beside them).
     """
     c = as_int(c, "modulus c", 1)
     check_bytes(8 * c, f"the unit grid of c={c}")
-    xs = inv = None
+    xs = None
     for p, e in factorize(c).factors:
         q = p**e
-        units, orders = prime_power_units(p, e)
+        units = prime_power_units(p, e)[0]
         if q != c:
             _lift(units, c // q * pow(c // q, -1, q), c)  # by the idempotent: 1 mod q, 0 mod c/q
-        rows = units.reshape(-1, orders[-1] if orders else 1)  # a leading order-2 digit is its own negative
-        inverses = np.concatenate((rows[:, :1], rows[:, :0:-1]), axis=1).ravel()
         xs = _crt_sum(xs, units, c)
-        del units, rows  # freed before the inverses are summed, unless xs is this array summed in place
-        inv = _crt_sum(inv, inverses, c)
-    if xs is None:
-        xs = inv = np.zeros(1, dtype=np.int32)
-    return xs, inv
+    return np.zeros(1, dtype=np.int32) if xs is None else xs
 
 
 def grid_index(moduli: Sequence[int], xs) -> tuple[np.ndarray, list[tuple[int, ...]]]:

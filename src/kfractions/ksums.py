@@ -5,18 +5,19 @@ Two evaluation routes with disjoint internals, each in array form for many
 the scalar function as its one-element case, and a third for a whole row in b:
 
 * ``kloosterman_batch`` / ``kloosterman_brute`` -- the oracle: direct
-  summation over reduced residues.  The units of c and their inverses come
-  from `characters.unit_grid`, the cyclic structure of (Z/c)*: each
-  prime-power block lists its units as generator powers g^0 .. g^(phi-1)
-  (baby-step/giant-step; +-5^t at 2^e), the inverse of g^k is g^(phi-k), and
-  the blocks combine by CRT idempotents.  The roots e(t/c) come from baby and
+  summation over reduced residues.  The units of c come from
+  `characters.unit_grid`, the cyclic structure of (Z/c)*: each prime-power
+  block lists its units as generator powers g^0 .. g^(phi-1)
+  (baby-step/giant-step; +-5^t at 2^e), the blocks combine by CRT idempotents,
+  and as the inverse of g^k is g^(phi-k), xbar_i = ubar * xs[phi-1-i]: no
+  inverse array, a*ubar once per row.  The roots e(t/c) come from baby and
   giant steps, about 2 sqrt(c) complex exps instead of c: up to _ROW_ROOTS
   residues their outer product is the row e(j/c), j < c; above it e(t/c) is
   giant[t >> k] * baby[t & (2^k - 1)], two gathers that stay in cache.  The
-  phase a*xbar + b*x is formed and reduced mod c in exact int64 arithmetic and the
-  terms are gathered one 2-D gather per chunk of rows and of columns (half of
-  _GATHER_TERMS units), both bounded in bytes, so a large modulus needs little
-  beyond its int32 units and inverses: 8 bytes per residue at a prime.
+  phase a*xbar + b*x is formed and reduced mod c in exact int64 arithmetic and
+  the terms are gathered one 2-D gather per chunk of rows and of columns (half
+  of _GATHER_TERMS units), both bounded in bytes, so a large modulus needs
+  little beyond its int32 units: 4 bytes per residue at a prime.
 * ``kloosterman_fast_batch`` / ``kloosterman_fast`` -- twisted
   multiplicativity across prime-power blocks,
   S(a,b;mn) = S(a*nbar, b*nbar; m) * S(a*mbar, b*mbar; n) for coprime m,n,
@@ -61,8 +62,8 @@ __all__ = [
     "FAST_LIMIT",
 ]
 
-# the brute cap: 8 bytes per unit (the int32 unit and its inverse; its build holds at most 8 a residue) plus one
-# gather chunk, about 80 MB at the cap
+# the brute cap: 4 bytes per unit (the int32 unit, no inverse array; its build is admitted at 8 a residue) plus one
+# gather chunk, about 40 MB at the cap
 BRUTE_LIMIT = 10**7
 FAST_LIMIT = 10**12
 _IMAG_TOL = 1e-9
@@ -102,9 +103,10 @@ def _power_mod(xs: np.ndarray, e: int, c: int) -> np.ndarray:
     return out
 
 
-def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray | None]]:
-    """Units x mod c (1 <= c <= BRUTE_LIMIT) in grid order, their inverses (`characters.unit_grid`, int32: 8
-    bytes a unit), and the roots e(t/c) as the pair (baby, giant) that `_roots` reads.
+def _unit_table(c: int) -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray | None]]:
+    """Units x mod c (1 <= c <= BRUTE_LIMIT) in grid order (`characters.unit_grid`, int32: 4 bytes a unit), the
+    Python int ubar = xs[phi-1]^-1 mod c, so xbar_i = ubar * xs[phi-1-i] mod c and no inverse array is kept, and
+    the roots e(t/c) as the pair (baby, giant) that `_roots` reads.
 
     c is converted by `arith.as_int` and capped before any allocation.  Up to c = _ROW_ROOTS, s = ceil(sqrt(c))
     baby roots e(j/c), j < s, and ceil(c/s) giant roots e(s*i/c) give by one outer product the row
@@ -114,12 +116,12 @@ def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.nd
     c = as_int(c, "modulus c", 1)
     if c > BRUTE_LIMIT:
         raise ValueError(f"brute evaluation capped at c <= {BRUTE_LIMIT}, got {c}")
-    xs, inv = unit_grid(c)
+    xs = unit_grid(c)
     whole = c <= _ROW_ROOTS
     s = isqrt(c - 1) + 1 if whole else 1 << ((c - 1).bit_length() + 1) // 2
     baby = np.exp(2j * np.pi * (np.arange(s) / c))
     giant = np.exp(2j * np.pi * (np.arange(0, c, s) / c))
-    return xs, inv, (np.multiply.outer(giant, baby).ravel()[:c], None) if whole else (baby, giant)
+    return xs, pow(int(xs[-1]), -1, c), (np.multiply.outer(giant, baby).ravel()[:c], None) if whole else (baby, giant)
 
 
 def _roots(roots: tuple[np.ndarray, np.ndarray | None], t: np.ndarray) -> np.ndarray:
@@ -146,14 +148,15 @@ def inverses_mod(xs, n: int) -> np.ndarray:
 def _unit_sums(a, b, c: int, table) -> np.ndarray:
     """sum over units x mod c of e((a*xbar + b*x)/c) for int64 columns a, b of shape (k, 1) in [0, c).
 
-    The k sums come from one 2-D gather (`_roots`) per chunk of _GATHER_TERMS // 2 units, added chunk by chunk;
-    the phase t >= 0 (int64: the int32 units and inverses times the int64 columns) is reduced mod c exactly as
-    t - (t // c) * c, which beats the remainder t % c.
+    a*xbar is (a*ubar mod c) times the reversed units, a view.  The k sums come from one 2-D gather (`_roots`) per
+    chunk of _GATHER_TERMS // 2 units, added chunk by chunk; the phase t >= 0 (int64: the int32 units times the
+    int64 columns) is reduced mod c exactly as t - (t // c) * c, which beats the remainder t % c.
     """
-    xs, inv, roots = table
+    xs, ubar, roots = table
+    a, rev = a * ubar % c, xs[::-1]
     cols, totals = _GATHER_TERMS // 2, None
     for j in range(0, len(xs), cols):
-        t = inv[j : j + cols] * a
+        t = rev[j : j + cols] * a
         t += xs[j : j + cols] * b
         q = t // c
         q *= c
@@ -223,17 +226,18 @@ def kloosterman_row(a: int, c: int) -> np.ndarray:
 
     f[x] = e(a*xbar/c) on the units x mod c (from the brute route's unit
     table, so the same range, gathered in chunks of _GATHER_TERMS // 2 units)
-    and 0 elsewhere.  Raises ArithmeticError naming the first (a, b, c) whose
-    imaginary part exceeds 1e-9 * phi(c).
+    and 0 elsewhere, transformed in place.  Raises ArithmeticError naming the
+    first (a, b, c) whose imaginary part exceeds 1e-9 * phi(c).
     """
     a = as_int(a, "a", None)
-    xs, inv, roots = _unit_table(c)
+    xs, ubar, roots = _unit_table(c)
+    w, rev = a % c * ubar % c, xs[::-1]
     f, cols = np.zeros(c, dtype=np.complex128), _GATHER_TERMS // 2
     for j in range(0, len(xs), cols):
-        t = np.multiply(inv[j : j + cols], a % c, dtype=np.int64)  # an int32 row times an int would stay int32
+        t = np.multiply(rev[j : j + cols], w, dtype=np.int64)  # an int32 row times an int would stay int32
         t %= c
         f[xs[j : j + cols]] = _roots(roots, t)
-    totals = np.fft.ifft(f, norm="forward")  # unscaled: sum_x f[x] e(bx/c)
+    totals = np.fft.ifft(f, norm="forward", out=f)  # unscaled, in place: sum_x f[x] e(bx/c)
     return _real_parts(totals, c, len(xs), lambda b: (a, b))
 
 

@@ -42,23 +42,30 @@ def slow_reference(a: int, b: int, c: int) -> complex:
     return total
 
 
+def table_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units of `_unit_table(c)` and the inverses they give, ubar * xs[phi-1-i] mod c, as int64."""
+    xs, ubar, _ = _unit_table(c)
+    assert isinstance(ubar, int) and 0 <= ubar < c and xs.dtype == np.int32  # 4 bytes a unit, no inverse array
+    return xs, xs[::-1].astype(np.int64) * ubar % c  # the int32 product would wrap
+
+
 class TestUnitInverses:
-    """The units come in generator order, not increasing: sorted, they are the gcd sieve, and each
-    inverse sits at its unit's index."""
+    """The units come in generator order, not increasing: sorted, they are the gcd sieve, and the reversed
+    units times ubar give each unit's inverse at its index."""
 
     def test_int64_square_and_multiply_cannot_overflow(self):
         assert BRUTE_LIMIT**2 < 2**63
 
     def test_small_moduli_match_pow(self):
         for c in range(2, 601):
-            xs, inv, _ = _unit_table(c)
+            xs, inv = table_inverses(c)
             assert sorted(xs.tolist()) == [x for x in range(1, c) if gcd(x, c) == 1]
             assert inv.tolist() == [pow(x, -1, c) for x in xs.tolist()]
             assert (xs * inv % c == 1).all()
 
     def test_generator_tables_match_pow_601_to_2000(self):
         for c in range(601, 2001):
-            xs, inv, _ = _unit_table(c)
+            xs, inv = table_inverses(c)
             assert sorted(xs.tolist()) == [x for x in range(1, c) if gcd(x, c) == 1]
             assert inv.tolist() == [pow(x, -1, c) for x in xs.tolist()]
 
@@ -68,15 +75,15 @@ class TestUnitInverses:
         + [p**e for p, top in ((3, 12), (5, 8), (7, 7), (199, 2)) for e in range(1, top + 1)],
     )
     def test_generator_tables_at_prime_powers(self, c):
-        xs, inv, _ = _unit_table(c)
+        xs, inv = table_inverses(c)
         assert np.array_equal(np.sort(xs), np.flatnonzero(np.gcd(np.arange(c), c) == 1))
-        assert ((0 < inv) & (inv < c)).all() and (xs.astype(np.int64) * inv % c == 1 % c).all()  # int32 would wrap
+        assert ((0 < inv) & (inv < c)).all() and (xs * inv % c == 1 % c).all()
 
     @pytest.mark.parametrize("c", [700001, 2**12 * 147, 199**2 * 13])  # prime, 2^k*odd, p^2*r
     def test_large_modulus_shapes(self, c):
-        xs, inv, _ = _unit_table(c)
+        xs, inv = table_inverses(c)
         assert len(xs) == factorize(c).euler_phi
-        assert (xs.astype(np.int64) * inv % c == 1).all()  # the int32 product would wrap
+        assert (xs * inv % c == 1).all()
         assert inv.tolist() == [pow(x, -1, c) for x in xs.tolist()]
 
     @staticmethod
@@ -116,7 +123,7 @@ class TestUnitInverses:
 class TestBrute:
     def test_modulus_one(self):
         # c = 1 takes the general path: the one unit 0 and the root e(0/1) = 1 give S(a, b; 1) = 1 exactly
-        xs, inv, roots = _unit_table(1)
+        (xs, inv), roots = table_inverses(1), _unit_table(1)[2]
         assert xs.tolist() == inv.tolist() == [0] and _roots(roots, np.zeros(1, dtype=np.int64)).tolist() == [1 + 0j]
         pairs = [(5, -3), (0, 0), (-5, 3), (-(10**6), -7), (2**40, 12)]
         for size in (0, 1, 5):
@@ -236,9 +243,9 @@ class TestUnitTableKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # int32 units and inverses (4 bytes each): 8 bytes per residue, no length-c row; 4 MiB for the rest (one
-        # gather chunk of 2^14 units of 48 bytes among them)
-        assert peak <= 8 * c + 4 * 2**20
+        # int32 units, no inverse array: 4 bytes per residue, no length-c row; 2 MiB for the rest (one gather chunk
+        # of 2^14 units of 48 bytes among them; 4 * c + 0.78 MiB measured), less than a second int32 array of phi(c)
+        assert peak <= 4 * c + 2 * 2**20
 
     def test_uncached_row_peak_memory(self):
         c = 700001
@@ -248,14 +255,15 @@ class TestUnitTableKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # int32 units and inverses (8 bytes per residue), f and the FFT's output (16 each) and the FFT's own work
-        # (a prime length); the unit gather in chunks of _GATHER_TERMS // 2, so no length-c root row or phase array
-        assert peak <= 56 * c + 4 * 2**20
+        # int32 units (4 bytes per residue), f transformed in place (16) and the FFT's own work (a prime length;
+        # 29.3 bytes per residue measured in all); the unit gather in chunks of _GATHER_TERMS // 2, so no length-c
+        # root row, phase array, second complex row or inverse array
+        assert peak <= 30 * c + 2**20
 
 
 class TestInt64Phases:
-    """Above c = 46,341 (c^2 > 2^31) a phase a*xbar + b*x of the int32 units and inverses needs int64: each route
-    matches a direct sum whose phases are Python ints."""
+    """Above c = 46,341 (c^2 > 2^31) a phase (a*ubar) * xs[phi-1-i] + b * xs[i] of the int32 units needs int64: each
+    route matches a direct sum whose phases are Python ints."""
 
     @pytest.mark.parametrize("c", [700001, 602112])  # a prime, and 2^12 * 3 * 7^2
     def test_routes_match_a_python_int_direct_sum(self, c):
@@ -469,8 +477,7 @@ class TestNumpyIntegerModuli:
 
     def test_unit_grid_and_the_brute_route(self):
         for c in (1, 2, 12, 97, 4096):
-            for got, want in zip(characters.unit_grid(np.int64(c)), characters.unit_grid(c)):
-                assert np.array_equal(got, want)
+            assert np.array_equal(characters.unit_grid(np.int64(c)), characters.unit_grid(c))
             assert np.array_equal(kloosterman_batch([1, 5], [1, -3], np.int64(c)), kloosterman_batch([1, 5], [1, -3], c))
             assert np.array_equal(kloosterman_row(3, np.int64(c)), kloosterman_row(3, c))
         assert kloosterman_brute(KloostermanParams(1, 1, np.int64(12))) == kloosterman_brute(KloostermanParams(1, 1, 12))

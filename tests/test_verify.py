@@ -48,6 +48,23 @@ def test_record_passed_flag():
     assert rec.experiment_id == ksum_verify(cmax=20, pairs=3, seed=1).experiment_id
 
 
+def test_oracle_equivalence_witnesses_a_wrong_unit_factor_in_xbar(monkeypatch):
+    # the brute tables read xbar as ubar times the reversed units; with ubar forced to 1 every brute sum at c
+    # becomes S(au, b; c), u = xs[phi-1], and a fast block at q becomes S(a u_q, b; q) with its own u_q
+    assert ksum_verify(cmax=60, pairs=4).passed
+    table = ksums._unit_table
+
+    def ubar_one(c):
+        xs, _, roots = table(c)
+        return xs, 1, roots
+
+    monkeypatch.setattr(ksums, "_unit_table", ubar_one)
+    rec = ksum_verify(cmax=60, pairs=4)
+    assert rec.assertions["oracle_equivalence"] is False and rec.values["max_fast_vs_brute"] > 1
+    # for a unit w, S(aw, b) = S(a, bw) = S(bw, a) and gcd(aw, b, c) = gcd(a, b, c): only the fast route sees it
+    assert all(rec.assertions[name] for name in ("symmetry", "weil_bound", "ramanujan_consistency"))
+
+
 def test_direct_call_record_carries_its_arguments_and_runtime():
     rec = compdiv_verify(16, 16, 4.0)
     assert (rec.subcommand, rec.params, rec.seed) == ("compdiv-check", {"m_scale": 16, "n_scale": 16, "l_scale": 4.0}, 7)
