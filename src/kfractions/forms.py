@@ -14,11 +14,11 @@ gcd(m, b*n) = 1, both odd when twisted}, `_support_columns`, in chunks of whole
 n-blocks: `_inner_terms` contracts each chunk with nu into W(nu)[m, n] = sum_a
 nu_a entry(a,m,n) (evaluation, Cauchy-Schwarz, the amplifier at modulus b*n);
 the search fills T_S, its columns at b = 1, once and takes W for all live
-restarts, and its nu-step, as matrix products on T_S.  The dense tensor of
-`build_tensor`, zero off S, is the oracle of both.  The amplifier's congruence
-form and diagonal are one energy each over every admissible (m, ell, n); its
-character form takes the ell- and n-sums of every m from
-`characters.character_sums_by_modulus`, one inverse DFT per m.
+restarts, and its nu-step, as matrix products on T_S; `build_tensor` scatters
+the same chunks into the dense tensor, zero off S, for the SVD that checks the
+search.  The amplifier's congruence form and diagonal are one energy each over
+every admissible (m, ell, n); its character form takes the ell- and n-sums of
+every m from `characters.character_sums_by_modulus`, one inverse DFT per m.
 
 Coefficients live on dyadic ranges [X/2, X] and are always handled as unit-L2
 vectors in the envelopes (the norms are folded in).
@@ -163,11 +163,11 @@ class FormSpec:
 def _phases(spec: FormSpec, ms: np.ndarray, ns, counts: Sequence[int], twisted: bool, b: int = 1) -> np.ndarray:
     """entry(a, m, n) = e(theta*a*mbar/(b*n)) on columns (m, n) of the support, shape (|A|, len(ms)).
 
-    The one phase kernel.  The columns come in blocks, counts[k] columns at n = ns[k], and ms
-    holds each column's m.  Per block one `inverses_mod` call; theta*a*mbar is reduced mod b*n
-    exactly, and e(t/(b*n)) gathered from the blocks' root rows under one exp (or, with fewer
-    entries than root points, one exp per entry: the same value); then the reciprocity shift,
-    theta_f*a reduced mod m*n exactly as well, and the Jacobi factor per column.
+    The one phase kernel, called once per chunk by `_support_columns` alone.  The columns come in
+    blocks, counts[k] columns at n = ns[k], and ms holds each column's m.  Per block one `inverses_mod`
+    call; theta*a*mbar is reduced mod b*n exactly, and e(t/(b*n)) gathered from the blocks' root rows
+    under one exp (or, with fewer entries than root points, one exp per entry: the same value); then the
+    reciprocity shift, theta_f*a reduced mod m*n exactly as well, and the Jacobi factor per column.
     """
     az = spec.a_range.members
     rows, counts = b * np.asarray(ns, dtype=np.int64), np.asarray(counts, dtype=np.int64)  # blocks' moduli b*n
@@ -197,22 +197,11 @@ def _tensor_dims(spec: FormSpec) -> tuple[int, int, int]:
     return dims
 
 
-def build_tensor(spec: FormSpec, twisted: bool = False) -> np.ndarray:
-    """The dense complex entry array indexed [a, m, n] over the three dyadic ranges (guarded at 1e8 entries),
-    the oracle of the support-column stream: one `_phases` call per n over every m, zeroed off the support."""
-    entries = np.zeros(_tensor_dims(spec), dtype=np.complex128)
-    ms, ns = spec.m_range.members, spec.n_range.members
-    on_s = (np.gcd(ms[:, None], ns) == 1) & ~(twisted & (ms[:, None] * ns % 2 == 0))
-    for j in np.flatnonzero(on_s.any(axis=0)).tolist():  # a twisted tensor vanishes at even n (no Jacobi symbol)
-        entries[:, :, j] = np.where(on_s[:, j], _phases(spec, ms, ns[j : j + 1], [len(ms)], twisted), 0.0)
-    return entries
-
-
 def _support_columns(spec: FormSpec, twisted: bool, b: int = 1) -> tuple[np.ndarray, np.ndarray, Iterator]:
-    """The tensor's columns at modulus b*n on its support S (gcd(m, b*n) = 1, m and n odd when twisted): the m
-    and n index of each, n-major, and a generator of (cols, entries), cols a slice of whole n-blocks, up to
-    _SUPPORT_COLS columns (or one block), and entries their (|A|, width) values from one `_phases` call.  A
-    consumer drops each chunk before it asks for the next, so one chunk at a time is alive."""
+    """The tensor's columns at modulus b*n on its support S (gcd(m, b*n) = 1, m and n odd when twisted), the one
+    place where S and its n-major order are written: the m and n index of each column, and a generator of (cols,
+    entries), cols a slice of whole n-blocks, up to _SUPPORT_COLS columns (or one block), and entries their
+    (|A|, width) values from one `_phases` call.  A consumer drops each chunk before it asks for the next."""
     ms, ns = spec.m_range.members, spec.n_range.members
     support = (np.gcd(ms[:, None], b * ns) == 1) & ~(twisted & (ms[:, None] * ns % 2 == 0))
     n_of, m_of = np.nonzero(support.T)
@@ -240,6 +229,17 @@ def _support_matrix(spec: FormSpec, twisted: bool) -> tuple[np.ndarray, np.ndarr
         t_s[:, cols] = entries
         del entries  # not held while the stream computes the next chunk
     return t_s, m_of, n_of
+
+
+def build_tensor(spec: FormSpec, twisted: bool = False) -> np.ndarray:
+    """The dense complex entry array indexed [a, m, n] over the three dyadic ranges, zero off the support:
+    one array allocated after the 1e8-entry guard, each chunk of `_support_columns` scattered to its (m, n)."""
+    entries = np.zeros(_tensor_dims(spec), dtype=np.complex128)
+    m_of, n_of, chunks = _support_columns(spec, twisted)
+    for cols, chunk in chunks:
+        entries[:, m_of[cols], n_of[cols]] = chunk
+        del chunk  # not held while the stream computes the next chunk
+    return entries
 
 
 def _check_ranges(spec: FormSpec, alpha: CoefficientVector, beta: CoefficientVector, nu: CoefficientVector) -> None:

@@ -72,26 +72,30 @@ def brute_trilinear(alpha, beta, nu, spec, twisted=False):
     return total
 
 
-def scalar_shifted_tensor(spec):
-    """entry(a, m, n) = e(theta*a*mbar/n) * e(theta_f*a/(mn)), both factors
-    evaluated one entry at a time with the float operations of the vectorized
-    build (each numerator reduced exactly first); only their product is taken on
-    arrays (numpy's array and scalar complex products may round differently)."""
+def scalar_tensor(spec, twisted=False):
+    """entry(a, m, n) = e(theta*a*mbar/n) * e(theta_f*a/(mn)), times the Jacobi symbol (m/n) when twisted, on the
+    support (gcd(m, n) = 1, m and n odd when twisted) and 0 off it: an independent per-entry loop over the (m, n)
+    grid with the float operations of the phase kernel.  Both phases are evaluated one entry at a time (each
+    numerator reduced exactly first); only the kernel's products, by the shift when theta_f != 0 and by the Jacobi
+    symbol when twisted, are taken on arrays (numpy's array and scalar complex products may round differently)."""
     ms, ns, az = spec.m_range.members, spec.n_range.members, spec.a_range.members
     base = np.zeros((len(az), len(ms), len(ns)), dtype=np.complex128)
     pert = np.zeros_like(base)
+    jac = np.zeros((len(ms), len(ns)))
     for j, n in enumerate(ns):
         n = int(n)
         for i, m in enumerate(ms):
             m = int(m)
-            if gcd(m, n) != 1:
+            if gcd(m, n) != 1 or twisted and m * n % 2 == 0:
                 continue
             mbar = pow(m, -1, n)
+            jac[i, j] = jacobi(m, n) if twisted else 1
             for k, a in enumerate(az):
                 a = int(a)
                 base[k, i, j] = np.exp(2j * np.pi * ((spec.theta * a * mbar) % n / n))
                 pert[k, i, j] = np.exp(2j * np.pi * (spec.theta_f * a % (m * n) / (m * n)))
-    return base * pert
+    out = base * pert if spec.theta_f else base
+    return out * jac if twisted else out
 
 
 def _unit(d):
@@ -261,7 +265,7 @@ class TestTensor:
     @pytest.mark.parametrize("theta_f", [-3, 1, 3])
     def test_reciprocity_perturbation_matches_scalar_loop_exactly(self, theta_f):
         spec = FormSpec(13, 11, 7, theta=2, theta_f=theta_f)
-        assert np.array_equal(build_tensor(spec), scalar_shifted_tensor(spec))
+        assert np.array_equal(build_tensor(spec), scalar_tensor(spec))
 
 
 class TestEvaluation:
@@ -325,6 +329,8 @@ class TestEvaluation:
         dense = complex(np.einsum("amn,a,m,n->", t, nu.values, al.values, be.values))
         stream = eval_trilinear(al, be, nu, spec)
         assert stream == pytest.approx(dense, rel=1e-9, abs=1e-12)
+        # the tensor reads the same stream, so the scalar loop checks both
+        assert stream == pytest.approx(brute_trilinear(al, be, nu, spec), rel=1e-9, abs=1e-12)
 
     def test_streaming_holds_a_quarter_of_t_s_at_most(self):
         # T_S at 256^3 is 16 * |A| * P = 16 * 129 * 10032 bytes, 20.7 MB; the stream holds one chunk of
@@ -522,17 +528,18 @@ class TestExtremalSearch:
         (FormSpec(15, 16, 4, theta=6), False),  # theta shares a factor with every even n and with 9, 15
         (FormSpec(4, 4, 2), True),  # m, n in {2, 3, 4}: the one odd pair (3, 3) is not coprime, so P = 0
     ], ids=["plain", "twisted", "reciprocity", "A1", "theta-shares-factors", "empty"])
-    def test_support_matrix_is_the_dense_tensor_on_its_support(self, spec, twisted):
+    def test_support_matrix_and_dense_tensor_match_the_scalar_loop(self, spec, twisted):
+        # T_S and the dense tensor read one stream, so each is checked against the per-entry loop, not the other
         t_s, m_of, n_of = forms._support_matrix(spec, twisted)
-        dense = build_tensor(spec, twisted).reshape(len(spec.a_range), -1)
         ms, ns = spec.m_range.members, spec.n_range.members
         support = m_of * len(ns) + n_of
         want = [i * len(ns) + j for j, n in enumerate(ns) for i, m in enumerate(ms)  # n-major
                 if gcd(int(m), int(n)) == 1 and (not twisted or m * n % 2 == 1)]
         assert support.tolist() == want
-        assert np.array_equal(t_s, dense[:, support])  # bit for bit
+        scalar = scalar_tensor(spec, twisted)
+        assert build_tensor(spec, twisted).tobytes() == scalar.tobytes()  # bit for bit, exactly 0 off S
+        assert t_s.tobytes() == scalar.reshape(len(spec.a_range), -1)[:, support].tobytes()
         assert np.all(t_s != 0)  # no entry on S vanishes
-        assert not np.any(np.delete(dense, support, axis=1))  # exactly 0 off S
 
     @pytest.mark.parametrize("cols", [1, 7])
     @pytest.mark.parametrize("spec, twisted", [
@@ -765,7 +772,10 @@ class TestCauchyStep:
         be = CoefficientVector.random_unit(spec.n_range, gen)
         nu = CoefficientVector.random_unit(spec.a_range, gen)
         dense = np.einsum("amn,a,m,n->", build_tensor(spec), nu.values, al.values, be.values)
-        assert cauchy_step(spec, al, be, nu).lhs == pytest.approx(abs(dense) ** 2, rel=1e-12)
+        lhs = cauchy_step(spec, al, be, nu).lhs
+        assert lhs == pytest.approx(abs(dense) ** 2, rel=1e-12)
+        # the tensor reads the same stream, so the scalar loop checks both
+        assert lhs == pytest.approx(abs(brute_trilinear(al, be, nu, spec)) ** 2, rel=1e-12)
 
 
 def scalar_inner_terms(spec, beta, nu, b):

@@ -2,17 +2,21 @@
 
 import re
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
 
-from kfractions import arith, ksums, verify
+from kfractions import arith, forms, ksums, verify
 from kfractions.verify import (
     SUITES,
+    bilinear_oracle_verify,
     compdiv_verify,
     equidist_verify,
     ksum_verify,
 )
+
+KSUM_ASSERTIONS = ("oracle_equivalence", "weil_bound", "symmetry", "ramanujan_consistency", "realness")
 
 
 def test_subcommand_map_is_complete():
@@ -63,6 +67,45 @@ def test_oracle_equivalence_witnesses_a_wrong_unit_factor_in_xbar(monkeypatch):
     assert rec.assertions["oracle_equivalence"] is False and rec.values["max_fast_vs_brute"] > 1
     # for a unit w, S(aw, b) = S(a, bw) = S(bw, a) and gcd(aw, b, c) = gcd(a, b, c): only the fast route sees it
     assert all(rec.assertions[name] for name in ("symmetry", "weil_bound", "ramanujan_consistency"))
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_oracle_equivalence_witnesses_a_square_root_one_hensel_step_short(monkeypatch, seed):
+    # a Salie block at p^alpha built on a root of ab mod p^(alpha-1) only: the fast route drifts, the brute does not
+    assert ksum_verify(cmax=60, pairs=4, seed=seed).passed
+    root = ksums._sqrt_mod_prime_power
+    monkeypatch.setattr(ksums, "_sqrt_mod_prime_power", lambda t, p, alpha: root(t, p, alpha - 1))
+    rec = ksum_verify(cmax=60, pairs=4, seed=seed)
+    assert [name for name in KSUM_ASSERTIONS if not rec.assertions[name]] == ["oracle_equivalence"]
+    assert rec.values["max_fast_vs_brute"] > 2  # 2.30 at seed 7, 3.09 at seed 11
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_ramanujan_consistency_witnesses_the_complementary_divisor_swapped(monkeypatch, seed):
+    # Hoelder's closed form read at q = gcd(a, c) in place of q = c / gcd(a, c)
+    assert ksum_verify(cmax=60, pairs=4, seed=seed).passed
+
+    def swapped(a, c):
+        q = arith.factorize(gcd(a, c))
+        return q.moebius * (arith.factorize(c).euler_phi // q.euler_phi)
+
+    monkeypatch.setattr(ksums, "ramanujan", swapped)
+    rec = ksum_verify(cmax=60, pairs=4, seed=seed)
+    assert [name for name in KSUM_ASSERTIONS if not rec.assertions[name]] == ["ramanujan_consistency"]
+    assert rec.values["max_ramanujan_gap"] > 1  # 59.0 at both seeds
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_bilinear_spectral_oracle_witnesses_a_weak_search(monkeypatch, seed):
+    # the search and the SVD's dense tensor read one stream of the support's columns; the SVD still catches a
+    # search cut to one restart and one iteration
+    rec = bilinear_oracle_verify(n_specs=4, seed=seed)
+    assert rec.passed and rec.values["max_oracle_deviation"] <= 1e-9  # 4.9e-10 at seed 7, 4.1e-10 at seed 11
+    search = forms.extremal_search
+    monkeypatch.setattr(forms, "extremal_search", lambda spec, restarts, iters, seed: search(spec, False, 1, 1, seed))
+    rec = bilinear_oracle_verify(n_specs=4, seed=seed)
+    assert rec.assertions["bilinear_spectral_oracle"] is False
+    assert rec.values["max_oracle_deviation"] > 0.1  # 0.327 at seed 7, 0.257 at seed 11
 
 
 def test_direct_call_record_carries_its_arguments_and_runtime():
